@@ -212,14 +212,6 @@ class DistributionCounter:
                 return False, (x, missing)
         return True, None
 
-    def cell_counts(self, x, y) -> tuple[int, int, int, int]:
-        return (
-            self.joint.get((x, y), 0),
-            self.left.get(x, 0),
-            self.right.get(y, 0),
-            self.total,
-        )
-
 
 @dataclass(frozen=True)
 class IndependenceCheck:
@@ -337,15 +329,6 @@ def _pairs_independent(
     return True, None
 
 
-def table_counter(tables: dict) -> DistributionCounter:
-    """Rebuild a DistributionCounter from per-label tables (for checks)."""
-    counter = DistributionCounter()
-    for x, (vals, counts) in tables.items():
-        for v, c in zip(vals.tolist(), counts.tolist()):
-            counter.add(x, v, c)
-    return counter
-
-
 # ---------------------------------------------------------------------------
 # Batched enumeration context
 # ---------------------------------------------------------------------------
@@ -379,7 +362,7 @@ class _BatchContext:
         u_mats = self.u_rows.reshape(self.n_u, params.stripes, params.m, params.query_len)
         for theta in range(1, params.k + 1):
             for node in range(1, params.n + 1):
-                mask = unit_mask(params, self.plan, theta, node)
+                mask = unit_mask(params, theta, node)
                 qdig = (u_mats + mask[None, None, :, :]) % self.q
                 self.qpack[theta - 1, node - 1] = pack_digits(
                     qdig.reshape(self.n_u, universe.u_digits), self.q

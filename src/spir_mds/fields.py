@@ -13,7 +13,7 @@ decode transcript is reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,10 +56,6 @@ class PrimeField:
     @property
     def one(self) -> "FieldElement":
         return FieldElement(1 % self.q, self)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for v in range(self.q):
-            yield FieldElement(v, self)
 
     def inv(self, value: int) -> int:
         """Inverse of an integer representative, as an integer."""

@@ -101,7 +101,7 @@ class SimNetwork:
             NodeHandler(i, shares[i - 1], randomness, generator)
             for i in range(1, params.n + 1)
         ]
-        self._randomness_mode = randomness_mode
+        self._randomness = randomness
 
     def run(self, theta: int, user_seed: int = 0) -> Transcript:
         """One round through the handlers; returns the user's transcript."""
@@ -119,6 +119,6 @@ class SimNetwork:
             query_set=user.query_set,
             answer_set=answers,
             decoded_file=decoded,
-            download_count=self.params.stripes * self.params.n * self.params.m,
-            randomness_count=self.params.stripes * self.params.m * self.params.m,
+            download_count=answers.per_node.size,
+            randomness_count=self._randomness.values.size,
         )

@@ -126,17 +126,28 @@ def make_query_plan(params: StorageParams) -> QueryPlan:
     return plan
 
 
-def unit_mask(params: StorageParams, plan: QueryPlan, theta: int, node_index: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _unit_positions(params: StorageParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0-based (node, vector, row) index arrays of every unit in the plan.
+
+    The one source of unit placement for building and checking queries:
+    query ``per_node[node0, :, t0, (theta-1)*(n-m) + row0]`` is its mask
+    plus one, and every other query symbol equals its mask.
+    """
+    triples = np.array(list(zip(*make_query_plan(params).units())), dtype=np.int64) - 1
+    triples.flags.writeable = False
+    return tuple(triples)
+
+
+def unit_mask(params: StorageParams, theta: int, node_index: int) -> np.ndarray:
     """(m, query_len) 0/1 array of the unit vectors raised at one node.
 
     The row index is offset into file theta's block of the query vector.
     """
+    node0, t0, row0 = _unit_positions(params)
+    mine = node0 == node_index - 1
     mask = np.zeros((params.m, params.query_len), dtype=np.int64)
-    base = (theta - 1) * params.rows_per_stripe
-    for t in range(1, params.m + 1):
-        row = plan.unit_row(node_index, t)
-        if row is not None:
-            mask[t - 1, base + row - 1] = 1
+    mask[t0[mine], (theta - 1) * params.rows_per_stripe + row0[mine]] = 1
     return mask
 
 
@@ -243,7 +254,6 @@ def gen_queries(
         raise InvalidParams(f"theta={theta} not in [1, {params.k}]")
     if (g.m, g.n, g.q) != (params.m, params.n, params.q):
         raise DimensionMismatch("generator does not match params")
-    plan = make_query_plan(params)
     shape = (params.stripes, params.m, params.query_len)
     if u_override is not None:
         u = np.asarray(u_override, dtype=np.int64) % params.q
@@ -253,10 +263,10 @@ def gen_queries(
         if rng is None:
             rng = user_rng(user_seed)
         u = rng.integers(0, params.q, size=shape, dtype=np.int64)
-    per_node = np.empty((params.n,) + shape, dtype=np.int64)
-    for node in range(1, params.n + 1):
-        mask = unit_mask(params, plan, theta, node)  # (m, query_len)
-        per_node[node - 1] = (u + mask[None, :, :]) % params.q
+    node0, t0, row0 = _unit_positions(params)
+    col = (theta - 1) * params.rows_per_stripe + row0
+    per_node = np.repeat(u[None], params.n, axis=0)
+    per_node[node0, :, t0, col] = (u[:, t0, col].T + 1) % params.q
     return QuerySet(theta, u, per_node)
 
 
@@ -288,9 +298,9 @@ def gen_answer(
             f"node {node_index}: share length {d.values.size} != stripes*query_len {stripes * qlen}"
         )
     data = d.values.reshape(stripes, qlen)
-    blind = encode_randomness(s, g)  # (stripes, n, m)
+    blind = np.einsum("sit,i->st", s.values, g.column(node_index)) % g.q
     raw = np.einsum("stq,sq->st", query, data)
-    return (raw + blind[:, node_index - 1, :]) % g.q
+    return (raw + blind) % g.q
 
 
 def _x_col(i: int, t: int, m: int) -> int:
@@ -379,16 +389,21 @@ def decode(
     Returns the (stripes*(n-m), m) file matrix.  The query set is
     cross-checked against the plan so a corrupted transcript fails loud.
     """
-    plan = make_query_plan(params)
     if query_set.theta != theta:
         raise InvalidParams(f"query set was built for theta={query_set.theta}, not {theta}")
-    expected = np.stack(
-        [
-            (query_set.u + unit_mask(params, plan, theta, node)[None, :, :]) % params.q
-            for node in range(1, params.n + 1)
-        ]
-    )
-    if not np.array_equal(expected, query_set.per_node):
+    shape = (params.stripes, params.m, params.query_len)
+    u = np.asarray(query_set.u) % params.q
+    per_node = np.asarray(query_set.per_node)
+    if u.shape != shape or per_node.shape != (params.n,) + shape:
+        raise InvalidParams(f"query shapes {u.shape}, {per_node.shape} do not match {params}")
+    # q >= 2, so each unit symbol differs from its mask: the queries equal
+    # masks plus units iff they differ from the masks in exactly as many
+    # places as there are units, and hold mask plus one at every unit.
+    node0, t0, row0 = _unit_positions(params)
+    col = (theta - 1) * params.rows_per_stripe + row0
+    if np.count_nonzero(per_node != u) != params.stripes * node0.size or not np.array_equal(
+        per_node[node0, :, t0, col], (u[:, t0, col].T + 1) % params.q
+    ):
         raise InvalidParams("per-node queries inconsistent with masks and plan")
     inv = decode_matrix_inverse(params, g)
     n, m = params.n, params.m
@@ -436,8 +451,8 @@ def run_round(
         query_set=query_set,
         answer_set=answer_set,
         decoded_file=decoded,
-        download_count=params.stripes * params.n * params.m,
-        randomness_count=params.stripes * params.m * params.m,
+        download_count=answer_set.per_node.size,
+        randomness_count=s.values.size,
     )
 
 

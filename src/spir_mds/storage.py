@@ -45,14 +45,18 @@ class StorageParams:
     stripes: int = 1
 
     def __post_init__(self):
-        if not fields.is_prime(self.q):
-            raise InvalidParams(f"q={self.q} is not prime")
         if not 1 <= self.m < self.n:
             raise InvalidParams(f"need 1 <= m < n, got m={self.m}, n={self.n}")
         if self.k < 1:
             raise InvalidParams(f"need k >= 1 files, got {self.k}")
         if self.stripes < 1:
             raise InvalidParams(f"need stripes >= 1, got {self.stripes}")
+        # Longest int64 sums of a round: a node's query_len-term answer plus
+        # blinding, and decode's n*m-term solve.  Also bounds is_prime's work.
+        if max(self.query_len, self.n * self.m) * (self.q - 1) ** 2 + (self.q - 1) >= 2**63:
+            raise InvalidParams(f"q={self.q} is too large for (n, m, k)={self.n, self.m, self.k}: int64 overflow")
+        if not fields.is_prime(self.q):
+            raise InvalidParams(f"q={self.q} is not prime")
 
     @property
     def field(self) -> PrimeField:

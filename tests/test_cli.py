@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import spir_mds
 from spir_mds import jsonio, protocol
 from spir_mds.cli import main
 from spir_mds.errors import DecodeFailure
@@ -252,10 +255,14 @@ class TestEncodeReconstruct:
 
 
 def test_console_script_entry_point():
+    # the child imports the same spir_mds as this process, installed or not
+    src_dir = str(Path(spir_mds.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "spir_mds", "rates", "--n", "4", "--m", "2", "--k", "2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "1/2" in proc.stdout

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spir_mds import fields
+from spir_mds.cli import main
 from spir_mds.errors import InvalidParams, TooFewFiles
 from spir_mds.protocol import (
+    AnswerSet,
     CommonRandomness,
     column_systems,
     decode,
@@ -14,11 +16,34 @@ from spir_mds.protocol import (
     find_decodable_generator,
     gen_answer,
     gen_queries,
+    QuerySet,
     make_query_plan,
     run_round,
     unit_mask,
 )
 from spir_mds.storage import Database, StorageParams, build_generator, encode
+
+
+def reference_unit_mask(params, theta, node):
+    """Per-node unit pattern built entry by entry from the plan table."""
+    plan = make_query_plan(params)
+    mask = np.zeros((params.m, params.query_len), dtype=np.int64)
+    base = (theta - 1) * params.rows_per_stripe
+    for t in range(1, params.m + 1):
+        row = plan.unit_row(node, t)
+        if row is not None:
+            mask[t - 1, base + row - 1] = 1
+    return mask
+
+
+def reference_queries(params, theta, u):
+    """Dense (u + unit_mask) % q over every node."""
+    return np.stack(
+        [
+            (u + reference_unit_mask(params, theta, node)[None]) % params.q
+            for node in range(1, params.n + 1)
+        ]
+    )
 
 
 def check_plan_shape(params):
@@ -122,13 +147,34 @@ class TestGenQueries:
         # the map masks -> queries is a translation, hence a bijection
         p = StorageParams(q=5, n=5, m=2, k=3, stripes=2)
         g = build_generator(p)
-        plan = make_query_plan(p)
         for theta in (1, 2, 3):
             qs = gen_queries(p, g, theta, user_seed=9)
             for node in range(1, p.n + 1):
                 delta = (qs.per_node[node - 1] - qs.u) % p.q
-                expected = unit_mask(p, plan, theta, node)
+                expected = unit_mask(p, theta, node)
                 assert np.array_equal(delta, np.broadcast_to(expected, delta.shape))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        m=st.integers(1, 7),
+        k=st.integers(2, 4),
+        stripes=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=4, m=2, k=3, stripes=2, seed=0)  # n-m <= m
+    @example(n=7, m=2, k=3, stripes=2, seed=0)  # n-m > m
+    @example(n=4, m=1, k=2, stripes=3, seed=0)  # m = 1
+    def test_matches_reference_construction(self, n, m, k, stripes, seed):
+        if m >= n:
+            return
+        p = StorageParams(q=11, n=n, m=m, k=k, stripes=stripes)
+        g = build_generator(p)
+        for theta in range(1, k + 1):
+            qs = gen_queries(p, g, theta, user_seed=seed)
+            assert np.array_equal(qs.per_node, reference_queries(p, theta, qs.u))
+            for node in range(1, n + 1):
+                assert np.array_equal(unit_mask(p, theta, node), reference_unit_mask(p, theta, node))
 
     def test_bad_theta(self):
         p = StorageParams(q=3, n=3, m=2, k=2)
@@ -306,6 +352,169 @@ class TestDecode:
             decode(p, g, 1, tampered, tr.answer_set)
 
 
+DECODE_CHECK_PARAMS = [
+    StorageParams(q=5, n=4, m=2, k=3, stripes=2),  # n-m <= m
+    StorageParams(q=5, n=5, m=2, k=3, stripes=2),  # n-m > m
+    StorageParams(q=3, n=3, m=1, k=2, stripes=2),  # m = 1
+]
+
+
+def _valid_round(p, theta=2):
+    db = Database.random(p, np.random.default_rng(4))
+    return run_round(p, db, theta, user_seed=5, node_seed=6)
+
+
+def _tampered(qs, node0, stripe, t0, col, value):
+    per_node = qs.per_node.copy()
+    per_node[node0, stripe, t0, col] = value
+    return QuerySet(qs.theta, qs.u, per_node)
+
+
+class TestDecodeConsistencyCheck:
+    """decode rejects every query set that is not masks plus the unit pattern."""
+
+    @pytest.mark.parametrize("p", DECODE_CHECK_PARAMS, ids=repr)
+    @pytest.mark.parametrize("inside_theta_block", [True, False])
+    def test_single_symbol_off_the_units(self, p, inside_theta_block):
+        tr = _valid_round(p)
+        g = build_generator(p)
+        theta = tr.theta
+        block = range((theta - 1) * p.rows_per_stripe, theta * p.rows_per_stripe)
+        cols = block if inside_theta_block else [c for c in range(p.query_len) if c not in block]
+        for node in range(1, p.n + 1):
+            mask = reference_unit_mask(p, theta, node)
+            for t0 in range(p.m):
+                for col in cols:
+                    if mask[t0, col] == 0:
+                        break
+                else:
+                    continue
+                qs = tr.query_set
+                bad = _tampered(qs, node - 1, p.stripes - 1, t0, col, (qs.u[-1, t0, col] + 1) % p.q)
+                with pytest.raises(InvalidParams):
+                    decode(p, g, theta, bad, tr.answer_set)
+                return
+        pytest.fail("no plain position found")
+
+    @pytest.mark.parametrize("p", DECODE_CHECK_PARAMS, ids=repr)
+    @pytest.mark.parametrize("shift", [0, 2])
+    def test_single_symbol_at_a_unit(self, p, shift):
+        # shift 0 drops the unit (one difference fewer); shift 2 keeps the
+        # count of differences but puts the wrong value at the unit
+        tr = _valid_round(p)
+        g = build_generator(p)
+        qs = tr.query_set
+        for node in range(1, p.n + 1):
+            t0s, cols = np.nonzero(reference_unit_mask(p, tr.theta, node))
+            if t0s.size:
+                t0, col = int(t0s[0]), int(cols[0])
+                bad = _tampered(qs, node - 1, 0, t0, col, (qs.u[0, t0, col] + shift) % p.q)
+                with pytest.raises(InvalidParams):
+                    decode(p, g, tr.theta, bad, tr.answer_set)
+                return
+        pytest.fail("no unit found")
+
+    @pytest.mark.parametrize("p", DECODE_CHECK_PARAMS, ids=repr)
+    def test_wrong_shapes(self, p):
+        tr = _valid_round(p)
+        g = build_generator(p)
+        qs = tr.query_set
+        for per_node in (qs.per_node[:-1], qs.per_node[:, :1], qs.per_node[..., :-1]):
+            with pytest.raises(InvalidParams):
+                decode(p, g, tr.theta, QuerySet(qs.theta, qs.u, per_node), tr.answer_set)
+        with pytest.raises(InvalidParams):
+            decode(p, g, tr.theta, QuerySet(qs.theta, qs.u[:1, :, :], qs.per_node), tr.answer_set)
+
+    @pytest.mark.parametrize("p", DECODE_CHECK_PARAMS, ids=repr)
+    def test_theta_mismatch(self, p):
+        tr = _valid_round(p, theta=2)
+        g = build_generator(p)
+        with pytest.raises(InvalidParams):
+            decode(p, g, 1, tr.query_set, tr.answer_set)
+        relabelled = QuerySet(1, tr.query_set.u, tr.query_set.per_node)
+        with pytest.raises(InvalidParams):
+            decode(p, g, 1, relabelled, tr.answer_set)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        p=st.sampled_from(DECODE_CHECK_PARAMS),
+        theta=st.integers(1, 2),
+    )
+    def test_unreduced_masks_accepted_as_by_dense_check(self, data, p, theta):
+        # hand-built query sets: masks shifted by multiples of q, and the
+        # queries optionally hit at one symbol; decode must accept exactly
+        # the sets the dense (u + mask) % q comparison accepts
+        g = build_generator(p)
+        qs = gen_queries(p, g, theta, user_seed=data.draw(st.integers(0, 99)))
+        shape = qs.u.shape
+        lifts = data.draw(st.lists(st.integers(-3, 3), min_size=qs.u.size, max_size=qs.u.size))
+        u = qs.u + p.q * np.array(lifts, dtype=np.int64).reshape(shape)
+        per_node = qs.per_node.copy()
+        if data.draw(st.booleans()):
+            where = tuple(data.draw(st.integers(0, dim - 1)) for dim in per_node.shape)
+            per_node[where] += data.draw(st.integers(-p.q, p.q))
+        dense_accepts = np.array_equal(reference_queries(p, theta, u), per_node)
+        answers = AnswerSet(np.zeros((p.n, p.stripes, p.m), dtype=np.int64))
+        try:
+            decode(p, g, theta, QuerySet(theta, u, per_node), answers)
+            accepted = True
+        except InvalidParams:
+            accepted = False
+        assert accepted == dense_accepts
+
+
+def _boundary_primes(n, m, k):
+    """Largest prime q the int64 bound admits, and the smallest it rejects."""
+    span = max((n - m) * k, n * m)
+
+    def fits(q):
+        return span * (q - 1) ** 2 + (q - 1) < 2**63
+
+    q = int(np.sqrt(2**63 / span))
+    while fits(q + 1):
+        q += 1
+    while not fits(q):
+        q -= 1
+    admitted, rejected = q, q + 1
+    while not fields.is_prime(admitted):
+        admitted -= 1
+    while not fields.is_prime(rejected):
+        rejected += 1
+    return admitted, rejected
+
+
+class TestOverflowGuard:
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(2, 5), m=st.integers(1, 4), k=st.integers(2, 6))
+    @example(n=4, m=2, k=2)
+    @example(n=4, m=2, k=50)
+    def test_boundary(self, n, m, k):
+        if m >= n:
+            return
+        admitted, rejected = _boundary_primes(n, m, k)
+        p = StorageParams(q=admitted, n=n, m=m, k=k, stripes=2)
+        db = Database.random(p, np.random.default_rng(n * 100 + k))
+        for theta in (1, k):
+            tr = run_round(p, db, theta, user_seed=theta, node_seed=3)
+            assert np.array_equal(tr.decoded_file, db.file(theta))
+        with pytest.raises(InvalidParams, match="overflow"):
+            StorageParams(q=rejected, n=n, m=m, k=k)
+
+    @pytest.mark.parametrize("q,k", [(2147483647, 50), (4294967291, 2)])
+    def test_wraparound_instances_rejected(self, q, k):
+        with pytest.raises(InvalidParams, match="overflow"):
+            StorageParams(q=q, n=4, m=2, k=k)
+
+    def test_cli_exit_codes_at_boundary(self, tmp_path, capsys):
+        admitted, rejected = _boundary_primes(4, 2, 2)
+        base = ["run", "--n", "4", "--m", "2", "--k", "2", "--theta", "2"]
+        out = ["--out", str(tmp_path / "t.json"), "--rate-out", str(tmp_path / "r.json")]
+        assert main(base + ["--q", str(admitted)] + out) == 0
+        assert main(base + ["--q", str(rejected)] + out) == 2
+        assert "overflow" in capsys.readouterr().err
+
+
 class TestRunRound:
     def test_transcript_accounting(self):
         p = StorageParams(q=5, n=4, m=2, k=3, stripes=2)
@@ -343,8 +552,6 @@ class TestRunRound:
                 for i in range(1, p.n + 1)
             ]
         )
-        from spir_mds.protocol import AnswerSet
-
         decoded = decode(p, g, 1, qs, AnswerSet(answers))
         assert np.array_equal(decoded, other.file(1))
         assert not np.array_equal(decoded, db.file(1))

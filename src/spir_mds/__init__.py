@@ -44,7 +44,6 @@ from .protocol import (
     gen_answer,
     gen_queries,
     generator_for,
-    encode_randomness,
     make_query_plan,
     run_round,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "build_generator",
     "decode",
     "encode",
-    "encode_randomness",
     "find_decodable_generator",
     "gen_answer",
     "gen_queries",

@@ -32,7 +32,7 @@ from scipy.stats import chi2
 
 from . import protocol, storage
 from .errors import InvalidParams, UniverseTooLarge
-from .protocol import CommonRandomness, GeneratorMatrix, make_query_plan, unit_mask
+from .protocol import CommonRandomness, GeneratorMatrix, unit_mask
 from .storage import Database, StorageParams
 
 DEFAULT_UNIVERSE_CEILING = 1 << 24
@@ -57,8 +57,13 @@ def enumerate_assignments(q: int, digits: int, start: int, stop: int) -> np.ndar
 
 
 def pack_digits(rows: np.ndarray, q: int) -> np.ndarray:
-    """Fold base-q digit rows into integers (first digit most significant)."""
+    """Fold base-q digit rows into integers (first digit most significant).
+
+    Raises UniverseTooLarge when the packed values could leave int64.
+    """
     rows = np.asarray(rows, dtype=np.int64)
+    if q ** rows.shape[-1] >= 1 << 63:
+        raise UniverseTooLarge(f"{rows.shape[-1]} base-{q} digits do not pack into int64")
     out = np.zeros(rows.shape[:-1], dtype=np.int64)
     for pos in range(rows.shape[-1]):
         out = out * q + rows[..., pos]
@@ -246,6 +251,20 @@ class AuditReport:
 # Vectorized count tables
 # ---------------------------------------------------------------------------
 
+def _merge_runs(parts: list[tuple[np.ndarray, np.ndarray]]):
+    """Merge sorted (values, counts) tables into sorted distinct values and
+    summed counts; ``where`` gives each input entry's merged position."""
+    vals = np.concatenate([v for v, _ in parts])
+    order = np.argsort(vals, kind="stable")  # parts are sorted runs: a merge
+    vals = vals[order]
+    new_run = np.concatenate(([True], vals[1:] != vals[:-1]))
+    starts = np.flatnonzero(new_run)
+    counts = np.concatenate([c for _, c in parts])[order]
+    where = np.empty(len(vals), dtype=np.int64)
+    where[order] = np.cumsum(new_run) - 1
+    return vals[starts], np.add.reduceat(counts, starts), where
+
+
 def merge_count_tables(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """Merge (values, counts) tables from disjoint partitions.
 
@@ -254,12 +273,8 @@ def merge_count_tables(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.n
     """
     if len(parts) == 1:
         return parts[0]
-    vals = np.concatenate([v for v, _ in parts])
-    counts = np.concatenate([c for _, c in parts])
-    uniq, inverse = np.unique(vals, return_inverse=True)
-    out = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(out, inverse, counts)
-    return uniq, out
+    vals, counts, _ = _merge_runs(parts)
+    return vals, counts
 
 
 def _guard_products(total: int, max_count: int):
@@ -278,12 +293,12 @@ def _tables_independent(
     Returns (verdict, (x, y) violating cell or None).  Identical rule to
     DistributionCounter.check_independent, computed on arrays.
     """
-    right_vals, right_counts = merge_count_tables(list(tables.values()))
+    right_vals, right_counts, where = _merge_runs(list(tables.values()))
     total = int(right_counts.sum())
     _guard_products(total, int(right_counts.max(initial=0)))
-    for x, (vals, counts) in tables.items():
+    cuts = np.cumsum([len(vals) for vals, _ in tables.values()])[:-1]
+    for (x, (vals, counts)), idx in zip(tables.items(), np.split(where, cuts)):
         left = int(counts.sum())
-        idx = np.searchsorted(right_vals, vals)
         rc = right_counts[idx]
         bad = counts * total != left * rc
         if bad.any():
@@ -301,31 +316,34 @@ def _tables_independent(
 def _pairs_independent(
     keys: np.ndarray, counts: np.ndarray, right_radix: int
 ) -> tuple[bool, Optional[tuple]]:
-    """Product-rule check for packed (left*right_radix + right) cells."""
+    """Product-rule check for packed (left*right_radix + right) cells.
+
+    ``keys`` are sorted and distinct, so each left value is one run.  The
+    right marginal is tallied densely: in the database sweep
+    ``right_radix`` counts the other files' values, at most the number of
+    enumerated databases.
+    """
     left_keys = keys // right_radix
     right_keys = keys % right_radix
     total = int(counts.sum())
-    left_vals, left_inv = np.unique(left_keys, return_inverse=True)
-    left_counts = np.zeros(len(left_vals), dtype=np.int64)
-    np.add.at(left_counts, left_inv, counts)
-    right_vals, right_inv = np.unique(right_keys, return_inverse=True)
-    right_counts = np.zeros(len(right_vals), dtype=np.int64)
-    np.add.at(right_counts, right_inv, counts)
-    _guard_products(total, int(max(left_counts.max(), right_counts.max())))
-    bad = counts * total != left_counts[left_inv] * right_counts[right_inv]
+    starts = np.flatnonzero(np.concatenate(([True], left_keys[1:] != left_keys[:-1])))
+    lengths = np.diff(starts, append=len(keys))
+    left_counts = np.add.reduceat(counts, starts)
+    right_tally = np.zeros(right_radix, dtype=np.int64)
+    np.add.at(right_tally, right_keys, counts)
+    right_vals = np.flatnonzero(right_tally)
+    _guard_products(total, int(max(left_counts.max(), right_tally.max())))
+    rc = right_tally[right_keys]
+    bad = counts * total != np.repeat(left_counts, lengths) * rc
     if bad.any():
         i = int(np.argmax(bad))
         return False, (int(left_keys[i]), int(right_keys[i]))
-    # structural zeros: keys are sorted, so left groups are contiguous
-    starts = np.flatnonzero(np.diff(left_inv, prepend=-1))
-    mass = np.add.reduceat(right_counts[right_inv], starts)
-    short = np.flatnonzero(mass != total)
+    # structural zeros: some left run does not cover the whole right mass
+    short = np.flatnonzero(np.add.reduceat(rc, starts) != total)
     if short.size:
-        x = int(left_vals[left_inv[starts[short[0]]]])
-        group = right_keys[left_keys == x]
-        present = np.isin(right_vals, group)
-        y = int(right_vals[~present][0])
-        return False, (x, y)
+        run = slice(starts[short[0]], starts[short[0]] + lengths[short[0]])
+        present = np.isin(right_vals, right_keys[run])
+        return False, (int(left_keys[run.start]), int(right_vals[~present][0]))
     return True, None
 
 
@@ -336,8 +354,13 @@ def _pairs_independent(
 class _BatchContext:
     """Precomputed tables for sweeping the universe in vectorized chunks.
 
-    Mask rows, randomness rows, blinding terms, and packed per-node
-    queries are derived once; database rows stream through in chunks.
+    Every answer digit splits into a mask side and a randomness side: at
+    grid point (mask u, database c, randomness s) the answer of (node,
+    stripe, vector t) is ``(ip[u, c] + blind[s]) % q``, where ``ip`` is the
+    inner product of the query (mask plus unit) with the node's share and
+    ``blind`` the node's coded share of S.  Mask rows, randomness rows,
+    blinding digits and packed per-node queries are derived once;
+    database rows stream through in chunks.
     """
 
     def __init__(self, params: StorageParams, g: GeneratorMatrix, universe: Universe):
@@ -345,25 +368,24 @@ class _BatchContext:
         self.g = g
         self.universe = universe
         self.q = params.q
-        self.plan = make_query_plan(params)
         self.u_rows = universe.u_rows()
         self.s_rows = universe.s_rows()
         self.n_u = self.u_rows.shape[0]
         self.n_s = self.s_rows.shape[0]
         self.a_digits_node = params.stripes * params.m
         self.a_digits_all = params.n * self.a_digits_node
+        self.u_mats = self.u_rows.reshape(self.n_u, params.stripes, params.m, params.query_len)
 
-        # blinding[s_idx, stripe, node0, t0]
+        # blind[s_idx, node0, stripe, t0]
         s_mats = self.s_rows.reshape(self.n_s, params.stripes, params.m, params.m)
-        self.blinding = np.einsum("xsit,in->xsnt", s_mats, g.matrix.array) % self.q
+        self.blind = np.einsum("xsit,in->xnst", s_mats, g.matrix.array) % self.q
 
         # packed per-node query values, per theta: (k, n, n_u)
         self.qpack = np.empty((params.k, params.n, self.n_u), dtype=np.int64)
-        u_mats = self.u_rows.reshape(self.n_u, params.stripes, params.m, params.query_len)
         for theta in range(1, params.k + 1):
             for node in range(1, params.n + 1):
                 mask = unit_mask(params, theta, node)
-                qdig = (u_mats + mask[None, None, :, :]) % self.q
+                qdig = (self.u_mats + mask[None, None, :, :]) % self.q
                 self.qpack[theta - 1, node - 1] = pack_digits(
                     qdig.reshape(self.n_u, universe.u_digits), self.q
                 )
@@ -376,55 +398,70 @@ class _BatchContext:
         return bits
 
     def db_chunks(self) -> Iterator[dict]:
-        """Stream database chunks with node shares and packed views."""
-        p = self.params
-        for start, rows in self.universe.db_row_chunks(self._chunk_rows):
-            c = rows.shape[0]
-            files = rows.reshape(c, p.k, p.file_rows, p.m)
-            # slot order: stripe-major, file-major, row-minor (node layout)
-            slots = (
-                files.reshape(c, p.k, p.stripes, p.rows_per_stripe, p.m)
-                .transpose(0, 2, 1, 3, 4)
-                .reshape(c * p.node_len, p.m)
-            )
-            shares = (slots @ self.g.matrix.array) % self.q  # (c*node_len, n)
-            node_vals = shares.reshape(c, p.node_len, p.n).transpose(2, 0, 1)  # (n, c, node_len)
-            yield {
-                "start": start,
-                "count": c,
-                "rows": rows,
-                "files": files,
-                "node_values": node_vals,
-            }
+        for _, rows in self.universe.db_row_chunks(self._chunk_rows):
+            yield self.chunk(rows)
 
-    def answer_plane(self, chunk: dict, theta: int, node: int, stripe: int, t: int) -> np.ndarray:
-        """Answers of one (node, stripe, vector) over the (u, db, s) grid."""
+    def chunk(self, rows: np.ndarray) -> dict:
+        """Files, node shares and theta-free mask products of database rows."""
         p = self.params
-        qlen = p.query_len
-        u_block = self.u_rows.reshape(self.n_u, p.stripes, p.m, qlen)[:, stripe, t - 1, :]
-        d_slice = chunk["node_values"][node - 1][:, stripe * qlen : (stripe + 1) * qlen]
-        ip = u_block @ d_slice.T  # (n_u, c)
-        row = self.plan.unit_row(node, t)
-        if row is not None:
-            pos = (theta - 1) * p.rows_per_stripe + (row - 1)
-            ip = ip + d_slice[:, pos][None, :]
-        blind = self.blinding[:, stripe, node - 1, t - 1]  # (n_s,)
-        return (ip[:, :, None] + blind[None, None, :]) % self.q
-
-    def node_answer_pack(self, chunk: dict, theta: int, node: int) -> np.ndarray:
-        """Packed (stripes*m)-digit answers of one node over the grid."""
-        p = self.params
-        out = np.zeros((self.n_u, chunk["count"], self.n_s), dtype=np.int64)
+        c = rows.shape[0]
+        files = rows.reshape(c, p.k, p.file_rows, p.m)
+        # slot order: stripe-major, file-major, row-minor (node layout)
+        slots = (
+            files.reshape(c, p.k, p.stripes, p.rows_per_stripe, p.m)
+            .transpose(0, 2, 1, 3, 4)
+            .reshape(c * p.node_len, p.m)
+        )
+        shares = (slots @ self.g.matrix.array) % self.q  # (c*node_len, n)
+        data = shares.reshape(c, p.stripes, p.query_len, p.n).transpose(3, 0, 1, 2)
+        mask_ip = np.empty((self.n_u, c, p.n, p.stripes, p.m), dtype=np.int64)
         for stripe in range(p.stripes):
-            for t in range(1, p.m + 1):
-                out = out * self.q + self.answer_plane(chunk, theta, node, stripe, t)
-        return out
+            masks = self.u_mats[:, stripe].reshape(self.n_u * p.m, p.query_len)
+            prod = masks @ data[:, :, stripe].reshape(p.n * c, p.query_len).T
+            mask_ip[:, :, :, stripe] = (
+                (prod % self.q).reshape(self.n_u, p.m, p.n, c).transpose(0, 3, 2, 1)
+            )
+        return {"count": c, "files": files, "data": data, "mask_ip": mask_ip}
+
+    def answer_parts(self, chunk: dict, theta: int) -> tuple[np.ndarray, np.ndarray]:
+        """Mask side ``ip`` (n_u, c, n, stripes, m) and randomness side
+        ``blind`` (n_s, n, stripes, m) of every answer digit for index theta."""
+        node0, t0, row0 = protocol._unit_positions(self.params)
+        col = (theta - 1) * self.params.rows_per_stripe + row0
+        units = chunk["data"][node0, :, :, col]  # (units, c, stripes)
+        ip = chunk["mask_ip"].copy()
+        ip[:, :, node0, :, t0] = (ip[:, :, node0, :, t0] + units[:, None]) % self.q
+        return ip, self.blind
+
+    def pack_grid(self, ip_rows: np.ndarray, blind: np.ndarray) -> np.ndarray:
+        """Packed answers over the (n_u, c, n_s) grid.
+
+        ``ip_rows`` is (n_u, c, J) and ``blind`` (n_s, J); the result equals
+        ``pack_digits((ip_rows[:, :, None] + blind[None, None]) % q)``.  The
+        packed answer of every row against every randomness row comes from
+        a table built once per answer word (q^J rows) when the alphabet is
+        no larger than the grid's row count, else once per grid row.
+        """
+        q = self.q
+        digits = ip_rows.shape[-1]
+        rows = ip_rows.reshape(-1, digits)
+        if q ** digits <= rows.shape[0]:
+            words, index = enumerate_assignments(q, digits, 0, q ** digits), pack_digits(rows, q)
+        else:
+            words, index = rows, None
+        table = np.zeros((words.shape[0], blind.shape[0]), dtype=np.int64)
+        for pos in range(digits):
+            table *= q
+            table += (words[:, pos, None] + blind[None, :, pos]) % q
+        grid = table if index is None else table[index]
+        return grid.reshape(ip_rows.shape[:-1] + (blind.shape[0],))
 
     def selfcheck(self, seed: int = 0):
         """Re-derive sampled grid points through the scalar protocol path.
 
         Raises if the vectorized sweep ever disagrees with gen_queries /
-        encode / gen_answer on the same assignment.
+        encode / gen_answer on the same assignment.  The sampled databases
+        form one chunk, which goes through the same batched path as a sweep.
         """
         p = self.params
         rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
@@ -432,32 +469,31 @@ class _BatchContext:
         db_ids = rng.integers(0, self.universe.n_db, size=n_pts)
         u_ids = rng.integers(0, self.n_u, size=n_pts)
         s_ids = rng.integers(0, self.n_s, size=n_pts)
-        for db_i, u_i, s_i in zip(db_ids, u_ids, s_ids):
-            row = enumerate_assignments(self.q, self.universe.db_digits, db_i, db_i + 1)[0]
-            db = Database(p, row.reshape(p.k, p.file_rows, p.m))
+        digits = self.universe.db_digits
+        chunk = self.chunk(
+            np.concatenate([enumerate_assignments(self.q, digits, i, i + 1) for i in db_ids])
+        )
+        parts = [self.answer_parts(chunk, theta) for theta in range(1, p.k + 1)]
+        for i, (u_i, s_i) in enumerate(zip(u_ids, s_ids)):
+            db = Database(p, chunk["files"][i])
             nodes = storage.encode(db, self.g)
             u_val = self.u_rows[u_i].reshape(p.stripes, p.m, p.query_len)
             s_val = CommonRandomness(self.s_rows[s_i].reshape(p.stripes, p.m, p.m))
-            chunk = {
-                "count": 1,
-                "node_values": np.stack([nd.values for nd in nodes])[:, None, :],
-            }
             for theta in range(1, p.k + 1):
                 qs = protocol.gen_queries(p, self.g, theta, u_override=u_val)
                 expect_qpack = pack_digits(
                     qs.per_node.reshape(p.n, self.universe.u_digits), self.q
+                )
+                ip, blind = parts[theta - 1]
+                batched = pack_digits(
+                    ((ip[u_i, i] + blind[s_i]) % self.q).reshape(p.n, self.a_digits_node), self.q
                 )
                 for node in range(1, p.n + 1):
                     if expect_qpack[node - 1] != self.qpack[theta - 1, node - 1, u_i]:
                         raise AssertionError("batched query pack disagrees with gen_queries")
                     ans = protocol.gen_answer(node, qs.node_query(node), nodes[node - 1], s_val, self.g)
                     got = pack_digits(ans.reshape(1, -1), self.q)[0]
-                    batched = 0
-                    for stripe in range(p.stripes):
-                        for t in range(1, p.m + 1):
-                            plane = self.answer_plane(chunk, theta, node, stripe, t)
-                            batched = batched * self.q + int(plane[u_i, 0, s_i])
-                    if got != batched:
+                    if got != batched[node - 1]:
                         raise AssertionError("batched answers disagree with gen_answer")
 
 
@@ -495,20 +531,30 @@ def audit_user_privacy(
         raise UniverseTooLarge(f"view tuple needs {bits} packed bits; exceeds exact-mode budget")
     a_radix = q ** ctx.a_digits_node
     d_radix = q ** d_digits
+    s_ids = np.arange(ctx.n_s, dtype=np.int64)
+    # parts[node0][theta-1]: one (values, counts) table per chunk
+    parts = [[[] for _ in range(params.k)] for _ in range(params.n)]
+    for chunk in ctx.db_chunks():
+        c = chunk["count"]
+        dpack = pack_digits(chunk["data"].reshape(params.n, c, d_digits), q)  # (n, c)
+        for theta in range(1, params.k + 1):
+            ip, blind = ctx.answer_parts(chunk, theta)
+            for node0 in range(params.n):
+                key = ctx.pack_grid(
+                    ip[:, :, node0].reshape(ctx.n_u, c, -1), blind[:, node0].reshape(ctx.n_s, -1)
+                )
+                # widen the packed answers in place to the view key
+                # ((query*a_radix + answer)*d_radix + share)*n_s + s
+                rest = ctx.qpack[theta - 1, node0][:, None] * (a_radix * d_radix) + dpack[node0]
+                key *= d_radix * ctx.n_s
+                key += rest[:, :, None] * ctx.n_s
+                key += s_ids
+                parts[node0][theta - 1].append(np.unique(key.ravel(), return_counts=True))
     checks = []
     for node in range(1, params.n + 1):
-        parts: list[list] = [[] for _ in range(params.k)]
-        for chunk in ctx.db_chunks():
-            dpack = pack_digits(chunk["node_values"][node - 1], q)  # (c,)
-            for theta in range(1, params.k + 1):
-                apack = ctx.node_answer_pack(chunk, theta, node)  # (n_u, c, n_s)
-                key = ctx.qpack[theta - 1, node - 1][:, None, None] * a_radix + apack
-                key = key * d_radix + dpack[None, :, None]
-                key = key * ctx.n_s + np.arange(ctx.n_s, dtype=np.int64)[None, None, :]
-                vals, counts = np.unique(key.ravel(), return_counts=True)
-                parts[theta - 1].append((vals, counts))
         tables = {
-            theta: merge_count_tables(parts[theta - 1]) for theta in range(1, params.k + 1)
+            theta: merge_count_tables(parts[node - 1][theta - 1])
+            for theta in range(1, params.k + 1)
         }
         ok, cell = _tables_independent(tables)
         first = tables[1]
@@ -603,21 +649,22 @@ def audit_db_privacy(
     if bits > _KEY_BITS:
         raise UniverseTooLarge(f"view tuple needs {bits} packed bits; exceeds exact-mode budget")
     w_radix = q ** wbar_digits
+    u_ids = np.arange(ctx.n_u, dtype=np.int64)[:, None]
     parts = []
     for chunk in ctx.db_chunks():
         c = chunk["count"]
+        # theta is a key digit, so the per-theta key sets are disjoint and
+        # one count over all of them needs no merge
+        key = np.empty((params.k, ctx.n_u, c, ctx.n_s), dtype=np.int64)
         for theta in range(1, params.k + 1):
-            apack = np.zeros((ctx.n_u, c, ctx.n_s), dtype=np.int64)
-            for node in range(1, params.n + 1):
-                for stripe in range(params.stripes):
-                    for t in range(1, params.m + 1):
-                        apack = apack * q + ctx.answer_plane(chunk, theta, node, stripe, t)
+            ip, blind = ctx.answer_parts(chunk, theta)
+            apack = ctx.pack_grid(ip.reshape(ctx.n_u, c, -1), blind.reshape(ctx.n_s, -1))
             others = np.delete(chunk["files"], theta - 1, axis=1).reshape(c, wbar_digits)
             wbar = pack_digits(others, q)  # (c,)
-            view = apack * ctx.n_u + np.arange(ctx.n_u, dtype=np.int64)[:, None, None]
-            view = view * params.k + (theta - 1)
-            key = view * w_radix + wbar[None, :, None]
-            parts.append(np.unique(key.ravel(), return_counts=True))
+            # view key ((answer*n_u + u)*k + theta-1)*w_radix + wbar
+            np.multiply(apack, ctx.n_u * params.k * w_radix, out=key[theta - 1])
+            key[theta - 1] += ((u_ids * params.k + (theta - 1)) * w_radix + wbar)[:, :, None]
+        parts.append(np.unique(key.ravel(), return_counts=True))
     keys, counts = merge_count_tables(parts)
     ok, cell = _pairs_independent(keys, counts, w_radix)
     witness = None
@@ -706,30 +753,27 @@ def audit_correctness(
     ctx = _BatchContext(params, g, universe)
     ctx.selfcheck()
     q = params.q
+    eqs = params.n * params.m
+    w_pos_count = params.rows_per_stripe * params.m
     inv = protocol.decode_matrix_inverse(params, g)
     w_rows = inv[params.m * params.m :, :]  # ((n-m)*m, n*m) per stripe
+    # decoding is linear, so it maps the two sides of each answer apart;
+    # both sides are reduced, so the n*m-term sums stay inside int64
+    blind = ctx.blind.transpose(0, 2, 1, 3).reshape(ctx.n_s, params.stripes, eqs)
+    blind_w = (blind @ w_rows.T) % q  # (n_s, stripes, w_pos)
     for chunk in ctx.db_chunks():
+        c = chunk["count"]
         for theta in range(1, params.k + 1):
-            planes = {}
-            for node in range(1, params.n + 1):
-                for stripe in range(params.stripes):
-                    for t in range(1, params.m + 1):
-                        planes[(stripe, node, t)] = ctx.answer_plane(chunk, theta, node, stripe, t)
-            expected = chunk["files"][:, theta - 1].reshape(
-                chunk["count"], params.stripes, params.rows_per_stripe, params.m
-            )
+            ip, _ = ctx.answer_parts(chunk, theta)
+            ip = ip.transpose(0, 1, 3, 2, 4).reshape(ctx.n_u, c, params.stripes, eqs)
+            ip_w = (ip @ w_rows.T) % q  # (n_u, c, stripes, w_pos)
+            expected = chunk["files"][:, theta - 1].reshape(c, params.stripes, w_pos_count)
             for stripe in range(params.stripes):
-                for w_pos in range(params.rows_per_stripe * params.m):
-                    acc = np.zeros((ctx.n_u, chunk["count"], ctx.n_s), dtype=np.int64)
-                    for node in range(1, params.n + 1):
-                        for t in range(1, params.m + 1):
-                            coef = int(w_rows[w_pos, (node - 1) * params.m + (t - 1)])
-                            if coef:
-                                acc += coef * planes[(stripe, node, t)]
-                    acc %= q
-                    row, col = divmod(w_pos, params.m)
-                    want = expected[:, stripe, row, col]  # (c,)
-                    if not np.array_equal(acc, np.broadcast_to(want[None, :, None], acc.shape)):
+                for w_pos in range(w_pos_count):
+                    # decoded (ip_w + blind_w) % q equals the file symbol iff
+                    # ip_w, itself reduced, equals (symbol - blind_w) % q
+                    want = (expected[:, stripe, w_pos, None] - blind_w[:, stripe, w_pos]) % q
+                    if not (ip_w[:, :, stripe, w_pos, None] == want).all():
                         return False
     return True
 
@@ -820,7 +864,6 @@ def _mc_transcribe(params, g, db_row, u_row, s_row, theta):
 
 
 def _mc_user_privacy(params, g, universe, samples, seed) -> AuditReport:
-    q = params.q
     db_rows, u_rows, s_rows = _mc_points(universe, samples, seed)
     projections = ("view", "query", "answer", "share", "randomness")
     tables = [{name: DistributionCounter() for name in projections} for _ in range(params.n)]
@@ -829,11 +872,12 @@ def _mc_user_privacy(params, g, universe, samples, seed) -> AuditReport:
     for i in range(samples):
         theta = int(thetas[i])
         _, nodes, qs, answers = _mc_transcribe(params, g, db_rows[i], u_rows[i], s_rows[i], theta)
-        s_key = int(pack_digits(s_rows[i].reshape(1, -1), q)[0])
+        # byte views of int64 digit rows: exact keys at any row length
+        s_key = s_rows[i].tobytes()
         for node in range(1, params.n + 1):
-            q_key = int(pack_digits(qs.node_query(node).reshape(1, -1), q)[0])
-            a_key = int(pack_digits(answers[node - 1].reshape(1, -1), q)[0])
-            d_key = int(pack_digits(nodes[node - 1].values.reshape(1, -1), q)[0])
+            q_key = qs.node_query(node).tobytes()
+            a_key = answers[node - 1].tobytes()
+            d_key = nodes[node - 1].values.tobytes()
             t = tables[node - 1]
             t["view"].add(theta, (q_key, a_key, d_key, s_key))
             t["query"].add(theta, q_key)
@@ -858,7 +902,6 @@ def _mc_user_privacy(params, g, universe, samples, seed) -> AuditReport:
 
 
 def _mc_db_privacy(params, g, universe, samples, seed) -> AuditReport:
-    q = params.q
     db_rows, u_rows, s_rows = _mc_points(universe, samples, seed)
     wbar_digits = (params.k - 1) * params.file_len
     tables: dict[str, DistributionCounter] = {"view": DistributionCounter()}
@@ -872,12 +915,8 @@ def _mc_db_privacy(params, g, universe, samples, seed) -> AuditReport:
         db, _, _, answers = _mc_transcribe(params, g, db_rows[i], u_rows[i], s_rows[i], theta)
         others = np.delete(db.files, theta - 1, axis=0).ravel()
         a_digits = np.concatenate([a.ravel() for a in answers])
-        view = (
-            theta,
-            int(pack_digits(a_digits.reshape(1, -1), q)[0]),
-            int(pack_digits(u_rows[i].reshape(1, -1), q)[0]),
-        )
-        tables["view"].add(view, int(pack_digits(others.reshape(1, -1), q)[0]))
+        view = (theta, a_digits.tobytes(), u_rows[i].tobytes())
+        tables["view"].add(view, others.tobytes())
         for pos, a_val in enumerate(a_digits.tolist()):
             for w_pos, w_val in enumerate(others.tolist()):
                 tables[f"answer_{pos}_vs_other_{w_pos}"].add(a_val, w_val)

@@ -270,15 +270,6 @@ def gen_queries(
     return QuerySet(theta, u, per_node)
 
 
-def encode_randomness(s: CommonRandomness, g: GeneratorMatrix) -> np.ndarray:
-    """(stripes, n, m) blinding terms: column t of S encoded by the code.
-
-    Row n is what node n adds to its t-th inner product, so parity
-    answers equal the code applied to the masked systematic products.
-    """
-    return np.einsum("sit,in->snt", s.values, g.matrix.array) % g.q
-
-
 def gen_answer(
     node_index: int,
     query: np.ndarray,

@@ -1,13 +1,21 @@
+import hashlib
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXHAUSTIVE_INSTANCES, generator_for_instance
-from spir_mds import protocol, storage
+from spir_mds import jsonio, protocol, storage
 from spir_mds.audit import (
+    AuditReport,
     DistributionCounter,
+    IndependenceCheck,
     Universe,
+    _BatchContext,
+    _pairs_independent,
+    _tables_independent,
     audit_correctness,
     audit_db_privacy,
     audit_user_privacy,
@@ -45,6 +53,17 @@ class TestEnumeration:
         row = data.draw(st.lists(st.integers(0, q - 1), min_size=digits, max_size=digits))
         packed = int(pack_digits(np.array([row]), q)[0])
         assert unpack_digits(packed, q, digits) == row
+
+    @pytest.mark.parametrize("q,digits", [(7, 90), (2, 63), (3, 40)])
+    def test_pack_refuses_int64_overflow(self, q, digits):
+        # q**digits >= 2**63: the packed value would wrap silently
+        with pytest.raises(UniverseTooLarge):
+            pack_digits(np.full((1, digits), q - 1), q)
+
+    @pytest.mark.parametrize("q,digits", [(2, 62), (3, 39)])
+    def test_pack_largest_fitting_width(self, q, digits):
+        packed = int(pack_digits(np.full((1, digits), q - 1), q)[0])
+        assert packed == q ** digits - 1
 
 
 class TestDistributionCounter:
@@ -98,6 +117,47 @@ class TestDistributionCounter:
         assert left.right == single.right
         assert left.total == single.total
         assert left.check_independent() == single.check_independent()
+
+    @settings(max_examples=80, deadline=None)
+    @given(mode=st.sampled_from(["product", "product_with_hole", "free"]), data=st.data())
+    def test_array_checks_match_reference(self, mode, data):
+        # both array forms of the product rule (per-label tables, packed
+        # pairs) give the reference verdict, and any cell they name
+        # really violates the rule
+        n_x = data.draw(st.integers(2, 3))
+        n_y = data.draw(st.integers(1, 5))
+        a = data.draw(st.lists(st.integers(1, 3), min_size=n_x, max_size=n_x))
+        b = data.draw(st.lists(st.integers(1, 3), min_size=n_y, max_size=n_y))
+        cells = {(x, y): a[x] * b[y] for x in range(n_x) for y in range(n_y)}
+        if mode == "product_with_hole" and n_y > 1:
+            del cells[(data.draw(st.integers(0, n_x - 1)), data.draw(st.integers(0, n_y - 1)))]
+        elif mode == "free":
+            for cell in cells:
+                cells[cell] = data.draw(st.integers(1, 4))
+        reference = DistributionCounter()
+        for (x, y), c in cells.items():
+            reference.add(x, y, c)
+        want, _ = reference.check_independent()
+
+        def violates(cell):
+            x, y = cell
+            joint = reference.joint.get((x, y), 0)
+            return joint * reference.total != reference.left[x] * reference.right[y]
+
+        tables = {}
+        for x in range(n_x):
+            ys = np.array(sorted(y for (xx, y) in cells if xx == x), dtype=np.int64)
+            tables[x] = (ys, np.array([cells[(x, int(y))] for y in ys], dtype=np.int64))
+        ok, cell = _tables_independent(tables)
+        assert ok == want
+        assert ok or violates(cell)
+
+        radix = 8
+        keys = np.array(sorted(x * radix + y for (x, y) in cells), dtype=np.int64)
+        counts = np.array([cells[divmod(int(k), radix)] for k in keys], dtype=np.int64)
+        ok, cell = _pairs_independent(keys, counts, radix)
+        assert ok == want
+        assert ok or violates(cell)
 
     def test_merge_count_tables_partitions(self):
         full = [(np.array([1, 2, 3]), np.array([4, 5, 6]))]
@@ -342,6 +402,17 @@ class TestCeilingAndMonteCarlo:
         healthy = leak_experiment(params, g, "full", ceiling=4, samples=3000, seed=1)
         assert healthy.all_passed
 
+    def test_monte_carlo_keys_past_int64(self):
+        # 90-digit query and mask rows at q=7 do not fit a packed int64 key
+        params = StorageParams(q=7, n=6, m=3, k=10)
+        g = storage.build_generator(params)
+        assert params.q ** Universe(params).u_digits >= 2 ** 63
+        user = audit_user_privacy(params, g, samples=12, seed=3)
+        assert len(user.checks) == params.n
+        assert all(not c.exact for c in user.checks)
+        db = audit_db_privacy(params, g, samples=4, seed=3)
+        assert not db.checks[0].exact
+
     def test_monte_carlo_user_privacy(self):
         params = StorageParams(q=5, n=4, m=2, k=2)
         g = storage.build_generator(params)
@@ -352,25 +423,129 @@ class TestCeilingAndMonteCarlo:
 
 
 class TestPartitionedSweep:
-    def test_tiny_chunks_give_identical_verdicts(self, monkeypatch):
+    def test_tiny_chunks_give_identical_reports(self, monkeypatch):
         # force many database partitions: merged counts must match the
-        # single-pass sweep exactly
+        # single-pass sweep exactly, down to every witness
         import spir_mds.audit as audit_mod
 
         params = StorageParams(q=2, n=3, m=2, k=2)
         g = generator_for_instance(params)
-        whole_user = audit_user_privacy(params, g)
-        whole_db = audit_db_privacy(params, g)
-        whole_ok = audit_correctness(params, g)
+
+        def audits():
+            return (
+                audit_user_privacy(params, g),
+                audit_user_privacy(params, g, mask_mode="zeroed"),
+                audit_db_privacy(params, g),
+                leak_experiment(params, g, "zeroed"),
+                audit_correctness(params, g),
+            )
+
+        whole = audits()
         monkeypatch.setattr(audit_mod, "_CHUNK_TARGET", 64)
-        split_user = audit_user_privacy(params, g)
-        split_db = audit_db_privacy(params, g)
-        split_ok = audit_correctness(params, g)
-        assert [c.independent for c in split_user.checks] == [
-            c.independent for c in whole_user.checks
-        ]
-        assert split_db.all_passed == whole_db.all_passed
-        assert split_ok == whole_ok
+        split = audits()
+        assert split == whole
+        # the controls really do carry witnesses to compare
+        assert whole[1].failed_checks()[0].witness is not None
+        assert whole[3].failed_checks()[0].witness is not None
+
+
+@lru_cache(maxsize=None)
+def sweep_context(q):
+    params = StorageParams(q=q, n=2, m=1, k=2)
+    return _BatchContext(params, generator_for_instance(params), Universe(params))
+
+
+class TestPackGrid:
+    # the word table is built when q**digits <= n_u * c, else one table
+    # row per grid row; both must equal packing the summed digits directly
+    @pytest.mark.parametrize("branch", ["word_table", "row_table"])
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.sampled_from([2, 3, 5]), data=st.data())
+    def test_pack_grid_matches_direct_pack(self, branch, q, data):
+        n_u = data.draw(st.integers(q if branch == "word_table" else 1, 8))
+        c = data.draw(st.integers(1, 4))
+        n_s = data.draw(st.integers(1, 4))
+        fit = 0  # widest word whose alphabet fits the grid's rows
+        while q ** (fit + 1) <= n_u * c:
+            fit += 1
+        if branch == "word_table":
+            digits = data.draw(st.integers(1, fit))
+        else:
+            digits = data.draw(st.integers(fit + 1, fit + 2))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        ip = rng.integers(0, q, size=(n_u, c, digits))
+        blind = rng.integers(0, q, size=(n_s, digits))
+        want = pack_digits((ip[:, :, None, :] + blind[None, None]) % q, q)
+        got = sweep_context(q).pack_grid(ip, blind)
+        assert got.shape == (n_u, c, n_s)
+        assert np.array_equal(got, want)
+
+
+class TestSweepCannotGoVacuous:
+    PARAMS = StorageParams(q=2, n=3, m=2, k=2)
+
+    def test_flipped_answer_digit_fails_selfcheck(self, monkeypatch):
+        real = _BatchContext.answer_parts
+
+        def flipped(self, chunk, theta):
+            ip, blind = real(self, chunk, theta)
+            ip = ip.copy()
+            ip[:, :, 0, 0, 0] = (ip[:, :, 0, 0, 0] + 1) % self.q
+            return ip, blind
+
+        monkeypatch.setattr(_BatchContext, "answer_parts", flipped)
+        g = generator_for_instance(self.PARAMS)
+        with pytest.raises(AssertionError, match="batched answers disagree with gen_answer"):
+            audit_user_privacy(self.PARAMS, g)
+        with pytest.raises(AssertionError, match="batched answers disagree with gen_answer"):
+            audit_correctness(self.PARAMS, g)
+
+    def test_wrong_decode_inverse_fails_correctness(self, monkeypatch):
+        g = generator_for_instance(self.PARAMS)
+        assert audit_correctness(self.PARAMS, g)
+        inv = protocol.decode_matrix_inverse(self.PARAMS, g).copy()
+        p = self.PARAMS
+        inv[p.m * p.m, 0] = (inv[p.m * p.m, 0] + 1) % p.q  # first file-symbol row
+        monkeypatch.setattr(protocol, "decode_matrix_inverse", lambda params, gen: inv)
+        assert audit_correctness(self.PARAMS, g) is False
+
+
+# sha256 over the canonical audit reports of REPORT_INSTANCES, fixed when the
+# sweep was rebuilt on the mask-side / randomness-side answer split; any
+# change to a verdict, witness or count moves it
+REPORT_SHA256 = "5d1c558e6238f7c5b955070385f4d0911475fe9610642584a1fff095112a7a7b"
+REPORT_INSTANCES = EXHAUSTIVE_INSTANCES + [StorageParams(q=3, n=3, m=2, k=2)]
+
+
+class TestReportBytes:
+    def test_reports_match_pinned_hash(self):
+        seed = 7
+        digest = hashlib.sha256()
+        for params in REPORT_INSTANCES:
+            g = generator_for_instance(params)
+            universe = Universe(params)
+            reports = [
+                audit_user_privacy(params, g, seed=seed),
+                audit_user_privacy(params, g, mask_mode="zeroed", seed=seed),
+                AuditReport(
+                    params,
+                    "full",
+                    (
+                        IndependenceCheck(
+                            "correctness", audit_correctness(params, g), True, universe.size
+                        ),
+                    ),
+                ),
+                audit_db_privacy(params, g, seed=seed),
+                audit_db_privacy(params, g, randomness_mode="zeroed", seed=seed),
+            ]
+            reports += [
+                audit_db_privacy(params, g, randomness_mode="partial", partial_count=j, seed=seed)
+                for j in range(universe.s_digits + 1)
+            ]
+            for report in reports:
+                digest.update(jsonio.canonical_dumps(jsonio.audit_report_to_json(report)).encode())
+        assert digest.hexdigest() == REPORT_SHA256
 
 
 class TestUniverseShape:

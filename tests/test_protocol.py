@@ -12,7 +12,6 @@ from spir_mds.protocol import (
     column_systems,
     decode,
     decode_system,
-    encode_randomness,
     find_decodable_generator,
     gen_answer,
     gen_queries,
@@ -190,18 +189,27 @@ class TestGenQueries:
         assert a == b
 
 
-class TestEncodeRandomness:
+def blinding_answers(p, g, s):
+    """(stripes, n, m) answers of every node on a zero database with zero
+    masks: with nothing to read, each answer is its blinding term alone."""
+    nodes = encode(Database.zeros(p), g)
+    qs = gen_queries(p, g, 1, u_override=np.zeros((p.stripes, p.m, p.query_len), dtype=np.int64))
+    answers = [gen_answer(i, qs.node_query(i), nodes[i - 1], s, g) for i in range(1, p.n + 1)]
+    return np.stack(answers, axis=1)
+
+
+class TestBlindingAnswers:
     def test_zero(self):
         p = StorageParams(q=3, n=3, m=2, k=2)
         g = build_generator(p)
-        out = encode_randomness(CommonRandomness.zeros(p), g)
+        out = blinding_answers(p, g, CommonRandomness.zeros(p))
         assert np.all(out == 0)
 
     def test_repetition_adds_same_symbol(self):
         p = StorageParams(q=5, n=3, m=1, k=2)
         g = build_generator(p)
         s = CommonRandomness(np.array([[[4]]]))
-        out = encode_randomness(s, g)
+        out = blinding_answers(p, g, s)
         assert np.all(out == 4)
 
     def test_parity_node_combines_columns(self):
@@ -209,7 +217,7 @@ class TestEncodeRandomness:
         g = build_generator(p)
         rng = np.random.default_rng(0)
         s = CommonRandomness.sample(p, rng)
-        out = encode_randomness(s, g)
+        out = blinding_answers(p, g, s)
         parity = g.column(3)
         for t in range(p.m):
             want = (parity[0] * s.values[0, 0, t] + parity[1] * s.values[0, 1, t]) % 3

@@ -9,6 +9,7 @@ import argparse
 import numpy as np
 
 from spir_mds import Database, StorageParams, build_generator, encode, protocol, rates
+from spir_mds.network import SimNetwork
 
 
 def main():
@@ -35,7 +36,7 @@ def main():
     print("\nper-node shares (one column per node):")
     print(np.stack([s.values for s in shares], axis=1))
 
-    transcript = protocol.run_round(params, db, args.theta, user_seed=args.seed, node_seed=args.seed + 1)
+    transcript = SimNetwork(params, db, g, node_seed=args.seed + 1).run(args.theta, args.seed)
     print(f"\nqueries to node 1 (masks plus unit rides):")
     print(transcript.query_set.node_query(1)[0])
     print(f"\nanswers (n x m symbols, {transcript.download_count} downloaded):")

@@ -24,7 +24,6 @@ from .errors import (
     DecodeFailure,
     DimensionMismatch,
     DivisionByZero,
-    FieldMismatch,
     FieldTooSmall,
     InvalidParams,
     SingularSystem,
@@ -32,7 +31,7 @@ from .errors import (
     TooFewFiles,
     UniverseTooLarge,
 )
-from .fields import FieldElement, FieldMatrix, PrimeField, rank, solve_linear_system
+from .fields import FieldMatrix, PrimeField
 from .protocol import (
     AnswerSet,
     CommonRandomness,
@@ -45,7 +44,6 @@ from .protocol import (
     gen_queries,
     generator_for,
     make_query_plan,
-    run_round,
 )
 from .rates import RateReport, measure, pir_capacity_mds, secrecy_floor, spir_capacity
 from .storage import (
@@ -72,9 +70,7 @@ __all__ = [
     "DimensionMismatch",
     "DistributionCounter",
     "DivisionByZero",
-    "FieldElement",
     "FieldMatrix",
-    "FieldMismatch",
     "FieldTooSmall",
     "GeneratorMatrix",
     "IndependenceCheck",
@@ -106,11 +102,8 @@ __all__ = [
     "make_query_plan",
     "measure",
     "pir_capacity_mds",
-    "rank",
     "reconstruct",
-    "run_round",
     "secrecy_floor",
     "smallest_admissible_prime",
-    "solve_linear_system",
     "spir_capacity",
 ]

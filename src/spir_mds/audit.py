@@ -15,8 +15,8 @@ Three checks are offered:
 * correctness: the decoder returns the requested file at every point.
 
 Enumeration is vectorized in chunks for speed, but every audit run
-re-derives a sample of its batched transcripts through the ordinary
-single-call protocol functions and insists they agree, so the fast path
+re-derives a sample of its batched queries and answers through the served
+round (``network.SimNetwork``) and insists they agree, so the fast path
 cannot drift from the audited implementation.  Universes above the
 ceiling fall back to a seeded Monte Carlo mode that is reported as
 statistical (chi-square screen), never as exact.
@@ -30,8 +30,8 @@ from typing import Iterator, Optional
 import numpy as np
 from scipy.stats import chi2
 
-from . import protocol, storage
-from .errors import InvalidParams, UniverseTooLarge
+from . import network, protocol
+from .errors import DecodeFailure, InvalidParams, UniverseTooLarge
 from .protocol import CommonRandomness, GeneratorMatrix, unit_mask
 from .storage import Database, StorageParams
 
@@ -457,11 +457,13 @@ class _BatchContext:
         return grid.reshape(ip_rows.shape[:-1] + (blind.shape[0],))
 
     def selfcheck(self, seed: int = 0):
-        """Re-derive sampled grid points through the scalar protocol path.
+        """Re-derive sampled grid points through the served round.
 
-        Raises if the vectorized sweep ever disagrees with gen_queries /
-        encode / gen_answer on the same assignment.  The sampled databases
-        form one chunk, which goes through the same batched path as a sweep.
+        Raises if the vectorized sweep ever disagrees with gen_queries or
+        with the answers a SimNetwork on the same assignment exchanges.
+        The sampled databases form one chunk, which goes through the same
+        batched path as a sweep.  Nothing is decoded here, so a wrong
+        decoder reaches the correctness verdict instead of raising.
         """
         p = self.params
         rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
@@ -475,26 +477,24 @@ class _BatchContext:
         )
         parts = [self.answer_parts(chunk, theta) for theta in range(1, p.k + 1)]
         for i, (u_i, s_i) in enumerate(zip(u_ids, s_ids)):
-            db = Database(p, chunk["files"][i])
-            nodes = storage.encode(db, self.g)
-            u_val = self.u_rows[u_i].reshape(p.stripes, p.m, p.query_len)
-            s_val = CommonRandomness(self.s_rows[s_i].reshape(p.stripes, p.m, p.m))
+            net, u_val = _point_network(p, self.g, chunk["files"][i], self.u_rows[u_i], self.s_rows[s_i])
             for theta in range(1, p.k + 1):
                 qs = protocol.gen_queries(p, self.g, theta, u_override=u_val)
-                expect_qpack = pack_digits(
-                    qs.per_node.reshape(p.n, self.universe.u_digits), self.q
-                )
+                qpack = pack_digits(qs.per_node.reshape(p.n, self.universe.u_digits), self.q)
+                if not np.array_equal(qpack, self.qpack[theta - 1, :, u_i]):
+                    raise AssertionError("batched query pack disagrees with gen_queries")
                 ip, blind = parts[theta - 1]
-                batched = pack_digits(
-                    ((ip[u_i, i] + blind[s_i]) % self.q).reshape(p.n, self.a_digits_node), self.q
-                )
-                for node in range(1, p.n + 1):
-                    if expect_qpack[node - 1] != self.qpack[theta - 1, node - 1, u_i]:
-                        raise AssertionError("batched query pack disagrees with gen_queries")
-                    ans = protocol.gen_answer(node, qs.node_query(node), nodes[node - 1], s_val, self.g)
-                    got = pack_digits(ans.reshape(1, -1), self.q)[0]
-                    if got != batched[node - 1]:
-                        raise AssertionError("batched answers disagree with gen_answer")
+                if not np.array_equal(net.exchange(qs).per_node, (ip[u_i, i] + blind[s_i]) % self.q):
+                    raise AssertionError("batched answers disagree with gen_answer")
+
+
+def _point_network(params: StorageParams, g: GeneratorMatrix, files, u_row, s_row):
+    """The network on one universe point's database and shared randomness,
+    and the point's masks shaped for ``gen_queries``."""
+    db = Database(params, np.reshape(files, (params.k, params.file_rows, params.m)))
+    s = CommonRandomness(s_row.reshape(params.stripes, params.m, params.m))
+    net = network.SimNetwork(params, db, g, randomness=s)
+    return net, u_row.reshape(params.stripes, params.m, params.query_len)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +515,7 @@ def audit_user_privacy(
     The index is modeled uniform; the report carries both the exact
     product-rule verdict and the per-index conditional-table comparison.
     """
+    require_samples(samples)
     universe = Universe(params, mask_mode=mask_mode)
     if universe.size > ceiling:
         if samples is None:
@@ -636,6 +637,7 @@ def audit_db_privacy(
     plain mask vector, so the map between them is a bijection) and stand
     in for it in the counted tuple.
     """
+    require_samples(samples)
     universe = Universe(params, randomness_mode=randomness_mode, partial_count=partial_count)
     if universe.size > ceiling:
         if samples is None:
@@ -788,19 +790,27 @@ def mc_correctness(
     samples: int,
     seed: int = 0,
 ) -> bool:
-    """Sampled decode trials for universes beyond the exact ceiling."""
-    universe = Universe(params)
-    db_rows, u_rows, s_rows = _mc_points(universe, samples, seed)
-    for i in range(samples):
+    """Sampled rounds for universes beyond the exact ceiling: False as
+    soon as one sampled point fails to decode some requested file."""
+    require_samples(samples)
+    for net, u_val in _mc_networks(g, Universe(params), samples, seed):
         for theta in range(1, params.k + 1):
-            db, _, qs, answers = _mc_transcribe(params, g, db_rows[i], u_rows[i], s_rows[i], theta)
-            decoded = protocol.decode(params, g, theta, qs, protocol.AnswerSet(np.stack(answers)))
-            if not np.array_equal(decoded, db.file(theta)):
+            try:
+                net.serve(protocol.gen_queries(params, g, theta, u_override=u_val))
+            except DecodeFailure:
                 return False
     return True
 
 
-def _mc_points(universe: Universe, samples: int, seed: int):
+def require_samples(samples: Optional[int]):
+    """Reject a Monte Carlo sample count below 1, whose verdict would be vacuous."""
+    if samples is not None and samples < 1:
+        raise InvalidParams(f"a Monte Carlo audit needs at least one sample, got {samples}")
+
+
+def _mc_networks(g: GeneratorMatrix, universe: Universe, samples: int, seed: int):
+    """Seeded uniform universe points, each as its network and masks
+    (see ``_point_network``)."""
     p = universe.params
     rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
     q = p.q
@@ -812,7 +822,8 @@ def _mc_points(universe: Universe, samples: int, seed: int):
     s = np.zeros((samples, universe.s_digits), dtype=np.int64)
     if universe.s_free:
         s[:, : universe.s_free] = rng.integers(0, q, size=(samples, universe.s_free), dtype=np.int64)
-    return db, u, s
+    for point in zip(db, u, s):
+        yield _point_network(p, g, *point)
 
 
 def _chi2_p(counter: DistributionCounter) -> float:
@@ -849,35 +860,20 @@ def _chi2_flag(tables: dict[str, DistributionCounter]) -> tuple[bool, float, Opt
     return ok, worst_p, (None if ok else worst_name)
 
 
-def _mc_transcribe(params, g, db_row, u_row, s_row, theta):
-    """One sampled point through the ordinary protocol functions."""
-    db = Database(params, db_row.reshape(params.k, params.file_rows, params.m))
-    nodes = storage.encode(db, g)
-    u_val = u_row.reshape(params.stripes, params.m, params.query_len)
-    s_val = CommonRandomness(s_row.reshape(params.stripes, params.m, params.m))
-    qs = protocol.gen_queries(params, g, theta, u_override=u_val)
-    answers = [
-        protocol.gen_answer(node, qs.node_query(node), nodes[node - 1], s_val, g)
-        for node in range(1, params.n + 1)
-    ]
-    return db, nodes, qs, answers
-
-
 def _mc_user_privacy(params, g, universe, samples, seed) -> AuditReport:
-    db_rows, u_rows, s_rows = _mc_points(universe, samples, seed)
     projections = ("view", "query", "answer", "share", "randomness")
     tables = [{name: DistributionCounter() for name in projections} for _ in range(params.n)]
     rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed, 1])
     thetas = rng.integers(1, params.k + 1, size=samples)
-    for i in range(samples):
-        theta = int(thetas[i])
-        _, nodes, qs, answers = _mc_transcribe(params, g, db_rows[i], u_rows[i], s_rows[i], theta)
-        # byte views of int64 digit rows: exact keys at any row length
-        s_key = s_rows[i].tobytes()
+    for theta, (net, u_val) in zip(thetas.tolist(), _mc_networks(g, universe, samples, seed)):
+        qs = protocol.gen_queries(params, g, theta, u_override=u_val)
+        answers = net.exchange(qs).per_node
+        # byte views of int64 digit arrays: exact keys at any length
+        s_key = net.nodes[0].randomness.values.tobytes()
         for node in range(1, params.n + 1):
             q_key = qs.node_query(node).tobytes()
             a_key = answers[node - 1].tobytes()
-            d_key = nodes[node - 1].values.tobytes()
+            d_key = net.nodes[node - 1].data.values.tobytes()
             t = tables[node - 1]
             t["view"].add(theta, (q_key, a_key, d_key, s_key))
             t["query"].add(theta, q_key)
@@ -902,7 +898,6 @@ def _mc_user_privacy(params, g, universe, samples, seed) -> AuditReport:
 
 
 def _mc_db_privacy(params, g, universe, samples, seed) -> AuditReport:
-    db_rows, u_rows, s_rows = _mc_points(universe, samples, seed)
     wbar_digits = (params.k - 1) * params.file_len
     tables: dict[str, DistributionCounter] = {"view": DistributionCounter()}
     for pos in range(params.n * params.stripes * params.m):
@@ -910,12 +905,10 @@ def _mc_db_privacy(params, g, universe, samples, seed) -> AuditReport:
             tables[f"answer_{pos}_vs_other_{w_pos}"] = DistributionCounter()
     rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed, 2])
     thetas = rng.integers(1, params.k + 1, size=samples)
-    for i in range(samples):
-        theta = int(thetas[i])
-        db, _, _, answers = _mc_transcribe(params, g, db_rows[i], u_rows[i], s_rows[i], theta)
-        others = np.delete(db.files, theta - 1, axis=0).ravel()
-        a_digits = np.concatenate([a.ravel() for a in answers])
-        view = (theta, a_digits.tobytes(), u_rows[i].tobytes())
+    for theta, (net, u_val) in zip(thetas.tolist(), _mc_networks(g, universe, samples, seed)):
+        a_digits = net.exchange(protocol.gen_queries(params, g, theta, u_override=u_val)).per_node.ravel()
+        others = np.delete(net.db.files, theta - 1, axis=0).ravel()
+        view = (theta, a_digits.tobytes(), u_val.tobytes())
         tables["view"].add(view, others.tobytes())
         for pos, a_val in enumerate(a_digits.tolist()):
             for w_pos, w_val in enumerate(others.tolist()):

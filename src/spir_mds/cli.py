@@ -24,7 +24,7 @@ import numpy as np
 from . import audit as audit_mod
 from . import jsonio, protocol, rates, storage
 from .errors import DecodeFailure, SpirError, UniverseTooLarge
-from .network import SimNetwork
+from .network import SimNetwork, make_randomness
 from .storage import Database, StorageParams
 
 EXIT_OK = 0
@@ -243,18 +243,14 @@ def cmd_run(args) -> int:
         config.validate_for_run()
         protocol.make_query_plan(params)  # rejects k < 2 before any work
         g = protocol.generator_for(params, config.generator_mode)
+        randomness = make_randomness(
+            params, config.randomness_mode, config.node_seed, config.partial_count
+        )
     except SpirError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     db = Database.random(params, protocol.db_rng(config.db_seed))
-    network = SimNetwork(
-        params,
-        db,
-        g,
-        node_seed=config.node_seed,
-        randomness_mode=config.randomness_mode,
-        partial_count=config.partial_count,
-    )
+    network = SimNetwork(params, db, g, randomness=randomness)
     try:
         transcript = network.run(config.theta, config.user_seed)
     except DecodeFailure as exc:
@@ -270,6 +266,11 @@ def cmd_audit(args) -> int:
     try:
         config = _config_from_args(args)
         params = config.params
+        protocol.make_query_plan(params)  # rejects k < 2 before any work
+        # rejects an unknown mode, an out-of-range partial count or an
+        # empty sample before any work
+        audit_mod.Universe(params, config.randomness_mode, config.partial_count)
+        audit_mod.require_samples(args.monte_carlo)
         g = protocol.generator_for(params, config.generator_mode)
         selected = [c.strip() for c in args.checks.split(",") if c.strip()]
         unknown = [c for c in selected if c not in AUDIT_CHECKS]
@@ -284,7 +285,7 @@ def cmd_audit(args) -> int:
     try:
         if "correctness" in selected:
             universe = audit_mod.Universe(params)
-            if universe.size > args.ceiling and args.monte_carlo:
+            if universe.size > args.ceiling and args.monte_carlo is not None:
                 ok = audit_mod.mc_correctness(params, g, args.monte_carlo, seed=args.seed)
                 checks.append(
                     audit_mod.IndependenceCheck(

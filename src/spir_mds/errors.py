@@ -5,10 +5,6 @@ class SpirError(Exception):
     """Base class for all package errors."""
 
 
-class FieldMismatch(SpirError):
-    """Operands belong to prime fields with different moduli."""
-
-
 class DivisionByZero(SpirError, ZeroDivisionError):
     """Multiplicative inverse of zero requested."""
 

@@ -1,10 +1,11 @@
 """In-process simulation of the one-user, n-node retrieval network.
 
-Isolation is structural: a node handler owns exactly its index, its
-share, the shared randomness, and the public code, and its ``answer``
-method receives only the query addressed to it.  Nodes never exchange
-messages and cannot reach each other's state; the user handler sees
-queries and answers but never the shared randomness.
+The one place a round is assembled.  Isolation is structural: a node
+handler owns exactly its index, its share, the shared randomness, and
+the public code, and its ``answer`` method receives only the query
+addressed to it.  Nodes never exchange messages and cannot reach each
+other's state; the user builds the queries and decodes from queries and
+answers alone, never seeing the shared randomness.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import protocol
 from .errors import DecodeFailure, InvalidParams
-from .protocol import AnswerSet, CommonRandomness, GeneratorMatrix, Transcript
+from .protocol import AnswerSet, CommonRandomness, GeneratorMatrix, QuerySet, Transcript
 from .storage import Database, NodeData, StorageParams, encode
 
 
@@ -42,26 +43,6 @@ class NodeHandler:
         )
 
 
-class UserHandler:
-    """The retrieving user: builds queries, collects answers, decodes."""
-
-    def __init__(self, params: StorageParams, generator: GeneratorMatrix, theta: int, user_seed: int):
-        self.params = params
-        self.generator = generator
-        self.theta = theta
-        self.query_set = protocol.gen_queries(params, generator, theta, user_seed)
-        self.received: dict[int, np.ndarray] = {}
-
-    def deliver(self, node_index: int, answer: np.ndarray):
-        self.received[node_index] = answer
-
-    def decode(self) -> np.ndarray:
-        if sorted(self.received) != list(range(1, self.params.n + 1)):
-            raise DecodeFailure(f"answers missing; have nodes {sorted(self.received)}")
-        answers = AnswerSet(np.stack([self.received[i] for i in range(1, self.params.n + 1)]))
-        return protocol.decode(self.params, self.generator, self.theta, self.query_set, answers), answers
-
-
 def make_randomness(
     params: StorageParams,
     mode: str,
@@ -81,7 +62,11 @@ def make_randomness(
 
 
 class SimNetwork:
-    """Wires one user to n isolated node handlers for a single round."""
+    """Wires one user to n isolated node handlers sharing one database.
+
+    ``randomness`` is the nodes' shared S; ``None`` draws it uniformly
+    from ``node_seed``.
+    """
 
     def __init__(
         self,
@@ -89,13 +74,14 @@ class SimNetwork:
         db: Database,
         generator: GeneratorMatrix,
         node_seed: int = 0,
-        randomness_mode: str = "full",
-        partial_count: Optional[int] = None,
+        *,
+        randomness: Optional[CommonRandomness] = None,
     ):
         self.params = params
         self.db = db
         self.generator = generator
-        randomness = make_randomness(params, randomness_mode, node_seed, partial_count)
+        if randomness is None:
+            randomness = make_randomness(params, "full", node_seed)
         shares = encode(db, generator)
         self.nodes = [
             NodeHandler(i, shares[i - 1], randomness, generator)
@@ -103,22 +89,31 @@ class SimNetwork:
         ]
         self._randomness = randomness
 
-    def run(self, theta: int, user_seed: int = 0) -> Transcript:
-        """One round through the handlers; returns the user's transcript."""
-        user = UserHandler(self.params, self.generator, theta, user_seed)
-        for handler in self.nodes:
-            query = user.query_set.node_query(handler.node_index)
-            user.deliver(handler.node_index, handler.answer(query))
-        decoded, answers = user.decode()
+    def exchange(self, query_set: QuerySet) -> AnswerSet:
+        """Deliver each node its own query and collect the answers."""
+        return AnswerSet(np.array([h.answer(query_set.node_query(h.node_index)) for h in self.nodes]))
+
+    def serve(self, query_set: QuerySet) -> Transcript:
+        """One round on given queries: exchange, decode, check the file."""
+        serving = [h.node_index for h in self.nodes]
+        if serving != list(range(1, self.params.n + 1)):
+            raise DecodeFailure(f"answers missing; have nodes {serving}")
+        theta = query_set.theta
+        answers = self.exchange(query_set)
+        decoded = protocol.decode(self.params, self.generator, theta, query_set, answers)
         if not np.array_equal(decoded, self.db.file(theta)):
             raise DecodeFailure(f"decoded file {theta} differs from stored contents")
         return Transcript(
             params=self.params,
             generator=self.generator,
             theta=theta,
-            query_set=user.query_set,
+            query_set=query_set,
             answer_set=answers,
             decoded_file=decoded,
             download_count=answers.per_node.size,
             randomness_count=self._randomness.values.size,
         )
+
+    def run(self, theta: int, user_seed: int = 0) -> Transcript:
+        """One round with freshly drawn queries; returns the user's transcript."""
+        return self.serve(protocol.gen_queries(self.params, self.generator, theta, user_seed))

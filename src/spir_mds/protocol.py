@@ -30,14 +30,13 @@ import numpy as np
 
 from . import fields
 from .errors import (
-    DecodeFailure,
     DimensionMismatch,
     FieldTooSmall,
     InvalidParams,
     SingularSystem,
     TooFewFiles,
 )
-from .storage import Database, GeneratorMatrix, NodeData, StorageParams, build_generator, encode, is_mds
+from .storage import GeneratorMatrix, NodeData, StorageParams, build_generator, is_mds
 
 # Disjoint seed domains so user, node, and database randomness never collide
 # even when callers reuse one literal seed value.
@@ -213,9 +212,6 @@ class AnswerSet:
     """One field element per (node, stripe, query vector)."""
 
     per_node: np.ndarray  # (n, stripes, m)
-
-    def node_answer(self, node_index: int) -> np.ndarray:
-        return self.per_node[node_index - 1]
 
     def __eq__(self, other):
         if not isinstance(other, AnswerSet):
@@ -403,48 +399,6 @@ def decode(
     x = (b @ inv.T) % params.q  # (stripes, n*m)
     w = x[:, m * m:].reshape(params.stripes, params.rows_per_stripe, m)
     return w.reshape(params.file_rows, m)
-
-
-def run_round(
-    params: StorageParams,
-    db: Database,
-    theta: int,
-    user_seed: int = 0,
-    node_seed: int = 0,
-    *,
-    generator: Optional[GeneratorMatrix] = None,
-    u_override: Optional[np.ndarray] = None,
-    s_override: Optional[CommonRandomness] = None,
-) -> Transcript:
-    """End-to-end round: encode, query, answer each node in isolation, decode.
-
-    Raises DecodeFailure if the decoded file differs from the stored one
-    (which would indicate a construction bug, not user error).
-    """
-    g = generator if generator is not None else build_generator(params)
-    query_set = gen_queries(params, g, theta, user_seed, u_override=u_override)
-    s = s_override if s_override is not None else CommonRandomness.sample(params, node_rng(node_seed))
-    nodes = encode(db, g)
-    answers = np.stack(
-        [
-            gen_answer(i, query_set.node_query(i), nodes[i - 1], s, g)
-            for i in range(1, params.n + 1)
-        ]
-    )
-    answer_set = AnswerSet(answers)
-    decoded = decode(params, g, theta, query_set, answer_set)
-    if not np.array_equal(decoded, db.file(theta)):
-        raise DecodeFailure(f"decoded file {theta} differs from stored contents")
-    return Transcript(
-        params=params,
-        generator=g,
-        theta=theta,
-        query_set=query_set,
-        answer_set=answer_set,
-        decoded_file=decoded,
-        download_count=answer_set.per_node.size,
-        randomness_count=s.values.size,
-    )
 
 
 _SEARCH_BUDGET = 1 << 20

@@ -113,10 +113,6 @@ class GeneratorMatrix:
         """Generator column for a 1-based node index."""
         return self.matrix.array[:, node_index - 1]
 
-    def is_systematic(self) -> bool:
-        eye = np.eye(self.m, dtype=np.int64)
-        return bool(np.array_equal(self.matrix.array[:, : self.m], eye))
-
     def __eq__(self, other):
         if not isinstance(other, GeneratorMatrix):
             return NotImplemented

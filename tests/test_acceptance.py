@@ -20,7 +20,8 @@ from spir_mds.audit import (
     leak_experiment,
 )
 from spir_mds.cli import main as cli_main
-from spir_mds.protocol import CommonRandomness, run_round
+from spir_mds.network import SimNetwork
+from spir_mds.protocol import CommonRandomness
 from spir_mds.storage import (
     Database,
     StorageParams,
@@ -42,8 +43,9 @@ def test_criterion_1_capacity_achievement():
     start = time.perf_counter()
     for params in capacity_grid_params():
         db = Database.random(params, protocol.db_rng(params.n * 100 + params.m))
+        net = SimNetwork(params, db, build_generator(params), node_seed=2)
         for theta in (1, params.k):
-            report = rates.measure(run_round(params, db, theta, user_seed=1, node_seed=2))
+            report = rates.measure(net.run(theta, user_seed=1))
             assert report.achieved_rate == Fraction(params.n - params.m, params.n)
             assert report.achieved_secrecy == Fraction(params.m, params.n - params.m)
             assert report.achieved_secrecy == report.secrecy_floor
@@ -64,7 +66,7 @@ def test_criterion_2_zero_error_decoding():
         for trial in range(1000):
             db = Database.random(params, rng)
             theta = trial % params.k + 1
-            tr = run_round(params, db, theta, user_seed=trial, node_seed=trial + 1, generator=g)
+            tr = SimNetwork(params, db, g, node_seed=trial + 1).run(theta, user_seed=trial)
             assert np.array_equal(tr.decoded_file, db.file(theta))
     assert time.perf_counter() - start < 60.0
 
@@ -102,11 +104,9 @@ def test_criterion_5_randomness_is_necessary():
         print(f"\n  leak witness {params}: theta={witness['theta']} counts={witness['counts']}")
         # decoding is unaffected by the missing blinding
         db = Database.random(params, protocol.db_rng(1))
+        net = SimNetwork(params, db, g, randomness=CommonRandomness.zeros(params))
         for theta in (1, params.k):
-            tr = run_round(
-                params, db, theta, user_seed=3, generator=g,
-                s_override=CommonRandomness.zeros(params),
-            )
+            tr = net.run(theta, user_seed=3)
             assert np.array_equal(tr.decoded_file, db.file(theta))
 
 

@@ -21,11 +21,13 @@ from spir_mds.audit import (
     audit_user_privacy,
     enumerate_assignments,
     leak_experiment,
+    mc_correctness,
     merge_count_tables,
     pack_digits,
     unpack_digits,
 )
-from spir_mds.errors import UniverseTooLarge
+from spir_mds.errors import InvalidParams, UniverseTooLarge
+from spir_mds.network import SimNetwork
 from spir_mds.protocol import CommonRandomness
 from spir_mds.storage import Database, StorageParams
 
@@ -335,9 +337,7 @@ class TestLeakModes:
         params = StorageParams(q=2, n=3, m=2, k=2)
         g = generator_for_instance(params)
         db = Database.random(params, np.random.default_rng(3))
-        tr = protocol.run_round(
-            params, db, 1, user_seed=1, generator=g, s_override=CommonRandomness.zeros(params)
-        )
+        tr = SimNetwork(params, db, g, randomness=CommonRandomness.zeros(params)).run(1, user_seed=1)
         assert np.array_equal(tr.decoded_file, db.file(1))
 
 
@@ -412,6 +412,18 @@ class TestCeilingAndMonteCarlo:
         assert all(not c.exact for c in user.checks)
         db = audit_db_privacy(params, g, samples=4, seed=3)
         assert not db.checks[0].exact
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_no_samples_is_invalid(self, samples):
+        # an empty sample would pass every screen vacuously
+        params = StorageParams(q=5, n=4, m=2, k=2)
+        g = storage.build_generator(params)
+        with pytest.raises(InvalidParams, match="at least one sample"):
+            audit_user_privacy(params, g, samples=samples)
+        with pytest.raises(InvalidParams, match="at least one sample"):
+            audit_db_privacy(params, g, samples=samples)
+        with pytest.raises(InvalidParams, match="at least one sample"):
+            mc_correctness(params, g, samples)
 
     def test_monte_carlo_user_privacy(self):
         params = StorageParams(q=5, n=4, m=2, k=2)
@@ -508,6 +520,15 @@ class TestSweepCannotGoVacuous:
         inv[p.m * p.m, 0] = (inv[p.m * p.m, 0] + 1) % p.q  # first file-symbol row
         monkeypatch.setattr(protocol, "decode_matrix_inverse", lambda params, gen: inv)
         assert audit_correctness(self.PARAMS, g) is False
+
+    def test_wrong_decode_inverse_fails_mc_correctness(self, monkeypatch):
+        g = generator_for_instance(self.PARAMS)
+        assert mc_correctness(self.PARAMS, g, 20, seed=1) is True
+        inv = protocol.decode_matrix_inverse(self.PARAMS, g).copy()
+        p = self.PARAMS
+        inv[p.m * p.m, 0] = (inv[p.m * p.m, 0] + 1) % p.q  # first file-symbol row
+        monkeypatch.setattr(protocol, "decode_matrix_inverse", lambda params, gen: inv)
+        assert mc_correctness(self.PARAMS, g, 20, seed=1) is False
 
 
 # sha256 over the canonical audit reports of REPORT_INSTANCES, fixed when the

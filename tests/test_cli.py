@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import spir_mds
 from spir_mds import jsonio, protocol
@@ -113,6 +114,17 @@ class TestRun:
         assert code == 2
         assert "missing required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["99", "-1"])
+    def test_partial_count_out_of_range_is_config_error(self, count, tmp_path, capsys):
+        code = run_cli(
+            "run", "--q", "5", "--n", "4", "--m", "2", "--k", "2",
+            "--randomness", f"partial={count}", "--out", str(tmp_path / "t.json"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "partial randomness count" in err
+        assert not (tmp_path / "t.json").exists()
+
 
 class TestAudit:
     def test_all_checks_pass(self, tmp_path):
@@ -158,6 +170,31 @@ class TestAudit:
         doc = json.loads(out.read_text())
         assert all(c["mode"] == "statistical" for c in doc["checks"])
         assert {"correctness", "db_privacy"} <= {c["name"] for c in doc["checks"]}
+
+    def test_partial_count_out_of_range_is_config_error(self, capsys):
+        code = run_cli(
+            "audit", "--q", "2", "--n", "2", "--m", "1", "--k", "2",
+            "--randomness", "partial=99", "--checks", "db-privacy",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: partial mode needs a count")
+
+    def test_k1_is_config_error(self, capsys):
+        code = run_cli("audit", "--q", "2", "--n", "2", "--m", "1", "--k", "1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "k >= 2" in err
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_no_monte_carlo_samples_is_config_error(self, samples, tmp_path, capsys):
+        out = tmp_path / "audit.json"
+        code = run_cli(
+            "audit", "--q", "5", "--n", "4", "--m", "2", "--k", "2", "--ceiling", "1",
+            "--monte-carlo", samples, "--checks", "user-privacy", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: a Monte Carlo audit needs at least one sample")
+        assert not out.exists()
 
     def test_search_generator_for_sub_threshold_instance(self, tmp_path):
         out = tmp_path / "audit.json"

@@ -3,7 +3,7 @@ import pytest
 
 from spir_mds import protocol
 from spir_mds.errors import DecodeFailure
-from spir_mds.network import NodeHandler, SimNetwork, UserHandler, make_randomness
+from spir_mds.network import NodeHandler, SimNetwork, make_randomness
 from spir_mds.storage import Database, NodeData, StorageParams, build_generator
 
 
@@ -21,18 +21,6 @@ class LoggingNode(NodeHandler):
         return super().answer(query)
 
 
-def test_network_matches_run_round():
-    p = StorageParams(q=5, n=4, m=2, k=3, stripes=2)
-    g = build_generator(p)
-    db = Database.random(p, np.random.default_rng(4))
-    net = SimNetwork(p, db, g, node_seed=7)
-    tr_net = net.run(theta=2, user_seed=5)
-    tr_lib = protocol.run_round(p, db, 2, user_seed=5, node_seed=7, generator=g)
-    assert tr_net.query_set == tr_lib.query_set
-    assert tr_net.answer_set == tr_lib.answer_set
-    assert np.array_equal(tr_net.decoded_file, tr_lib.decoded_file)
-
-
 def test_node_handlers_are_isolated():
     p = StorageParams(q=3, n=3, m=2, k=2)
     g = build_generator(p)
@@ -41,21 +29,18 @@ def test_node_handlers_are_isolated():
     spy = LoggingNode(1, net.nodes[0].data, net.nodes[0].randomness, g)
     net.nodes[0] = spy
     tr = net.run(theta=1, user_seed=3)
-    # the spy saw exactly one message: its own query, nothing else
+    # the spy saw exactly one message per round: its own query, nothing else
     assert len(spy.observed_queries) == 1
     assert np.array_equal(spy.observed_queries[0], tr.query_set.node_query(1))
+    qs = protocol.gen_queries(p, g, 2, user_seed=4)
+    assert net.serve(qs).query_set is qs
+    assert len(spy.observed_queries) == 2
+    assert np.array_equal(spy.observed_queries[1], qs.node_query(1))
     # a handler's whole state is its index, share, randomness, and the
     # public code: slots leave nowhere to stash another node's view
     assert NodeHandler.__slots__ == ("node_index", "data", "randomness", "generator")
     with pytest.raises(AttributeError):
         net.nodes[1].database = db  # no __dict__ to smuggle state into
-
-
-def test_user_never_holds_randomness():
-    p = StorageParams(q=3, n=3, m=2, k=2)
-    g = build_generator(p)
-    user = UserHandler(p, g, theta=1, user_seed=0)
-    assert not hasattr(user, "randomness")
 
 
 def test_decode_failure_on_tampered_node():
@@ -66,6 +51,12 @@ def test_decode_failure_on_tampered_node():
     honest = net.nodes[2]
     corrupted = NodeData(3, (honest.data.values + 1) % p.q)
     net.nodes[2] = NodeHandler(3, corrupted, honest.randomness, g)
+    qs = protocol.gen_queries(p, g, 1, user_seed=0)
+    # exchange only collects: the tampered answers come back undecoded
+    answers = net.exchange(qs)
+    assert answers.per_node.shape == (p.n, p.stripes, p.m)
+    with pytest.raises(DecodeFailure):
+        net.serve(qs)
     with pytest.raises(DecodeFailure):
         net.run(theta=1, user_seed=0)
 
@@ -73,10 +64,10 @@ def test_decode_failure_on_tampered_node():
 def test_missing_answer_fails_loud():
     p = StorageParams(q=3, n=3, m=2, k=2)
     g = build_generator(p)
-    user = UserHandler(p, g, theta=1, user_seed=0)
-    user.deliver(1, np.zeros((1, 2), dtype=np.int64))
-    with pytest.raises(DecodeFailure):
-        user.decode()
+    net = SimNetwork(p, Database.random(p, np.random.default_rng(6)), g)
+    del net.nodes[1]
+    with pytest.raises(DecodeFailure, match="answers missing"):
+        net.run(theta=1)
 
 
 def test_make_randomness_modes():
@@ -94,6 +85,19 @@ def test_zeroed_randomness_still_decodes():
     p = StorageParams(q=2, n=3, m=2, k=2)
     g = protocol.find_decodable_generator(p)
     db = Database.random(p, np.random.default_rng(8))
-    net = SimNetwork(p, db, g, node_seed=0, randomness_mode="zeroed")
+    net = SimNetwork(p, db, g, randomness=make_randomness(p, "zeroed", node_seed=0))
     tr = net.run(theta=2, user_seed=1)
     assert np.array_equal(tr.decoded_file, db.file(2))
+
+
+def test_randomness_defaults_to_full_draw_from_node_seed():
+    p = StorageParams(q=5, n=4, m=2, k=2, stripes=2)
+    g = build_generator(p)
+    db = Database.random(p, np.random.default_rng(1))
+    drawn = SimNetwork(p, db, g, node_seed=9)
+    given = SimNetwork(p, db, g, randomness=make_randomness(p, "full", node_seed=9))
+    assert drawn.nodes[0].randomness == given.nodes[0].randomness
+    assert all(h.randomness is drawn.nodes[0].randomness for h in drawn.nodes)
+    tr = drawn.run(2, user_seed=3)
+    assert tr.answer_set == given.run(2, user_seed=3).answer_set
+    assert tr.randomness_count == p.stripes * p.m * p.m

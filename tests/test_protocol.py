@@ -17,9 +17,9 @@ from spir_mds.protocol import (
     gen_queries,
     QuerySet,
     make_query_plan,
-    run_round,
     unit_mask,
 )
+from spir_mds.network import SimNetwork
 from spir_mds.storage import Database, StorageParams, build_generator, encode
 
 
@@ -311,7 +311,8 @@ class TestDecode:
         g = build_generator(p)
         db = Database.random(p, np.random.default_rng(6))
         zero_u = np.zeros((1, 2, p.query_len), dtype=np.int64)
-        tr = run_round(p, db, 1, u_override=zero_u, s_override=CommonRandomness.zeros(p))
+        net = SimNetwork(p, db, g, randomness=CommonRandomness.zeros(p))
+        tr = net.serve(gen_queries(p, g, 1, u_override=zero_u))
         assert np.array_equal(tr.decoded_file, db.file(1))
 
     @pytest.mark.parametrize("theta", [1, 2])
@@ -321,7 +322,7 @@ class TestDecode:
         rng = np.random.default_rng(theta)
         for trial in range(200):
             db = Database.random(p, rng)
-            tr = run_round(p, db, theta, user_seed=trial, node_seed=trial, generator=g)
+            tr = SimNetwork(p, db, g, node_seed=trial).run(theta, user_seed=trial)
             assert np.array_equal(tr.decoded_file, db.file(theta))
 
     def test_exhaustive_4_1_case2(self):
@@ -332,25 +333,19 @@ class TestDecode:
         for db_idx in range(2 ** db_digits):
             db_bits = [(db_idx >> i) & 1 for i in range(db_digits)]
             db = Database(p, np.array(db_bits).reshape(2, 3, 1))
-            for u_idx in range(2 ** u_digits):
-                u_bits = np.array([(u_idx >> i) & 1 for i in range(u_digits)])
-                for s_idx in range(2 ** s_digits):
-                    s = CommonRandomness(np.array([[[s_idx]]]))
+            for s_idx in range(2 ** s_digits):
+                net = SimNetwork(p, db, g, randomness=CommonRandomness(np.array([[[s_idx]]])))
+                for u_idx in range(2 ** u_digits):
+                    u_bits = np.array([(u_idx >> i) & 1 for i in range(u_digits)])
                     for theta in (1, 2):
-                        tr = run_round(
-                            p,
-                            db,
-                            theta,
-                            u_override=u_bits.reshape(1, 1, 6),
-                            s_override=s,
-                        )
+                        tr = net.serve(gen_queries(p, g, theta, u_override=u_bits.reshape(1, 1, 6)))
                         assert np.array_equal(tr.decoded_file, db.file(theta))
 
     def test_inconsistent_queries_rejected(self):
         p = StorageParams(q=3, n=3, m=2, k=2)
         g = build_generator(p)
         db = Database.random(p, np.random.default_rng(1))
-        tr = run_round(p, db, 1, user_seed=2, node_seed=3)
+        tr = SimNetwork(p, db, g, node_seed=3).run(1, user_seed=2)
         tampered = type(tr.query_set)(
             tr.query_set.theta,
             tr.query_set.u,
@@ -369,7 +364,7 @@ DECODE_CHECK_PARAMS = [
 
 def _valid_round(p, theta=2):
     db = Database.random(p, np.random.default_rng(4))
-    return run_round(p, db, theta, user_seed=5, node_seed=6)
+    return SimNetwork(p, db, build_generator(p), node_seed=6).run(theta, user_seed=5)
 
 
 def _tampered(qs, node0, stripe, t0, col, value):
@@ -503,8 +498,9 @@ class TestOverflowGuard:
         admitted, rejected = _boundary_primes(n, m, k)
         p = StorageParams(q=admitted, n=n, m=m, k=k, stripes=2)
         db = Database.random(p, np.random.default_rng(n * 100 + k))
+        net = SimNetwork(p, db, build_generator(p), node_seed=3)
         for theta in (1, k):
-            tr = run_round(p, db, theta, user_seed=theta, node_seed=3)
+            tr = net.run(theta, user_seed=theta)
             assert np.array_equal(tr.decoded_file, db.file(theta))
         with pytest.raises(InvalidParams, match="overflow"):
             StorageParams(q=rejected, n=n, m=m, k=k)
@@ -523,11 +519,11 @@ class TestOverflowGuard:
         assert "overflow" in capsys.readouterr().err
 
 
-class TestRunRound:
+class TestRound:
     def test_transcript_accounting(self):
         p = StorageParams(q=5, n=4, m=2, k=3, stripes=2)
         db = Database.random(p, np.random.default_rng(5))
-        tr = run_round(p, db, 2, user_seed=1, node_seed=1)
+        tr = SimNetwork(p, db, build_generator(p), node_seed=1).run(2, user_seed=1)
         assert tr.download_count == p.stripes * p.n * p.m
         assert tr.randomness_count == p.stripes * p.m * p.m
         assert tr.decoded_file.shape == (p.file_rows, p.m)
@@ -535,15 +531,16 @@ class TestRunRound:
     def test_two_symbols_per_one_symbol_file(self):
         p = StorageParams(q=2, n=2, m=1, k=2)
         db = Database.random(p, np.random.default_rng(7))
-        tr = run_round(p, db, 1)
+        tr = SimNetwork(p, db, build_generator(p)).run(1)
         assert p.file_len == 1
         assert tr.download_count == 2
 
     def test_k1_rejected(self):
         p = StorageParams(q=2, n=2, m=1, k=1)
         db = Database.zeros(p)
+        net = SimNetwork(p, db, build_generator(p))
         with pytest.raises(TooFewFiles):
-            run_round(p, db, 1)
+            net.run(1)
 
     def test_decode_failure_detected(self):
         p = StorageParams(q=3, n=3, m=2, k=2)
@@ -607,8 +604,9 @@ class TestSubThresholdGenerators:
         g = find_decodable_generator(p)
         assert not is_mds(g)
         db = Database.random(p, np.random.default_rng(12))
+        net = SimNetwork(p, db, g, node_seed=2)
         for theta in (1, 2):
-            tr = run_round(p, db, theta, user_seed=1, node_seed=2, generator=g)
+            tr = net.run(theta, user_seed=1)
             assert np.array_equal(tr.decoded_file, db.file(theta))
 
     def test_search_is_deterministic(self):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spir_mds.errors import InvalidParams
-from spir_mds.protocol import run_round
+from spir_mds.network import SimNetwork
 from spir_mds.rates import measure, pir_capacity_mds, secrecy_floor, spir_capacity
-from spir_mds.storage import Database, StorageParams
+from spir_mds.storage import Database, StorageParams, build_generator
 
 
 class TestFormulas:
@@ -68,7 +68,7 @@ class TestMeasure:
     def test_round_counts(self, q, n, m, want_rate):
         p = StorageParams(q=q, n=n, m=m, k=2)
         db = Database.random(p, np.random.default_rng(n))
-        report = measure(run_round(p, db, 1, user_seed=0, node_seed=0))
+        report = measure(SimNetwork(p, db, build_generator(p)).run(1))
         assert report.achieved_rate == want_rate
         assert report.achieved_rate == report.capacity
         assert report.achieved_secrecy == report.secrecy_floor
@@ -77,7 +77,7 @@ class TestMeasure:
     def test_striping_does_not_change_rates(self):
         p = StorageParams(q=5, n=4, m=2, k=2, stripes=3)
         db = Database.random(p, np.random.default_rng(0))
-        report = measure(run_round(p, db, 2))
+        report = measure(SimNetwork(p, db, build_generator(p)).run(2))
         assert report.achieved_rate == Fraction(1, 2)
         assert report.achieved_secrecy == 1
         assert report.at_capacity

@@ -28,7 +28,7 @@ def main():
 
     print(f"instance: q={params.q}, n={params.n} nodes, m={params.m}, k={params.k} files")
     print(f"generator [I | P] over F_{params.q}:")
-    print(g.matrix.array)
+    print(g.array)
     print(f"\nrequested file {args.theta}:")
     print(db.file(args.theta))
 

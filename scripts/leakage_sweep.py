@@ -9,17 +9,7 @@ simply reported.  Decoding works at every j; only privacy is at stake.
 
 import time
 
-from spir_mds import StorageParams, audit_db_privacy, leak_experiment
-from spir_mds.protocol import find_decodable_generator
-from spir_mds.storage import build_generator
-from spir_mds.errors import FieldTooSmall
-
-
-def generator_for(params):
-    try:
-        return build_generator(params)
-    except FieldTooSmall:
-        return find_decodable_generator(params)
+from spir_mds import StorageParams, audit_db_privacy, find_decodable_generator, leak_experiment
 
 
 def main():
@@ -31,7 +21,7 @@ def main():
         StorageParams(q=3, n=3, m=2, k=2),
     ]
     for params in instances:
-        g = generator_for(params)
+        g = find_decodable_generator(params)
         budget = params.stripes * params.m * params.m
         verdicts = []
         t0 = time.perf_counter()

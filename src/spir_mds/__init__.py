@@ -23,7 +23,6 @@ from .errors import (
     BadShareCount,
     DecodeFailure,
     DimensionMismatch,
-    DivisionByZero,
     FieldTooSmall,
     InvalidParams,
     SingularSystem,
@@ -31,7 +30,6 @@ from .errors import (
     TooFewFiles,
     UniverseTooLarge,
 )
-from .fields import FieldMatrix, PrimeField
 from .protocol import (
     AnswerSet,
     CommonRandomness,
@@ -69,14 +67,11 @@ __all__ = [
     "DecodeFailure",
     "DimensionMismatch",
     "DistributionCounter",
-    "DivisionByZero",
-    "FieldMatrix",
     "FieldTooSmall",
     "GeneratorMatrix",
     "IndependenceCheck",
     "InvalidParams",
     "NodeData",
-    "PrimeField",
     "QueryPlan",
     "QuerySet",
     "RateReport",

@@ -25,7 +25,7 @@ statistical (chi-square screen), never as exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 from scipy.stats import chi2
@@ -174,7 +174,6 @@ class DistributionCounter:
 
     This is the reference engine: the vectorized sweeps below implement
     the same product rule on arrays and are checked against it in tests.
-    Partition counts merged with :meth:`merge` equal single-pass counts.
     """
 
     joint: dict = field(default_factory=dict)
@@ -187,15 +186,6 @@ class DistributionCounter:
         self.left[x] = self.left.get(x, 0) + count
         self.right[y] = self.right.get(y, 0) + count
         self.total += count
-
-    def merge(self, other: "DistributionCounter"):
-        for (x, y), c in other.joint.items():
-            self.joint[(x, y)] = self.joint.get((x, y), 0) + c
-        for x, c in other.left.items():
-            self.left[x] = self.left.get(x, 0) + c
-        for y, c in other.right.items():
-            self.right[y] = self.right.get(y, 0) + c
-        self.total += other.total
 
     def check_independent(self) -> tuple[bool, Optional[tuple]]:
         """Exact product-rule test; returns (verdict, violating cell or None).
@@ -285,15 +275,30 @@ def _guard_products(total: int, max_count: int):
         )
 
 
-def _tables_independent(
-    tables: dict[int, tuple[np.ndarray, np.ndarray]]
-) -> tuple[bool, Optional[tuple]]:
+class Violation(NamedTuple):
+    """A cell (x, y) that breaks the product rule, with its four counts."""
+
+    x: int
+    y: int
+    joint: int
+    left: int
+    right: int
+    total: int
+
+    def counts(self) -> dict:
+        return {"joint": self.joint, "left": self.left, "right": self.right, "total": self.total}
+
+
+def _tables_independent(tables: dict[int, tuple[np.ndarray, np.ndarray]]) -> Optional[Violation]:
     """Product-rule check for a small left alphabet (per-label tables).
 
-    Returns (verdict, (x, y) violating cell or None).  Identical rule to
-    DistributionCounter.check_independent, computed on arrays.
+    Returns the first violating cell, or None when the rule holds.
+    Identical rule to DistributionCounter.check_independent, computed on
+    arrays.  Only observed cells need checking: counts are positive, so if
+    every cell of x holds, summing them gives left(x) * total = left(x) *
+    (right mass seen with x), and x co-occurs with every y.
     """
-    right_vals, right_counts, where = _merge_runs(list(tables.values()))
+    _, right_counts, where = _merge_runs(list(tables.values()))
     total = int(right_counts.sum())
     _guard_products(total, int(right_counts.max(initial=0)))
     cuts = np.cumsum([len(vals) for vals, _ in tables.values()])[:-1]
@@ -303,25 +308,18 @@ def _tables_independent(
         bad = counts * total != left * rc
         if bad.any():
             i = int(np.argmax(bad))
-            return False, (x, int(vals[i]))
-        if int(rc.sum()) != total:
-            # structural zero: some y never co-occurs with this x
-            present = np.zeros(len(right_vals), dtype=bool)
-            present[idx] = True
-            missing = right_vals[~present][0]
-            return False, (x, int(missing))
-    return True, None
+            return Violation(x, int(vals[i]), int(counts[i]), left, int(rc[i]), total)
+    return None
 
 
-def _pairs_independent(
-    keys: np.ndarray, counts: np.ndarray, right_radix: int
-) -> tuple[bool, Optional[tuple]]:
+def _pairs_independent(keys: np.ndarray, counts: np.ndarray, right_radix: int) -> Optional[Violation]:
     """Product-rule check for packed (left*right_radix + right) cells.
 
     ``keys`` are sorted and distinct, so each left value is one run.  The
     right marginal is tallied densely: in the database sweep
     ``right_radix`` counts the other files' values, at most the number of
-    enumerated databases.
+    enumerated databases.  Returns the first violating cell, or None; as
+    in ``_tables_independent``, only observed cells need checking.
     """
     left_keys = keys // right_radix
     right_keys = keys % right_radix
@@ -331,20 +329,14 @@ def _pairs_independent(
     left_counts = np.add.reduceat(counts, starts)
     right_tally = np.zeros(right_radix, dtype=np.int64)
     np.add.at(right_tally, right_keys, counts)
-    right_vals = np.flatnonzero(right_tally)
     _guard_products(total, int(max(left_counts.max(), right_tally.max())))
     rc = right_tally[right_keys]
     bad = counts * total != np.repeat(left_counts, lengths) * rc
     if bad.any():
         i = int(np.argmax(bad))
-        return False, (int(left_keys[i]), int(right_keys[i]))
-    # structural zeros: some left run does not cover the whole right mass
-    short = np.flatnonzero(np.add.reduceat(rc, starts) != total)
-    if short.size:
-        run = slice(starts[short[0]], starts[short[0]] + lengths[short[0]])
-        present = np.isin(right_vals, right_keys[run])
-        return False, (int(left_keys[run.start]), int(right_vals[~present][0]))
-    return True, None
+        left = int(left_counts[np.searchsorted(starts, i, side="right") - 1])
+        return Violation(int(left_keys[i]), int(right_keys[i]), int(counts[i]), left, int(rc[i]), total)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +370,7 @@ class _BatchContext:
 
         # blind[s_idx, node0, stripe, t0]
         s_mats = self.s_rows.reshape(self.n_s, params.stripes, params.m, params.m)
-        self.blind = np.einsum("xsit,in->xnst", s_mats, g.matrix.array) % self.q
+        self.blind = np.einsum("xsit,in->xnst", s_mats, g.array) % self.q
 
         # packed per-node query values, per theta: (k, n, n_u)
         self.qpack = np.empty((params.k, params.n, self.n_u), dtype=np.int64)
@@ -412,7 +404,7 @@ class _BatchContext:
             .transpose(0, 2, 1, 3, 4)
             .reshape(c * p.node_len, p.m)
         )
-        shares = (slots @ self.g.matrix.array) % self.q  # (c*node_len, n)
+        shares = (slots @ self.g.array) % self.q  # (c*node_len, n)
         data = shares.reshape(c, p.stripes, p.query_len, p.n).transpose(3, 0, 1, 2)
         mask_ip = np.empty((self.n_u, c, p.n, p.stripes, p.m), dtype=np.int64)
         for stripe in range(p.stripes):
@@ -557,66 +549,43 @@ def audit_user_privacy(
             theta: merge_count_tables(parts[node - 1][theta - 1])
             for theta in range(1, params.k + 1)
         }
-        ok, cell = _tables_independent(tables)
+        cell = _tables_independent(tables)
         first = tables[1]
         conditional = all(
             np.array_equal(tables[t][0], first[0]) and np.array_equal(tables[t][1], first[1])
             for t in range(2, params.k + 1)
         )
-        witness = None
-        if not ok:
-            witness = _user_witness(ctx, tables, cell, node)
         checks.append(
             IndependenceCheck(
                 name=f"user_privacy_node_{node}",
-                independent=ok,
+                independent=cell is None,
                 exact=True,
                 universe_size=universe.size,
-                witness=witness,
+                witness=None if cell is None else _user_witness(ctx, cell, node),
                 conditional_equal=conditional,
             )
         )
     return AuditReport(params, universe.randomness_mode, tuple(checks))
 
 
-def _table_cell_counts(tables: dict, x, y) -> tuple[int, int, int, int]:
-    joint = 0
-    left = 0
-    right = 0
-    total = 0
-    for label, (vals, counts) in tables.items():
-        sub = int(counts.sum())
-        total += sub
-        if label == x:
-            left = sub
-        pos = np.searchsorted(vals, y)
-        if pos < len(vals) and vals[pos] == y:
-            right += int(counts[pos])
-            if label == x:
-                joint = int(counts[pos])
-    return joint, left, right, total
-
-
-def _user_witness(ctx: _BatchContext, tables: dict, cell, node: int) -> dict:
-    theta, key = cell
+def _user_witness(ctx: _BatchContext, cell: Violation, node: int) -> dict:
     p = ctx.params
     q = p.q
-    rest = key
+    rest = cell.y
     s_idx = rest % ctx.n_s
     rest //= ctx.n_s
     d_val = rest % (q ** p.node_len)
     rest //= q ** p.node_len
     a_val = rest % (q ** ctx.a_digits_node)
     q_val = rest // (q ** ctx.a_digits_node)
-    joint, left, right, total = _table_cell_counts(tables, theta, key)
     return {
-        "theta": theta,
+        "theta": cell.x,
         "node": node,
         "query": unpack_digits(int(q_val), q, ctx.universe.u_digits),
         "answers": unpack_digits(int(a_val), q, ctx.a_digits_node),
         "node_data": unpack_digits(int(d_val), q, p.node_len),
         "shared_randomness": ctx.s_rows[int(s_idx)].tolist(),
-        "counts": {"joint": joint, "left": left, "right": right, "total": total},
+        "counts": cell.counts(),
     }
 
 
@@ -668,49 +637,31 @@ def audit_db_privacy(
             key[theta - 1] += ((u_ids * params.k + (theta - 1)) * w_radix + wbar)[:, :, None]
         parts.append(np.unique(key.ravel(), return_counts=True))
     keys, counts = merge_count_tables(parts)
-    ok, cell = _pairs_independent(keys, counts, w_radix)
-    witness = None
-    if not ok:
-        witness = _db_witness(ctx, keys, counts, cell, w_radix, wbar_digits)
+    cell = _pairs_independent(keys, counts, w_radix)
     check = IndependenceCheck(
         name="db_privacy",
-        independent=ok,
+        independent=cell is None,
         exact=True,
         universe_size=universe.size,
-        witness=witness,
+        witness=None if cell is None else _db_witness(ctx, cell, wbar_digits),
     )
     return AuditReport(params, universe.randomness_mode, (check,))
 
 
-def _db_witness(
-    ctx: _BatchContext,
-    keys: np.ndarray,
-    counts: np.ndarray,
-    cell,
-    w_radix: int,
-    wbar_digits: int,
-) -> dict:
-    view, wbar = cell
+def _db_witness(ctx: _BatchContext, cell: Violation, wbar_digits: int) -> dict:
     p = ctx.params
     q = p.q
-    rest = view
+    rest = cell.x
     theta = int(rest % p.k) + 1
     rest //= p.k
     u_idx = int(rest % ctx.n_u)
     a_val = int(rest // ctx.n_u)
-    left_keys = keys // w_radix
-    right_keys = keys % w_radix
-    joint_mask = (left_keys == view) & (right_keys == wbar)
-    joint = int(counts[joint_mask].sum())
-    left = int(counts[left_keys == view].sum())
-    right = int(counts[right_keys == wbar].sum())
-    total = int(counts.sum())
     return {
         "theta": theta,
         "answers": unpack_digits(a_val, q, ctx.a_digits_all),
         "masks": ctx.u_rows[u_idx].tolist(),
-        "other_files": unpack_digits(int(wbar), q, wbar_digits),
-        "counts": {"joint": joint, "left": left, "right": right, "total": total},
+        "other_files": unpack_digits(cell.y, q, wbar_digits),
+        "counts": cell.counts(),
     }
 
 

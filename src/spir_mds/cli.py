@@ -25,7 +25,7 @@ from . import audit as audit_mod
 from . import jsonio, protocol, rates, storage
 from .errors import DecodeFailure, SpirError, UniverseTooLarge
 from .network import SimNetwork, make_randomness
-from .storage import Database, StorageParams
+from .storage import Database, StorageParams, require_int
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,6 +52,15 @@ class RunConfig:
     partial_count: Optional[int] = None
     generator_mode: str = "cauchy"
 
+    def __post_init__(self):
+        for name in ("q", "n", "m", "k", "stripes", "theta"):
+            require_int(name, getattr(self, name))
+        require_int("seed_user", self.user_seed, low=0)
+        require_int("seed_node", self.node_seed, low=0)
+        require_int("seed_db", self.db_seed, low=0)
+        if self.partial_count is not None:
+            require_int("partial_count", self.partial_count)
+
     @property
     def params(self) -> StorageParams:
         return StorageParams(q=self.q, n=self.n, m=self.m, k=self.k, stripes=self.stripes)
@@ -59,26 +68,6 @@ class RunConfig:
     def validate_for_run(self):
         if not 1 <= self.theta <= self.k:
             raise SpirError(f"theta={self.theta} not in [1, {self.k}]")
-
-    def to_json(self) -> dict:
-        out = {
-            "schema_version": jsonio.SCHEMA_VERSION,
-            "kind": "run_config",
-            "q": self.q,
-            "n": self.n,
-            "m": self.m,
-            "k": self.k,
-            "stripes": self.stripes,
-            "theta": self.theta,
-            "seed_user": self.user_seed,
-            "seed_node": self.node_seed,
-            "seed_db": self.db_seed,
-            "randomness": self.randomness_mode,
-            "generator": self.generator_mode,
-        }
-        if self.partial_count is not None:
-            out["partial_count"] = self.partial_count
-        return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "RunConfig":
@@ -210,10 +199,15 @@ def _emit(doc: dict, path: Optional[str]):
 
 
 def _config_from_args(args) -> RunConfig:
-    """Build the run config from a document (if given) plus flag overrides."""
+    """Build the run config from a document (if given) plus flag overrides.
+
+    A config document that cannot be read or is not a JSON object, a
+    wrongly typed field and a negative seed all raise a SpirError here.
+    """
+    require_int("seed", getattr(args, "seed", 0), low=0)  # audit sampling
     base: dict = {}
     if getattr(args, "config", None):
-        base = dict(jsonio.read_document(args.config))
+        base = jsonio.read_document(args.config)
     overrides = {
         "q": args.q,
         "n": args.n,
@@ -395,7 +389,7 @@ def cmd_encode(args) -> int:
                 raise SpirError("database document params disagree with flags")
         else:
             db = Database.random(params, protocol.db_rng(config.db_seed))
-    except (SpirError, OSError, KeyError, ValueError) as exc:
+    except (SpirError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     shares = storage.encode(db, g)
@@ -413,7 +407,7 @@ def cmd_reconstruct(args) -> int:
             raise SpirError(f"shares document lacks nodes {missing}")
         chosen = [by_index[i] for i in wanted]
         db = storage.reconstruct(params, chosen, g)
-    except (SpirError, OSError, KeyError, ValueError) as exc:
+    except (SpirError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     _emit(jsonio.database_to_json(db), args.out)

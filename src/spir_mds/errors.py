@@ -5,10 +5,6 @@ class SpirError(Exception):
     """Base class for all package errors."""
 
 
-class DivisionByZero(SpirError, ZeroDivisionError):
-    """Multiplicative inverse of zero requested."""
-
-
 class SingularSystem(SpirError):
     """Linear system has rank below its dimension."""
 

@@ -1,21 +1,16 @@
-"""Exact arithmetic and linear algebra over prime fields F_q.
+"""Exact linear algebra over prime fields F_q.
 
-The kernels work on plain ``numpy`` integer arrays reduced mod q;
-:class:`FieldMatrix` is the immutable value type a generator matrix is
-stored in.
-
-All operations are pure; matrices are write-protected after construction.
-Elimination uses first-nonzero pivoting in fixed column order, so every
-decode transcript is reproducible run to run.
+The kernels work on plain ``numpy`` integer arrays reduced mod q and
+never modify their inputs.  Elimination uses first-nonzero pivoting in
+fixed column order, so every decode transcript is reproducible run to
+run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, DivisionByZero, InvalidParams, SingularSystem
+from .errors import DimensionMismatch, SingularSystem
 
 
 def is_prime(n: int) -> bool:
@@ -34,31 +29,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """The prime field F_q, represented by its modulus."""
-
-    q: int
-
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise InvalidParams(f"modulus {self.q} is not prime")
-
-    def inv(self, value: int) -> int:
-        """Inverse of an integer representative, as an integer."""
-        value %= self.q
-        if value == 0:
-            raise DivisionByZero(f"inverse of 0 in F_{self.q}")
-        return pow(value, self.q - 2, self.q)
-
-
-# ---------------------------------------------------------------------------
-# Array kernels (int64 arrays reduced mod q)
-# ---------------------------------------------------------------------------
-
 def _as_field_array(arr, q: int) -> np.ndarray:
-    out = np.array(arr, dtype=np.int64) % q
-    return out
+    return np.array(arr, dtype=np.int64) % q
 
 
 def rref(arr: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
@@ -104,41 +76,3 @@ def invert(a: np.ndarray, q: int) -> np.ndarray:
     if len(pivots) < n or pivots != list(range(n)):
         raise SingularSystem(f"matrix of rank {len(pivots)} has no inverse")
     return red[:, n:] % q
-
-
-# ---------------------------------------------------------------------------
-# Matrix value type
-# ---------------------------------------------------------------------------
-
-class FieldMatrix:
-    """Immutable matrix over one prime field."""
-
-    __slots__ = ("field", "array")
-
-    def __init__(self, field: PrimeField, array):
-        arr = _as_field_array(array, field.q)
-        if arr.ndim != 2:
-            raise DimensionMismatch(f"expected 2-d data, got shape {arr.shape}")
-        arr.flags.writeable = False
-        self.field = field
-        self.array = arr
-
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FieldMatrix):
-            return NotImplemented
-        return self.field.q == other.field.q and np.array_equal(self.array, other.array)
-
-    def __hash__(self):
-        return hash((self.field.q, self.array.tobytes(), self.array.shape))
-
-    def __repr__(self) -> str:
-        return f"FieldMatrix(q={self.field.q}, {self.array.tolist()})"
-

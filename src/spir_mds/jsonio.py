@@ -4,6 +4,9 @@ Every document is a JSON object with sorted keys, two-space indentation,
 a trailing newline, and a top-level ``schema_version``.  Field elements
 are plain integers; exact rationals are ``{"num": ..., "den": ...}``.
 Identical inputs therefore serialize to byte-identical files.
+
+Readers raise InvalidParams for a document that cannot be parsed, and
+for any field symbol that is not an integer in [0, q).
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from typing import Union
 import numpy as np
 
 from .audit import AuditReport, IndependenceCheck
+from .errors import InvalidParams
 from .protocol import AnswerSet, QuerySet, Transcript
 from .rates import RateReport
-from .storage import Database, GeneratorMatrix, NodeData, StorageParams
-from .fields import FieldMatrix, PrimeField
+from .storage import Database, GeneratorMatrix, NodeData, StorageParams, require_int
 
 SCHEMA_VERSION = 1
 
@@ -33,19 +36,37 @@ def write_document(path: Union[str, Path], obj: dict):
 
 
 def read_document(path: Union[str, Path]) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise InvalidParams(f"cannot read {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidParams(f"{path} does not hold a JSON object")
+    return doc
 
 
 def fraction_to_json(f: Fraction) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
 
-def fraction_from_json(obj: dict) -> Fraction:
-    return Fraction(obj["num"], obj["den"])
-
-
 def _int_list(arr: np.ndarray) -> list:
     return np.asarray(arr).tolist()
+
+
+def _symbols(name: str, value, q: int) -> np.ndarray:
+    """Nested lists of field symbols as an int64 array.
+
+    Anything but integers in [0, q) is refused: reducing it would hide a
+    corrupt document, and a value beyond int64 would wrap in the solve.
+    """
+    try:
+        arr = np.array(value)
+        valid = arr.dtype.kind in "iu" and arr.min(initial=0) >= 0 and arr.max(initial=0) < q
+    except ValueError:  # ragged nesting
+        valid = False
+    if not valid:
+        raise InvalidParams(f"{name} must be integers in [0, {q})")
+    return arr.astype(np.int64)
 
 
 def params_to_json(p: StorageParams) -> dict:
@@ -59,11 +80,15 @@ def params_from_json(obj: dict) -> StorageParams:
 
 
 def generator_to_json(g: GeneratorMatrix) -> dict:
-    return {"q": g.q, "rows": _int_list(g.matrix.array)}
+    return {"q": g.q, "rows": _int_list(g.array)}
 
 
-def generator_from_json(obj: dict) -> GeneratorMatrix:
-    return GeneratorMatrix(FieldMatrix(PrimeField(obj["q"]), obj["rows"]))
+def generator_from_json(obj: dict, q: int) -> GeneratorMatrix:
+    """The generator of a document over F_q; its own ``q`` must match
+    (checked first, so a huge modulus never reaches the primality test)."""
+    if obj["q"] != q:
+        raise InvalidParams(f"generator q={obj['q']!r} differs from the document's q={q}")
+    return GeneratorMatrix(q, _symbols("generator rows", obj["rows"], q))
 
 
 def database_to_json(db: Database) -> dict:
@@ -77,7 +102,7 @@ def database_to_json(db: Database) -> dict:
 
 def database_from_json(obj: dict) -> Database:
     params = params_from_json(obj["params"])
-    return Database(params, np.array(obj["files"], dtype=np.int64))
+    return Database(params, _symbols("files", obj["files"], params.q))
 
 
 def shares_to_json(params: StorageParams, shares, g: GeneratorMatrix) -> dict:
@@ -94,9 +119,12 @@ def shares_to_json(params: StorageParams, shares, g: GeneratorMatrix) -> dict:
 
 def shares_from_json(obj: dict):
     params = params_from_json(obj["params"])
-    g = generator_from_json(obj["generator"])
+    g = generator_from_json(obj["generator"], params.q)
     shares = [
-        NodeData(node["node_index"], np.array(node["values"], dtype=np.int64))
+        NodeData(
+            require_int("node_index", node["node_index"]),
+            _symbols("share values", node["values"], params.q),
+        )
         for node in obj["nodes"]
     ]
     return params, shares, g

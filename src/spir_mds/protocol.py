@@ -239,7 +239,6 @@ def gen_queries(
     theta: int,
     user_seed: int = 0,
     *,
-    rng: Optional[np.random.Generator] = None,
     u_override: Optional[np.ndarray] = None,
 ) -> QuerySet:
     """Draw the mask vectors and attach unit vectors per the plan.
@@ -256,9 +255,7 @@ def gen_queries(
         if u.shape != shape:
             raise DimensionMismatch(f"u_override shape {u.shape} != {shape}")
     else:
-        if rng is None:
-            rng = user_rng(user_seed)
-        u = rng.integers(0, params.q, size=shape, dtype=np.int64)
+        u = user_rng(user_seed).integers(0, params.q, size=shape, dtype=np.int64)
     node0, t0, row0 = _unit_positions(params)
     col = (theta - 1) * params.rows_per_stripe + row0
     per_node = np.repeat(u[None], params.n, axis=0)
@@ -339,31 +336,6 @@ def decode_matrix_inverse(params: StorageParams, g: GeneratorMatrix) -> np.ndarr
     return inv
 
 
-def column_systems(params: StorageParams, g: GeneratorMatrix) -> list[np.ndarray]:
-    """Per query-vector index, the m x m system solving that masked column.
-
-    Rows are the plain equations available for the column: unit rows of
-    the identity for plain systematic nodes and generator columns for
-    plain parity nodes.  Each must be square and nonsingular for the
-    scheme to decode.
-    """
-    plan = make_query_plan(params)
-    out = []
-    for t in range(1, params.m + 1):
-        rows = []
-        for node in range(1, params.n + 1):
-            if plan.unit_row(node, t) is not None:
-                continue
-            if node <= params.m:
-                e = np.zeros(params.m, dtype=np.int64)
-                e[node - 1] = 1
-                rows.append(e)
-            else:
-                rows.append(g.column(node))
-        out.append(np.array(rows, dtype=np.int64) % params.q)
-    return out
-
-
 def decode(
     params: StorageParams,
     g: GeneratorMatrix,
@@ -426,7 +398,6 @@ def find_decodable_generator(params: StorageParams) -> GeneratorMatrix:
         raise FieldTooSmall(
             f"generator search space {q}^{width} exceeds budget for q={q} < n={n}"
         )
-    field = params.field
     eye = np.eye(m, dtype=np.int64)
     fallback = None
     for idx in range(space):
@@ -437,7 +408,7 @@ def find_decodable_generator(params: StorageParams) -> GeneratorMatrix:
         # Any zero parity column kills both MDS and decode-solvability.
         if np.any(np.all(parity == 0, axis=0)):
             continue
-        g = GeneratorMatrix(fields.FieldMatrix(field, np.concatenate([eye, parity], axis=1)))
+        g = GeneratorMatrix(q, np.concatenate([eye, parity], axis=1))
         if is_mds(g):
             return g
         if fallback is None and _decode_solvable(params, g):

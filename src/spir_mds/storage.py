@@ -18,13 +18,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import fields
 from .errors import BadShareCount, DimensionMismatch, FieldTooSmall, InvalidParams
-from .fields import FieldMatrix, PrimeField
+
+
+def require_int(name: str, value, low: Optional[int] = None) -> int:
+    """``value`` if it is an int (not a bool) of at least ``low``, else InvalidParams."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParams(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise InvalidParams(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -45,6 +53,8 @@ class StorageParams:
     stripes: int = 1
 
     def __post_init__(self):
+        for name in ("q", "n", "m", "k", "stripes"):
+            require_int(name, getattr(self, name))
         if not 1 <= self.m < self.n:
             raise InvalidParams(f"need 1 <= m < n, got m={self.m}, n={self.n}")
         if self.k < 1:
@@ -57,10 +67,6 @@ class StorageParams:
             raise InvalidParams(f"q={self.q} is too large for (n, m, k)={self.n, self.m, self.k}: int64 overflow")
         if not fields.is_prime(self.q):
             raise InvalidParams(f"q={self.q} is not prime")
-
-    @property
-    def field(self) -> PrimeField:
-        return PrimeField(self.q)
 
     @property
     def rows_per_stripe(self) -> int:
@@ -88,49 +94,52 @@ class StorageParams:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """Systematic m x n generator [ I | P ] of the storage code."""
+    """Systematic m x n generator [ I | P ] of the storage code over F_q.
 
-    matrix: FieldMatrix
+    ``array`` is stored as a write-protected int64 copy reduced mod q.
+    """
+
+    q: int
+    array: np.ndarray
+
+    def __post_init__(self):
+        if not fields.is_prime(self.q):
+            raise InvalidParams(f"modulus {self.q} is not prime")
+        arr = np.array(self.array, dtype=np.int64) % self.q
+        if arr.ndim != 2:
+            raise DimensionMismatch(f"expected 2-d data, got shape {arr.shape}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
 
     @property
     def m(self) -> int:
-        return self.matrix.rows
+        return self.array.shape[0]
 
     @property
     def n(self) -> int:
-        return self.matrix.cols
-
-    @property
-    def q(self) -> int:
-        return self.matrix.field.q
-
-    @property
-    def parity(self) -> np.ndarray:
-        """The m x (n-m) parity block P."""
-        return self.matrix.array[:, self.m:]
+        return self.array.shape[1]
 
     def column(self, node_index: int) -> np.ndarray:
         """Generator column for a 1-based node index."""
-        return self.matrix.array[:, node_index - 1]
+        return self.array[:, node_index - 1]
 
     def __eq__(self, other):
         if not isinstance(other, GeneratorMatrix):
             return NotImplemented
-        return self.matrix == other.matrix
+        return self.q == other.q and np.array_equal(self.array, other.array)
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash((self.q, self.array.tobytes(), self.array.shape))
 
 
-def _cauchy_parity(field: PrimeField, m: int, n: int) -> np.ndarray:
+def _cauchy_parity(q: int, m: int, n: int) -> np.ndarray:
     # Row tags 0..m-1 and column tags m..n-1 are distinct mod q whenever
     # q >= n, so every denominator x_i - y_j is nonzero and every square
     # submatrix of the block is itself Cauchy, hence nonsingular.
-    q = field.q
     p = np.zeros((m, n - m), dtype=np.int64)
     for i in range(m):
         for j in range(n - m):
-            p[i, j] = field.inv((i - (m + j)) % q)
+            p[i, j] = pow((i - (m + j)) % q, q - 2, q)
     return p
 
 
@@ -141,7 +150,6 @@ def build_generator(params: StorageParams) -> GeneratorMatrix:
     Raises FieldTooSmall when m >= 2 and q < n, where the Cauchy block
     cannot be formed.  The MDS property is re-verified before returning.
     """
-    field = params.field
     m, n = params.m, params.n
     if m == 1:
         arr = np.ones((1, n), dtype=np.int64)
@@ -151,19 +159,17 @@ def build_generator(params: StorageParams) -> GeneratorMatrix:
                 f"q={params.q} < n={params.n}: cannot place {n} distinct field elements"
             )
         arr = np.concatenate(
-            [np.eye(m, dtype=np.int64), _cauchy_parity(field, m, n)], axis=1
+            [np.eye(m, dtype=np.int64), _cauchy_parity(params.q, m, n)], axis=1
         )
-    g = GeneratorMatrix(FieldMatrix(field, arr))
+    g = GeneratorMatrix(params.q, arr)
     assert is_mds(g), "constructed generator failed MDS verification"
     return g
 
 
 def is_mds(g: GeneratorMatrix) -> bool:
     """Exhaustively check that every choice of m columns has rank m."""
-    arr = g.matrix.array
-    q = g.q
     for cols in combinations(range(g.n), g.m):
-        if fields.rank_of(arr[:, cols], q) != g.m:
+        if fields.rank_of(g.array[:, cols], g.q) != g.m:
             return False
     return True
 
@@ -256,7 +262,7 @@ def encode(db: Database, g: GeneratorMatrix) -> tuple[NodeData, ...]:
         raise DimensionMismatch(
             f"generator is ({g.m},{g.n}) over F_{g.q}, params want ({p.m},{p.n}) over F_{p.q}"
         )
-    shares = (db.slot_matrix() @ g.matrix.array) % p.q  # (slots, n)
+    shares = (db.slot_matrix() @ g.array) % p.q  # (slots, n)
     return tuple(NodeData(n + 1, shares[:, n]) for n in range(p.n))
 
 
@@ -278,7 +284,7 @@ def reconstruct(params: StorageParams, shares: Sequence[NodeData], g: GeneratorM
             raise DimensionMismatch(
                 f"share from node {s.node_index} has length {s.values.shape}, want {params.node_len}"
             )
-    cols = g.matrix.array[:, [i - 1 for i in idx]]  # m x m
+    cols = g.array[:, [i - 1 for i in idx]]  # m x m
     inv = fields.invert(cols, params.q)
     stacked = np.stack([s.values for s in shares], axis=1)  # (slots, m) = W @ cols
     slots = (stacked @ inv) % params.q

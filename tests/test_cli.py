@@ -84,11 +84,15 @@ class TestRun:
         assert code == 3
 
     def test_config_document_drives_run(self, tmp_path):
-        from spir_mds.cli import RunConfig
-
-        config = RunConfig(q=5, n=4, m=2, k=3, theta=2, user_seed=1, node_seed=2, db_seed=3)
         cfg_path = tmp_path / "config.json"
-        jsonio.write_document(cfg_path, config.to_json())
+        jsonio.write_document(
+            cfg_path,
+            {
+                "schema_version": 1, "kind": "run_config", "q": 5, "n": 4, "m": 2, "k": 3,
+                "theta": 2, "seed_user": 1, "seed_node": 2, "seed_db": 3,
+                "randomness": "full", "generator": "cauchy",
+            },
+        )
         via_config = tmp_path / "via_config.json"
         via_flags = tmp_path / "via_flags.json"
         assert run_cli(
@@ -124,6 +128,66 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "partial randomness count" in err
         assert not (tmp_path / "t.json").exists()
+
+
+CONFIG_INSTANCE = {"q": 2, "n": 2, "m": 1, "k": 2}
+
+
+def _write_config(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    return str(path)
+
+
+BAD_CONFIGS = {
+    "missing_file": lambda tmp_path: str(tmp_path / "absent.json"),
+    "not_json": lambda tmp_path: _write_config(tmp_path, "{q: 5"),
+    "not_an_object": lambda tmp_path: _write_config(tmp_path, "[2, 2, 1, 2]"),
+    "string_q": lambda tmp_path: _write_config(tmp_path, json.dumps({**CONFIG_INSTANCE, "q": "5"})),
+    "float_stripes": lambda tmp_path: _write_config(
+        tmp_path, json.dumps({**CONFIG_INSTANCE, "stripes": 1.5})
+    ),
+    "string_theta": lambda tmp_path: _write_config(
+        tmp_path, json.dumps({**CONFIG_INSTANCE, "theta": "1"})
+    ),
+    "negative_seed": lambda tmp_path: _write_config(
+        tmp_path, json.dumps({**CONFIG_INSTANCE, "seed_db": -1})
+    ),
+}
+
+
+class TestInvalidInputs:
+    """Every malformed config and negative seed exits 2 with a typed error."""
+
+    @pytest.mark.parametrize("command", ["run", "audit"])
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_bad_config_is_config_error(self, command, case, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        code = run_cli(command, "--config", BAD_CONFIGS[case](tmp_path), "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--seed-user", "-1"],
+            ["run", "--seed-node", "-1"],
+            ["run", "--seed-db", "-1"],
+            ["audit", "--seed", "-1"],
+            ["encode", "--seed-db", "-1"],
+        ],
+        ids=lambda argv: "_".join(argv[:2]),
+    )
+    def test_negative_seed_is_config_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        code = run_cli(
+            *argv, "--q", "2", "--n", "2", "--m", "1", "--k", "2", "--out", str(out)
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be >= 0" in err
+        assert not out.exists()
 
 
 class TestAudit:
@@ -289,6 +353,96 @@ class TestEncodeReconstruct:
     def test_missing_file_is_config_error(self, tmp_path):
         code = run_cli("reconstruct", "--shares", str(tmp_path / "nope.json"), "--nodes", "1,2")
         assert code == 2
+
+
+def _shares_doc(tmp_path) -> dict:
+    path = tmp_path / "shares.json"
+    assert run_cli(
+        "encode", "--q", "3", "--n", "3", "--m", "2", "--k", "2",
+        "--seed-db", "11", "--out", str(path),
+    ) == 0
+    return json.loads(path.read_text())
+
+
+def _set_share(doc, value):
+    doc["nodes"][0]["values"][0] = value
+
+
+def _lift_shares(doc):
+    # the same values mod 3, but near the top of int64
+    top = 2**63 - 1
+    for node in doc["nodes"]:
+        node["values"] = [v + 3 * ((top - v) // 3) for v in node["values"]]
+
+
+def _set_generator_entry(doc, value):
+    doc["generator"]["rows"][0][2] = value
+
+
+def _set_generator_q(doc, value):
+    doc["generator"]["q"] = value
+
+
+BAD_SHARES = {
+    "share_beyond_int64": lambda doc: _set_share(doc, 2**70),
+    "share_negative": lambda doc: _set_share(doc, -1),
+    "share_float": lambda doc: _set_share(doc, 1.0),
+    "share_ragged": lambda doc: _set_share(doc, [1, 2]),
+    "generator_entry_beyond_int64": lambda doc: _set_generator_entry(doc, 2**70),
+    "generator_entry_unreduced": lambda doc: _set_generator_entry(doc, 4),
+    "generator_huge_prime_q": lambda doc: _set_generator_q(doc, 2**61 - 1),
+    "generator_other_q": lambda doc: _set_generator_q(doc, 5),
+    "params_string_q": lambda doc: doc["params"].update(q="3"),
+    "node_index_float": lambda doc: doc["nodes"][0].update(node_index=1.0),
+}
+
+
+class TestMalformedDocuments:
+    """Field symbols in documents must be integers in [0, q); anything else,
+    or a generator over another field, exits 2 before any arithmetic."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_SHARES))
+    def test_bad_shares_document_is_config_error(self, case, tmp_path, capsys):
+        doc = _shares_doc(tmp_path)
+        BAD_SHARES[case](doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "db.json"
+        code = run_cli("reconstruct", "--shares", str(path), "--nodes", "1,3", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_lifted_shares_are_refused_not_misread(self, tmp_path):
+        # the documented failure: congruent shares near 2**63 wrapped int64
+        # in the solve and printed a wrong database with exit 0
+        doc = _shares_doc(tmp_path)
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(doc))
+        assert run_cli("reconstruct", "--shares", str(good), "--nodes", "1,3",
+                       "--out", str(tmp_path / "db.json")) == 0
+        want = Database.random(StorageParams(q=3, n=3, m=2, k=2), protocol.db_rng(11))
+        got = jsonio.database_from_json(json.loads((tmp_path / "db.json").read_text()))
+        assert got == want
+        _lift_shares(doc)
+        good.write_text(json.dumps(doc))
+        assert run_cli("reconstruct", "--shares", str(good), "--nodes", "1,3") == 2
+
+    @pytest.mark.parametrize("value", [2**70, -1, 3, 0.5])
+    def test_bad_database_entry_is_config_error(self, value, tmp_path, capsys):
+        params = StorageParams(q=3, n=3, m=2, k=2)
+        doc = jsonio.database_to_json(Database.random(params, protocol.db_rng(0)))
+        doc["files"][0][0][0] = value
+        db_doc = tmp_path / "db.json"
+        db_doc.write_text(json.dumps(doc))
+        out = tmp_path / "shares.json"
+        code = run_cli(
+            "encode", "--q", "3", "--n", "3", "--m", "2", "--k", "2",
+            "--db", str(db_doc), "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: files must be integers in [0, 3)")
+        assert not out.exists()
 
 
 def test_console_script_entry_point():

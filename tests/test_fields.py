@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spir_mds import fields
-from spir_mds.errors import DivisionByZero, InvalidParams, SingularSystem
-from spir_mds.fields import FieldMatrix, PrimeField
+from spir_mds.errors import SingularSystem
 
 PRIMES = [2, 3, 5, 7]
 
@@ -43,25 +42,10 @@ def brute_force_rank(arr: np.ndarray, q: int) -> int:
     return 0
 
 
-class TestPrimeField:
-    def test_rejects_composite(self):
-        with pytest.raises(InvalidParams):
-            PrimeField(4)
-        with pytest.raises(InvalidParams):
-            PrimeField(1)
-
-    def test_inverse_of_zero(self):
-        with pytest.raises(DivisionByZero):
-            PrimeField(7).inv(0)
-
-    @settings(max_examples=200)
-    @given(q=st.sampled_from(PRIMES), v=st.integers(min_value=1, max_value=6))
-    def test_inverse_involution(self, q, v):
-        f = PrimeField(q)
-        if v % q == 0:
-            return
-        assert f.inv(f.inv(v)) == v % q
-        assert (v * f.inv(v)) % q == 1
+class TestIsPrime:
+    def test_small_values(self):
+        primes = [v for v in range(-2, 30) if fields.is_prime(v)]
+        assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 class TestInvert:
@@ -113,11 +97,3 @@ class TestRank:
         )
         arr = np.array(flat, dtype=np.int64).reshape(rows, cols)
         assert fields.rank_of(arr, q) == brute_force_rank(arr, q)
-
-
-class TestMatrix:
-    def test_immutable(self):
-        f = PrimeField(3)
-        m = FieldMatrix(f, [[1, 2]])
-        with pytest.raises(ValueError):
-            m.array[0, 0] = 2

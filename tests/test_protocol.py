@@ -9,7 +9,6 @@ from spir_mds.errors import InvalidParams, TooFewFiles
 from spir_mds.protocol import (
     AnswerSet,
     CommonRandomness,
-    column_systems,
     decode,
     decode_system,
     find_decodable_generator,
@@ -564,17 +563,6 @@ class TestRound:
 
 class TestSolvability:
     GRID = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (5, 3)]
-
-    @pytest.mark.parametrize("n,m", GRID)
-    def test_column_systems_nonsingular(self, n, m):
-        from spir_mds.storage import smallest_admissible_prime
-
-        q = smallest_admissible_prime(n, m)
-        p = StorageParams(q=q, n=n, m=m, k=2)
-        g = build_generator(p)
-        for mat in column_systems(p, g):
-            assert mat.shape == (m, m)
-            assert fields.rank_of(mat, q) == m
 
     @pytest.mark.parametrize("n,m", GRID)
     def test_decode_system_full_rank(self, n, m):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spir_mds import fields
-from spir_mds.errors import BadShareCount, FieldTooSmall, InvalidParams
+from spir_mds.errors import BadShareCount, DimensionMismatch, FieldTooSmall, InvalidParams
 from spir_mds.storage import (
     Database,
     GeneratorMatrix,
@@ -17,7 +17,6 @@ from spir_mds.storage import (
     reconstruct,
     smallest_admissible_prime,
 )
-from spir_mds.fields import FieldMatrix, PrimeField
 
 ROUNDTRIP_GRID = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 2)]
 
@@ -52,12 +51,12 @@ class TestParams:
 class TestGenerator:
     def test_repetition_for_m1(self):
         g = build_generator(StorageParams(q=2, n=2, m=1, k=2))
-        assert g.matrix.array.tolist() == [[1, 1]]
+        assert g.array.tolist() == [[1, 1]]
 
     def test_three_two_over_f3(self):
         # every 2-of-3 column choice must be nonsingular (determinant oracle)
         g = build_generator(StorageParams(q=3, n=3, m=2, k=2))
-        arr = g.matrix.array
+        arr = g.array
         assert np.array_equal(arr[:, :2], np.eye(2, dtype=np.int64))
         assert np.all(arr[:, 2] != 0)
         for cols in itertools.combinations(range(3), 2):
@@ -76,17 +75,45 @@ class TestGenerator:
         assert is_mds(g)
 
 
+class TestGeneratorMatrix:
+    @pytest.mark.parametrize("q", [4, 1, 0, -3])
+    def test_rejects_non_prime_modulus(self, q):
+        with pytest.raises(InvalidParams):
+            GeneratorMatrix(q, [[1, 1]])
+
+    @pytest.mark.parametrize("rows", [[1, 1], [[[1, 1]]]])
+    def test_rejects_non_2d_array(self, rows):
+        with pytest.raises(DimensionMismatch):
+            GeneratorMatrix(3, rows)
+
+    def test_reduces_mod_q(self):
+        g = GeneratorMatrix(3, [[4, -1, 3]])
+        assert g.array.tolist() == [[1, 2, 0]]
+        assert g == GeneratorMatrix(3, [[1, 2, 0]])
+        assert hash(g) == hash(GeneratorMatrix(3, [[1, 2, 0]]))
+        assert g != GeneratorMatrix(5, [[1, 2, 0]])
+        assert (g.m, g.n) == (1, 3) and g.column(2).tolist() == [2]
+
+    def test_write_protected_copy(self):
+        source = np.array([[1, 0, 1], [0, 1, 1]])
+        g = GeneratorMatrix(3, source)
+        with pytest.raises(ValueError):
+            g.array[0, 0] = 2
+        source[0, 0] = 2  # the caller's array stays writable and unshared
+        assert g.array[0, 0] == 1
+
+
 class TestIsMds:
     def test_repetition(self):
-        g = GeneratorMatrix(FieldMatrix(PrimeField(2), [[1, 1]]))
+        g = GeneratorMatrix(2, [[1, 1]])
         assert is_mds(g)
 
     def test_single_parity_check(self):
-        g = GeneratorMatrix(FieldMatrix(PrimeField(3), [[1, 0, 1], [0, 1, 1]]))
+        g = GeneratorMatrix(3, [[1, 0, 1], [0, 1, 1]])
         assert is_mds(g)
 
     def test_zero_parity_column(self):
-        g = GeneratorMatrix(FieldMatrix(PrimeField(3), [[1, 0, 0], [0, 1, 0]]))
+        g = GeneratorMatrix(3, [[1, 0, 0], [0, 1, 0]])
         assert not is_mds(g)
 
 

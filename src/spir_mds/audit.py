@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import network, protocol
 from .errors import DecodeFailure, InvalidParams, UniverseTooLarge
@@ -779,6 +778,9 @@ def _mc_networks(g: GeneratorMatrix, universe: Universe, samples: int, seed: int
 
 def _chi2_p(counter: DistributionCounter) -> float:
     """Chi-square p-value for one contingency table."""
+    # scipy.stats is about a second of start-up; only this screen needs it
+    from scipy.stats import chi2
+
     n = counter.total
     stat = 0.0
     observed_e = 0.0

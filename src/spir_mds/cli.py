@@ -389,7 +389,7 @@ def cmd_encode(args) -> int:
                 raise SpirError("database document params disagree with flags")
         else:
             db = Database.random(params, protocol.db_rng(config.db_seed))
-    except (SpirError, KeyError, ValueError) as exc:
+    except (SpirError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     shares = storage.encode(db, g)
@@ -407,7 +407,7 @@ def cmd_reconstruct(args) -> int:
             raise SpirError(f"shares document lacks nodes {missing}")
         chosen = [by_index[i] for i in wanted]
         db = storage.reconstruct(params, chosen, g)
-    except (SpirError, KeyError, ValueError) as exc:
+    except (SpirError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     _emit(jsonio.database_to_json(db), args.out)

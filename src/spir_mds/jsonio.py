@@ -5,8 +5,9 @@ a trailing newline, and a top-level ``schema_version``.  Field elements
 are plain integers; exact rationals are ``{"num": ..., "den": ...}``.
 Identical inputs therefore serialize to byte-identical files.
 
-Readers raise InvalidParams for a document that cannot be parsed, and
-for any field symbol that is not an integer in [0, q).
+Readers raise InvalidParams for a document that cannot be parsed, for
+a missing key or a value of the wrong JSON type at any level, and for
+any field symbol that is not an integer in [0, q).
 """
 
 from __future__ import annotations
@@ -53,6 +54,15 @@ def _int_list(arr: np.ndarray) -> list:
     return np.asarray(arr).tolist()
 
 
+def _object(what: str, obj, *keys: str):
+    """Refuse ``obj`` unless it is a JSON object holding every key in ``keys``."""
+    if not isinstance(obj, dict):
+        raise InvalidParams(f"{what} must be a JSON object, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise InvalidParams(f"missing key {key!r} in {what}")
+
+
 def _symbols(name: str, value, q: int) -> np.ndarray:
     """Nested lists of field symbols as an int64 array.
 
@@ -73,7 +83,8 @@ def params_to_json(p: StorageParams) -> dict:
     return {"q": p.q, "n": p.n, "m": p.m, "k": p.k, "stripes": p.stripes}
 
 
-def params_from_json(obj: dict) -> StorageParams:
+def params_from_json(obj) -> StorageParams:
+    _object("params", obj, "q", "n", "m", "k")
     return StorageParams(
         q=obj["q"], n=obj["n"], m=obj["m"], k=obj["k"], stripes=obj.get("stripes", 1)
     )
@@ -83,9 +94,10 @@ def generator_to_json(g: GeneratorMatrix) -> dict:
     return {"q": g.q, "rows": _int_list(g.array)}
 
 
-def generator_from_json(obj: dict, q: int) -> GeneratorMatrix:
+def generator_from_json(obj, q: int) -> GeneratorMatrix:
     """The generator of a document over F_q; its own ``q`` must match
     (checked first, so a huge modulus never reaches the primality test)."""
+    _object("generator", obj, "q", "rows")
     if obj["q"] != q:
         raise InvalidParams(f"generator q={obj['q']!r} differs from the document's q={q}")
     return GeneratorMatrix(q, _symbols("generator rows", obj["rows"], q))
@@ -100,7 +112,8 @@ def database_to_json(db: Database) -> dict:
     }
 
 
-def database_from_json(obj: dict) -> Database:
+def database_from_json(obj) -> Database:
+    _object("database document", obj, "params", "files")
     params = params_from_json(obj["params"])
     return Database(params, _symbols("files", obj["files"], params.q))
 
@@ -117,9 +130,14 @@ def shares_to_json(params: StorageParams, shares, g: GeneratorMatrix) -> dict:
     }
 
 
-def shares_from_json(obj: dict):
+def shares_from_json(obj):
+    _object("shares document", obj, "params", "generator", "nodes")
     params = params_from_json(obj["params"])
     g = generator_from_json(obj["generator"], params.q)
+    if not isinstance(obj["nodes"], list):
+        raise InvalidParams(f"nodes must be a JSON array, got {type(obj['nodes']).__name__}")
+    for node in obj["nodes"]:
+        _object("node", node, "node_index", "values")
     shares = [
         NodeData(
             require_int("node_index", node["node_index"]),

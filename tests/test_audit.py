@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXHAUSTIVE_INSTANCES, generator_for_instance
-from spir_mds import jsonio, protocol, storage
+from spir_mds import cli, jsonio, protocol, storage
 from spir_mds.audit import (
     AuditReport,
     DistributionCounter,
@@ -515,6 +515,11 @@ class TestSweepCannotGoVacuous:
 REPORT_SHA256 = "5d1c558e6238f7c5b955070385f4d0911475fe9610642584a1fff095112a7a7b"
 REPORT_INSTANCES = EXHAUSTIVE_INSTANCES + [StorageParams(q=3, n=3, m=2, k=2)]
 
+# sha256 over the canonical reports of one fixed-seed `audit --monte-carlo`
+# at (5,4,2,2), under full and then zeroed randomness; any change to a
+# chi-square p-value or verdict of the statistical screen moves it
+MC_REPORT_SHA256 = "2c87d58c1b7a3e421ab843d7d70dd3853cfd973361cd08bdf061298b08841752"
+
 
 class TestReportBytes:
     def test_reports_match_pinned_hash(self):
@@ -545,6 +550,18 @@ class TestReportBytes:
             for report in reports:
                 digest.update(jsonio.canonical_dumps(jsonio.audit_report_to_json(report)).encode())
         assert digest.hexdigest() == REPORT_SHA256
+
+    def test_monte_carlo_reports_match_pinned_hash(self, tmp_path):
+        digest = hashlib.sha256()
+        for randomness in ("full", "zeroed"):
+            out = tmp_path / f"{randomness}.json"
+            cli.main([
+                "audit", "--q", "5", "--n", "4", "--m", "2", "--k", "2",
+                "--monte-carlo", "500", "--checks", "user-privacy,db-privacy",
+                "--randomness", randomness, "--seed", "7", "--out", str(out),
+            ])
+            digest.update(out.read_bytes())
+        assert digest.hexdigest() == MC_REPORT_SHA256
 
 
 class TestUniverseShape:

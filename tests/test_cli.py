@@ -394,12 +394,31 @@ BAD_SHARES = {
     "generator_other_q": lambda doc: _set_generator_q(doc, 5),
     "params_string_q": lambda doc: doc["params"].update(q="3"),
     "node_index_float": lambda doc: doc["nodes"][0].update(node_index=1.0),
+    # wrong JSON type or missing key at each level of the document
+    "node_not_object": lambda doc: doc.update(nodes=[1]),
+    "nodes_not_array": lambda doc: doc.update(nodes="x"),
+    "node_values_missing": lambda doc: doc["nodes"][0].pop("values"),
+    "params_not_object": lambda doc: doc.update(params="x"),
+    "params_key_missing": lambda doc: doc["params"].pop("k"),
+    "generator_not_object": lambda doc: doc.update(generator=[[1, 2], [3]]),
+    "generator_missing": lambda doc: doc.pop("generator"),
+    "generator_rows_missing": lambda doc: doc["generator"].pop("rows"),
+    "generator_rows_flat": lambda doc: doc["generator"].update(rows=[1, 2, 0]),
+}
+
+BAD_DATABASES = {
+    "files_missing": lambda doc: doc.pop("files"),
+    "files_wrong_shape": lambda doc: doc.update(files=[[1, 2], [0, 1]]),
+    "params_not_object": lambda doc: doc.update(params="x"),
+    "params_missing": lambda doc: doc.pop("params"),
+    "params_key_missing": lambda doc: doc["params"].pop("q"),
 }
 
 
 class TestMalformedDocuments:
     """Field symbols in documents must be integers in [0, q); anything else,
-    or a generator over another field, exits 2 before any arithmetic."""
+    a generator over another field, a missing key or a value of the wrong
+    JSON type exits 2 before any arithmetic."""
 
     @pytest.mark.parametrize("case", sorted(BAD_SHARES))
     def test_bad_shares_document_is_config_error(self, case, tmp_path, capsys):
@@ -410,8 +429,17 @@ class TestMalformedDocuments:
         out = tmp_path / "db.json"
         code = run_cli("reconstruct", "--shares", str(path), "--nodes", "1,3", "--out", str(out))
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
+
+    def test_missing_key_is_named(self, tmp_path, capsys):
+        doc = _shares_doc(tmp_path)
+        del doc["generator"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("reconstruct", "--shares", str(path), "--nodes", "1,3") == 2
+        assert capsys.readouterr().err == "error: missing key 'generator' in shares document\n"
 
     def test_lifted_shares_are_refused_not_misread(self, tmp_path):
         # the documented failure: congruent shares near 2**63 wrapped int64
@@ -442,6 +470,23 @@ class TestMalformedDocuments:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: files must be integers in [0, 3)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_DATABASES))
+    def test_bad_database_document_is_config_error(self, case, tmp_path, capsys):
+        params = StorageParams(q=3, n=3, m=2, k=2)
+        doc = jsonio.database_to_json(Database.random(params, protocol.db_rng(0)))
+        BAD_DATABASES[case](doc)
+        db_doc = tmp_path / "db.json"
+        db_doc.write_text(json.dumps(doc))
+        out = tmp_path / "shares.json"
+        code = run_cli(
+            "encode", "--q", "3", "--n", "3", "--m", "2", "--k", "2",
+            "--db", str(db_doc), "--out", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
 

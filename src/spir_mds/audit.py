@@ -14,6 +14,14 @@ Three checks are offered:
   (all answers, the query scheme, the requested index);
 * correctness: the decoder returns the requested file at every point.
 
+Both privacy verdicts first try an exact certificate that needs no cross
+product.  Every index sweeps the same universe, so the index is uniform
+and user privacy holds iff the per-index count tables are equal; every
+database is enumerated, so the other files are uniform and database
+privacy holds iff each view is seen with every value of them, all with
+one count (``_full_blocks``).  The cell-by-cell product rule runs only
+when a certificate fails, to name the witness.
+
 Enumeration is vectorized in chunks for speed, but every audit run
 re-derives a sample of its batched queries and answers through the served
 round (``network.SimNetwork``) and insists they agree, so the fast path
@@ -139,13 +147,25 @@ class Universe:
         return self.params.q ** self.s_free
 
     @property
+    def exponent(self) -> int:
+        """Free q-ary digits of a point: the size is q ** exponent."""
+        return self.db_digits + self.u_free + self.s_free
+
+    @property
     def size(self) -> int:
-        return self.n_db * self.n_u * self.n_s
+        return self.params.q ** self.exponent
+
+    def exceeds(self, ceiling: int) -> bool:
+        # q >= 2, so size >= 2**exponent > ceiling once the exponent passes
+        # the ceiling's bit length; no power is formed for a huge universe
+        return self.exponent > ceiling.bit_length() or self.size > ceiling
 
     def require_within(self, ceiling: int):
-        if self.size > ceiling:
+        if self.exceeds(ceiling):
+            huge = self.exponent > ceiling.bit_length()
+            shown = f"{self.params.q}**{self.exponent}" if huge else self.size
             raise UniverseTooLarge(
-                f"universe has {self.size} points, ceiling is {ceiling}; "
+                f"universe has {shown} points, ceiling is {ceiling}; "
                 "rerun with a Monte Carlo sample budget for a statistical check"
             )
 
@@ -338,6 +358,27 @@ def _pairs_independent(keys: np.ndarray, counts: np.ndarray, right_radix: int) -
     return None
 
 
+def _full_blocks(keys: np.ndarray, counts: np.ndarray, right_radix: int) -> bool:
+    """True when packed (left*right_radix + right) cells are full blocks:
+    every left value is seen with every right value in [0, right_radix),
+    all with the same count c_x.
+
+    Then joint = c_x, left = right_radix * c_x and right = total /
+    right_radix, so the product rule holds: a sufficient certificate.  It
+    is also necessary when the right marginal is uniform over the radix,
+    as it is for the enumerated W̄.  ``keys`` are sorted and distinct.
+    """
+    if len(keys) % right_radix:
+        return False
+    rows = keys.reshape(-1, right_radix)
+    blocks = counts.reshape(-1, right_radix)
+    return bool(
+        (rows[:, 0] % right_radix == 0).all()
+        and (rows[:, -1] - rows[:, 0] == right_radix - 1).all()
+        and (blocks == blocks[:, :1]).all()
+    )
+
+
 # ---------------------------------------------------------------------------
 # Batched enumeration context
 # ---------------------------------------------------------------------------
@@ -504,11 +545,12 @@ def audit_user_privacy(
     """Per node: is the index independent of (query, answer, share, S)?
 
     The index is modeled uniform; the report carries both the exact
-    product-rule verdict and the per-index conditional-table comparison.
+    product-rule verdict and the per-index conditional-table comparison,
+    which agree by construction.
     """
     require_samples(samples)
     universe = Universe(params, mask_mode=mask_mode)
-    if universe.size > ceiling:
+    if universe.exceeds(ceiling):
         if samples is None:
             universe.require_within(ceiling)
         return _mc_user_privacy(params, g, universe, samples, seed)
@@ -548,12 +590,15 @@ def audit_user_privacy(
             theta: merge_count_tables(parts[node - 1][theta - 1])
             for theta in range(1, params.k + 1)
         }
-        cell = _tables_independent(tables)
         first = tables[1]
         conditional = all(
             np.array_equal(tables[t][0], first[0]) and np.array_equal(tables[t][1], first[1])
             for t in range(2, params.k + 1)
         )
+        # every theta sweeps the same universe, so theta is uniform and the
+        # product rule holds iff the per-theta tables are equal; the general
+        # rule runs only to name a witness
+        cell = None if conditional else _tables_independent(tables)
         checks.append(
             IndependenceCheck(
                 name=f"user_privacy_node_{node}",
@@ -607,7 +652,7 @@ def audit_db_privacy(
     """
     require_samples(samples)
     universe = Universe(params, randomness_mode=randomness_mode, partial_count=partial_count)
-    if universe.size > ceiling:
+    if universe.exceeds(ceiling):
         if samples is None:
             universe.require_within(ceiling)
         return _mc_db_privacy(params, g, universe, samples, seed)
@@ -636,7 +681,7 @@ def audit_db_privacy(
             key[theta - 1] += ((u_ids * params.k + (theta - 1)) * w_radix + wbar)[:, :, None]
         parts.append(np.unique(key.ravel(), return_counts=True))
     keys, counts = merge_count_tables(parts)
-    cell = _pairs_independent(keys, counts, w_radix)
+    cell = None if _full_blocks(keys, counts, w_radix) else _pairs_independent(keys, counts, w_radix)
     check = IndependenceCheck(
         name="db_privacy",
         independent=cell is None,
@@ -762,6 +807,8 @@ def _mc_networks(g: GeneratorMatrix, universe: Universe, samples: int, seed: int
     """Seeded uniform universe points, each as its network and masks
     (see ``_point_network``)."""
     p = universe.params
+    if samples * (universe.db_digits + universe.u_digits + universe.s_digits) * 8 >= 1 << 63:
+        raise UniverseTooLarge(f"{samples} sampled points exceed 2**63 bytes of int64 digits")
     rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
     q = p.q
     db = rng.integers(0, q, size=(samples, universe.db_digits), dtype=np.int64)

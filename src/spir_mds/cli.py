@@ -8,8 +8,8 @@ Subcommands::
     encode       encode a database into node shares
     reconstruct  rebuild a database from m node shares
 
-Exit codes: 0 success, 2 invalid configuration, 3 protocol failure,
-4 audit failure.
+Exit codes: 0 success, 2 invalid configuration (or an instance too
+large for memory), 3 protocol failure, 4 audit failure.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def cmd_audit(args) -> int:
     try:
         if "correctness" in selected:
             universe = audit_mod.Universe(params)
-            if universe.size > args.ceiling and args.monte_carlo is not None:
+            if universe.exceeds(args.ceiling) and args.monte_carlo is not None:
                 ok = audit_mod.mc_correctness(params, g, args.monte_carlo, seed=args.seed)
                 checks.append(
                     audit_mod.IndependenceCheck(
@@ -423,7 +423,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "encode": cmd_encode,
         "reconstruct": cmd_reconstruct,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except MemoryError as exc:
+        # an accepted shape whose arrays this machine cannot hold
+        print(f"error: out of memory for this instance: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

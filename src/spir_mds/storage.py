@@ -61,6 +61,14 @@ class StorageParams:
             raise InvalidParams(f"need k >= 1 files, got {self.k}")
         if self.stripes < 1:
             raise InvalidParams(f"need stripes >= 1, got {self.stripes}")
+        # The upload, n*stripes*m*query_len symbols, is a round's largest
+        # array (the database and the shares are no larger); numpy cannot
+        # address an int64 array of 2**63 bytes at all.
+        if self.n * self.stripes * self.m * self.query_len * 8 >= 2**63:
+            raise InvalidParams(
+                f"(n, m, k, stripes)={self.n, self.m, self.k, self.stripes} is too large: "
+                "a round's arrays exceed 2**63 bytes"
+            )
         # Longest int64 sums of a round: a node's query_len-term answer plus
         # blinding, and decode's n*m-term solve.  Also bounds is_prime's work.
         if max(self.query_len, self.n * self.m) * (self.q - 1) ** 2 + (self.q - 1) >= 2**63:

@@ -14,6 +14,7 @@ from spir_mds.audit import (
     IndependenceCheck,
     Universe,
     _BatchContext,
+    _full_blocks,
     _pairs_independent,
     _tables_independent,
     audit_correctness,
@@ -151,6 +152,80 @@ class TestDistributionCounter:
         assert np.array_equal(counts_a, counts_b)
 
 
+def packed_table(cells: dict, radix: int):
+    """Sorted distinct packed keys x*radix + y, their counts, and the
+    reference counter of the same (x, y) -> count cells."""
+    keys = np.array(sorted(x * radix + y for (x, y) in cells), dtype=np.int64)
+    counts = np.array([cells[divmod(int(k), radix)] for k in keys], dtype=np.int64)
+    reference = DistributionCounter()
+    for (x, y), c in cells.items():
+        reference.add(x, y, c)
+    return keys, counts, reference
+
+
+class TestFullBlocksCertificate:
+    """``_full_blocks`` may only certify tables the product rule accepts,
+    and on a uniform right marginal (the enumerated W̄) it must certify
+    every such table."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(radix=st.integers(1, 4), data=st.data())
+    def test_sound(self, radix, data):
+        xs = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True))
+        cells = {}
+        for x in xs:
+            shape = data.draw(st.sampled_from(["block", "varied", "subset"]))
+            if shape == "block":
+                c = data.draw(st.integers(1, 3))
+                cells.update({(x, y): c for y in range(radix)})
+            else:
+                ys = range(radix) if shape == "varied" else data.draw(
+                    st.lists(st.integers(0, radix - 1), min_size=1, unique=True)
+                )
+                cells.update({(x, y): data.draw(st.integers(1, 3)) for y in ys})
+        keys, counts, reference = packed_table(cells, radix)
+        if _full_blocks(keys, counts, radix):
+            assert reference.check_independent() == (True, None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        radix=st.integers(1, 4),
+        n_x=st.integers(1, 4),
+        product=st.booleans(),
+        data=st.data(),
+    )
+    def test_complete_on_uniform_right_marginal(self, radix, n_x, product, data):
+        # a random table, then each column's deficit added to one of its
+        # cells so that every right value has the same mass
+        if product:
+            rows = [[data.draw(st.integers(1, 3))] * radix for _ in range(n_x)]
+        else:
+            rows = [[data.draw(st.integers(0, 3)) for _ in range(radix)] for _ in range(n_x)]
+        target = max(1, max(sum(col) for col in zip(*rows)))
+        for y in range(radix):
+            x = data.draw(st.integers(0, n_x - 1))
+            rows[x][y] += target - sum(row[y] for row in rows)
+        cells = {(x, y): c for x, row in enumerate(rows) for y, c in enumerate(row) if c}
+        keys, counts, reference = packed_table(cells, radix)
+        assert set(reference.right.values()) == {target}
+        assert _full_blocks(keys, counts, radix) == reference.check_independent()[0]
+
+    @pytest.mark.parametrize(
+        "cells,clause",
+        [
+            ({(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 1}, "equal counts"),
+            ({(0, 1): 1, (1, 0): 1}, "row starts at a multiple of the radix"),
+            ({(0, 0): 1, (1, 1): 1}, "row spans the radix"),
+            ({(0, 0): 1, (0, 1): 1, (1, 0): 1}, "row count"),
+        ],
+        ids=["counts", "start", "span", "length"],
+    )
+    def test_each_clause_refuses_a_dependent_table(self, cells, clause):
+        keys, counts, reference = packed_table(cells, 2)
+        assert reference.check_independent()[0] is False
+        assert not _full_blocks(keys, counts, 2), clause
+
+
 def pointwise_user_privacy_counter(params, g, node):
     """Independent oracle: enumerate the universe one point at a time
     through the public protocol functions and count by hand."""
@@ -245,6 +320,17 @@ class TestExhaustiveInstances:
             assert check.independent
             assert check.conditional_equal
             assert check.witness is None
+
+    @pytest.mark.parametrize("mask_mode", ["full", "zeroed"])
+    @pytest.mark.parametrize("params", EXHAUSTIVE_INSTANCES, ids=str)
+    def test_user_verdict_is_conditional_equality(self, params, mask_mode):
+        # every theta sweeps the same universe, so theta is uniform and the
+        # product rule holds exactly when the per-theta tables are equal
+        report = audit_user_privacy(params, generator_for_instance(params), mask_mode=mask_mode)
+        for check in report.checks:
+            assert check.independent == check.conditional_equal
+            assert (check.witness is None) == check.independent
+        assert report.all_passed == (mask_mode == "full")
 
     @pytest.mark.parametrize("params", EXHAUSTIVE_INSTANCES, ids=str)
     def test_db_privacy(self, params):
@@ -578,3 +664,16 @@ class TestUniverseShape:
         assert Universe(params, randomness_mode="zeroed").n_s == 1
         assert Universe(params, randomness_mode="partial", partial_count=2).n_s == 4
         assert Universe(params).n_s == 16
+
+    @pytest.mark.parametrize("mask_mode", ["full", "zeroed"])
+    def test_exceeds_matches_size_at_every_ceiling(self, mask_mode):
+        u = Universe(StorageParams(q=3, n=2, m=1, k=2), mask_mode=mask_mode)
+        for ceiling in [-1, 0, 1, 2, u.size // 3, u.size - 1, u.size, u.size + 1, 3 * u.size]:
+            assert u.exceeds(ceiling) == (u.size > ceiling)
+
+    def test_huge_universe_refused_before_any_power(self):
+        # q ** exponent with an exponent of 4 * 2**40 would take hours to form
+        u = Universe(StorageParams(q=3, n=3, m=2, k=2, stripes=2**40))
+        assert u.exceeds(1 << 24)
+        with pytest.raises(UniverseTooLarge, match=f"3\\*\\*{u.exponent} points"):
+            u.require_within(1 << 24)

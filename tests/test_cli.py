@@ -490,15 +490,51 @@ class TestMalformedDocuments:
         assert not out.exists()
 
 
-def test_console_script_entry_point():
+def run_module(*argv, timeout=None):
     # the child imports the same spir_mds as this process, installed or not
     src_dir = str(Path(spir_mds.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "spir_mds", "rates", "--n", "4", "--m", "2", "--k", "2"],
+    return subprocess.run(
+        [sys.executable, "-m", "spir_mds", *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
+        timeout=timeout,
     )
+
+
+def test_console_script_entry_point():
+    proc = run_module("rates", "--n", "4", "--m", "2", "--k", "2")
     assert proc.returncode == 0
     assert "1/2" in proc.stdout
+
+
+class TestHugeStripes:
+    """A huge ``stripes`` is refused at once with exit 2, never a hang or a
+    traceback.  2**70 fails ``StorageParams``; 2**50 passes it, but its
+    universe is refused before any power is formed, and its first array
+    (32 PiB) is beyond any address space, so allocation fails on every
+    machine rather than overcommitting."""
+
+    INSTANCE = ("--q", "3", "--n", "3", "--m", "2", "--k", "2")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("run", "--stripes", str(2**70)), "2**63 bytes"),
+            (("audit", "--stripes", str(2**70)), "2**63 bytes"),
+            (("encode", "--stripes", str(2**70)), "2**63 bytes"),
+            (("audit", "--stripes", str(2**50)), "ceiling"),
+            (("run", "--stripes", str(2**50)), "out of memory"),
+            (("encode", "--stripes", str(2**50)), "out of memory"),
+            (("audit", "--stripes", str(2**50), "--monte-carlo", "500"), "2**63 bytes"),
+            (("audit", "--stripes", str(2**40), "--monte-carlo", "500"), "out of memory"),
+        ],
+        ids=["run-2^70", "audit-2^70", "encode-2^70", "audit-2^50", "run-2^50",
+             "encode-2^50", "audit-mc-2^50", "audit-mc-2^40"],
+    )
+    def test_exits_2_without_traceback(self, argv, message):
+        proc = run_module(argv[0], *self.INSTANCE, *argv[1:], timeout=30)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -34,6 +34,14 @@ class TestParams:
         with pytest.raises(InvalidParams):
             StorageParams(q=3, n=3, m=2, k=0)
 
+    def test_rejects_unaddressable_stripes(self):
+        # the upload of (3,3,2,2) is 12 symbols per stripe, 8 bytes each
+        largest = (2**63 - 1) // (12 * 8)
+        assert StorageParams(q=3, n=3, m=2, k=2, stripes=largest).stripes == largest
+        for stripes in (largest + 1, 2**70):
+            with pytest.raises(InvalidParams, match="2\\*\\*63 bytes"):
+                StorageParams(q=3, n=3, m=2, k=2, stripes=stripes)
+
     def test_derived_sizes(self):
         p = StorageParams(q=3, n=5, m=2, k=4, stripes=3)
         assert p.file_len == 3 * 3 * 2

@@ -16,11 +16,16 @@ Three checks are offered:
 
 Both privacy verdicts first try an exact certificate that needs no cross
 product.  Every index sweeps the same universe, so the index is uniform
-and user privacy holds iff the per-index count tables are equal; every
+and user privacy holds iff the per-index count tables are equal.  Those
+tables are counted on the (mask, database) grid alone: S is a digit of
+the node's view and, for a fixed S, each answer symbol (ip + blind[S])
+mod q is a bijection of the mask side ip, so the per-index view tables
+are equal iff the per-index (query, ip, share) tables are.  Every
 database is enumerated, so the other files are uniform and database
 privacy holds iff each view is seen with every value of them, all with
-one count (``_full_blocks``).  The cell-by-cell product rule runs only
-when a certificate fails, to name the witness.
+one count (``_full_blocks``).  The cell-by-cell product rule, over the
+full (mask, database, randomness) grid for user privacy, runs only when
+a certificate fails, to name the witness.
 
 Enumeration is vectorized in chunks for speed, but every audit run
 re-derives a sample of its batched queries and answers through the served
@@ -33,7 +38,7 @@ statistical (chi-square screen), never as exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -565,40 +570,29 @@ def audit_user_privacy(
         raise UniverseTooLarge(f"view tuple needs {bits} packed bits; exceeds exact-mode budget")
     a_radix = q ** ctx.a_digits_node
     d_radix = q ** d_digits
-    s_ids = np.arange(ctx.n_s, dtype=np.int64)
     # parts[node0][theta-1]: one (values, counts) table per chunk
     parts = [[[] for _ in range(params.k)] for _ in range(params.n)]
     for chunk in ctx.db_chunks():
         c = chunk["count"]
         dpack = pack_digits(chunk["data"].reshape(params.n, c, d_digits), q)  # (n, c)
         for theta in range(1, params.k + 1):
-            ip, blind = ctx.answer_parts(chunk, theta)
+            ip, _ = ctx.answer_parts(chunk, theta)
             for node0 in range(params.n):
-                key = ctx.pack_grid(
-                    ip[:, :, node0].reshape(ctx.n_u, c, -1), blind[:, node0].reshape(ctx.n_s, -1)
-                )
-                # widen the packed answers in place to the view key
-                # ((query*a_radix + answer)*d_radix + share)*n_s + s
-                rest = ctx.qpack[theta - 1, node0][:, None] * (a_radix * d_radix) + dpack[node0]
-                key *= d_radix * ctx.n_s
-                key += rest[:, :, None] * ctx.n_s
-                key += s_ids
+                # grid key (query*a_radix + ip)*d_radix + share over (u, c)
+                key = pack_digits(ip[:, :, node0].reshape(ctx.n_u, c, -1), q)
+                key += ctx.qpack[theta - 1, node0][:, None] * a_radix
+                key *= d_radix
+                key += dpack[node0]
                 parts[node0][theta - 1].append(np.unique(key.ravel(), return_counts=True))
     checks = []
     for node in range(1, params.n + 1):
-        tables = {
-            theta: merge_count_tables(parts[node - 1][theta - 1])
-            for theta in range(1, params.k + 1)
-        }
-        first = tables[1]
-        conditional = all(
-            np.array_equal(tables[t][0], first[0]) and np.array_equal(tables[t][1], first[1])
-            for t in range(2, params.k + 1)
-        )
-        # every theta sweeps the same universe, so theta is uniform and the
-        # product rule holds iff the per-theta tables are equal; the general
-        # rule runs only to name a witness
-        cell = None if conditional else _tables_independent(tables)
+        (vals, counts), *rest = [merge_count_tables(t) for t in parts[node - 1]]
+        conditional = all(np.array_equal(v, vals) and np.array_equal(t, counts) for v, t in rest)
+        # S is a view digit and, for fixed s, answer = (ip + blind[s]) % q is
+        # a bijection of ip, so the per-theta view tables are equal iff these
+        # grid tables are; theta is uniform, so that certifies the product
+        # rule, and the (u, c, s) view sweep runs only to name a witness
+        cell = None if conditional else _tables_independent(_user_view_tables(ctx, node - 1))
         checks.append(
             IndependenceCheck(
                 name=f"user_privacy_node_{node}",
@@ -610,6 +604,32 @@ def audit_user_privacy(
             )
         )
     return AuditReport(params, universe.randomness_mode, tuple(checks))
+
+
+def _user_view_tables(ctx: _BatchContext, node0: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Per-theta count tables of one node's full view (query, answer,
+    share, S), swept over the whole (u, c, s) grid."""
+    p = ctx.params
+    a_radix = ctx.q ** ctx.a_digits_node
+    d_radix = ctx.q ** p.node_len
+    s_ids = np.arange(ctx.n_s, dtype=np.int64)
+    parts = [[] for _ in range(p.k)]
+    for chunk in ctx.db_chunks():
+        c = chunk["count"]
+        dpack = pack_digits(chunk["data"][node0].reshape(c, p.node_len), ctx.q)
+        for theta in range(1, p.k + 1):
+            ip, blind = ctx.answer_parts(chunk, theta)
+            key = ctx.pack_grid(
+                ip[:, :, node0].reshape(ctx.n_u, c, -1), blind[:, node0].reshape(ctx.n_s, -1)
+            )
+            # widen the packed answers in place to the view key
+            # ((query*a_radix + answer)*d_radix + share)*n_s + s
+            rest = ctx.qpack[theta - 1, node0][:, None] * (a_radix * d_radix) + dpack
+            key *= d_radix * ctx.n_s
+            key += rest[:, :, None] * ctx.n_s
+            key += s_ids
+            parts[theta - 1].append(np.unique(key.ravel(), return_counts=True))
+    return {theta: merge_count_tables(parts[theta - 1]) for theta in range(1, p.k + 1)}
 
 
 def _user_witness(ctx: _BatchContext, cell: Violation, node: int) -> dict:
@@ -655,7 +675,7 @@ def audit_db_privacy(
     if universe.exceeds(ceiling):
         if samples is None:
             universe.require_within(ceiling)
-        return _mc_db_privacy(params, g, universe, samples, seed)
+        return _mc_db_privacy(params, g, universe, samples, seed, ceiling)
     ctx = _BatchContext(params, g, universe)
     ctx.selfcheck(seed)
     q = params.q
@@ -841,7 +861,9 @@ def _chi2_p(counter: DistributionCounter) -> float:
     return float(chi2.sf(stat, dof))
 
 
-def _chi2_flag(tables: dict[str, DistributionCounter]) -> tuple[bool, float, Optional[str]]:
+def _chi2_flag(
+    tables: Iterable[tuple[str, DistributionCounter]],
+) -> tuple[bool, float, Optional[str]]:
     """Chi-square screen over a family of view projections.
 
     The full view tuple is nearly unique per sample on large alphabets,
@@ -852,7 +874,7 @@ def _chi2_flag(tables: dict[str, DistributionCounter]) -> tuple[bool, float, Opt
     """
     worst_p = 1.0
     worst_name = None
-    for name, counter in tables.items():
+    for name, counter in tables:
         p = _chi2_p(counter)
         if p < worst_p:
             worst_p, worst_name = p, name
@@ -882,7 +904,7 @@ def _mc_user_privacy(params, g, universe, samples, seed) -> AuditReport:
             t["randomness"].add(theta, s_key)
     checks = []
     for node in range(1, params.n + 1):
-        ok, p_value, culprit = _chi2_flag(tables[node - 1])
+        ok, p_value, culprit = _chi2_flag(tables[node - 1].items())
         witness = None if ok else {"projection": culprit, "p_value": p_value}
         checks.append(
             IndependenceCheck(
@@ -897,23 +919,41 @@ def _mc_user_privacy(params, g, universe, samples, seed) -> AuditReport:
     return AuditReport(params, universe.randomness_mode, tuple(checks))
 
 
-def _mc_db_privacy(params, g, universe, samples, seed) -> AuditReport:
+def _mc_db_privacy(params, g, universe, samples, seed, ceiling) -> AuditReport:
     wbar_digits = (params.k - 1) * params.file_len
-    tables: dict[str, DistributionCounter] = {"view": DistributionCounter()}
-    for pos in range(params.n * params.stripes * params.m):
-        for w_pos in range(wbar_digits):
-            tables[f"answer_{pos}_vs_other_{w_pos}"] = DistributionCounter()
+    # one table per (answer digit, other-file digit) pair, fed once per
+    # sample: refuse before building any when that work passes the ceiling,
+    # never below the default, as a tiny ceiling is how a screen is forced
+    pairs = params.n * params.stripes * params.m * wbar_digits
+    budget = max(ceiling, DEFAULT_UNIVERSE_CEILING)
+    if pairs * samples > budget:
+        raise UniverseTooLarge(
+            f"Monte Carlo database screen needs {pairs} pairwise tables x {samples} samples, "
+            f"ceiling is {budget}"
+        )
+    view = DistributionCounter()
+    answers, others = [], []
     rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed, 2])
     thetas = rng.integers(1, params.k + 1, size=samples)
     for theta, (net, u_val) in zip(thetas.tolist(), _mc_networks(g, universe, samples, seed)):
         a_digits = net.exchange(protocol.gen_queries(params, g, theta, u_override=u_val)).per_node.ravel()
-        others = np.delete(net.db.files, theta - 1, axis=0).ravel()
-        view = (theta, a_digits.tobytes(), u_val.tobytes())
-        tables["view"].add(view, others.tobytes())
-        for pos, a_val in enumerate(a_digits.tolist()):
-            for w_pos, w_val in enumerate(others.tolist()):
-                tables[f"answer_{pos}_vs_other_{w_pos}"].add(a_val, w_val)
-    ok, p_value, culprit = _chi2_flag(tables)
+        other = np.delete(net.db.files, theta - 1, axis=0).ravel()
+        view.add((theta, a_digits.tobytes(), u_val.tobytes()), other.tobytes())
+        answers.append(a_digits)
+        others.append(other)
+
+    def tables():
+        # built and screened one at a time, so only one pairwise table is held
+        yield "view", view
+        w_cols = np.array(others).T.tolist()
+        for pos, a_col in enumerate(np.array(answers).T.tolist()):
+            for w_pos, w_col in enumerate(w_cols):
+                counter = DistributionCounter()
+                for a_val, w_val in zip(a_col, w_col):
+                    counter.add(a_val, w_val)
+                yield f"answer_{pos}_vs_other_{w_pos}", counter
+
+    ok, p_value, culprit = _chi2_flag(tables())
     witness = None if ok else {"projection": culprit, "p_value": p_value}
     check = IndependenceCheck(
         name="db_privacy",

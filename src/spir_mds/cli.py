@@ -356,10 +356,10 @@ def cmd_rates(args) -> int:
         n_list = _parse_int_spec(args.n)
         m_list = _parse_int_spec(args.m)
         k_list = _parse_int_spec(args.k)
-    except ValueError as exc:
+        rows = _rates_rows(n_list, m_list, k_list, args.convergence)
+    except (SpirError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    rows = _rates_rows(n_list, m_list, k_list, args.convergence)
     if args.csv:
         text = "\n".join(",".join(row) for row in rows) + "\n"
     else:

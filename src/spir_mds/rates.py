@@ -38,12 +38,12 @@ def spir_capacity(n: int, m: int, secrecy: RationalLike) -> Fraction:
 
 def pir_capacity_mds(n: int, m: int, k: int) -> Fraction:
     """Download capacity when only the user's side must stay private:
-    the inverse of 1 + m/n + ... + (m/n)^(k-1)."""
+    the inverse of 1 + m/n + ... + (m/n)^(k-1), in closed form."""
     _check_nm(n, m)
     if k < 1:
         raise InvalidParams(f"need k >= 1, got {k}")
     ratio = Fraction(m, n)
-    return 1 / sum(ratio ** i for i in range(k))
+    return (1 - ratio) / (1 - ratio ** k)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from spir_mds.audit import (
     _full_blocks,
     _pairs_independent,
     _tables_independent,
+    _user_view_tables,
     audit_correctness,
     audit_db_privacy,
     audit_user_privacy,
@@ -593,6 +594,59 @@ class TestSweepCannotGoVacuous:
         inv[p.m * p.m, 0] = (inv[p.m * p.m, 0] + 1) % p.q  # first file-symbol row
         monkeypatch.setattr(protocol, "decode_matrix_inverse", lambda params, gen: inv)
         assert mc_correctness(self.PARAMS, g, 20, seed=1) is False
+
+
+class TestGridCertificate:
+    """User privacy is certified on the (mask, database) grid: S is a view
+    digit and, for fixed S, the answer is a bijection of the mask side, so
+    the grid tables are equal across indices iff the full view tables are."""
+
+    INSTANCES = EXHAUSTIVE_INSTANCES + [
+        StorageParams(q=3, n=3, m=2, k=2),
+        StorageParams(q=3, n=4, m=1, k=2),
+    ]
+
+    @pytest.mark.parametrize("mask_mode", ["full", "zeroed"])
+    @pytest.mark.parametrize("params", INSTANCES, ids=str)
+    def test_grid_equality_is_view_equality(self, params, mask_mode):
+        g = generator_for_instance(params)
+        report = audit_user_privacy(params, g, mask_mode=mask_mode)
+        ctx = _BatchContext(params, g, Universe(params, mask_mode=mask_mode))
+        for node0, check in enumerate(report.checks):
+            (vals, counts), *rest = _user_view_tables(ctx, node0).values()
+            views_equal = all(
+                np.array_equal(v, vals) and np.array_equal(c, counts) for v, c in rest
+            )
+            assert check.conditional_equal == views_equal
+            assert check.independent == views_equal
+        assert report.all_passed == (mask_mode == "full")
+
+    # node 1's mask side depends on theta: shifted by theta, or, at theta 2,
+    # read at another database or mask, which keeps the (query, answer) or
+    # the (answer, share) table and shows only jointly with the third part
+    @pytest.mark.parametrize("leak", ["shifted", "other_database", "other_mask"])
+    def test_theta_dependent_answer_fails_the_certificate(self, monkeypatch, leak):
+        params = StorageParams(q=3, n=3, m=2, k=2)
+        real = _BatchContext.answer_parts
+
+        def leaky(self, chunk, theta):
+            ip, blind = real(self, chunk, theta)
+            out = ip.copy()
+            if leak == "shifted":
+                out[:, :, 0, 0, 0] = (ip[:, :, 0, 0, 0] + theta) % self.q
+            elif theta == 2:
+                out[:, :, 0] = np.flip(ip[:, :, 0], axis=1 if leak == "other_database" else 0)
+            return out, blind
+
+        monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
+        monkeypatch.setattr(_BatchContext, "answer_parts", leaky)
+        report = audit_user_privacy(params, generator_for_instance(params))
+        first, *others = report.checks
+        assert first.conditional_equal is False and not first.independent
+        assert first.witness["node"] == 1
+        counts = first.witness["counts"]
+        assert counts["joint"] * counts["total"] != counts["left"] * counts["right"]
+        assert all(c.conditional_equal and c.independent for c in others)
 
 
 # sha256 over the canonical audit reports of REPORT_INSTANCES, fixed when the

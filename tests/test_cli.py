@@ -311,6 +311,12 @@ class TestRates:
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 1  # header only
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_bad_k_is_config_error(self, k, capsys):
+        assert run_cli("rates", "--n", "4", "--m", "2", "--k", k) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "k >= 1" in err
+
 
 class TestEncodeReconstruct:
     def test_round_trip(self, tmp_path):
@@ -537,4 +543,15 @@ class TestHugeStripes:
         proc = run_module(argv[0], *self.INSTANCE, *argv[1:], timeout=30)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_monte_carlo_db_screen_refused_before_its_tables(self):
+        # 600,000 answer digits x 200,000 other-file digits: 1.2e11 pairwise
+        # tables for one sample, refused before the first is built
+        proc = run_module(
+            "audit", *self.INSTANCE, "--stripes", "100000", "--checks", "db-privacy",
+            "--monte-carlo", "1", timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "pairwise tables" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import CAPACITY_GRID
 from spir_mds.errors import InvalidParams
 from spir_mds.network import SimNetwork
 from spir_mds.rates import measure, pir_capacity_mds, secrecy_floor, spir_capacity
@@ -42,6 +45,13 @@ class TestFormulas:
             for a, b in zip(values, values[1:]):
                 assert b < a
             assert all(v > floor_cap for v in values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nm=st.sampled_from(CAPACITY_GRID), k=st.integers(1, 60))
+    def test_pir_capacity_closed_form_equals_sum(self, nm, k):
+        n, m = nm
+        want = 1 / sum(Fraction(m, n) ** i for i in range(k))
+        assert pir_capacity_mds(n, m, k) == want
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParams):

@@ -20,12 +20,18 @@ and user privacy holds iff the per-index count tables are equal.  Those
 tables are counted on the (mask, database) grid alone: S is a digit of
 the node's view and, for a fixed S, each answer symbol (ip + blind[S])
 mod q is a bijection of the mask side ip, so the per-index view tables
-are equal iff the per-index (query, ip, share) tables are.  Every
-database is enumerated, so the other files are uniform and database
-privacy holds iff each view is seen with every value of them, all with
-one count (``_full_blocks``).  The cell-by-cell product rule, over the
-full (mask, database, randomness) grid for user privacy, runs only when
-a certificate fails, to name the witness.
+are equal iff the per-index (query, ip, share) tables are.  Database
+privacy is counted on the same grid, once per blinding coset: S is
+hidden from the user, and as it sweeps the randomness axis its coded
+share blind[S] covers the span V of the blinding equally often, so two
+answers in one coset ip + V are seen equally often with every database.
+Each cell is keyed by its coset's least member, a subset of the full
+view keys in the same order; the witness counts are scaled back to the
+full grid.  Every database is enumerated, so the other files are uniform
+and database privacy holds iff each view is seen with every value of
+them, all with one count (``_full_blocks``).  The cell-by-cell product
+rule, over the full (mask, database, randomness) grid for user privacy,
+runs only when a certificate fails, to name the witness.
 
 Enumeration is vectorized in chunks for speed, but every audit run
 re-derives a sample of its batched queries and answers through the served
@@ -42,7 +48,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from . import network, protocol
+from . import fields, network, protocol
 from .errors import DecodeFailure, InvalidParams, UniverseTooLarge
 from .protocol import CommonRandomness, GeneratorMatrix, unit_mask
 from .storage import Database, StorageParams
@@ -388,6 +394,16 @@ def _full_blocks(keys: np.ndarray, counts: np.ndarray, right_radix: int) -> bool
 # Batched enumeration context
 # ---------------------------------------------------------------------------
 
+def _table_rows(rows: np.ndarray, q: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """What a per-row table of (R, J) digit rows is built over: all q^J
+    words, indexed by each row's packed word, when that alphabet is no
+    larger than R; else the rows themselves, with no index."""
+    digits = rows.shape[-1]
+    if q ** digits <= rows.shape[0]:
+        return enumerate_assignments(q, digits, 0, q ** digits), pack_digits(rows, q)
+    return rows, None
+
+
 class _BatchContext:
     """Precomputed tables for sweeping the universe in vectorized chunks.
 
@@ -476,16 +492,11 @@ class _BatchContext:
         ``ip_rows`` is (n_u, c, J) and ``blind`` (n_s, J); the result equals
         ``pack_digits((ip_rows[:, :, None] + blind[None, None]) % q)``.  The
         packed answer of every row against every randomness row comes from
-        a table built once per answer word (q^J rows) when the alphabet is
-        no larger than the grid's row count, else once per grid row.
+        a table over ``_table_rows``.
         """
         q = self.q
         digits = ip_rows.shape[-1]
-        rows = ip_rows.reshape(-1, digits)
-        if q ** digits <= rows.shape[0]:
-            words, index = enumerate_assignments(q, digits, 0, q ** digits), pack_digits(rows, q)
-        else:
-            words, index = rows, None
+        words, index = _table_rows(ip_rows.reshape(-1, digits), q)
         table = np.zeros((words.shape[0], blind.shape[0]), dtype=np.int64)
         for pos in range(digits):
             table *= q
@@ -684,24 +695,32 @@ def audit_db_privacy(
     if bits > _KEY_BITS:
         raise UniverseTooLarge(f"view tuple needs {bits} packed bits; exceeds exact-mode budget")
     w_radix = q ** wbar_digits
+    # as s sweeps the randomness rows, blind[s] hits each point of the
+    # blinding span V mult times, so each (u, c) cell is seen mult times
+    # with every answer of its coset ip + V (see the module docstring)
+    basis, pivots = _blinding_span(ctx)
+    mult = ctx.n_s // q ** len(pivots)
     u_ids = np.arange(ctx.n_u, dtype=np.int64)[:, None]
     parts = []
     for chunk in ctx.db_chunks():
         c = chunk["count"]
         # theta is a key digit, so the per-theta key sets are disjoint and
         # one count over all of them needs no merge
-        key = np.empty((params.k, ctx.n_u, c, ctx.n_s), dtype=np.int64)
+        key = np.empty((params.k, ctx.n_u, c), dtype=np.int64)
         for theta in range(1, params.k + 1):
-            ip, blind = ctx.answer_parts(chunk, theta)
-            apack = ctx.pack_grid(ip.reshape(ctx.n_u, c, -1), blind.reshape(ctx.n_s, -1))
+            ip, _ = ctx.answer_parts(chunk, theta)
+            apack = _coset_keys(ip.reshape(ctx.n_u, c, -1), basis, pivots, q)
             others = np.delete(chunk["files"], theta - 1, axis=1).reshape(c, wbar_digits)
             wbar = pack_digits(others, q)  # (c,)
             # view key ((answer*n_u + u)*k + theta-1)*w_radix + wbar
             np.multiply(apack, ctx.n_u * params.k * w_radix, out=key[theta - 1])
-            key[theta - 1] += ((u_ids * params.k + (theta - 1)) * w_radix + wbar)[:, :, None]
+            key[theta - 1] += (u_ids * params.k + (theta - 1)) * w_radix + wbar
         parts.append(np.unique(key.ravel(), return_counts=True))
     keys, counts = merge_count_tables(parts)
     cell = None if _full_blocks(keys, counts, w_radix) else _pairs_independent(keys, counts, w_radix)
+    if cell is not None:  # the cell's counts over the full (u, c, s) grid
+        cell = cell._replace(joint=cell.joint * mult, left=cell.left * mult)
+        cell = cell._replace(right=cell.right * ctx.n_s, total=cell.total * ctx.n_s)
     check = IndependenceCheck(
         name="db_privacy",
         independent=cell is None,
@@ -710,6 +729,33 @@ def audit_db_privacy(
         witness=None if cell is None else _db_witness(ctx, cell, wbar_digits),
     )
     return AuditReport(params, universe.randomness_mode, (check,))
+
+
+def _blinding_span(ctx: _BatchContext) -> tuple[np.ndarray, list[int]]:
+    """Row-reduced basis of the blinding span V and its pivot columns.
+
+    V holds the randomness sides ``blind[s]`` of the user's answers.  The
+    randomness rows are a coordinate subspace and ``blind`` is linear in
+    s, so V is spanned by the images of the free unit vectors.
+    """
+    free = ctx.universe.s_free
+    units = ctx.blind[ctx.q ** np.arange(free - 1, -1, -1)]  # rows of the unit vectors
+    basis, pivots = fields.rref(units.reshape(free, ctx.a_digits_all), ctx.q)
+    return basis[: len(pivots)], pivots
+
+
+def _coset_keys(rows: np.ndarray, basis: np.ndarray, pivots: list[int], q: int) -> np.ndarray:
+    """Packed lexicographically least member of each coset ``row + V``.
+
+    ``rows`` is (..., J) and ``basis`` V's reduced row-echelon basis, so
+    ``row - row[pivots] @ basis`` is zero at the pivots: any other member
+    of the coset is larger at its first nonzero coefficient's pivot and
+    equal before it.  Packing keeps that order, the first digit being the
+    most significant.  The reduction runs over ``_table_rows``.
+    """
+    words, index = _table_rows(rows.reshape(-1, rows.shape[-1]), q)
+    keys = pack_digits((words - words[:, pivots] @ basis) % q, q)
+    return (keys if index is None else keys[index]).reshape(rows.shape[:-1])
 
 
 def _db_witness(ctx: _BatchContext, cell: Violation, wbar_digits: int) -> dict:

@@ -14,6 +14,8 @@ from spir_mds.audit import (
     IndependenceCheck,
     Universe,
     _BatchContext,
+    _blinding_span,
+    _coset_keys,
     _full_blocks,
     _pairs_independent,
     _tables_independent,
@@ -31,7 +33,7 @@ from spir_mds.audit import (
 from spir_mds.errors import InvalidParams, UniverseTooLarge
 from spir_mds.network import SimNetwork
 from spir_mds.protocol import CommonRandomness
-from spir_mds.storage import Database, StorageParams
+from spir_mds.storage import Database, GeneratorMatrix, StorageParams
 
 
 class TestEnumeration:
@@ -260,6 +262,33 @@ def pointwise_user_privacy_counter(params, g, node):
     return counter
 
 
+def pointwise_db_privacy_counter(params, g, universe):
+    """Independent oracle: serve every universe point through a SimNetwork
+    and count (theta, all answers, masks) against the other files."""
+    counter = DistributionCounter()
+    queries = [
+        (theta, u_row, protocol.gen_queries(
+            params, g, theta, u_override=u_row.reshape(params.stripes, params.m, params.query_len)
+        ))
+        for u_row in universe.u_rows()
+        for theta in range(1, params.k + 1)
+    ]
+    for _, db_rows in universe.db_row_chunks(universe.n_db):
+        for db_row in db_rows:
+            db = Database(params, db_row.reshape(params.k, params.file_rows, params.m))
+            for s_row in universe.s_rows():
+                s_val = CommonRandomness(s_row.reshape(params.stripes, params.m, params.m))
+                net = SimNetwork(params, db, g, randomness=s_val)
+                for theta, u_row, qs in queries:
+                    answers = net.exchange(qs).per_node.ravel()
+                    others = np.delete(db.files, theta - 1, axis=0).ravel()
+                    counter.add(
+                        (theta, tuple(answers.tolist()), tuple(u_row.tolist())),
+                        tuple(others.tolist()),
+                    )
+    return counter
+
+
 class TestExactAgainstPointwiseOracle:
     @pytest.mark.parametrize(
         "params",
@@ -274,6 +303,39 @@ class TestExactAgainstPointwiseOracle:
             ok, _ = oracle.check_independent()
             assert ok == report.checks[node - 1].independent
             assert oracle.total == params.k * Universe(params).size
+
+    @pytest.mark.parametrize(
+        "params",
+        [StorageParams(q=2, n=2, m=1, k=2), StorageParams(q=2, n=3, m=2, k=2)],
+        ids=["2-2-1", "2-3-2"],
+    )
+    def test_db_privacy_matches_slow_enumeration(self, params):
+        # the audit counts one key per blinding coset on the (u, c) grid and
+        # rescales the witness; the oracle counts every served round
+        g = generator_for_instance(params)
+        modes = [{}, {"randomness_mode": "zeroed"}] + [
+            {"randomness_mode": "partial", "partial_count": j}
+            for j in range(Universe(params).s_digits + 1)
+        ]
+        failing = 0
+        for mode in modes:
+            check = audit_db_privacy(params, g, **mode).checks[0]
+            oracle = pointwise_db_privacy_counter(params, g, Universe(params, **mode))
+            assert oracle.check_independent()[0] == check.independent, mode
+            assert oracle.total == params.k * check.universe_size
+            if check.independent:
+                continue
+            failing += 1
+            w = check.witness
+            x = (w["theta"], tuple(w["answers"]), tuple(w["masks"]))
+            y = tuple(w["other_files"])
+            assert w["counts"] == {
+                "joint": oracle.joint.get((x, y), 0),
+                "left": oracle.left[x],
+                "right": oracle.right[y],
+                "total": oracle.total,
+            }, mode
+        assert failing > 0  # the zeroed control at least
 
     def test_broken_scheme_matches_slow_enumeration(self):
         params = StorageParams(q=2, n=2, m=1, k=2)
@@ -648,6 +710,121 @@ class TestGridCertificate:
         assert counts["joint"] * counts["total"] != counts["left"] * counts["right"]
         assert all(c.conditional_equal and c.independent for c in others)
 
+
+class TestBlindingCosetKeys:
+    """Database privacy is counted once per coset ip + V of the blinding
+    span V: the key of a mask side is the packed least member of its
+    coset, shared by every answer the randomness can turn it into."""
+
+    PARAMS = StorageParams(q=3, n=3, m=2, k=2)
+
+    # all 6,561 (u, c) rows take the word table, 500 of them the per-row
+    # reduction (q^J = 729 words at J = 6)
+    @pytest.mark.parametrize("limit", [None, 500], ids=["word_table", "row_reduction"])
+    @pytest.mark.parametrize("partial_count", [None, 2], ids=["full", "partial2"])
+    def test_key_is_least_member_of_the_coset(self, limit, partial_count):
+        params = self.PARAMS
+        if partial_count is None:
+            universe = Universe(params)
+        else:
+            universe = Universe(params, randomness_mode="partial", partial_count=partial_count)
+        ctx = _BatchContext(params, generator_for_instance(params), universe)
+        basis, pivots = _blinding_span(ctx)
+        (_, db_rows), = universe.db_row_chunks(universe.n_db)
+        ip, blind = ctx.answer_parts(ctx.chunk(db_rows), 1)
+        ip = ip.reshape(-1, ctx.a_digits_all)[:limit]
+        blind = blind.reshape(ctx.n_s, -1)
+        keys = _coset_keys(ip, basis, pivots, params.q)
+        coset = pack_digits((ip[:, None] + blind[None]) % params.q, params.q)  # (rows, n_s)
+        assert np.array_equal(keys, coset.min(axis=1))
+        for s_idx in range(ctx.n_s):
+            shifted = (ip + blind[s_idx]) % params.q
+            assert np.array_equal(_coset_keys(shifted, basis, pivots, params.q), keys)
+
+    # W̄'s first symbol w0 added to the answers at (stripe 0, t 0), times a
+    # codeword row of G (inside V) or at node 1 alone (no codeword of the
+    # MDS [3, 2] code, so outside V).  The requested file's symbols pad
+    # every direction outside V, so a shift outside V stays hidden while
+    # they are served; without them only V can hide it
+    @pytest.mark.parametrize(
+        "where,requested,private",
+        [
+            ("codeword", True, True),
+            ("node_1", True, True),
+            ("codeword", False, True),
+            ("node_1", False, False),
+        ],
+        ids=["codeword", "node_1", "codeword_unpadded", "node_1_unpadded"],
+    )
+    def test_shift_inside_the_span_is_hidden(self, monkeypatch, where, requested, private):
+        params = self.PARAMS
+        g = generator_for_instance(params)
+        real = _BatchContext.answer_parts
+
+        def shifted(self, chunk, theta):
+            ip, blind = real(self, chunk, theta)
+            out = ip.copy() if requested else chunk["mask_ip"].copy()
+            w0 = np.delete(chunk["files"], theta - 1, axis=1).reshape(chunk["count"], -1)[:, 0]
+            shift = g.array[0] if where == "codeword" else np.eye(params.n, dtype=np.int64)[0]
+            out[:, :, :, 0, 0] = (out[:, :, :, 0, 0] + w0[:, None] * shift) % self.q
+            return out, blind
+
+        monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
+        monkeypatch.setattr(_BatchContext, "answer_parts", shifted)
+        check = audit_db_privacy(params, g).checks[0]
+        assert check.independent == private
+        if private:
+            assert check.witness is None
+        else:
+            counts = check.witness["counts"]
+            assert counts["joint"] * counts["total"] != counts["left"] * counts["right"]
+
+    # the mutant's shift at node 1, under a generator of rank 1: V then
+    # has rank 2 of the 4 random symbols, so each of its points is hit 4
+    # times and the witness counts must be rescaled by that, not by n_s
+    @pytest.mark.parametrize(
+        "g",
+        [GeneratorMatrix(2, [[1, 0, 1], [0, 1, 1]]), GeneratorMatrix(2, [[1, 1, 1], [1, 1, 1]])],
+        ids=["mds", "rank_1"],
+    )
+    def test_witness_counts_match_the_full_grid(self, monkeypatch, g):
+        params = StorageParams(q=2, n=3, m=2, k=2)
+        real = _BatchContext.answer_parts
+
+        def shifted(self, chunk, theta):
+            _, blind = real(self, chunk, theta)
+            out = chunk["mask_ip"].copy()
+            w0 = np.delete(chunk["files"], theta - 1, axis=1).reshape(chunk["count"], -1)[:, 0]
+            out[:, :, 0, 0, 0] = (out[:, :, 0, 0, 0] + w0) % self.q
+            return out, blind
+
+        monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
+        monkeypatch.setattr(_BatchContext, "answer_parts", shifted)
+        check = audit_db_privacy(params, g).checks[0]
+        ctx = _BatchContext(params, g, Universe(params))
+        # the full (u, c, s) grid of the same batched answers
+        reference = DistributionCounter()
+        for chunk in ctx.db_chunks():
+            for theta in range(1, params.k + 1):
+                ip, blind = ctx.answer_parts(chunk, theta)
+                answers = (ip[:, :, None] + blind[None, None]) % params.q
+                others = np.delete(chunk["files"], theta - 1, axis=1).reshape(chunk["count"], -1)
+                for u, c, s in np.ndindex(answers.shape[:3]):
+                    reference.add(
+                        (theta, tuple(answers[u, c, s].ravel().tolist()), tuple(ctx.u_rows[u].tolist())),
+                        tuple(others[c].tolist()),
+                    )
+        assert reference.check_independent()[0] is False
+        assert not check.independent
+        w = check.witness
+        x = (w["theta"], tuple(w["answers"]), tuple(w["masks"]))
+        y = tuple(w["other_files"])
+        assert w["counts"] == {
+            "joint": reference.joint.get((x, y), 0),
+            "left": reference.left[x],
+            "right": reference.right[y],
+            "total": reference.total,
+        }
 
 # sha256 over the canonical audit reports of REPORT_INSTANCES, fixed when the
 # sweep was rebuilt on the mask-side / randomness-side answer split; any

@@ -26,12 +26,13 @@ hidden from the user, and as it sweeps the randomness axis its coded
 share blind[S] covers the span V of the blinding equally often, so two
 answers in one coset ip + V are seen equally often with every database.
 Each cell is keyed by its coset's least member, a subset of the full
-view keys in the same order; the witness counts are scaled back to the
-full grid.  Every database is enumerated, so the other files are uniform
-and database privacy holds iff each view is seen with every value of
-them, all with one count (``_full_blocks``).  The cell-by-cell product
-rule, over the full (mask, database, randomness) grid for user privacy,
-runs only when a certificate fails, to name the witness.
+view keys in the same order.  Every database is enumerated, so the other
+files are uniform and database privacy holds iff each view is seen with
+every value of them, all with one count (``_full_blocks``).  No check
+sweeps the randomness axis.  When a certificate fails, both witnesses
+are read off the grid or coset keys already counted: the cell-by-cell
+product rule names the first broken cell, and its counts are scaled
+back to the full (mask, database, randomness) grid.
 
 Enumeration is vectorized in chunks for speed, but every audit run
 re-derives a sample of its batched queries and answers through the served
@@ -54,7 +55,6 @@ from .protocol import CommonRandomness, GeneratorMatrix, unit_mask
 from .storage import Database, StorageParams
 
 DEFAULT_UNIVERSE_CEILING = 1 << 24
-DEFAULT_MC_SAMPLES = 20_000
 MC_SIGNIFICANCE = 1e-6
 AUDIT_SEED_DOMAIN = 4
 
@@ -319,37 +319,16 @@ class Violation(NamedTuple):
         return {"joint": self.joint, "left": self.left, "right": self.right, "total": self.total}
 
 
-def _tables_independent(tables: dict[int, tuple[np.ndarray, np.ndarray]]) -> Optional[Violation]:
-    """Product-rule check for a small left alphabet (per-label tables).
-
-    Returns the first violating cell, or None when the rule holds.
-    Identical rule to DistributionCounter.check_independent, computed on
-    arrays.  Only observed cells need checking: counts are positive, so if
-    every cell of x holds, summing them gives left(x) * total = left(x) *
-    (right mass seen with x), and x co-occurs with every y.
-    """
-    _, right_counts, where = _merge_runs(list(tables.values()))
-    total = int(right_counts.sum())
-    _guard_products(total, int(right_counts.max(initial=0)))
-    cuts = np.cumsum([len(vals) for vals, _ in tables.values()])[:-1]
-    for (x, (vals, counts)), idx in zip(tables.items(), np.split(where, cuts)):
-        left = int(counts.sum())
-        rc = right_counts[idx]
-        bad = counts * total != left * rc
-        if bad.any():
-            i = int(np.argmax(bad))
-            return Violation(x, int(vals[i]), int(counts[i]), left, int(rc[i]), total)
-    return None
-
-
 def _pairs_independent(keys: np.ndarray, counts: np.ndarray, right_radix: int) -> Optional[Violation]:
     """Product-rule check for packed (left*right_radix + right) cells.
 
     ``keys`` are sorted and distinct, so each left value is one run.  The
     right marginal is tallied densely: in the database sweep
     ``right_radix`` counts the other files' values, at most the number of
-    enumerated databases.  Returns the first violating cell, or None; as
-    in ``_tables_independent``, only observed cells need checking.
+    enumerated databases.  Returns the first violating cell, or None.
+    Only observed cells need checking: counts are positive, so if every
+    cell of x holds, summing them gives left(x) * total = left(x) * (right
+    mass seen with x), and x co-occurs with every y.
     """
     left_keys = keys // right_radix
     right_keys = keys % right_radix
@@ -486,24 +465,6 @@ class _BatchContext:
         ip[:, :, node0, :, t0] = (ip[:, :, node0, :, t0] + units[:, None]) % self.q
         return ip, self.blind
 
-    def pack_grid(self, ip_rows: np.ndarray, blind: np.ndarray) -> np.ndarray:
-        """Packed answers over the (n_u, c, n_s) grid.
-
-        ``ip_rows`` is (n_u, c, J) and ``blind`` (n_s, J); the result equals
-        ``pack_digits((ip_rows[:, :, None] + blind[None, None]) % q)``.  The
-        packed answer of every row against every randomness row comes from
-        a table over ``_table_rows``.
-        """
-        q = self.q
-        digits = ip_rows.shape[-1]
-        words, index = _table_rows(ip_rows.reshape(-1, digits), q)
-        table = np.zeros((words.shape[0], blind.shape[0]), dtype=np.int64)
-        for pos in range(digits):
-            table *= q
-            table += (words[:, pos, None] + blind[None, :, pos]) % q
-        grid = table if index is None else table[index]
-        return grid.reshape(ip_rows.shape[:-1] + (blind.shape[0],))
-
     def selfcheck(self, seed: int = 0):
         """Re-derive sampled grid points through the served round.
 
@@ -574,9 +535,7 @@ def audit_user_privacy(
     ctx.selfcheck(seed)
     q = params.q
     d_digits = params.node_len
-    bits = ctx.key_bits(
-        q ** universe.u_digits, q ** ctx.a_digits_node, q ** d_digits, ctx.n_s
-    )
+    bits = ctx.key_bits(q ** universe.u_digits, q ** ctx.a_digits_node, q ** d_digits)
     if bits > _KEY_BITS:
         raise UniverseTooLarge(f"view tuple needs {bits} packed bits; exceeds exact-mode budget")
     a_radix = q ** ctx.a_digits_node
@@ -597,70 +556,71 @@ def audit_user_privacy(
                 parts[node0][theta - 1].append(np.unique(key.ravel(), return_counts=True))
     checks = []
     for node in range(1, params.n + 1):
-        (vals, counts), *rest = [merge_count_tables(t) for t in parts[node - 1]]
-        conditional = all(np.array_equal(v, vals) and np.array_equal(t, counts) for v, t in rest)
+        tables = [merge_count_tables(t) for t in parts[node - 1]]
+        (vals, counts), *rest = tables
         # S is a view digit and, for fixed s, answer = (ip + blind[s]) % q is
         # a bijection of ip, so the per-theta view tables are equal iff these
         # grid tables are; theta is uniform, so that certifies the product
-        # rule, and the (u, c, s) view sweep runs only to name a witness
-        cell = None if conditional else _tables_independent(_user_view_tables(ctx, node - 1))
+        # rule, and the witness is read off the same tables
+        conditional = all(np.array_equal(v, vals) and np.array_equal(t, counts) for v, t in rest)
         checks.append(
             IndependenceCheck(
                 name=f"user_privacy_node_{node}",
-                independent=cell is None,
+                independent=conditional,
                 exact=True,
                 universe_size=universe.size,
-                witness=None if cell is None else _user_witness(ctx, cell, node),
+                witness=None if conditional else _user_witness(ctx, tables, node),
                 conditional_equal=conditional,
             )
         )
     return AuditReport(params, universe.randomness_mode, tuple(checks))
 
 
-def _user_view_tables(ctx: _BatchContext, node0: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Per-theta count tables of one node's full view (query, answer,
-    share, S), swept over the whole (u, c, s) grid."""
-    p = ctx.params
-    a_radix = ctx.q ** ctx.a_digits_node
-    d_radix = ctx.q ** p.node_len
-    s_ids = np.arange(ctx.n_s, dtype=np.int64)
-    parts = [[] for _ in range(p.k)]
-    for chunk in ctx.db_chunks():
-        c = chunk["count"]
-        dpack = pack_digits(chunk["data"][node0].reshape(c, p.node_len), ctx.q)
-        for theta in range(1, p.k + 1):
-            ip, blind = ctx.answer_parts(chunk, theta)
-            key = ctx.pack_grid(
-                ip[:, :, node0].reshape(ctx.n_u, c, -1), blind[:, node0].reshape(ctx.n_s, -1)
-            )
-            # widen the packed answers in place to the view key
-            # ((query*a_radix + answer)*d_radix + share)*n_s + s
-            rest = ctx.qpack[theta - 1, node0][:, None] * (a_radix * d_radix) + dpack
-            key *= d_radix * ctx.n_s
-            key += rest[:, :, None] * ctx.n_s
-            key += s_ids
-            parts[theta - 1].append(np.unique(key.ravel(), return_counts=True))
-    return {theta: merge_count_tables(parts[theta - 1]) for theta in range(1, p.k + 1)}
+def _user_witness(ctx: _BatchContext, tables: list, node: int) -> dict:
+    """The first cell of the node's view (query, answer, share, S), in
+    (theta, view key) order, that breaks the product rule.
 
-
-def _user_witness(ctx: _BatchContext, cell: Violation, node: int) -> dict:
+    ``tables`` are the per-theta grid tables of (query, ip, share).  For a
+    fixed s the view cell (query, (ip + blind[s]) % q, share, s) is seen as
+    often as its grid cell, so it breaks the rule (theta is uniform: k *
+    count != right) exactly when the grid cell does.
+    """
     p = ctx.params
-    q = p.q
-    rest = cell.y
-    s_idx = rest % ctx.n_s
-    rest //= ctx.n_s
-    d_val = rest % (q ** p.node_len)
-    rest //= q ** p.node_len
-    a_val = rest % (q ** ctx.a_digits_node)
-    q_val = rest // (q ** ctx.a_digits_node)
+    q = ctx.q
+    a_radix = q ** ctx.a_digits_node
+    d_radix = q ** p.node_len
+    _, right, where = _merge_runs(tables)
+    cuts = np.cumsum([len(vals) for vals, _ in tables])[:-1]
+    for theta, ((vals, counts), idx) in enumerate(zip(tables, np.split(where, cuts)), 1):
+        rc = right[idx]
+        bad = counts * p.k != rc
+        if bad.any():
+            break
+    query = vals // (a_radix * d_radix)
+    mine = bad & (query == query[bad][0])  # keys are sorted: the least query
+    left = int(counts.sum()) * ctx.n_s
+    counts, rc = counts[mine], rc[mine]
+    ip = vals[mine] // d_radix % a_radix
+    share = vals[mine] % d_radix
+    # a broken cell's least answer is the least member of its coset ip + V
+    blind = ctx.blind[:, node - 1].reshape(ctx.n_s, -1)
+    ip_rows = ip[:, None] // q ** np.arange(ctx.a_digits_node - 1, -1, -1) % q
+    answers = _coset_keys(ip_rows, *_blinding_span(ctx, blind), q)
+    tied = answers == answers.min()
+    tied &= share == share[tied].min()
+    answer = unpack_digits(int(answers[tied][0]), q, ctx.a_digits_node)
+    # the least s that turns the mask side of a tied cell into the answer
+    ip_of_s = pack_digits((np.array(answer) - blind) % q, q)
+    s_idx = int(np.argmax(np.isin(ip_of_s, ip[tied])))
+    i = int(np.flatnonzero(tied & (ip == ip_of_s[s_idx]))[0])
     return {
-        "theta": cell.x,
+        "theta": theta,
         "node": node,
-        "query": unpack_digits(int(q_val), q, ctx.universe.u_digits),
-        "answers": unpack_digits(int(a_val), q, ctx.a_digits_node),
-        "node_data": unpack_digits(int(d_val), q, p.node_len),
-        "shared_randomness": ctx.s_rows[int(s_idx)].tolist(),
-        "counts": cell.counts(),
+        "query": unpack_digits(int(query[mine][0]), q, ctx.universe.u_digits),
+        "answers": answer,
+        "node_data": unpack_digits(int(share[i]), q, p.node_len),
+        "shared_randomness": ctx.s_rows[s_idx].tolist(),
+        "counts": {"joint": int(counts[i]), "left": left, "right": int(rc[i]), "total": p.k * left},
     }
 
 
@@ -695,11 +655,10 @@ def audit_db_privacy(
     if bits > _KEY_BITS:
         raise UniverseTooLarge(f"view tuple needs {bits} packed bits; exceeds exact-mode budget")
     w_radix = q ** wbar_digits
-    # as s sweeps the randomness rows, blind[s] hits each point of the
-    # blinding span V mult times, so each (u, c) cell is seen mult times
-    # with every answer of its coset ip + V (see the module docstring)
-    basis, pivots = _blinding_span(ctx)
-    mult = ctx.n_s // q ** len(pivots)
+    # the generator has full row rank, so as s sweeps the randomness rows
+    # blind[s] hits each point of the blinding span V once: each (u, c) cell
+    # is seen once with every answer of its coset ip + V (module docstring)
+    basis, pivots = _blinding_span(ctx, ctx.blind.reshape(ctx.n_s, -1))
     u_ids = np.arange(ctx.n_u, dtype=np.int64)[:, None]
     parts = []
     for chunk in ctx.db_chunks():
@@ -719,7 +678,6 @@ def audit_db_privacy(
     keys, counts = merge_count_tables(parts)
     cell = None if _full_blocks(keys, counts, w_radix) else _pairs_independent(keys, counts, w_radix)
     if cell is not None:  # the cell's counts over the full (u, c, s) grid
-        cell = cell._replace(joint=cell.joint * mult, left=cell.left * mult)
         cell = cell._replace(right=cell.right * ctx.n_s, total=cell.total * ctx.n_s)
     check = IndependenceCheck(
         name="db_privacy",
@@ -731,16 +689,17 @@ def audit_db_privacy(
     return AuditReport(params, universe.randomness_mode, (check,))
 
 
-def _blinding_span(ctx: _BatchContext) -> tuple[np.ndarray, list[int]]:
+def _blinding_span(ctx: _BatchContext, blind: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Row-reduced basis of the blinding span V and its pivot columns.
 
-    V holds the randomness sides ``blind[s]`` of the user's answers.  The
-    randomness rows are a coordinate subspace and ``blind`` is linear in
-    s, so V is spanned by the images of the free unit vectors.
+    V holds the randomness sides ``blind[s]`` of answers: ``blind`` is
+    (n_s, J), all nodes' columns or one node's.  The randomness rows are a
+    coordinate subspace and ``blind`` is linear in s, so V is spanned by
+    the images of the free unit vectors.
     """
     free = ctx.universe.s_free
-    units = ctx.blind[ctx.q ** np.arange(free - 1, -1, -1)]  # rows of the unit vectors
-    basis, pivots = fields.rref(units.reshape(free, ctx.a_digits_all), ctx.q)
+    units = blind[ctx.q ** np.arange(free - 1, -1, -1)]  # rows of the unit vectors
+    basis, pivots = fields.rref(units, ctx.q)
     return basis[: len(pivots)], pivots
 
 

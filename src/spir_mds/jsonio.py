@@ -94,13 +94,16 @@ def generator_to_json(g: GeneratorMatrix) -> dict:
     return {"q": g.q, "rows": _int_list(g.array)}
 
 
-def generator_from_json(obj, q: int) -> GeneratorMatrix:
-    """The generator of a document over F_q; its own ``q`` must match
-    (checked first, so a huge modulus never reaches the primality test)."""
+def generator_from_json(obj, params: StorageParams) -> GeneratorMatrix:
+    """The generator of a document for ``params``; its ``q`` and shape must
+    match, checked first so no huge modulus or array reaches a slow test."""
     _object("generator", obj, "q", "rows")
-    if obj["q"] != q:
-        raise InvalidParams(f"generator q={obj['q']!r} differs from the document's q={q}")
-    return GeneratorMatrix(q, _symbols("generator rows", obj["rows"], q))
+    if obj["q"] != params.q:
+        raise InvalidParams(f"generator q={obj['q']!r} differs from the document's q={params.q}")
+    rows = _symbols("generator rows", obj["rows"], params.q)
+    if rows.shape != (params.m, params.n):
+        raise InvalidParams(f"generator rows have shape {rows.shape}, params want {(params.m, params.n)}")
+    return GeneratorMatrix(params.q, rows)
 
 
 def database_to_json(db: Database) -> dict:
@@ -133,7 +136,7 @@ def shares_to_json(params: StorageParams, shares, g: GeneratorMatrix) -> dict:
 def shares_from_json(obj):
     _object("shares document", obj, "params", "generator", "nodes")
     params = params_from_json(obj["params"])
-    g = generator_from_json(obj["generator"], params.q)
+    g = generator_from_json(obj["generator"], params)
     if not isinstance(obj["nodes"], list):
         raise InvalidParams(f"nodes must be a JSON array, got {type(obj['nodes']).__name__}")
     for node in obj["nodes"]:

@@ -116,6 +116,9 @@ class GeneratorMatrix:
         arr = np.array(self.array, dtype=np.int64) % self.q
         if arr.ndim != 2:
             raise DimensionMismatch(f"expected 2-d data, got shape {arr.shape}")
+        rank = fields.rank_of(arr, self.q)
+        if rank < arr.shape[0]:
+            raise InvalidParams(f"generator of {arr.shape[0]} rows has row rank {rank}")
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
 

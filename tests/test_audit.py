@@ -1,5 +1,4 @@
 import hashlib
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,8 +17,6 @@ from spir_mds.audit import (
     _coset_keys,
     _full_blocks,
     _pairs_independent,
-    _tables_independent,
-    _user_view_tables,
     audit_correctness,
     audit_db_privacy,
     audit_user_privacy,
@@ -32,7 +29,7 @@ from spir_mds.audit import (
 )
 from spir_mds.errors import InvalidParams, UniverseTooLarge
 from spir_mds.network import SimNetwork
-from spir_mds.protocol import CommonRandomness
+from spir_mds.protocol import CommonRandomness, unit_mask
 from spir_mds.storage import Database, GeneratorMatrix, StorageParams
 
 
@@ -101,9 +98,9 @@ class TestDistributionCounter:
     @settings(max_examples=80, deadline=None)
     @given(mode=st.sampled_from(["product", "product_with_hole", "free"]), data=st.data())
     def test_array_checks_match_reference(self, mode, data):
-        # both array forms of the product rule (per-label tables, packed
-        # pairs) give the reference verdict, and any cell they name really
-        # violates the rule, with the reference's counts at that cell
+        # the packed-pairs form of the product rule gives the reference
+        # verdict, and any cell it names really violates the rule, with the
+        # reference's counts at that cell
         n_x = data.draw(st.integers(2, 3))
         n_y = data.draw(st.integers(1, 5))
         a = data.draw(st.lists(st.integers(1, 3), min_size=n_x, max_size=n_x))
@@ -131,12 +128,6 @@ class TestDistributionCounter:
                 and joint * reference.total != left * right
                 and tuple(cell[2:]) == (joint, left, right, reference.total)
             )
-
-        tables = {}
-        for x in range(n_x):
-            ys = np.array(sorted(y for (xx, y) in cells if xx == x), dtype=np.int64)
-            tables[x] = (ys, np.array([cells[(x, int(y))] for y in ys], dtype=np.int64))
-        assert matches_reference(_tables_independent(tables))
 
         radix = 8
         keys = np.array(sorted(x * radix + y for (x, y) in cells), dtype=np.int64)
@@ -588,38 +579,6 @@ class TestPartitionedSweep:
         assert whole[3].failed_checks()[0].witness is not None
 
 
-@lru_cache(maxsize=None)
-def sweep_context(q):
-    params = StorageParams(q=q, n=2, m=1, k=2)
-    return _BatchContext(params, generator_for_instance(params), Universe(params))
-
-
-class TestPackGrid:
-    # the word table is built when q**digits <= n_u * c, else one table
-    # row per grid row; both must equal packing the summed digits directly
-    @pytest.mark.parametrize("branch", ["word_table", "row_table"])
-    @settings(max_examples=40, deadline=None)
-    @given(q=st.sampled_from([2, 3, 5]), data=st.data())
-    def test_pack_grid_matches_direct_pack(self, branch, q, data):
-        n_u = data.draw(st.integers(q if branch == "word_table" else 1, 8))
-        c = data.draw(st.integers(1, 4))
-        n_s = data.draw(st.integers(1, 4))
-        fit = 0  # widest word whose alphabet fits the grid's rows
-        while q ** (fit + 1) <= n_u * c:
-            fit += 1
-        if branch == "word_table":
-            digits = data.draw(st.integers(1, fit))
-        else:
-            digits = data.draw(st.integers(fit + 1, fit + 2))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        ip = rng.integers(0, q, size=(n_u, c, digits))
-        blind = rng.integers(0, q, size=(n_s, digits))
-        want = pack_digits((ip[:, :, None, :] + blind[None, None]) % q, q)
-        got = sweep_context(q).pack_grid(ip, blind)
-        assert got.shape == (n_u, c, n_s)
-        assert np.array_equal(got, want)
-
-
 class TestSweepCannotGoVacuous:
     PARAMS = StorageParams(q=2, n=3, m=2, k=2)
 
@@ -658,50 +617,102 @@ class TestSweepCannotGoVacuous:
         assert mc_correctness(self.PARAMS, g, 20, seed=1) is False
 
 
+def full_view_witness(ctx, node):
+    """Reference user-privacy witness: one node's view (query, answer,
+    share, S) counted at every (u, c, s) point of the batched grid, and the
+    first cell, in (theta, view key) order, that breaks the product rule;
+    None when no cell does."""
+    p = ctx.params
+    counter = DistributionCounter()
+    for chunk in ctx.db_chunks():
+        c = chunk["count"]
+        shares = chunk["data"][node - 1].reshape(c, -1).tolist()
+        for theta in range(1, p.k + 1):
+            queries = ((ctx.u_mats + unit_mask(p, theta, node)) % p.q).reshape(ctx.n_u, -1).tolist()
+            ip, blind = ctx.answer_parts(chunk, theta)
+            answers = (ip[:, :, node - 1][:, :, None] + blind[:, node - 1]) % p.q
+            answers = answers.reshape(ctx.n_u, c, ctx.n_s, -1).tolist()
+            for u, ci, s in np.ndindex(ctx.n_u, c, ctx.n_s):
+                counter.add(theta, (tuple(queries[u]), tuple(answers[u][ci][s]), tuple(shares[ci]), s))
+    for theta, view in sorted(counter.joint):
+        joint, left, right = counter.joint[(theta, view)], counter.left[theta], counter.right[view]
+        if joint * counter.total != left * right:
+            query, answer, share, s = view
+            return {
+                "theta": theta,
+                "node": node,
+                "query": list(query),
+                "answers": list(answer),
+                "node_data": list(share),
+                "shared_randomness": ctx.s_rows[s].tolist(),
+                "counts": {"joint": joint, "left": left, "right": right, "total": counter.total},
+            }
+    return None
+
+
+def leak_theta(monkeypatch, leak):
+    """Make node 1's mask side depend on theta: shifted by theta, or, at
+    theta 2, read at another database or mask, which keeps the (query,
+    answer) or the (answer, share) table and shows only jointly with the
+    third part."""
+    real = _BatchContext.answer_parts
+
+    def leaky(self, chunk, theta):
+        ip, blind = real(self, chunk, theta)
+        out = ip.copy()
+        if leak == "shifted":
+            out[:, :, 0, 0, 0] = (ip[:, :, 0, 0, 0] + theta) % self.q
+        elif theta == 2:
+            out[:, :, 0] = np.flip(ip[:, :, 0], axis=1 if leak == "other_database" else 0)
+        return out, blind
+
+    monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
+    monkeypatch.setattr(_BatchContext, "answer_parts", leaky)
+
+
 class TestGridCertificate:
     """User privacy is certified on the (mask, database) grid: S is a view
     digit and, for fixed S, the answer is a bijection of the mask side, so
-    the grid tables are equal across indices iff the full view tables are."""
+    the grid tables are equal across indices iff the full view tables are,
+    and the witness is read off the grid tables."""
 
-    INSTANCES = EXHAUSTIVE_INSTANCES + [
-        StorageParams(q=3, n=3, m=2, k=2),
-        StorageParams(q=3, n=4, m=1, k=2),
+    # small enough for the per-point reference; the k = 3 instances are
+    # not pinned by REPORT_SHA256
+    WITNESS_INSTANCES = [
+        StorageParams(q=2, n=3, m=2, k=2),
+        StorageParams(q=2, n=3, m=1, k=3),
+        StorageParams(q=3, n=2, m=1, k=3),
     ]
 
     @pytest.mark.parametrize("mask_mode", ["full", "zeroed"])
-    @pytest.mark.parametrize("params", INSTANCES, ids=str)
+    @pytest.mark.parametrize(
+        "params", [StorageParams(q=2, n=2, m=1, k=2)] + WITNESS_INSTANCES, ids=str
+    )
     def test_grid_equality_is_view_equality(self, params, mask_mode):
         g = generator_for_instance(params)
         report = audit_user_privacy(params, g, mask_mode=mask_mode)
         ctx = _BatchContext(params, g, Universe(params, mask_mode=mask_mode))
-        for node0, check in enumerate(report.checks):
-            (vals, counts), *rest = _user_view_tables(ctx, node0).values()
-            views_equal = all(
-                np.array_equal(v, vals) and np.array_equal(c, counts) for v, c in rest
-            )
-            assert check.conditional_equal == views_equal
-            assert check.independent == views_equal
+        witnesses = [full_view_witness(ctx, node) for node in range(1, params.n + 1)]
+        assert [check.witness for check in report.checks] == witnesses
+        for check, witness in zip(report.checks, witnesses):
+            assert check.conditional_equal == check.independent == (witness is None)
         assert report.all_passed == (mask_mode == "full")
 
-    # node 1's mask side depends on theta: shifted by theta, or, at theta 2,
-    # read at another database or mask, which keeps the (query, answer) or
-    # the (answer, share) table and shows only jointly with the third part
+    @pytest.mark.parametrize("leak", ["shifted", "other_database", "other_mask"])
+    @pytest.mark.parametrize("params", WITNESS_INSTANCES, ids=str)
+    def test_witness_is_the_first_broken_view_cell(self, monkeypatch, params, leak):
+        leak_theta(monkeypatch, leak)
+        g = generator_for_instance(params)
+        report = audit_user_privacy(params, g)
+        ctx = _BatchContext(params, g, Universe(params))
+        witnesses = [full_view_witness(ctx, node) for node in range(1, params.n + 1)]
+        assert [check.witness for check in report.checks] == witnesses
+        assert witnesses[0] is not None and not any(witnesses[1:])
+
     @pytest.mark.parametrize("leak", ["shifted", "other_database", "other_mask"])
     def test_theta_dependent_answer_fails_the_certificate(self, monkeypatch, leak):
         params = StorageParams(q=3, n=3, m=2, k=2)
-        real = _BatchContext.answer_parts
-
-        def leaky(self, chunk, theta):
-            ip, blind = real(self, chunk, theta)
-            out = ip.copy()
-            if leak == "shifted":
-                out[:, :, 0, 0, 0] = (ip[:, :, 0, 0, 0] + theta) % self.q
-            elif theta == 2:
-                out[:, :, 0] = np.flip(ip[:, :, 0], axis=1 if leak == "other_database" else 0)
-            return out, blind
-
-        monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
-        monkeypatch.setattr(_BatchContext, "answer_parts", leaky)
+        leak_theta(monkeypatch, leak)
         report = audit_user_privacy(params, generator_for_instance(params))
         first, *others = report.checks
         assert first.conditional_equal is False and not first.independent
@@ -729,7 +740,7 @@ class TestBlindingCosetKeys:
         else:
             universe = Universe(params, randomness_mode="partial", partial_count=partial_count)
         ctx = _BatchContext(params, generator_for_instance(params), universe)
-        basis, pivots = _blinding_span(ctx)
+        basis, pivots = _blinding_span(ctx, ctx.blind.reshape(ctx.n_s, -1))
         (_, db_rows), = universe.db_row_chunks(universe.n_db)
         ip, blind = ctx.answer_parts(ctx.chunk(db_rows), 1)
         ip = ip.reshape(-1, ctx.a_digits_all)[:limit]
@@ -779,16 +790,11 @@ class TestBlindingCosetKeys:
             counts = check.witness["counts"]
             assert counts["joint"] * counts["total"] != counts["left"] * counts["right"]
 
-    # the mutant's shift at node 1, under a generator of rank 1: V then
-    # has rank 2 of the 4 random symbols, so each of its points is hit 4
-    # times and the witness counts must be rescaled by that, not by n_s
-    @pytest.mark.parametrize(
-        "g",
-        [GeneratorMatrix(2, [[1, 0, 1], [0, 1, 1]]), GeneratorMatrix(2, [[1, 1, 1], [1, 1, 1]])],
-        ids=["mds", "rank_1"],
-    )
-    def test_witness_counts_match_the_full_grid(self, monkeypatch, g):
+    # the mutant's shift at node 1: the witness counts, scaled from the
+    # coset keys, equal the counts over the full (u, c, s) grid
+    def test_witness_counts_match_the_full_grid(self, monkeypatch):
         params = StorageParams(q=2, n=3, m=2, k=2)
+        g = GeneratorMatrix(2, [[1, 0, 1], [0, 1, 1]])
         real = _BatchContext.answer_parts
 
         def shifted(self, chunk, theta):

@@ -410,6 +410,7 @@ BAD_SHARES = {
     "generator_missing": lambda doc: doc.pop("generator"),
     "generator_rows_missing": lambda doc: doc["generator"].pop("rows"),
     "generator_rows_flat": lambda doc: doc["generator"].update(rows=[1, 2, 0]),
+    "generator_wrong_shape": lambda doc: doc["generator"].update(rows=[[1, 0, 1, 1], [0, 1, 1, 2]]),
 }
 
 BAD_DATABASES = {
@@ -446,6 +447,14 @@ class TestMalformedDocuments:
         path.write_text(json.dumps(doc))
         assert run_cli("reconstruct", "--shares", str(path), "--nodes", "1,3") == 2
         assert capsys.readouterr().err == "error: missing key 'generator' in shares document\n"
+
+    def test_rank_deficient_generator_is_refused(self, tmp_path, capsys):
+        doc = _shares_doc(tmp_path)
+        doc["generator"]["rows"] = [[1, 2, 0], [2, 1, 0]]  # second row = 2 * first
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("reconstruct", "--shares", str(path), "--nodes", "1,3") == 2
+        assert capsys.readouterr().err == "error: generator of 2 rows has row rank 1\n"
 
     def test_lifted_shares_are_refused_not_misread(self, tmp_path):
         # the documented failure: congruent shares near 2**63 wrapped int64

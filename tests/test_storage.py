@@ -94,6 +94,26 @@ class TestGeneratorMatrix:
         with pytest.raises(DimensionMismatch):
             GeneratorMatrix(3, rows)
 
+    # the rank is taken mod q: [[1, 1], [1, 3]] has rank 2 over the
+    # integers but rank 1 over F_2; more rows than columns is never full
+    @pytest.mark.parametrize(
+        "q,rows,rank",
+        [
+            (2, [[1, 1, 1], [1, 1, 1]], 1),
+            (3, [[1, 2, 0], [2, 1, 0]], 1),
+            (2, [[1, 1], [1, 3]], 1),
+            (3, [[1, 0], [0, 1], [1, 1]], 2),
+            (5, [[0, 0, 0]], 0),
+        ],
+        ids=["repeated_row", "multiple_row", "rank_mod_q", "tall", "zero"],
+    )
+    def test_rejects_row_rank_below_row_count(self, q, rows, rank):
+        with pytest.raises(InvalidParams, match=f"generator of {len(rows)} rows has row rank {rank}$"):
+            GeneratorMatrix(q, rows)
+
+    def test_accepts_full_row_rank_mod_q(self):
+        assert GeneratorMatrix(3, [[1, 1], [1, 3]]).m == 2
+
     def test_reduces_mod_q(self):
         g = GeneratorMatrix(3, [[4, -1, 3]])
         assert g.array.tolist() == [[1, 2, 0]]

@@ -28,18 +28,20 @@ answers in one coset ip + V are seen equally often with every database.
 Each cell is keyed by its coset's least member, a subset of the full
 view keys in the same order.  Every database is enumerated, so the other
 files are uniform and database privacy holds iff each view is seen with
-every value of them, all with one count (``_full_blocks``).  No check
-sweeps the randomness axis.  When a certificate fails, both witnesses
-are read off the grid or coset keys already counted: the cell-by-cell
-product rule names the first broken cell, and its counts are scaled
-back to the full (mask, database, randomness) grid.
+every value of them, all with one count (``_full_blocks``).  Decoding is
+linear, so correctness decodes the two sides apart into (ip_w[u, c] +
+blind_w[S]) mod q, right everywhere iff blind_w is one value b over S
+(checked once) and ip_w is (file - b) mod q on the grid.  No check sweeps
+the randomness axis.  When a certificate fails, the product rule names
+the first broken cell among the keys already counted, and its counts are
+scaled back to the full (mask, database, randomness) grid.
 
 Enumeration is vectorized in chunks for speed, but every audit run
-re-derives a sample of its batched queries and answers through the served
-round (``network.SimNetwork``) and insists they agree, so the fast path
-cannot drift from the audited implementation.  Universes above the
-ceiling fall back to a seeded Monte Carlo mode that is reported as
-statistical (chi-square screen), never as exact.
+re-derives 32 sampled points, with every index, through the served round
+(a fresh ``network.SimNetwork`` per point at the audited params) and
+insists they agree, so the fast path cannot drift from the audited
+implementation.  Universes above the ceiling fall back to a seeded Monte
+Carlo mode reported as statistical (chi-square screen), never as exact.
 """
 
 from __future__ import annotations
@@ -67,10 +69,17 @@ RANDOMNESS_MODES = ("full", "zeroed", "partial")
 
 def enumerate_assignments(q: int, digits: int, start: int, stop: int) -> np.ndarray:
     """Rows ``start..stop`` of the lexicographic enumeration of F_q^digits."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, digits), dtype=np.int64)
-    for pos in range(digits):
-        out[:, pos] = (idx // q ** (digits - 1 - pos)) % q
+    return _digit_rows(np.arange(start, stop, dtype=np.int64), q, digits)
+
+
+def _digit_rows(ids, q: int, digits: int) -> np.ndarray:
+    """Base-q digit rows of ``ids`` (first digit most significant): the
+    inverse of ``pack_digits`` for ids below q**digits."""
+    ids = np.array(ids, dtype=np.int64)
+    out = np.empty(ids.shape + (digits,), dtype=np.int64)
+    for pos in range(digits - 1, -1, -1):
+        out[..., pos] = ids % q
+        ids //= q
     return out
 
 
@@ -89,11 +98,7 @@ def pack_digits(rows: np.ndarray, q: int) -> np.ndarray:
 
 
 def unpack_digits(value: int, q: int, digits: int) -> list[int]:
-    out = [0] * digits
-    for pos in range(digits - 1, -1, -1):
-        out[pos] = value % q
-        value //= q
-    return out
+    return _digit_rows(value, q, digits).tolist()
 
 
 @dataclass(frozen=True)
@@ -424,10 +429,7 @@ class _BatchContext:
         self._chunk_rows = max(1, _CHUNK_TARGET // max(1, self.n_u * self.n_s))
 
     def key_bits(self, *radixes: int) -> int:
-        bits = 0
-        for r in radixes:
-            bits += int(np.ceil(np.log2(max(2, r))))
-        return bits
+        return sum(int(np.ceil(np.log2(max(2, r)))) for r in radixes)
 
     def db_chunks(self) -> Iterator[dict]:
         for _, rows in self.universe.db_row_chunks(self._chunk_rows):
@@ -468,10 +470,11 @@ class _BatchContext:
     def selfcheck(self, seed: int = 0):
         """Re-derive sampled grid points through the served round.
 
-        Raises if the vectorized sweep ever disagrees with gen_queries or
-        with the answers a SimNetwork on the same assignment exchanges.
-        The sampled databases form one chunk, which goes through the same
-        batched path as a sweep.  Nothing is decoded here, so a wrong
+        Each point gets its own SimNetwork at the audited params and each
+        (point, index) its own gen_queries and exchange; then, per index,
+        raises unless all served queries and answers equal the batched
+        ones.  The sampled databases form one chunk, which goes through the
+        same batched path as a sweep.  Nothing is decoded here, so a wrong
         decoder reaches the correctness verdict instead of raising.
         """
         p = self.params
@@ -480,21 +483,21 @@ class _BatchContext:
         db_ids = rng.integers(0, self.universe.n_db, size=n_pts)
         u_ids = rng.integers(0, self.n_u, size=n_pts)
         s_ids = rng.integers(0, self.n_s, size=n_pts)
-        digits = self.universe.db_digits
-        chunk = self.chunk(
-            np.concatenate([enumerate_assignments(self.q, digits, i, i + 1) for i in db_ids])
-        )
-        parts = [self.answer_parts(chunk, theta) for theta in range(1, p.k + 1)]
+        chunk = self.chunk(_digit_rows(db_ids, self.q, self.universe.db_digits))
+        queries = np.empty((p.k, n_pts, p.n, self.universe.u_digits), dtype=np.int64)
+        answers = np.empty((p.k, n_pts, p.n, p.stripes, p.m), dtype=np.int64)
         for i, (u_i, s_i) in enumerate(zip(u_ids, s_ids)):
             net, u_val = _point_network(p, self.g, chunk["files"][i], self.u_rows[u_i], self.s_rows[s_i])
             for theta in range(1, p.k + 1):
                 qs = protocol.gen_queries(p, self.g, theta, u_override=u_val)
-                qpack = pack_digits(qs.per_node.reshape(p.n, self.universe.u_digits), self.q)
-                if not np.array_equal(qpack, self.qpack[theta - 1, :, u_i]):
-                    raise AssertionError("batched query pack disagrees with gen_queries")
-                ip, blind = parts[theta - 1]
-                if not np.array_equal(net.exchange(qs).per_node, (ip[u_i, i] + blind[s_i]) % self.q):
-                    raise AssertionError("batched answers disagree with gen_answer")
+                queries[theta - 1, i] = qs.per_node.reshape(p.n, -1)
+                answers[theta - 1, i] = net.exchange(qs).per_node
+        for theta in range(1, p.k + 1):
+            if not np.array_equal(pack_digits(queries[theta - 1], self.q), self.qpack[theta - 1][:, u_ids].T):
+                raise AssertionError("batched query pack disagrees with gen_queries")
+            ip, blind = self.answer_parts(chunk, theta)
+            if not np.array_equal(answers[theta - 1], (ip[u_ids, np.arange(n_pts)] + blind[s_ids]) % self.q):
+                raise AssertionError("batched answers disagree with gen_answer")
 
 
 def _point_network(params: StorageParams, g: GeneratorMatrix, files, u_row, s_row):
@@ -604,8 +607,7 @@ def _user_witness(ctx: _BatchContext, tables: list, node: int) -> dict:
     share = vals[mine] % d_radix
     # a broken cell's least answer is the least member of its coset ip + V
     blind = ctx.blind[:, node - 1].reshape(ctx.n_s, -1)
-    ip_rows = ip[:, None] // q ** np.arange(ctx.a_digits_node - 1, -1, -1) % q
-    answers = _coset_keys(ip_rows, *_blinding_span(ctx, blind), q)
+    answers = _coset_keys(_digit_rows(ip, q, ctx.a_digits_node), *_blinding_span(ctx, blind), q)
     tied = answers == answers.min()
     tied &= share == share[tied].min()
     answer = unpack_digits(int(answers[tied][0]), q, ctx.a_digits_node)
@@ -776,27 +778,25 @@ def audit_correctness(
     ctx.selfcheck()
     q = params.q
     eqs = params.n * params.m
-    w_pos_count = params.rows_per_stripe * params.m
     inv = protocol.decode_matrix_inverse(params, g)
     w_rows = inv[params.m * params.m :, :]  # ((n-m)*m, n*m) per stripe
     # decoding is linear, so it maps the two sides of each answer apart;
     # both sides are reduced, so the n*m-term sums stay inside int64
     blind = ctx.blind.transpose(0, 2, 1, 3).reshape(ctx.n_s, params.stripes, eqs)
     blind_w = (blind @ w_rows.T) % q  # (n_s, stripes, w_pos)
+    # right at every (u, c, s) iff the blinding cancels, blind_w[s] == b for
+    # every s, and ip_w, itself reduced, is (file - b) % q at every (u, c)
+    if not (blind_w == blind_w[0]).all():
+        return False
     for chunk in ctx.db_chunks():
         c = chunk["count"]
         for theta in range(1, params.k + 1):
             ip, _ = ctx.answer_parts(chunk, theta)
             ip = ip.transpose(0, 1, 3, 2, 4).reshape(ctx.n_u, c, params.stripes, eqs)
             ip_w = (ip @ w_rows.T) % q  # (n_u, c, stripes, w_pos)
-            expected = chunk["files"][:, theta - 1].reshape(c, params.stripes, w_pos_count)
-            for stripe in range(params.stripes):
-                for w_pos in range(w_pos_count):
-                    # decoded (ip_w + blind_w) % q equals the file symbol iff
-                    # ip_w, itself reduced, equals (symbol - blind_w) % q
-                    want = (expected[:, stripe, w_pos, None] - blind_w[:, stripe, w_pos]) % q
-                    if not (ip_w[:, :, stripe, w_pos, None] == want).all():
-                        return False
+            expected = chunk["files"][:, theta - 1].reshape(c, params.stripes, -1)
+            if not (ip_w == (expected - blind_w[0]) % q).all():
+                return False
     return True
 
 

@@ -282,7 +282,7 @@ def gen_answer(
             f"node {node_index}: share length {d.values.size} != stripes*query_len {stripes * qlen}"
         )
     data = d.values.reshape(stripes, qlen)
-    blind = np.einsum("sit,i->st", s.values, g.column(node_index)) % g.q
+    blind = (g.column(node_index) @ s.values) % g.q  # (stripes, m)
     raw = np.einsum("stq,sq->st", query, data)
     return (raw + blind) % g.q
 

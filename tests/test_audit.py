@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from conftest import EXHAUSTIVE_INSTANCES, generator_for_instance
 from spir_mds import cli, jsonio, protocol, storage
 from spir_mds.audit import (
+    AUDIT_SEED_DOMAIN,
     AuditReport,
     DistributionCounter,
     IndependenceCheck,
     Universe,
+    _SELFCHECK_POINTS,
     _BatchContext,
     _blinding_span,
     _coset_keys,
+    _digit_rows,
     _full_blocks,
     _pairs_independent,
     audit_correctness,
@@ -28,7 +31,7 @@ from spir_mds.audit import (
     unpack_digits,
 )
 from spir_mds.errors import InvalidParams, UniverseTooLarge
-from spir_mds.network import SimNetwork
+from spir_mds.network import NodeHandler, SimNetwork
 from spir_mds.protocol import CommonRandomness, unit_mask
 from spir_mds.storage import Database, GeneratorMatrix, StorageParams
 
@@ -67,6 +70,13 @@ class TestEnumeration:
     def test_pack_largest_fitting_width(self, q, digits):
         packed = int(pack_digits(np.full((1, digits), q - 1), q)[0])
         assert packed == q ** digits - 1
+
+    @pytest.mark.parametrize("q,digits", [(2, 62), (3, 39), (5, 3)])
+    def test_digit_rows_invert_pack(self, q, digits):
+        rows = np.random.default_rng(digits).integers(0, q, size=(2, 3, digits))
+        rows[0, 0] = q - 1
+        assert np.array_equal(_digit_rows(pack_digits(rows, q), q, digits), rows)
+        assert unpack_digits(int(pack_digits(rows[1, 2], q)), q, digits) == rows[1, 2].tolist()
 
 
 class TestDistributionCounter:
@@ -615,6 +625,193 @@ class TestSweepCannotGoVacuous:
         inv[p.m * p.m, 0] = (inv[p.m * p.m, 0] + 1) % p.q  # first file-symbol row
         monkeypatch.setattr(protocol, "decode_matrix_inverse", lambda params, gen: inv)
         assert mc_correctness(self.PARAMS, g, 20, seed=1) is False
+
+
+def selfcheck_masks(params, seed=0):
+    """The mask ids the selfcheck samples, drawn as it draws them: after
+    the database ids, from the same generator."""
+    universe = Universe(params)
+    rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
+    n_pts = min(_SELFCHECK_POINTS, universe.size)
+    rng.integers(0, universe.n_db, size=n_pts)
+    return rng.integers(0, universe.n_u, size=n_pts)
+
+
+class TestSelfcheckServesEveryPoint:
+    """The selfcheck runs the served round at every sampled point and
+    index, and compares every one of them with the batched path."""
+
+    PARAMS = StorageParams(q=3, n=3, m=2, k=2)
+
+    def test_one_network_per_point_and_one_round_per_index(self, monkeypatch):
+        p = self.PARAMS
+        networks, queries, answers = [], [], []
+
+        def spy(owner, name, log, record):
+            real = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                log.append(record(*args))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        spy(SimNetwork, "__init__", networks, lambda net, params, *_: (net, params))
+        spy(protocol, "gen_queries", queries, lambda params, g, theta: (params, theta))
+        spy(NodeHandler, "answer", answers, lambda handler, query: handler.node_index)
+        assert audit_user_privacy(p, generator_for_instance(p)).all_passed
+        # the logged networks stay alive, so distinct ids are distinct networks
+        assert len(networks) == len({id(net) for net, _ in networks}) == _SELFCHECK_POINTS
+        assert all(params == p for _, params in networks)
+        assert len(queries) == _SELFCHECK_POINTS * p.k
+        assert sorted(queries, key=lambda pt: pt[1]) == [
+            (p, theta) for theta in range(1, p.k + 1) for _ in range(_SELFCHECK_POINTS)
+        ]
+        assert len(answers) == _SELFCHECK_POINTS * p.k * p.n
+        assert sorted(answers) == sorted(list(range(1, p.n + 1)) * _SELFCHECK_POINTS * p.k)
+
+    @pytest.mark.parametrize("where", ["last_point", "last_theta"])
+    def test_one_wrong_batched_answer_fails(self, monkeypatch, where):
+        p = self.PARAMS
+        u_ids = selfcheck_masks(p)
+        real = _BatchContext.answer_parts
+
+        def flipped(self, chunk, theta):
+            ip, blind = real(self, chunk, theta)
+            ip = ip.copy()
+            if where == "last_point":  # the last sampled mask and database
+                ip[u_ids[-1], chunk["count"] - 1, -1, -1, -1] += 1
+            elif theta == p.k:
+                ip[..., -1] += 1
+            return ip % self.q, blind
+
+        monkeypatch.setattr(_BatchContext, "answer_parts", flipped)
+        with pytest.raises(AssertionError, match="batched answers disagree with gen_answer"):
+            audit_user_privacy(p, generator_for_instance(p))
+
+    def test_one_wrong_batched_query_fails(self, monkeypatch):
+        p = self.PARAMS
+        u_ids = selfcheck_masks(p)
+        real = _BatchContext.__init__
+
+        def corrupted(self, *args):
+            real(self, *args)
+            self.qpack[p.k - 1, p.n - 1, u_ids[-1]] += 1
+
+        monkeypatch.setattr(_BatchContext, "__init__", corrupted)
+        with pytest.raises(AssertionError, match="batched query pack disagrees with gen_queries"):
+            audit_user_privacy(p, generator_for_instance(p))
+
+
+def full_grid_correctness(params, g):
+    """Reference correctness: decode the mask and randomness sides apart and
+    compare the decoded symbol with the file at every (u, c, s) point."""
+    ctx = _BatchContext(params, g, Universe(params))
+    q, eqs, w_pos_count = params.q, params.n * params.m, params.rows_per_stripe * params.m
+    w_rows = protocol.decode_matrix_inverse(params, g)[params.m * params.m :]
+    blind_w = decoded_blinding(params, g)
+    for chunk in ctx.db_chunks():
+        c = chunk["count"]
+        for theta in range(1, params.k + 1):
+            ip, _ = ctx.answer_parts(chunk, theta)
+            ip = ip.transpose(0, 1, 3, 2, 4).reshape(ctx.n_u, c, params.stripes, eqs)
+            ip_w = (ip @ w_rows.T) % q
+            expected = chunk["files"][:, theta - 1].reshape(c, params.stripes, w_pos_count)
+            for stripe in range(params.stripes):
+                for w_pos in range(w_pos_count):
+                    decoded = (ip_w[:, :, stripe, w_pos, None] + blind_w[:, stripe, w_pos]) % q
+                    if not (decoded == expected[:, stripe, w_pos, None]).all():
+                        return False
+    return True
+
+
+def decoded_blinding(params, g):
+    """(n_s, stripes, w_pos): the file symbols decoded from the randomness side."""
+    ctx = _BatchContext(params, g, Universe(params))
+    w_rows = protocol.decode_matrix_inverse(params, g)[params.m * params.m :]
+    blind = ctx.blind.transpose(0, 2, 1, 3).reshape(ctx.n_s, params.stripes, params.n * params.m)
+    return (blind @ w_rows.T) % params.q
+
+
+class TestCorrectnessOnTheGrid:
+    """Correctness is decided on the (mask, database) grid after one check
+    that the decoded blinding is a single value over the randomness axis;
+    it agrees with the decode at every (u, c, s) point."""
+
+    PARAMS = StorageParams(q=2, n=3, m=2, k=2)
+
+    @pytest.mark.parametrize("params", EXHAUSTIVE_INSTANCES, ids=str)
+    def test_agrees_with_every_point(self, params):
+        g = generator_for_instance(params)
+        assert audit_correctness(params, g) is full_grid_correctness(params, g) is True
+
+    def blinding_cancels(self, g):
+        blind_w = decoded_blinding(self.PARAMS, g)
+        return bool((blind_w == blind_w[0]).all())
+
+    def test_mask_side_flip_fails_with_cancelling_blinding(self, monkeypatch):
+        real = _BatchContext.answer_parts
+
+        def flipped(self, chunk, theta):
+            ip, blind = real(self, chunk, theta)
+            ip = ip.copy()
+            ip[:, :, 0, 0, 0] = (ip[:, :, 0, 0, 0] + 1) % self.q
+            return ip, blind
+
+        monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
+        monkeypatch.setattr(_BatchContext, "answer_parts", flipped)
+        g = generator_for_instance(self.PARAMS)
+        assert self.blinding_cancels(g)
+        assert audit_correctness(self.PARAMS, g) is full_grid_correctness(self.PARAMS, g) is False
+
+    def test_wrong_inverse_fails_on_the_blinding(self, monkeypatch):
+        g = generator_for_instance(self.PARAMS)
+        p = self.PARAMS
+        inv = protocol.decode_matrix_inverse(p, g).copy()
+        inv[p.m * p.m, 0] = (inv[p.m * p.m, 0] + 1) % p.q  # first file-symbol row
+        monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
+        monkeypatch.setattr(protocol, "decode_matrix_inverse", lambda params, gen: inv)
+        assert not self.blinding_cancels(g)
+        assert audit_correctness(p, g) is full_grid_correctness(p, g) is False
+
+    def test_randomness_side_flip_fails_with_a_right_mask_side(self, monkeypatch):
+        # only the blinding of points s > 0 moves: the grid check alone
+        # would pass, since blind_w[0] and every mask side are untouched
+        real = _BatchContext.__init__
+
+        def flipped(self, *args):
+            real(self, *args)
+            self.blind = self.blind.copy()
+            self.blind[1:, 0, 0, 0] = (self.blind[1:, 0, 0, 0] + 1) % self.q
+
+        monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
+        monkeypatch.setattr(_BatchContext, "__init__", flipped)
+        g = generator_for_instance(self.PARAMS)
+        assert not self.blinding_cancels(g)
+        assert audit_correctness(self.PARAMS, g) is full_grid_correctness(self.PARAMS, g) is False
+
+    @pytest.mark.parametrize("params", [PARAMS, StorageParams(q=3, n=3, m=2, k=2)], ids=str)
+    def test_constant_nonzero_blinding_cancels_against_the_mask_side(self, monkeypatch, params):
+        # move a fixed offset v from every mask side to the blinding: the
+        # answers, and so the decoded file, are unchanged, but the decoded
+        # blinding is the nonzero constant v_w
+        offset = np.random.default_rng(3).integers(1, params.q, size=(params.n, params.stripes, params.m))
+        real_init, real_parts = _BatchContext.__init__, _BatchContext.answer_parts
+
+        def shifted_init(self, *args):
+            real_init(self, *args)
+            self.blind = (self.blind + offset) % self.q
+
+        def shifted_parts(self, chunk, theta):
+            ip, blind = real_parts(self, chunk, theta)
+            return (ip - offset) % self.q, blind
+
+        monkeypatch.setattr(_BatchContext, "__init__", shifted_init)
+        monkeypatch.setattr(_BatchContext, "answer_parts", shifted_parts)
+        g = generator_for_instance(params)
+        blind_w = decoded_blinding(params, g)
+        assert (blind_w == blind_w[0]).all() and blind_w[0].any()
+        assert audit_correctness(params, g) is full_grid_correctness(params, g) is True
 
 
 def full_view_witness(ctx, node):

@@ -19,7 +19,7 @@ from spir_mds.protocol import (
     unit_mask,
 )
 from spir_mds.network import SimNetwork
-from spir_mds.storage import Database, StorageParams, build_generator, encode
+from spir_mds.storage import Database, NodeData, StorageParams, build_generator, encode
 
 
 def reference_unit_mask(params, theta, node):
@@ -516,6 +516,41 @@ class TestOverflowGuard:
         assert main(base + ["--q", str(admitted)] + out) == 0
         assert main(base + ["--q", str(rejected)] + out) == 2
         assert "overflow" in capsys.readouterr().err
+
+
+class TestGenAnswerExplicitSum:
+    """gen_answer against a per-(stripe, t) sum in Python integers: a
+    transposed product or a wrapped int64 sum gives another symbol."""
+
+    N, M, K = 4, 2, 2
+
+    @pytest.mark.parametrize("stripes", [1, 3])
+    @pytest.mark.parametrize("q", [2, 101, None], ids=["q2", "q101", "largest_admitted"])
+    def test_matches_python_sum(self, stripes, q):
+        q = q or _boundary_primes(self.N, self.M, self.K)[0]
+        p = StorageParams(q=q, n=self.N, m=self.M, k=self.K, stripes=stripes)
+        g = find_decodable_generator(p)
+        rng = np.random.default_rng(stripes)
+        shapes = [(stripes, p.m, p.query_len), (stripes * p.query_len,), (stripes, p.m, p.m)]
+        draws = [[rng.integers(0, q, size=shape) for shape in shapes] for _ in range(3)]
+        draws.append([np.full(shape, q - 1) for shape in shapes])  # the largest sums
+        for query, share, s in draws:
+            data = share.reshape(stripes, p.query_len).tolist()
+            s_vals = s.tolist()
+            for node in range(1, p.n + 1):
+                col = g.column(node).tolist()
+                want = [
+                    [
+                        (
+                            sum(a * b for a, b in zip(query[st_, t].tolist(), data[st_]))
+                            + sum(col[i] * s_vals[st_][i][t] for i in range(p.m))
+                        ) % q
+                        for t in range(p.m)
+                    ]
+                    for st_ in range(stripes)
+                ]
+                got = gen_answer(node, query, NodeData(node, share), CommonRandomness(s), g)
+                assert got.tolist() == want
 
 
 class TestRound:

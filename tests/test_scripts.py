@@ -12,7 +12,7 @@ import spir_mds
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-@pytest.mark.parametrize("script", ["demo_round.py", "capacity_table.py", "leakage_sweep.py"])
+@pytest.mark.parametrize("script", ["demo_round.py", "capacity_table.py", "leakage_sweep.py", "audit_timing.py"])
 def test_script_exits_cleanly(script):
     # the child imports the same spir_mds as this process, installed or not
     src_dir = str(Path(spir_mds.__file__).resolve().parents[1])

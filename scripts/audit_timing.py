@@ -8,22 +8,22 @@ one op: correctness, user privacy, database privacy and the
 zeroed-randomness control.  One warm-up call precedes each series.  The
 figures are informational, for comparing runs on one machine.
 
-    python scripts/audit_timing.py [--reps 15]
+    python scripts/audit_timing.py
 """
 
-import argparse
 import statistics
 import time
 
 from spir_mds import StorageParams, audit, protocol
 
 PARAMS = StorageParams(q=3, n=3, m=2, k=2)
+REPS = 15
 
 
-def median_ms(fn, reps: int) -> float:
+def median_ms(fn) -> float:
     fn(0)
     times = []
-    for seed in range(reps):
+    for seed in range(REPS):
         start = time.perf_counter()
         fn(seed)
         times.append((time.perf_counter() - start) * 1e3)
@@ -31,9 +31,6 @@ def median_ms(fn, reps: int) -> float:
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--reps", type=int, default=15)
-    reps = parser.parse_args().reps
     g = protocol.generator_for(PARAMS)
     ctx = audit._BatchContext(PARAMS, g, audit.Universe(PARAMS))
 
@@ -43,9 +40,9 @@ def main():
         audit.audit_db_privacy(PARAMS, g, seed=seed)
         audit.leak_experiment(PARAMS, g, "zeroed", seed=seed)
 
-    where = f"(q, n, m, k) = ({PARAMS.q}, {PARAMS.n}, {PARAMS.m}, {PARAMS.k}), median of {reps}"
-    print(f"selfcheck: {median_ms(ctx.selfcheck, reps):.1f} ms at {where}")
-    print(f"four-audit op: {median_ms(op, reps):.1f} ms at {where}")
+    where = f"(q, n, m, k) = ({PARAMS.q}, {PARAMS.n}, {PARAMS.m}, {PARAMS.k}), median of {REPS}"
+    print(f"selfcheck: {median_ms(ctx.selfcheck):.1f} ms at {where}")
+    print(f"four-audit op: {median_ms(op):.1f} ms at {where}")
 
 
 if __name__ == "__main__":

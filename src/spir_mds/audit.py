@@ -429,7 +429,10 @@ class _BatchContext:
         self._chunk_rows = max(1, _CHUNK_TARGET // max(1, self.n_u * self.n_s))
 
     def key_bits(self, *radixes: int) -> int:
-        return sum(int(np.ceil(np.log2(max(2, r)))) for r in radixes)
+        bits = 0
+        for r in radixes:
+            bits += int(np.ceil(np.log2(max(2, r))))
+        return bits
 
     def db_chunks(self) -> Iterator[dict]:
         for _, rows in self.universe.db_row_chunks(self._chunk_rows):
@@ -484,19 +487,19 @@ class _BatchContext:
         u_ids = rng.integers(0, self.n_u, size=n_pts)
         s_ids = rng.integers(0, self.n_s, size=n_pts)
         chunk = self.chunk(_digit_rows(db_ids, self.q, self.universe.db_digits))
-        queries = np.empty((p.k, n_pts, p.n, self.universe.u_digits), dtype=np.int64)
-        answers = np.empty((p.k, n_pts, p.n, p.stripes, p.m), dtype=np.int64)
+        served = []  # (queries, answers) as served, point-major, index-minor
         for i, (u_i, s_i) in enumerate(zip(u_ids, s_ids)):
             net, u_val = _point_network(p, self.g, chunk["files"][i], self.u_rows[u_i], self.s_rows[s_i])
             for theta in range(1, p.k + 1):
                 qs = protocol.gen_queries(p, self.g, theta, u_override=u_val)
-                queries[theta - 1, i] = qs.per_node.reshape(p.n, -1)
-                answers[theta - 1, i] = net.exchange(qs).per_node
+                served.append((qs.per_node, net.exchange(qs).per_node))
         for theta in range(1, p.k + 1):
-            if not np.array_equal(pack_digits(queries[theta - 1], self.q), self.qpack[theta - 1][:, u_ids].T):
+            queries, answers = map(np.stack, zip(*served[theta - 1 :: p.k]))
+            queries = queries.reshape(n_pts, p.n, self.universe.u_digits)
+            if not np.array_equal(pack_digits(queries, self.q), self.qpack[theta - 1][:, u_ids].T):
                 raise AssertionError("batched query pack disagrees with gen_queries")
             ip, blind = self.answer_parts(chunk, theta)
-            if not np.array_equal(answers[theta - 1], (ip[u_ids, np.arange(n_pts)] + blind[s_ids]) % self.q):
+            if not np.array_equal(answers, (ip[u_ids, np.arange(n_pts)] + blind[s_ids]) % self.q):
                 raise AssertionError("batched answers disagree with gen_answer")
 
 

@@ -689,6 +689,20 @@ class TestSelfcheckServesEveryPoint:
         with pytest.raises(AssertionError, match="batched answers disagree with gen_answer"):
             audit_user_privacy(p, generator_for_instance(p))
 
+    @pytest.mark.parametrize("drift", ["fractional", "broadcastable_shape"])
+    def test_served_answers_are_compared_as_served(self, monkeypatch, drift):
+        # a store into an int64 buffer would floor the 0.5 away; the served
+        # arrays must reach the comparison with their own dtype and shape
+        real = SimNetwork.exchange
+
+        def drifted(net, query_set):
+            per_node = real(net, query_set).per_node
+            return protocol.AnswerSet(per_node + 0.5 if drift == "fractional" else per_node[..., :1])
+
+        monkeypatch.setattr(SimNetwork, "exchange", drifted)
+        with pytest.raises(AssertionError, match="batched answers disagree with gen_answer"):
+            audit_user_privacy(self.PARAMS, generator_for_instance(self.PARAMS))
+
     def test_one_wrong_batched_query_fails(self, monkeypatch):
         p = self.PARAMS
         u_ids = selfcheck_masks(p)

@@ -14,7 +14,7 @@ Three checks are offered:
   (all answers, the query scheme, the requested index);
 * correctness: the decoder returns the requested file at every point.
 
-Both privacy verdicts first try an exact certificate that needs no cross
+Both privacy verdicts are exact certificates that need no cross
 product.  Every index sweeps the same universe, so the index is uniform
 and user privacy holds iff the per-index count tables are equal.  Those
 tables are counted on the (mask, database) grid alone: S is a digit of
@@ -28,13 +28,14 @@ answers in one coset ip + V are seen equally often with every database.
 Each cell is keyed by its coset's least member, a subset of the full
 view keys in the same order.  Every database is enumerated, so the other
 files are uniform and database privacy holds iff each view is seen with
-every value of them, all with one count (``_full_blocks``).  Decoding is
-linear, so correctness decodes the two sides apart into (ip_w[u, c] +
-blind_w[S]) mod q, right everywhere iff blind_w is one value b over S
-(checked once) and ip_w is (file - b) mod q on the grid.  No check sweeps
-the randomness axis.  When a certificate fails, the product rule names
-the first broken cell among the keys already counted, and its counts are
-scaled back to the full (mask, database, randomness) grid.
+every value of them, all with one count; the first view cell that is
+not names the witness (``_short_block``).  Decoding is linear, so
+correctness decodes the two sides apart into (ip_w[u, c] + blind_w[S])
+mod q, right everywhere iff blind_w is one value b over S (checked once)
+and ip_w is (file - b) mod q on the grid.  No check sweeps the
+randomness axis.  A witness is the first broken cell among the keys
+already counted, and its counts are scaled back to the full (mask,
+database, randomness) grid.
 
 Enumeration is vectorized in chunks for speed, but every audit run
 re-derives 32 sampled points, with every index, through the served round
@@ -266,10 +267,10 @@ class AuditReport:
 
     @property
     def all_passed(self) -> bool:
-        return all(c.independent and c.conditional_equal is not False for c in self.checks)
+        return all(c.independent for c in self.checks)
 
     def failed_checks(self) -> list[IndependenceCheck]:
-        return [c for c in self.checks if not c.independent or c.conditional_equal is False]
+        return [c for c in self.checks if not c.independent]
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +303,12 @@ def merge_count_tables(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.n
     return vals, counts
 
 
-def _guard_products(total: int, max_count: int):
-    # all cross products must stay inside int64
-    if total * max_count >= 1 << _KEY_BITS:
-        raise UniverseTooLarge(
-            f"count products exceed {_KEY_BITS}-bit exact arithmetic (total={total})"
-        )
+def _require_key_bits(*radixes: int):
+    """Refuse a view tuple whose packed key, one digit per radix, could
+    leave the exact-mode budget of ``_KEY_BITS`` bits."""
+    bits = sum(int(np.ceil(np.log2(max(2, r)))) for r in radixes)
+    if bits > _KEY_BITS:
+        raise UniverseTooLarge(f"view tuple needs {bits} packed bits; exceeds exact-mode budget")
 
 
 class Violation(NamedTuple):
@@ -324,54 +325,31 @@ class Violation(NamedTuple):
         return {"joint": self.joint, "left": self.left, "right": self.right, "total": self.total}
 
 
-def _pairs_independent(keys: np.ndarray, counts: np.ndarray, right_radix: int) -> Optional[Violation]:
-    """Product-rule check for packed (left*right_radix + right) cells.
+def _short_block(keys: np.ndarray, counts: np.ndarray, right_radix: int) -> Optional[Violation]:
+    """The first packed (left*right_radix + right) cell whose count times
+    ``right_radix`` is not its left value's count, or None.
 
-    ``keys`` are sorted and distinct, so each left value is one run.  The
-    right marginal is tallied densely: in the database sweep
-    ``right_radix`` counts the other files' values, at most the number of
-    enumerated databases.  Returns the first violating cell, or None.
-    Only observed cells need checking: counts are positive, so if every
-    cell of x holds, summing them gives left(x) * total = left(x) * (right
-    mass seen with x), and x co-occurs with every y.
+    ``keys`` are sorted and distinct, so each left value x is one run.
+    None certifies the product rule on any table: every cell of x then
+    holds left(x) / right_radix, so x is seen with all right_radix values,
+    each with that count, and right = total / right_radix everywhere.  On
+    a uniform right marginal, as for the enumerated W̄, right = total /
+    right_radix for every value, so the product rule at a cell reads
+    count * right_radix == left(x): the named cell is the first that
+    breaks it, with its four counts.
     """
+    if int(counts.max()) * right_radix >= 1 << 63:
+        raise UniverseTooLarge(f"count products exceed int64 exact arithmetic (radix {right_radix})")
     left_keys = keys // right_radix
-    right_keys = keys % right_radix
-    total = int(counts.sum())
     starts = np.flatnonzero(np.concatenate(([True], left_keys[1:] != left_keys[:-1])))
-    lengths = np.diff(starts, append=len(keys))
-    left_counts = np.add.reduceat(counts, starts)
-    right_tally = np.zeros(right_radix, dtype=np.int64)
-    np.add.at(right_tally, right_keys, counts)
-    _guard_products(total, int(max(left_counts.max(), right_tally.max())))
-    rc = right_tally[right_keys]
-    bad = counts * total != np.repeat(left_counts, lengths) * rc
-    if bad.any():
-        i = int(np.argmax(bad))
-        left = int(left_counts[np.searchsorted(starts, i, side="right") - 1])
-        return Violation(int(left_keys[i]), int(right_keys[i]), int(counts[i]), left, int(rc[i]), total)
-    return None
-
-
-def _full_blocks(keys: np.ndarray, counts: np.ndarray, right_radix: int) -> bool:
-    """True when packed (left*right_radix + right) cells are full blocks:
-    every left value is seen with every right value in [0, right_radix),
-    all with the same count c_x.
-
-    Then joint = c_x, left = right_radix * c_x and right = total /
-    right_radix, so the product rule holds: a sufficient certificate.  It
-    is also necessary when the right marginal is uniform over the radix,
-    as it is for the enumerated W̄.  ``keys`` are sorted and distinct.
-    """
-    if len(keys) % right_radix:
-        return False
-    rows = keys.reshape(-1, right_radix)
-    blocks = counts.reshape(-1, right_radix)
-    return bool(
-        (rows[:, 0] % right_radix == 0).all()
-        and (rows[:, -1] - rows[:, 0] == right_radix - 1).all()
-        and (blocks == blocks[:, :1]).all()
-    )
+    left = np.repeat(np.add.reduceat(counts, starts), np.diff(starts, append=len(keys)))
+    bad = counts * right_radix != left
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    total = int(counts.sum())
+    x, y = divmod(int(keys[i]), right_radix)
+    return Violation(x, y, int(counts[i]), int(left[i]), total // right_radix, total)
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +406,6 @@ class _BatchContext:
                 )
         self._chunk_rows = max(1, _CHUNK_TARGET // max(1, self.n_u * self.n_s))
 
-    def key_bits(self, *radixes: int) -> int:
-        bits = 0
-        for r in radixes:
-            bits += int(np.ceil(np.log2(max(2, r))))
-        return bits
-
     def db_chunks(self) -> Iterator[dict]:
         for _, rows in self.universe.db_row_chunks(self._chunk_rows):
             yield self.chunk(rows)
@@ -460,15 +432,15 @@ class _BatchContext:
             )
         return {"count": c, "files": files, "data": data, "mask_ip": mask_ip}
 
-    def answer_parts(self, chunk: dict, theta: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mask side ``ip`` (n_u, c, n, stripes, m) and randomness side
-        ``blind`` (n_s, n, stripes, m) of every answer digit for index theta."""
+    def answer_parts(self, chunk: dict, theta: int) -> np.ndarray:
+        """Mask side ``ip`` (n_u, c, n, stripes, m) of every answer digit for
+        index theta; the randomness side is ``self.blind``."""
         node0, t0, row0 = protocol._unit_positions(self.params)
         col = (theta - 1) * self.params.rows_per_stripe + row0
         units = chunk["data"][node0, :, :, col]  # (units, c, stripes)
         ip = chunk["mask_ip"].copy()
         ip[:, :, node0, :, t0] = (ip[:, :, node0, :, t0] + units[:, None]) % self.q
-        return ip, self.blind
+        return ip
 
     def selfcheck(self, seed: int = 0):
         """Re-derive sampled grid points through the served round.
@@ -498,8 +470,8 @@ class _BatchContext:
             queries = queries.reshape(n_pts, p.n, self.universe.u_digits)
             if not np.array_equal(pack_digits(queries, self.q), self.qpack[theta - 1][:, u_ids].T):
                 raise AssertionError("batched query pack disagrees with gen_queries")
-            ip, blind = self.answer_parts(chunk, theta)
-            if not np.array_equal(answers, (ip[u_ids, np.arange(n_pts)] + blind[s_ids]) % self.q):
+            ip = self.answer_parts(chunk, theta)
+            if not np.array_equal(answers, (ip[u_ids, np.arange(n_pts)] + self.blind[s_ids]) % self.q):
                 raise AssertionError("batched answers disagree with gen_answer")
 
 
@@ -541,9 +513,7 @@ def audit_user_privacy(
     ctx.selfcheck(seed)
     q = params.q
     d_digits = params.node_len
-    bits = ctx.key_bits(q ** universe.u_digits, q ** ctx.a_digits_node, q ** d_digits)
-    if bits > _KEY_BITS:
-        raise UniverseTooLarge(f"view tuple needs {bits} packed bits; exceeds exact-mode budget")
+    _require_key_bits(q ** universe.u_digits, q ** ctx.a_digits_node, q ** d_digits)
     a_radix = q ** ctx.a_digits_node
     d_radix = q ** d_digits
     # parts[node0][theta-1]: one (values, counts) table per chunk
@@ -552,7 +522,7 @@ def audit_user_privacy(
         c = chunk["count"]
         dpack = pack_digits(chunk["data"].reshape(params.n, c, d_digits), q)  # (n, c)
         for theta in range(1, params.k + 1):
-            ip, _ = ctx.answer_parts(chunk, theta)
+            ip = ctx.answer_parts(chunk, theta)
             for node0 in range(params.n):
                 # grid key (query*a_radix + ip)*d_radix + share over (u, c)
                 key = pack_digits(ip[:, :, node0].reshape(ctx.n_u, c, -1), q)
@@ -656,9 +626,7 @@ def audit_db_privacy(
     ctx.selfcheck(seed)
     q = params.q
     wbar_digits = (params.k - 1) * params.file_len
-    bits = ctx.key_bits(q ** ctx.a_digits_all, ctx.n_u, params.k, q ** wbar_digits)
-    if bits > _KEY_BITS:
-        raise UniverseTooLarge(f"view tuple needs {bits} packed bits; exceeds exact-mode budget")
+    _require_key_bits(q ** ctx.a_digits_all, ctx.n_u, params.k, q ** wbar_digits)
     w_radix = q ** wbar_digits
     # the generator has full row rank, so as s sweeps the randomness rows
     # blind[s] hits each point of the blinding span V once: each (u, c) cell
@@ -672,7 +640,7 @@ def audit_db_privacy(
         # one count over all of them needs no merge
         key = np.empty((params.k, ctx.n_u, c), dtype=np.int64)
         for theta in range(1, params.k + 1):
-            ip, _ = ctx.answer_parts(chunk, theta)
+            ip = ctx.answer_parts(chunk, theta)
             apack = _coset_keys(ip.reshape(ctx.n_u, c, -1), basis, pivots, q)
             others = np.delete(chunk["files"], theta - 1, axis=1).reshape(c, wbar_digits)
             wbar = pack_digits(others, q)  # (c,)
@@ -681,7 +649,7 @@ def audit_db_privacy(
             key[theta - 1] += (u_ids * params.k + (theta - 1)) * w_radix + wbar
         parts.append(np.unique(key.ravel(), return_counts=True))
     keys, counts = merge_count_tables(parts)
-    cell = None if _full_blocks(keys, counts, w_radix) else _pairs_independent(keys, counts, w_radix)
+    cell = _short_block(keys, counts, w_radix)
     if cell is not None:  # the cell's counts over the full (u, c, s) grid
         cell = cell._replace(right=cell.right * ctx.n_s, total=cell.total * ctx.n_s)
     check = IndependenceCheck(
@@ -794,7 +762,7 @@ def audit_correctness(
     for chunk in ctx.db_chunks():
         c = chunk["count"]
         for theta in range(1, params.k + 1):
-            ip, _ = ctx.answer_parts(chunk, theta)
+            ip = ctx.answer_parts(chunk, theta)
             ip = ip.transpose(0, 1, 3, 2, 4).reshape(ctx.n_u, c, params.stripes, eqs)
             ip_w = (ip @ w_rows.T) % q  # (n_u, c, stripes, w_pos)
             expected = chunk["files"][:, theta - 1].reshape(c, params.stripes, -1)

@@ -32,10 +32,6 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def write_document(path: Union[str, Path], obj: dict):
-    Path(path).write_text(canonical_dumps(obj))
-
-
 def read_document(path: Union[str, Path]) -> dict:
     try:
         doc = json.loads(Path(path).read_text())

@@ -18,8 +18,8 @@ from spir_mds.audit import (
     _blinding_span,
     _coset_keys,
     _digit_rows,
-    _full_blocks,
-    _pairs_independent,
+    _require_key_bits,
+    _short_block,
     audit_correctness,
     audit_db_privacy,
     audit_user_privacy,
@@ -78,6 +78,11 @@ class TestEnumeration:
         assert np.array_equal(_digit_rows(pack_digits(rows, q), q, digits), rows)
         assert unpack_digits(int(pack_digits(rows[1, 2], q)), q, digits) == rows[1, 2].tolist()
 
+    def test_key_budget_is_62_bits(self):
+        _require_key_bits(2 ** 31, 3 ** 19)  # 31 + 31 bits
+        with pytest.raises(UniverseTooLarge, match="needs 63 packed bits; exceeds exact-mode budget"):
+            _require_key_bits(2 ** 31, 3 ** 19, 2)
+
 
 class TestDistributionCounter:
     def test_product_distribution_is_independent(self):
@@ -105,45 +110,6 @@ class TestDistributionCounter:
         ok, cell = counter.check_independent()
         assert not ok
 
-    @settings(max_examples=80, deadline=None)
-    @given(mode=st.sampled_from(["product", "product_with_hole", "free"]), data=st.data())
-    def test_array_checks_match_reference(self, mode, data):
-        # the packed-pairs form of the product rule gives the reference
-        # verdict, and any cell it names really violates the rule, with the
-        # reference's counts at that cell
-        n_x = data.draw(st.integers(2, 3))
-        n_y = data.draw(st.integers(1, 5))
-        a = data.draw(st.lists(st.integers(1, 3), min_size=n_x, max_size=n_x))
-        b = data.draw(st.lists(st.integers(1, 3), min_size=n_y, max_size=n_y))
-        cells = {(x, y): a[x] * b[y] for x in range(n_x) for y in range(n_y)}
-        if mode == "product_with_hole" and n_y > 1:
-            del cells[(data.draw(st.integers(0, n_x - 1)), data.draw(st.integers(0, n_y - 1)))]
-        elif mode == "free":
-            for cell in cells:
-                cells[cell] = data.draw(st.integers(1, 4))
-        reference = DistributionCounter()
-        for (x, y), c in cells.items():
-            reference.add(x, y, c)
-        want, _ = reference.check_independent()
-
-        def matches_reference(cell):
-            # the verdict agrees, and a named cell really violates the rule
-            # and carries the reference counts at that cell
-            if cell is None:
-                return want
-            joint = reference.joint.get((cell.x, cell.y), 0)
-            left, right = reference.left[cell.x], reference.right[cell.y]
-            return (
-                not want
-                and joint * reference.total != left * right
-                and tuple(cell[2:]) == (joint, left, right, reference.total)
-            )
-
-        radix = 8
-        keys = np.array(sorted(x * radix + y for (x, y) in cells), dtype=np.int64)
-        counts = np.array([cells[divmod(int(k), radix)] for k in keys], dtype=np.int64)
-        assert matches_reference(_pairs_independent(keys, counts, radix))
-
     def test_merge_count_tables_partitions(self):
         full = [(np.array([1, 2, 3]), np.array([4, 5, 6]))]
         split = [
@@ -158,19 +124,20 @@ class TestDistributionCounter:
 
 def packed_table(cells: dict, radix: int):
     """Sorted distinct packed keys x*radix + y, their counts, and the
-    reference counter of the same (x, y) -> count cells."""
+    reference counter of the same (x, y) -> count cells, inserted in key
+    order, so its first broken cell is the first in key order."""
     keys = np.array(sorted(x * radix + y for (x, y) in cells), dtype=np.int64)
     counts = np.array([cells[divmod(int(k), radix)] for k in keys], dtype=np.int64)
     reference = DistributionCounter()
-    for (x, y), c in cells.items():
-        reference.add(x, y, c)
+    for x, y in sorted(cells):
+        reference.add(x, y, cells[(x, y)])
     return keys, counts, reference
 
 
-class TestFullBlocksCertificate:
-    """``_full_blocks`` may only certify tables the product rule accepts,
-    and on a uniform right marginal (the enumerated W̄) it must certify
-    every such table."""
+class TestShortBlock:
+    """``_short_block`` may only pass tables the product rule accepts, and
+    on a uniform right marginal (the enumerated W̄) it must give the
+    reference's verdict and first broken cell, with its four counts."""
 
     @settings(max_examples=200, deadline=None)
     @given(radix=st.integers(1, 4), data=st.data())
@@ -188,8 +155,14 @@ class TestFullBlocksCertificate:
                 )
                 cells.update({(x, y): data.draw(st.integers(1, 3)) for y in ys})
         keys, counts, reference = packed_table(cells, radix)
-        if _full_blocks(keys, counts, radix):
+        cell = _short_block(keys, counts, radix)
+        if cell is None:
             assert reference.check_independent() == (True, None)
+        else:  # only the right count leans on a uniform right marginal
+            assert cell.joint * radix != cell.left
+            assert (cell.joint, cell.left, cell.total) == (
+                reference.joint[(cell.x, cell.y)], reference.left[cell.x], reference.total
+            )
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -212,22 +185,33 @@ class TestFullBlocksCertificate:
         cells = {(x, y): c for x, row in enumerate(rows) for y, c in enumerate(row) if c}
         keys, counts, reference = packed_table(cells, radix)
         assert set(reference.right.values()) == {target}
-        assert _full_blocks(keys, counts, radix) == reference.check_independent()[0]
+        ok, named = reference.check_independent()
+        cell = _short_block(keys, counts, radix)
+        if ok:
+            assert cell is None
+        else:
+            x, y = named
+            assert cell == (x, y, reference.joint[named], reference.left[x], reference.right[y], reference.total)
 
     @pytest.mark.parametrize(
-        "cells,clause",
+        "cells",
         [
-            ({(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 1}, "equal counts"),
-            ({(0, 1): 1, (1, 0): 1}, "row starts at a multiple of the radix"),
-            ({(0, 0): 1, (1, 1): 1}, "row spans the radix"),
-            ({(0, 0): 1, (0, 1): 1, (1, 0): 1}, "row count"),
+            {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 1},
+            {(0, 1): 1, (1, 0): 1},
+            {(0, 0): 1, (1, 1): 1},
+            {(0, 0): 1, (0, 1): 1, (1, 0): 1},
         ],
         ids=["counts", "start", "span", "length"],
     )
-    def test_each_clause_refuses_a_dependent_table(self, cells, clause):
+    def test_refuses_a_dependent_table(self, cells):
         keys, counts, reference = packed_table(cells, 2)
         assert reference.check_independent()[0] is False
-        assert not _full_blocks(keys, counts, 2), clause
+        assert _short_block(keys, counts, 2) is not None
+
+    def test_refuses_counts_past_int64(self):
+        # each count is multiplied by the radix in int64
+        with pytest.raises(UniverseTooLarge, match="int64"):
+            _short_block(np.array([0, 1]), np.array([1 << 62, 1 << 62]), 2)
 
 
 def pointwise_user_privacy_counter(params, g, node):
@@ -596,10 +580,10 @@ class TestSweepCannotGoVacuous:
         real = _BatchContext.answer_parts
 
         def flipped(self, chunk, theta):
-            ip, blind = real(self, chunk, theta)
+            ip = real(self, chunk, theta)
             ip = ip.copy()
             ip[:, :, 0, 0, 0] = (ip[:, :, 0, 0, 0] + 1) % self.q
-            return ip, blind
+            return ip
 
         monkeypatch.setattr(_BatchContext, "answer_parts", flipped)
         g = generator_for_instance(self.PARAMS)
@@ -677,13 +661,13 @@ class TestSelfcheckServesEveryPoint:
         real = _BatchContext.answer_parts
 
         def flipped(self, chunk, theta):
-            ip, blind = real(self, chunk, theta)
+            ip = real(self, chunk, theta)
             ip = ip.copy()
             if where == "last_point":  # the last sampled mask and database
                 ip[u_ids[-1], chunk["count"] - 1, -1, -1, -1] += 1
             elif theta == p.k:
                 ip[..., -1] += 1
-            return ip % self.q, blind
+            return ip % self.q
 
         monkeypatch.setattr(_BatchContext, "answer_parts", flipped)
         with pytest.raises(AssertionError, match="batched answers disagree with gen_answer"):
@@ -727,7 +711,7 @@ def full_grid_correctness(params, g):
     for chunk in ctx.db_chunks():
         c = chunk["count"]
         for theta in range(1, params.k + 1):
-            ip, _ = ctx.answer_parts(chunk, theta)
+            ip = ctx.answer_parts(chunk, theta)
             ip = ip.transpose(0, 1, 3, 2, 4).reshape(ctx.n_u, c, params.stripes, eqs)
             ip_w = (ip @ w_rows.T) % q
             expected = chunk["files"][:, theta - 1].reshape(c, params.stripes, w_pos_count)
@@ -767,10 +751,10 @@ class TestCorrectnessOnTheGrid:
         real = _BatchContext.answer_parts
 
         def flipped(self, chunk, theta):
-            ip, blind = real(self, chunk, theta)
+            ip = real(self, chunk, theta)
             ip = ip.copy()
             ip[:, :, 0, 0, 0] = (ip[:, :, 0, 0, 0] + 1) % self.q
-            return ip, blind
+            return ip
 
         monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
         monkeypatch.setattr(_BatchContext, "answer_parts", flipped)
@@ -817,8 +801,7 @@ class TestCorrectnessOnTheGrid:
             self.blind = (self.blind + offset) % self.q
 
         def shifted_parts(self, chunk, theta):
-            ip, blind = real_parts(self, chunk, theta)
-            return (ip - offset) % self.q, blind
+            return (real_parts(self, chunk, theta) - offset) % self.q
 
         monkeypatch.setattr(_BatchContext, "__init__", shifted_init)
         monkeypatch.setattr(_BatchContext, "answer_parts", shifted_parts)
@@ -840,8 +823,8 @@ def full_view_witness(ctx, node):
         shares = chunk["data"][node - 1].reshape(c, -1).tolist()
         for theta in range(1, p.k + 1):
             queries = ((ctx.u_mats + unit_mask(p, theta, node)) % p.q).reshape(ctx.n_u, -1).tolist()
-            ip, blind = ctx.answer_parts(chunk, theta)
-            answers = (ip[:, :, node - 1][:, :, None] + blind[:, node - 1]) % p.q
+            ip = ctx.answer_parts(chunk, theta)
+            answers = (ip[:, :, node - 1][:, :, None] + ctx.blind[:, node - 1]) % p.q
             answers = answers.reshape(ctx.n_u, c, ctx.n_s, -1).tolist()
             for u, ci, s in np.ndindex(ctx.n_u, c, ctx.n_s):
                 counter.add(theta, (tuple(queries[u]), tuple(answers[u][ci][s]), tuple(shares[ci]), s))
@@ -869,13 +852,13 @@ def leak_theta(monkeypatch, leak):
     real = _BatchContext.answer_parts
 
     def leaky(self, chunk, theta):
-        ip, blind = real(self, chunk, theta)
+        ip = real(self, chunk, theta)
         out = ip.copy()
         if leak == "shifted":
             out[:, :, 0, 0, 0] = (ip[:, :, 0, 0, 0] + theta) % self.q
         elif theta == 2:
             out[:, :, 0] = np.flip(ip[:, :, 0], axis=1 if leak == "other_database" else 0)
-        return out, blind
+        return out
 
     monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
     monkeypatch.setattr(_BatchContext, "answer_parts", leaky)
@@ -953,9 +936,8 @@ class TestBlindingCosetKeys:
         ctx = _BatchContext(params, generator_for_instance(params), universe)
         basis, pivots = _blinding_span(ctx, ctx.blind.reshape(ctx.n_s, -1))
         (_, db_rows), = universe.db_row_chunks(universe.n_db)
-        ip, blind = ctx.answer_parts(ctx.chunk(db_rows), 1)
-        ip = ip.reshape(-1, ctx.a_digits_all)[:limit]
-        blind = blind.reshape(ctx.n_s, -1)
+        ip = ctx.answer_parts(ctx.chunk(db_rows), 1).reshape(-1, ctx.a_digits_all)[:limit]
+        blind = ctx.blind.reshape(ctx.n_s, -1)
         keys = _coset_keys(ip, basis, pivots, params.q)
         coset = pack_digits((ip[:, None] + blind[None]) % params.q, params.q)  # (rows, n_s)
         assert np.array_equal(keys, coset.min(axis=1))
@@ -984,12 +966,12 @@ class TestBlindingCosetKeys:
         real = _BatchContext.answer_parts
 
         def shifted(self, chunk, theta):
-            ip, blind = real(self, chunk, theta)
+            ip = real(self, chunk, theta)
             out = ip.copy() if requested else chunk["mask_ip"].copy()
             w0 = np.delete(chunk["files"], theta - 1, axis=1).reshape(chunk["count"], -1)[:, 0]
             shift = g.array[0] if where == "codeword" else np.eye(params.n, dtype=np.int64)[0]
             out[:, :, :, 0, 0] = (out[:, :, :, 0, 0] + w0[:, None] * shift) % self.q
-            return out, blind
+            return out
 
         monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
         monkeypatch.setattr(_BatchContext, "answer_parts", shifted)
@@ -1006,14 +988,12 @@ class TestBlindingCosetKeys:
     def test_witness_counts_match_the_full_grid(self, monkeypatch):
         params = StorageParams(q=2, n=3, m=2, k=2)
         g = GeneratorMatrix(2, [[1, 0, 1], [0, 1, 1]])
-        real = _BatchContext.answer_parts
 
         def shifted(self, chunk, theta):
-            _, blind = real(self, chunk, theta)
             out = chunk["mask_ip"].copy()
             w0 = np.delete(chunk["files"], theta - 1, axis=1).reshape(chunk["count"], -1)[:, 0]
             out[:, :, 0, 0, 0] = (out[:, :, 0, 0, 0] + w0) % self.q
-            return out, blind
+            return out
 
         monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
         monkeypatch.setattr(_BatchContext, "answer_parts", shifted)
@@ -1023,8 +1003,8 @@ class TestBlindingCosetKeys:
         reference = DistributionCounter()
         for chunk in ctx.db_chunks():
             for theta in range(1, params.k + 1):
-                ip, blind = ctx.answer_parts(chunk, theta)
-                answers = (ip[:, :, None] + blind[None, None]) % params.q
+                ip = ctx.answer_parts(chunk, theta)
+                answers = (ip[:, :, None] + ctx.blind[None, None]) % params.q
                 others = np.delete(chunk["files"], theta - 1, axis=1).reshape(chunk["count"], -1)
                 for u, c, s in np.ndindex(answers.shape[:3]):
                     reference.add(

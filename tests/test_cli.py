@@ -85,13 +85,14 @@ class TestRun:
 
     def test_config_document_drives_run(self, tmp_path):
         cfg_path = tmp_path / "config.json"
-        jsonio.write_document(
-            cfg_path,
-            {
-                "schema_version": 1, "kind": "run_config", "q": 5, "n": 4, "m": 2, "k": 3,
-                "theta": 2, "seed_user": 1, "seed_node": 2, "seed_db": 3,
-                "randomness": "full", "generator": "cauchy",
-            },
+        cfg_path.write_text(
+            jsonio.canonical_dumps(
+                {
+                    "schema_version": 1, "kind": "run_config", "q": 5, "n": 4, "m": 2, "k": 3,
+                    "theta": 2, "seed_user": 1, "seed_node": 2, "seed_db": 3,
+                    "randomness": "full", "generator": "cauchy",
+                }
+            )
         )
         via_config = tmp_path / "via_config.json"
         via_flags = tmp_path / "via_flags.json"
@@ -338,7 +339,7 @@ class TestEncodeReconstruct:
         params = StorageParams(q=3, n=3, m=2, k=2)
         db = Database.random(params, protocol.db_rng(0))
         db_doc = tmp_path / "db.json"
-        jsonio.write_document(db_doc, jsonio.database_to_json(db))
+        db_doc.write_text(jsonio.canonical_dumps(jsonio.database_to_json(db)))
         shares = tmp_path / "shares.json"
         assert run_cli(
             "encode", "--q", "3", "--n", "3", "--m", "2", "--k", "2",

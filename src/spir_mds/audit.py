@@ -54,7 +54,7 @@ import numpy as np
 
 from . import fields, network, protocol
 from .errors import DecodeFailure, InvalidParams, UniverseTooLarge
-from .protocol import CommonRandomness, GeneratorMatrix, unit_mask
+from .protocol import CommonRandomness, GeneratorMatrix
 from .storage import Database, StorageParams
 
 DEFAULT_UNIVERSE_CEILING = 1 << 24
@@ -94,7 +94,8 @@ def pack_digits(rows: np.ndarray, q: int) -> np.ndarray:
         raise UniverseTooLarge(f"{rows.shape[-1]} base-{q} digits do not pack into int64")
     out = np.zeros(rows.shape[:-1], dtype=np.int64)
     for pos in range(rows.shape[-1]):
-        out = out * q + rows[..., pos]
+        out *= q
+        out += rows[..., pos]
     return out
 
 
@@ -390,20 +391,25 @@ class _BatchContext:
         self.a_digits_node = params.stripes * params.m
         self.a_digits_all = params.n * self.a_digits_node
         self.u_mats = self.u_rows.reshape(self.n_u, params.stripes, params.m, params.query_len)
+        # mask rows as (n_u, stripes, query_len, m) right operands of chunk's matmul
+        self.u_cols = np.ascontiguousarray(self.u_mats.transpose(0, 1, 3, 2))
 
         # blind[s_idx, node0, stripe, t0]
         s_mats = self.s_rows.reshape(self.n_s, params.stripes, params.m, params.m)
         self.blind = np.einsum("xsit,in->xnst", s_mats, g.array) % self.q
 
-        # packed per-node query values, per theta: (k, n, n_u)
+        # per theta: packed per-node queries (k, n, n_u), built as gen_queries
+        # builds them, and the (node0, stripe, t0, column) of its units
         self.qpack = np.empty((params.k, params.n, self.n_u), dtype=np.int64)
+        self.units = []
+        queries = np.empty((self.n_u, params.n, universe.u_digits), dtype=np.int64)
+        base = protocol._unit_index(params)
         for theta in range(1, params.k + 1):
-            for node in range(1, params.n + 1):
-                mask = unit_mask(params, theta, node)
-                qdig = (self.u_mats + mask[None, None, :, :]) % self.q
-                self.qpack[theta - 1, node - 1] = pack_digits(
-                    qdig.reshape(self.n_u, universe.u_digits), self.q
-                )
+            query_index, mask_index = (index + (theta - 1) * params.rows_per_stripe for index in base)
+            queries[...] = self.u_rows[:, None]
+            queries.reshape(self.n_u, -1)[:, query_index] = (self.u_rows[:, mask_index] + 1) % self.q
+            self.qpack[theta - 1] = pack_digits(queries, self.q).T
+            self.units.append(np.unravel_index(query_index, (params.n, params.stripes, params.m, params.query_len)))
         self._chunk_rows = max(1, _CHUNK_TARGET // max(1, self.n_u * self.n_s))
 
     def db_chunks(self) -> Iterator[dict]:
@@ -411,36 +417,32 @@ class _BatchContext:
             yield self.chunk(rows)
 
     def chunk(self, rows: np.ndarray) -> dict:
-        """Files, node shares and theta-free mask products of database rows."""
+        """Files and node shares of database rows, and per index theta the
+        mask side ``ip`` (n_u, c, n, stripes, m) of every answer digit."""
         p = self.params
         c = rows.shape[0]
         files = rows.reshape(c, p.k, p.file_rows, p.m)
         # slot order: stripe-major, file-major, row-minor (node layout)
-        slots = (
-            files.reshape(c, p.k, p.stripes, p.rows_per_stripe, p.m)
-            .transpose(0, 2, 1, 3, 4)
-            .reshape(c * p.node_len, p.m)
-        )
-        shares = (slots @ self.g.array) % self.q  # (c*node_len, n)
-        data = shares.reshape(c, p.stripes, p.query_len, p.n).transpose(3, 0, 1, 2)
-        mask_ip = np.empty((self.n_u, c, p.n, p.stripes, p.m), dtype=np.int64)
-        for stripe in range(p.stripes):
-            masks = self.u_mats[:, stripe].reshape(self.n_u * p.m, p.query_len)
-            prod = masks @ data[:, :, stripe].reshape(p.n * c, p.query_len).T
-            mask_ip[:, :, :, stripe] = (
-                (prod % self.q).reshape(self.n_u, p.m, p.n, c).transpose(0, 3, 2, 1)
-            )
-        return {"count": c, "files": files, "data": data, "mask_ip": mask_ip}
+        slots = files.reshape(c, p.k, p.stripes, p.rows_per_stripe, p.m).transpose(0, 4, 2, 1, 3)
+        shares = (self.g.array.T @ slots.reshape(c, p.m, p.node_len)) % self.q
+        data = shares.reshape(c, p.n, p.stripes, p.query_len)
+        # every theta's mask side in one buffer: one product per (u, stripe),
+        # reduced once, copied per theta, then raised by that theta's units
+        ip = np.empty((p.k, self.n_u, p.stripes, c * p.n, p.m), dtype=np.int64)
+        np.matmul(data.transpose(2, 0, 1, 3).reshape(p.stripes, c * p.n, p.query_len), self.u_cols, out=ip[0])
+        ip[0] %= self.q
+        ip[1:] = ip[0]
+        flat = ip.reshape(p.k, self.n_u, -1)
+        for theta, (node0, stripe, t0, col) in enumerate(self.units):
+            at = np.ravel_multi_index((stripe, np.arange(c)[:, None], node0, t0), (p.stripes, c, p.n, p.m))
+            flat[theta][:, at] = fields.add_reduced(flat[theta][:, at], data[:, node0, stripe, col], self.q)
+        ip = ip.reshape(p.k, self.n_u, p.stripes, c, p.n, p.m).transpose(0, 1, 3, 4, 2, 5)
+        return {"count": c, "files": files, "data": data.transpose(1, 0, 2, 3), "ip": ip}
 
     def answer_parts(self, chunk: dict, theta: int) -> np.ndarray:
         """Mask side ``ip`` (n_u, c, n, stripes, m) of every answer digit for
         index theta; the randomness side is ``self.blind``."""
-        node0, t0, row0 = protocol._unit_positions(self.params)
-        col = (theta - 1) * self.params.rows_per_stripe + row0
-        units = chunk["data"][node0, :, :, col]  # (units, c, stripes)
-        ip = chunk["mask_ip"].copy()
-        ip[:, :, node0, :, t0] = (ip[:, :, node0, :, t0] + units[:, None]) % self.q
-        return ip
+        return chunk["ip"][theta - 1]
 
     def selfcheck(self, seed: int = 0):
         """Re-derive sampled grid points through the served round.
@@ -460,7 +462,7 @@ class _BatchContext:
         s_ids = rng.integers(0, self.n_s, size=n_pts)
         chunk = self.chunk(_digit_rows(db_ids, self.q, self.universe.db_digits))
         served = []  # (queries, answers) as served, point-major, index-minor
-        for i, (u_i, s_i) in enumerate(zip(u_ids, s_ids)):
+        for i, (u_i, s_i) in enumerate(zip(u_ids.tolist(), s_ids.tolist())):
             net, u_val = _point_network(p, self.g, chunk["files"][i], self.u_rows[u_i], self.s_rows[s_i])
             for theta in range(1, p.k + 1):
                 qs = protocol.gen_queries(p, self.g, theta, u_override=u_val)
@@ -478,7 +480,7 @@ class _BatchContext:
 def _point_network(params: StorageParams, g: GeneratorMatrix, files, u_row, s_row):
     """The network on one universe point's database and shared randomness,
     and the point's masks shaped for ``gen_queries``."""
-    db = Database(params, np.reshape(files, (params.k, params.file_rows, params.m)))
+    db = Database(params, files.reshape(params.k, params.file_rows, params.m))
     s = CommonRandomness(s_row.reshape(params.stripes, params.m, params.m))
     net = network.SimNetwork(params, db, g, randomness=s)
     return net, u_row.reshape(params.stripes, params.m, params.query_len)

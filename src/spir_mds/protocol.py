@@ -126,28 +126,21 @@ def make_query_plan(params: StorageParams) -> QueryPlan:
 
 
 @lru_cache(maxsize=None)
-def _unit_positions(params: StorageParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """0-based (node, vector, row) index arrays of every unit in the plan.
-
-    The one source of unit placement for building and checking queries:
-    query ``per_node[node0, :, t0, (theta-1)*(n-m) + row0]`` is its mask
-    plus one, and every other query symbol equals its mask.
-    """
-    triples = np.array(list(zip(*make_query_plan(params).units())), dtype=np.int64) - 1
-    triples.flags.writeable = False
-    return tuple(triples)
-
-
-def unit_mask(params: StorageParams, theta: int, node_index: int) -> np.ndarray:
-    """(m, query_len) 0/1 array of the unit vectors raised at one node.
-
-    The row index is offset into file theta's block of the query vector.
-    """
-    node0, t0, row0 = _unit_positions(params)
-    mine = node0 == node_index - 1
-    mask = np.zeros((params.m, params.query_len), dtype=np.int64)
-    mask[t0[mine], (theta - 1) * params.rows_per_stripe + row0[mine]] = 1
-    return mask
+def _unit_index(params: StorageParams) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of every unit symbol of index 1, over all stripes, into
+    the (n, stripes, m, query_len) per-node queries and the (stripes, m,
+    query_len) masks each raises by one; index theta's sit (theta-1)*(n-m)
+    further on.  The one source of unit placement for queries and checks."""
+    node0, t0, row0 = np.array(list(zip(*make_query_plan(params).units())), dtype=np.int64) - 1
+    stripe = np.arange(params.stripes)[:, None]
+    shape = (params.n, params.stripes, params.m, params.query_len)
+    index = (
+        np.ravel_multi_index((node0, stripe, t0, row0), shape).ravel(),
+        np.ravel_multi_index((stripe, t0, row0), shape[1:]).ravel(),
+    )
+    for arr in index:
+        arr.flags.writeable = False
+    return index
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +171,7 @@ class CommonRandomness:
     values: np.ndarray  # (stripes, m, m); values[s, i-1, t-1] blinds X[i][t]
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.int64).copy()
+        arr = np.array(self.values, dtype=np.int64)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -256,10 +249,11 @@ def gen_queries(
             raise DimensionMismatch(f"u_override shape {u.shape} != {shape}")
     else:
         u = user_rng(user_seed).integers(0, params.q, size=shape, dtype=np.int64)
-    node0, t0, row0 = _unit_positions(params)
-    col = (theta - 1) * params.rows_per_stripe + row0
-    per_node = np.repeat(u[None], params.n, axis=0)
-    per_node[node0, :, t0, col] = (u[:, t0, col].T + 1) % params.q
+    query_index, mask_index = _unit_index(params)
+    offset = (theta - 1) * params.rows_per_stripe
+    per_node = np.empty((params.n,) + shape, dtype=np.int64)
+    per_node[...] = u
+    per_node.put(query_index + offset, (u.take(mask_index + offset) + 1) % params.q)
     return QuerySet(theta, u, per_node)
 
 
@@ -281,10 +275,10 @@ def gen_answer(
         raise DimensionMismatch(
             f"node {node_index}: share length {d.values.size} != stripes*query_len {stripes * qlen}"
         )
-    data = d.values.reshape(stripes, qlen)
-    blind = (g.column(node_index) @ s.values) % g.q  # (stripes, m)
-    raw = np.einsum("stq,sq->st", query, data)
-    return (raw + blind) % g.q
+    out = np.einsum("stq,sq->st", query, d.values.reshape(stripes, qlen))
+    out += (g.column(node_index) @ s.values) % g.q  # coded blinding, (stripes, m)
+    out %= g.q
+    return out
 
 
 def _x_col(i: int, t: int, m: int) -> int:
@@ -351,23 +345,28 @@ def decode(
     if query_set.theta != theta:
         raise InvalidParams(f"query set was built for theta={query_set.theta}, not {theta}")
     shape = (params.stripes, params.m, params.query_len)
-    u = np.asarray(query_set.u) % params.q
+    u = np.asarray(query_set.u)
     per_node = np.asarray(query_set.per_node)
     if u.shape != shape or per_node.shape != (params.n,) + shape:
         raise InvalidParams(f"query shapes {u.shape}, {per_node.shape} do not match {params}")
+    answers = np.asarray(answer_set.per_node)
+    if answers.shape != (params.n, params.stripes, params.m) or not np.issubdtype(answers.dtype, np.integer):
+        raise InvalidParams(f"answers of shape {answers.shape} and dtype {answers.dtype} do not match {params}")
+    if u.min() < 0 or u.max() >= params.q:  # served masks are reduced already
+        u = u % params.q
     # q >= 2, so each unit symbol differs from its mask: the queries equal
     # masks plus units iff they differ from the masks in exactly as many
     # places as there are units, and hold mask plus one at every unit.
-    node0, t0, row0 = _unit_positions(params)
-    col = (theta - 1) * params.rows_per_stripe + row0
-    if np.count_nonzero(per_node != u) != params.stripes * node0.size or not np.array_equal(
-        per_node[node0, :, t0, col], (u[:, t0, col].T + 1) % params.q
+    query_index, mask_index = _unit_index(params)
+    offset = (theta - 1) * params.rows_per_stripe
+    if np.count_nonzero(per_node != u) != query_index.size or not np.array_equal(
+        per_node.take(query_index + offset), (u.take(mask_index + offset) + 1) % params.q
     ):
         raise InvalidParams("per-node queries inconsistent with masks and plan")
     inv = decode_matrix_inverse(params, g)
     n, m = params.n, params.m
     # b[(node-1)*m + (t-1)] per stripe
-    b = answer_set.per_node.transpose(1, 0, 2).reshape(params.stripes, n * m)
+    b = answers.transpose(1, 0, 2).reshape(params.stripes, n * m)
     x = (b @ inv.T) % params.q  # (stripes, n*m)
     w = x[:, m * m:].reshape(params.stripes, params.rows_per_stripe, m)
     return w.reshape(params.file_rows, m)

@@ -250,8 +250,7 @@ class NodeData:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.int64)
-        arr = arr.copy()
+        arr = np.array(self.values, dtype=np.int64)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -273,8 +272,8 @@ def encode(db: Database, g: GeneratorMatrix) -> tuple[NodeData, ...]:
         raise DimensionMismatch(
             f"generator is ({g.m},{g.n}) over F_{g.q}, params want ({p.m},{p.n}) over F_{p.q}"
         )
-    shares = (db.slot_matrix() @ g.array) % p.q  # (slots, n)
-    return tuple(NodeData(n + 1, shares[:, n]) for n in range(p.n))
+    shares = (g.array.T @ db.slot_matrix().T) % p.q  # (n, slots): one row per node
+    return tuple(NodeData(n + 1, row) for n, row in enumerate(shares))
 
 
 def reconstruct(params: StorageParams, shares: Sequence[NodeData], g: GeneratorMatrix) -> Database:

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from spir_mds import StorageParams, build_generator, find_decodable_generator
+from spir_mds.protocol import make_query_plan
 from spir_mds.errors import FieldTooSmall
 
 # The four desk-scale instances every exhaustive audit runs on.
@@ -21,6 +23,28 @@ def generator_for_instance(params: StorageParams):
         return build_generator(params)
     except FieldTooSmall:
         return find_decodable_generator(params)
+
+
+def reference_unit_mask(params, theta, node):
+    """Per-node unit pattern built entry by entry from the plan table."""
+    plan = make_query_plan(params)
+    mask = np.zeros((params.m, params.query_len), dtype=np.int64)
+    base = (theta - 1) * params.rows_per_stripe
+    for t in range(1, params.m + 1):
+        row = plan.unit_row(node, t)
+        if row is not None:
+            mask[t - 1, base + row - 1] = 1
+    return mask
+
+
+def reference_queries(params, theta, u):
+    """Dense (u + reference_unit_mask) % q over every node."""
+    return np.stack(
+        [
+            (u + reference_unit_mask(params, theta, node)[None]) % params.q
+            for node in range(1, params.n + 1)
+        ]
+    )
 
 
 @pytest.hookimpl(hookwrapper=True)

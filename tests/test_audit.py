@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXHAUSTIVE_INSTANCES, generator_for_instance
+from conftest import EXHAUSTIVE_INSTANCES, generator_for_instance, reference_unit_mask
 from spir_mds import cli, jsonio, protocol, storage
 from spir_mds.audit import (
     AUDIT_SEED_DOMAIN,
@@ -32,7 +32,7 @@ from spir_mds.audit import (
 )
 from spir_mds.errors import InvalidParams, UniverseTooLarge
 from spir_mds.network import NodeHandler, SimNetwork
-from spir_mds.protocol import CommonRandomness, unit_mask
+from spir_mds.protocol import CommonRandomness
 from spir_mds.storage import Database, GeneratorMatrix, StorageParams
 
 
@@ -822,7 +822,7 @@ def full_view_witness(ctx, node):
         c = chunk["count"]
         shares = chunk["data"][node - 1].reshape(c, -1).tolist()
         for theta in range(1, p.k + 1):
-            queries = ((ctx.u_mats + unit_mask(p, theta, node)) % p.q).reshape(ctx.n_u, -1).tolist()
+            queries = ((ctx.u_mats + reference_unit_mask(p, theta, node)) % p.q).reshape(ctx.n_u, -1).tolist()
             ip = ctx.answer_parts(chunk, theta)
             answers = (ip[:, :, node - 1][:, :, None] + ctx.blind[:, node - 1]) % p.q
             answers = answers.reshape(ctx.n_u, c, ctx.n_s, -1).tolist()
@@ -916,6 +916,12 @@ class TestGridCertificate:
         assert all(c.conditional_equal and c.independent for c in others)
 
 
+def mask_side(ctx, chunk):
+    """The (n_u, c, n, stripes, m) inner products of the masks alone with
+    every node's share: the mask side with no index's units."""
+    return np.einsum("ustq,ncsq->ucnst", ctx.u_mats, chunk["data"]) % ctx.q
+
+
 class TestBlindingCosetKeys:
     """Database privacy is counted once per coset ip + V of the blinding
     span V: the key of a mask side is the packed least member of its
@@ -967,7 +973,7 @@ class TestBlindingCosetKeys:
 
         def shifted(self, chunk, theta):
             ip = real(self, chunk, theta)
-            out = ip.copy() if requested else chunk["mask_ip"].copy()
+            out = ip.copy() if requested else mask_side(self, chunk)
             w0 = np.delete(chunk["files"], theta - 1, axis=1).reshape(chunk["count"], -1)[:, 0]
             shift = g.array[0] if where == "codeword" else np.eye(params.n, dtype=np.int64)[0]
             out[:, :, :, 0, 0] = (out[:, :, :, 0, 0] + w0[:, None] * shift) % self.q
@@ -990,7 +996,7 @@ class TestBlindingCosetKeys:
         g = GeneratorMatrix(2, [[1, 0, 1], [0, 1, 1]])
 
         def shifted(self, chunk, theta):
-            out = chunk["mask_ip"].copy()
+            out = mask_side(self, chunk)
             w0 = np.delete(chunk["files"], theta - 1, axis=1).reshape(chunk["count"], -1)[:, 0]
             out[:, :, 0, 0, 0] = (out[:, :, 0, 0, 0] + w0) % self.q
             return out

@@ -43,6 +43,20 @@ def test_node_handlers_are_isolated():
         net.nodes[1].database = db  # no __dict__ to smuggle state into
 
 
+def test_node_shares_are_read_only_and_disjoint():
+    p = StorageParams(q=5, n=4, m=2, k=2, stripes=2)
+    net = SimNetwork(p, Database.random(p, np.random.default_rng(3)), build_generator(p))
+    shares = [h.data.values for h in net.nodes]
+    for i, values in enumerate(shares):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0
+        # a view's base would hand the node every share encoded with its own
+        assert values.base is None
+        assert not np.shares_memory(values, net.db.files)
+        assert not any(np.shares_memory(values, other) for other in shares[i + 1 :])
+
+
 def test_decode_failure_on_tampered_node():
     p = StorageParams(q=3, n=3, m=2, k=2)
     g = build_generator(p)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_queries, reference_unit_mask
 from spir_mds import fields
 from spir_mds.cli import main
 from spir_mds.errors import InvalidParams, TooFewFiles
@@ -15,33 +16,11 @@ from spir_mds.protocol import (
     gen_answer,
     gen_queries,
     QuerySet,
+    _unit_index,
     make_query_plan,
-    unit_mask,
 )
 from spir_mds.network import SimNetwork
 from spir_mds.storage import Database, NodeData, StorageParams, build_generator, encode
-
-
-def reference_unit_mask(params, theta, node):
-    """Per-node unit pattern built entry by entry from the plan table."""
-    plan = make_query_plan(params)
-    mask = np.zeros((params.m, params.query_len), dtype=np.int64)
-    base = (theta - 1) * params.rows_per_stripe
-    for t in range(1, params.m + 1):
-        row = plan.unit_row(node, t)
-        if row is not None:
-            mask[t - 1, base + row - 1] = 1
-    return mask
-
-
-def reference_queries(params, theta, u):
-    """Dense (u + unit_mask) % q over every node."""
-    return np.stack(
-        [
-            (u + reference_unit_mask(params, theta, node)[None]) % params.q
-            for node in range(1, params.n + 1)
-        ]
-    )
 
 
 def check_plan_shape(params):
@@ -149,7 +128,7 @@ class TestGenQueries:
             qs = gen_queries(p, g, theta, user_seed=9)
             for node in range(1, p.n + 1):
                 delta = (qs.per_node[node - 1] - qs.u) % p.q
-                expected = unit_mask(p, theta, node)
+                expected = reference_unit_mask(p, theta, node)
                 assert np.array_equal(delta, np.broadcast_to(expected, delta.shape))
 
     @settings(max_examples=60, deadline=None)
@@ -171,8 +150,6 @@ class TestGenQueries:
         for theta in range(1, k + 1):
             qs = gen_queries(p, g, theta, user_seed=seed)
             assert np.array_equal(qs.per_node, reference_queries(p, theta, qs.u))
-            for node in range(1, n + 1):
-                assert np.array_equal(unit_mask(p, theta, node), reference_unit_mask(p, theta, node))
 
     def test_bad_theta(self):
         p = StorageParams(q=3, n=3, m=2, k=2)
@@ -186,6 +163,33 @@ class TestGenQueries:
         a = gen_queries(p, g, 1, user_seed=4)
         b = gen_queries(p, g, 1, user_seed=4)
         assert a == b
+
+
+class TestUnitIndex:
+    """The cached flat unit index that gen_queries scatters with and
+    decode checks with."""
+
+    @pytest.mark.parametrize(
+        "p, case",
+        [
+            (StorageParams(q=5, n=4, m=2, k=3, stripes=2), "case1"),
+            (StorageParams(q=7, n=7, m=2, k=3, stripes=2), "case2"),
+        ],
+        ids=["case1", "case2"],
+    )
+    def test_read_only_and_gives_reference_queries(self, p, case):
+        assert make_query_plan(p).case == case
+        u = np.random.default_rng(1).integers(0, p.q, size=(p.stripes, p.m, p.query_len))
+        query_index, mask_index = _unit_index(p)
+        for index in (query_index, mask_index):
+            assert not index.flags.writeable
+            with pytest.raises(ValueError):
+                index[0] = 0
+        for theta in (1, p.k):
+            offset = (theta - 1) * p.rows_per_stripe
+            per_node = np.stack([u] * p.n)
+            per_node.put(query_index + offset, (u.take(mask_index + offset) + 1) % p.q)
+            assert np.array_equal(per_node, reference_queries(p, theta, u))
 
 
 def blinding_answers(p, g, s):
@@ -426,6 +430,25 @@ class TestDecodeConsistencyCheck:
                 decode(p, g, tr.theta, QuerySet(qs.theta, qs.u, per_node), tr.answer_set)
         with pytest.raises(InvalidParams):
             decode(p, g, tr.theta, QuerySet(qs.theta, qs.u[:1, :, :], qs.per_node), tr.answer_set)
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            lambda a: a.transpose(1, 0, 2),  # (stripes, n, m): decoded silently before
+            lambda a: a.astype(np.float64),  # returned a float "file" before
+            lambda a: a[:-1],
+            lambda a: a[..., :1],
+            lambda a: a.ravel(),
+            lambda a: a[None],
+        ],
+        ids=["transposed", "float", "missing_node", "short_vectors", "flat", "extra_axis"],
+    )
+    def test_malformed_answer_sets(self, malformed):
+        p = StorageParams(q=5, n=4, m=2, k=2, stripes=2)
+        tr = _valid_round(p)
+        g = build_generator(p)
+        with pytest.raises(InvalidParams):
+            decode(p, g, tr.theta, tr.query_set, AnswerSet(malformed(tr.answer_set.per_node)))
 
     @pytest.mark.parametrize("p", DECODE_CHECK_PARAMS, ids=repr)
     def test_theta_mismatch(self, p):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -282,6 +283,30 @@ class TestAudit:
             "--randomness", "partial=1", "--checks", "db-privacy", "--out", str(out),
         )
         assert code == 0
+
+    # sha256 over exit code, report and stderr of every audit in the grid
+    # below; moves only if some exact report, witness or exit code changes
+    EXACT_AUDITS_SHA256 = "33f7eeeca8206637e121356f6b5d3cfe93ebbe628ab8d878ef5ebd160746e87d"
+
+    def test_exact_reports_match_pinned_hash(self, capsys):
+        instances = [
+            ("2", "2", "1", "2"),
+            ("3", "3", "2", "2"),
+            ("2", "4", "1", "2"),
+            ("2", "3", "2", "2", "--generator", "search"),
+        ]
+        digest = hashlib.sha256()
+        for q, n, m, k, *generator in instances:
+            for randomness in ("full", "zeroed", "partial=0", "partial=1"):
+                for checks in ((), ("--checks", "db-privacy"),
+                               ("--checks", "user-privacy,correctness")):
+                    code = run_cli(
+                        "audit", "--q", q, "--n", n, "--m", m, "--k", k, *generator,
+                        "--randomness", randomness, *checks,
+                    )
+                    out, err = capsys.readouterr()
+                    digest.update(f"{code}\n{len(out)}\n{out}{len(err)}\n{err}".encode())
+        assert digest.hexdigest() == self.EXACT_AUDITS_SHA256
 
 
 class TestRates:

@@ -3,9 +3,12 @@
 
 At (q, n, m, k) = (3, 3, 2, 2), the instance of the benchmark's exact-audit
 workload, it prints the median wall time of one `_BatchContext.selfcheck`
-(32 sampled points, every index, each through its own SimNetwork) and of
+(32 sampled points, every index, each through its own SimNetwork), of
 one op: correctness, user privacy, database privacy and the
-zeroed-randomness control.  One warm-up call precedes each series.  Then
+zeroed-randomness control, each a separate audit with its own selfcheck,
+and of one default `run_audit`, the `spir-mds audit` op, whose three
+checks share one universe and so one selfcheck.  One warm-up call
+precedes each series.  Then
 it prints the best per-call time of the calls a selfcheck repeats, 32·k
 or 32 times (`gen_queries`, `gen_answer`, `SimNetwork.exchange`,
 `_point_network`), and of the batched kernel a sweep runs once per chunk
@@ -54,6 +57,8 @@ def main():
     where = f"(q, n, m, k) = ({PARAMS.q}, {PARAMS.n}, {PARAMS.m}, {PARAMS.k})"
     print(f"selfcheck: {median_ms(ctx.selfcheck):.1f} ms at {where}, median of {REPS}")
     print(f"four-audit op: {median_ms(op):.1f} ms at {where}, median of {REPS}")
+    default_audit = median_ms(lambda seed: audit.run_audit(PARAMS, g, seed=seed))
+    print(f"default run_audit: {default_audit:.1f} ms at {where}, median of {REPS}")
 
     # one universe point, as the selfcheck serves it, and one full chunk
     rows = audit.enumerate_assignments(PARAMS.q, ctx.universe.db_digits, 0, ctx.universe.n_db)

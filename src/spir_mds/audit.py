@@ -37,7 +37,9 @@ randomness axis.  A witness is the first broken cell among the keys
 already counted, and its counts are scaled back to the full (mask,
 database, randomness) grid.
 
-Enumeration is vectorized in chunks for speed, but every audit run
+``run_audit`` is the one entry point: it runs the named checks, and
+checks on one universe share one batched context.  Enumeration is
+vectorized in chunks for speed, but each audited universe first
 re-derives 32 sampled points, with every index, through the served round
 (a fresh ``network.SimNetwork`` per point at the audited params) and
 insists they agree, so the fast path cannot drift from the audited
@@ -62,10 +64,11 @@ MC_SIGNIFICANCE = 1e-6
 AUDIT_SEED_DOMAIN = 4
 
 _CHUNK_TARGET = 1 << 22  # max elements per (mask, db, randomness) plane
-_SELFCHECK_POINTS = 32  # per-run cross-validation against the scalar protocol path
+_SELFCHECK_POINTS = 32  # per audited universe: cross-validation against the served round
 _KEY_BITS = 62
 
 RANDOMNESS_MODES = ("full", "zeroed", "partial")
+CHECKS = ("correctness", "user-privacy", "db-privacy")
 
 
 def enumerate_assignments(q: int, digits: int, start: int, stop: int) -> np.ndarray:
@@ -487,32 +490,17 @@ def _point_network(params: StorageParams, g: GeneratorMatrix, files, u_row, s_ro
 
 
 # ---------------------------------------------------------------------------
-# Exact audits
+# Exact cores: each sweeps its context's universe and returns its verdicts
 # ---------------------------------------------------------------------------
 
-def audit_user_privacy(
-    params: StorageParams,
-    g: GeneratorMatrix,
-    *,
-    ceiling: int = DEFAULT_UNIVERSE_CEILING,
-    mask_mode: str = "full",
-    samples: Optional[int] = None,
-    seed: int = 0,
-) -> AuditReport:
+def _user_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck, ...]:
     """Per node: is the index independent of (query, answer, share, S)?
 
-    The index is modeled uniform; the report carries both the exact
+    The index is modeled uniform; each check carries both the exact
     product-rule verdict and the per-index conditional-table comparison,
     which agree by construction.
     """
-    require_samples(samples)
-    universe = Universe(params, mask_mode=mask_mode)
-    if universe.exceeds(ceiling):
-        if samples is None:
-            universe.require_within(ceiling)
-        return _mc_user_privacy(params, g, universe, samples, seed)
-    ctx = _BatchContext(params, g, universe)
-    ctx.selfcheck(seed)
+    params, universe = ctx.params, ctx.universe
     q = params.q
     d_digits = params.node_len
     _require_key_bits(q ** universe.u_digits, q ** ctx.a_digits_node, q ** d_digits)
@@ -551,7 +539,7 @@ def audit_user_privacy(
                 conditional_equal=conditional,
             )
         )
-    return AuditReport(params, universe.randomness_mode, tuple(checks))
+    return tuple(checks)
 
 
 def _user_witness(ctx: _BatchContext, tables: list, node: int) -> dict:
@@ -601,16 +589,7 @@ def _user_witness(ctx: _BatchContext, tables: list, node: int) -> dict:
     }
 
 
-def audit_db_privacy(
-    params: StorageParams,
-    g: GeneratorMatrix,
-    *,
-    randomness_mode: str = "full",
-    partial_count: Optional[int] = None,
-    ceiling: int = DEFAULT_UNIVERSE_CEILING,
-    samples: Optional[int] = None,
-    seed: int = 0,
-) -> AuditReport:
+def _db_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck]:
     """Are the non-requested files independent of the user's whole view?
 
     The view is (all answers, the query scheme, the requested index); the
@@ -618,14 +597,7 @@ def audit_db_privacy(
     plain mask vector, so the map between them is a bijection) and stand
     in for it in the counted tuple.
     """
-    require_samples(samples)
-    universe = Universe(params, randomness_mode=randomness_mode, partial_count=partial_count)
-    if universe.exceeds(ceiling):
-        if samples is None:
-            universe.require_within(ceiling)
-        return _mc_db_privacy(params, g, universe, samples, seed, ceiling)
-    ctx = _BatchContext(params, g, universe)
-    ctx.selfcheck(seed)
+    params = ctx.params
     q = params.q
     wbar_digits = (params.k - 1) * params.file_len
     _require_key_bits(q ** ctx.a_digits_all, ctx.n_u, params.k, q ** wbar_digits)
@@ -658,10 +630,10 @@ def audit_db_privacy(
         name="db_privacy",
         independent=cell is None,
         exact=True,
-        universe_size=universe.size,
+        universe_size=ctx.universe.size,
         witness=None if cell is None else _db_witness(ctx, cell, wbar_digits),
     )
-    return AuditReport(params, universe.randomness_mode, (check,))
+    return (check,)
 
 
 def _blinding_span(ctx: _BatchContext, blind: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -709,49 +681,17 @@ def _db_witness(ctx: _BatchContext, cell: Violation, wbar_digits: int) -> dict:
     }
 
 
-def leak_experiment(
-    params: StorageParams,
-    g: GeneratorMatrix,
-    randomness_mode: str,
-    *,
-    partial_count: Optional[int] = None,
-    ceiling: int = DEFAULT_UNIVERSE_CEILING,
-    samples: Optional[int] = None,
-    seed: int = 0,
-) -> AuditReport:
-    """Database-privacy audit with the shared randomness curtailed.
-
-    ``full`` reproduces the ordinary audit; ``zeroed`` removes the
-    blinding entirely (the product rule must then fail); ``partial``
-    leaves only the first ``partial_count`` symbols random.  Decoding is
-    unaffected by the mode; the blinding cancels out of the solve.
-    """
-    return audit_db_privacy(
-        params,
-        g,
-        randomness_mode=randomness_mode,
-        partial_count=partial_count,
-        ceiling=ceiling,
-        samples=samples,
-        seed=seed,
-    )
+def _correctness(ctx: _BatchContext) -> tuple[IndependenceCheck]:
+    return (IndependenceCheck("correctness", _decodes_everywhere(ctx), True, ctx.universe.size),)
 
 
-def audit_correctness(
-    params: StorageParams,
-    g: GeneratorMatrix,
-    *,
-    ceiling: int = DEFAULT_UNIVERSE_CEILING,
-) -> bool:
+def _decodes_everywhere(ctx: _BatchContext) -> bool:
     """True iff decoding returns the requested file at every universe
     point, for every requested index."""
-    universe = Universe(params)
-    universe.require_within(ceiling)
-    ctx = _BatchContext(params, g, universe)
-    ctx.selfcheck()
+    params = ctx.params
     q = params.q
     eqs = params.n * params.m
-    inv = protocol.decode_matrix_inverse(params, g)
+    inv = protocol.decode_matrix_inverse(params, ctx.g)
     w_rows = inv[params.m * params.m :, :]  # ((n-m)*m, n*m) per stripe
     # decoding is linear, so it maps the two sides of each answer apart;
     # both sides are reduced, so the n*m-term sums stay inside int64
@@ -777,22 +717,18 @@ def audit_correctness(
 # Monte Carlo fallback (statistical, never exact)
 # ---------------------------------------------------------------------------
 
-def mc_correctness(
-    params: StorageParams,
-    g: GeneratorMatrix,
-    samples: int,
-    seed: int = 0,
-) -> bool:
-    """Sampled rounds for universes beyond the exact ceiling: False as
-    soon as one sampled point fails to decode some requested file."""
-    require_samples(samples)
-    for net, u_val in _mc_networks(g, Universe(params), samples, seed):
-        for theta in range(1, params.k + 1):
-            try:
-                net.serve(protocol.gen_queries(params, g, theta, u_override=u_val))
-            except DecodeFailure:
-                return False
-    return True
+def _mc_correctness(g, universe, samples, seed, ceiling) -> tuple[IndependenceCheck]:
+    """Sampled rounds: fails as soon as one sampled point does not decode
+    some requested file."""
+    p = universe.params
+    ok = True
+    try:
+        for net, u_val in _mc_networks(g, universe, samples, seed):
+            for theta in range(1, p.k + 1):
+                net.serve(protocol.gen_queries(p, g, theta, u_override=u_val))
+    except DecodeFailure:
+        ok = False
+    return (IndependenceCheck("correctness", ok, False, samples),)
 
 
 def require_samples(samples: Optional[int]):
@@ -860,7 +796,8 @@ def _chi2_flag(
     return ok, worst_p, (None if ok else worst_name)
 
 
-def _mc_user_privacy(params, g, universe, samples, seed) -> AuditReport:
+def _mc_user_privacy(g, universe, samples, seed, ceiling) -> tuple[IndependenceCheck, ...]:
+    params = universe.params
     projections = ("view", "query", "answer", "share", "randomness")
     tables = [{name: DistributionCounter() for name in projections} for _ in range(params.n)]
     rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed, 1])
@@ -894,10 +831,11 @@ def _mc_user_privacy(params, g, universe, samples, seed) -> AuditReport:
                 p_value=p_value,
             )
         )
-    return AuditReport(params, universe.randomness_mode, tuple(checks))
+    return tuple(checks)
 
 
-def _mc_db_privacy(params, g, universe, samples, seed, ceiling) -> AuditReport:
+def _mc_db_privacy(g, universe, samples, seed, ceiling) -> tuple[IndependenceCheck]:
+    params = universe.params
     wbar_digits = (params.k - 1) * params.file_len
     # one table per (answer digit, other-file digit) pair, fed once per
     # sample: refuse before building any when that work passes the ceiling,
@@ -941,4 +879,114 @@ def _mc_db_privacy(params, g, universe, samples, seed, ceiling) -> AuditReport:
         witness=witness,
         p_value=p_value,
     )
-    return AuditReport(params, universe.randomness_mode, (check,))
+    return (check,)
+
+
+# ---------------------------------------------------------------------------
+# Entry point
+# ---------------------------------------------------------------------------
+
+# check name: (exact core on a context, Monte Carlo core on (g, universe,
+# samples, seed, ceiling)); only the database screen bounds its work by the ceiling
+_CORES = {
+    "correctness": (_correctness, _mc_correctness),
+    "user-privacy": (_user_privacy, _mc_user_privacy),
+    "db-privacy": (_db_privacy, _mc_db_privacy),
+}
+
+
+def run_audit(
+    params: StorageParams,
+    g: GeneratorMatrix,
+    checks: Iterable[str] = CHECKS,
+    *,
+    randomness_mode: str = "full",
+    partial_count: Optional[int] = None,
+    mask_mode: str = "full",
+    ceiling: int = DEFAULT_UNIVERSE_CEILING,
+    samples: Optional[int] = None,
+    seed: int = 0,
+) -> AuditReport:
+    """Run the named checks, in ``CHECKS`` order.
+
+    Correctness sweeps the plain universe, user privacy the one with
+    ``mask_mode`` and database privacy the one with ``randomness_mode``
+    (and ``partial_count``).  A check whose universe is within the ceiling
+    is exact, and checks on one universe share its context and its one
+    selfcheck.  Above the ceiling a check is a seeded Monte Carlo screen
+    when ``samples`` is given, and refused with UniverseTooLarge otherwise.
+    Arguments and modes are refused before any work.
+    """
+    require_samples(samples)
+    selected = list(checks)
+    if not selected or not set(selected) <= set(CHECKS):
+        raise InvalidParams(f"checks must be a non-empty subset of {CHECKS}, got {selected}")
+    universes = {
+        "correctness": Universe(params),
+        "user-privacy": Universe(params, mask_mode=mask_mode),
+        "db-privacy": Universe(params, randomness_mode, partial_count),
+    }
+    contexts: dict[Universe, _BatchContext] = {}
+    found: list[IndependenceCheck] = []
+    for name in [c for c in CHECKS if c in selected]:
+        universe = universes[name]
+        exact, sampled = _CORES[name]
+        if not universe.exceeds(ceiling):
+            if universe not in contexts:
+                contexts[universe] = _BatchContext(params, g, universe)
+                contexts[universe].selfcheck(seed)
+            found += exact(contexts[universe])
+        elif samples is None:
+            universe.require_within(ceiling)
+        else:
+            found += sampled(g, universe, samples, seed, ceiling)
+    return AuditReport(params, randomness_mode, tuple(found))
+
+
+# the single-check entry points: each is one run_audit call
+
+def audit_user_privacy(
+    params: StorageParams, g: GeneratorMatrix, *, ceiling: int = DEFAULT_UNIVERSE_CEILING,
+    mask_mode: str = "full", samples: Optional[int] = None, seed: int = 0,
+) -> AuditReport:
+    return run_audit(
+        params, g, ("user-privacy",), mask_mode=mask_mode, ceiling=ceiling, samples=samples, seed=seed
+    )
+
+
+def audit_db_privacy(
+    params: StorageParams, g: GeneratorMatrix, *, randomness_mode: str = "full",
+    partial_count: Optional[int] = None, ceiling: int = DEFAULT_UNIVERSE_CEILING,
+    samples: Optional[int] = None, seed: int = 0,
+) -> AuditReport:
+    return run_audit(
+        params, g, ("db-privacy",), randomness_mode=randomness_mode, partial_count=partial_count,
+        ceiling=ceiling, samples=samples, seed=seed,
+    )
+
+
+def leak_experiment(
+    params: StorageParams, g: GeneratorMatrix, randomness_mode: str, *,
+    partial_count: Optional[int] = None, ceiling: int = DEFAULT_UNIVERSE_CEILING,
+    samples: Optional[int] = None, seed: int = 0,
+) -> AuditReport:
+    """Database-privacy audit with the shared randomness curtailed.
+
+    ``full`` reproduces the ordinary audit; ``zeroed`` removes the
+    blinding entirely (the product rule must then fail); ``partial``
+    leaves only the first ``partial_count`` symbols random.  Decoding is
+    unaffected by the mode; the blinding cancels out of the solve.
+    """
+    return audit_db_privacy(
+        params, g, randomness_mode=randomness_mode, partial_count=partial_count,
+        ceiling=ceiling, samples=samples, seed=seed,
+    )
+
+
+def audit_correctness(params: StorageParams, g: GeneratorMatrix, *, ceiling: int = DEFAULT_UNIVERSE_CEILING) -> bool:
+    return run_audit(params, g, ("correctness",), ceiling=ceiling).all_passed
+
+
+def mc_correctness(params: StorageParams, g: GeneratorMatrix, samples: int, seed: int = 0) -> bool:
+    # every universe has a digit, so it exceeds a zero ceiling: always sampled
+    return run_audit(params, g, ("correctness",), ceiling=0, samples=samples, seed=seed).all_passed

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import jsonio, protocol, rates, storage
-from .errors import DecodeFailure, SpirError, UniverseTooLarge
+from .errors import DecodeFailure, SpirError
 from .network import SimNetwork, make_randomness
 from .storage import Database, StorageParams, require_int
 
@@ -31,8 +31,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PROTOCOL = 3
 EXIT_AUDIT = 4
-
-AUDIT_CHECKS = ("correctness", "user-privacy", "db-privacy")
 
 
 @dataclass(frozen=True)
@@ -146,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p_audit, allow_config=True)
     p_audit.add_argument(
         "--checks",
-        default=",".join(AUDIT_CHECKS),
-        help=f"comma list from {AUDIT_CHECKS} (default: all)",
+        default=",".join(audit_mod.CHECKS),
+        help=f"comma list from {audit_mod.CHECKS} (default: all)",
     )
     p_audit.add_argument("--randomness", type=_parse_randomness, default=None)
     p_audit.add_argument("--ceiling", type=int, default=audit_mod.DEFAULT_UNIVERSE_CEILING)
@@ -261,67 +259,18 @@ def cmd_audit(args) -> int:
         config = _config_from_args(args)
         params = config.params
         protocol.make_query_plan(params)  # rejects k < 2 before any work
-        # rejects an unknown mode, an out-of-range partial count or an
-        # empty sample before any work
-        audit_mod.Universe(params, config.randomness_mode, config.partial_count)
-        audit_mod.require_samples(args.monte_carlo)
         g = protocol.generator_for(params, config.generator_mode)
-        selected = [c.strip() for c in args.checks.split(",") if c.strip()]
-        unknown = [c for c in selected if c not in AUDIT_CHECKS]
-        if unknown:
-            raise SpirError(f"unknown checks {unknown}; choose from {AUDIT_CHECKS}")
+        checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+        report = audit_mod.run_audit(
+            params, g, checks, randomness_mode=config.randomness_mode, partial_count=config.partial_count,
+            ceiling=args.ceiling, samples=args.monte_carlo, seed=args.seed,
+        )
     except SpirError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    checks: list[audit_mod.IndependenceCheck] = []
-    try:
-        if "correctness" in selected:
-            universe = audit_mod.Universe(params)
-            if universe.exceeds(args.ceiling) and args.monte_carlo is not None:
-                ok = audit_mod.mc_correctness(params, g, args.monte_carlo, seed=args.seed)
-                checks.append(
-                    audit_mod.IndependenceCheck(
-                        name="correctness",
-                        independent=ok,
-                        exact=False,
-                        universe_size=args.monte_carlo,
-                    )
-                )
-            else:
-                ok = audit_mod.audit_correctness(params, g, ceiling=args.ceiling)
-                checks.append(
-                    audit_mod.IndependenceCheck(
-                        name="correctness",
-                        independent=ok,
-                        exact=True,
-                        universe_size=universe.size,
-                    )
-                )
-        if "user-privacy" in selected:
-            report = audit_mod.audit_user_privacy(
-                params, g, ceiling=args.ceiling, samples=args.monte_carlo, seed=args.seed
-            )
-            checks.extend(report.checks)
-        if "db-privacy" in selected:
-            report = audit_mod.leak_experiment(
-                params,
-                g,
-                config.randomness_mode,
-                partial_count=config.partial_count,
-                ceiling=args.ceiling,
-                samples=args.monte_carlo,
-                seed=args.seed,
-            )
-            checks.extend(report.checks)
-    except UniverseTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    combined = audit_mod.AuditReport(params, config.randomness_mode, tuple(checks))
-    _emit(jsonio.audit_report_to_json(combined), args.out)
-    if not combined.all_passed:
-        for failed in combined.failed_checks():
+    _emit(jsonio.audit_report_to_json(report), args.out)
+    if not report.all_passed:
+        for failed in report.failed_checks():
             print(f"audit failed: {failed.name}", file=sys.stderr)
             if failed.witness is not None:
                 print(jsonio.canonical_dumps({"witness": failed.witness}), file=sys.stderr)

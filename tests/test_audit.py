@@ -28,6 +28,7 @@ from spir_mds.audit import (
     mc_correctness,
     merge_count_tables,
     pack_digits,
+    run_audit,
     unpack_digits,
 )
 from spir_mds.errors import InvalidParams, UniverseTooLarge
@@ -621,6 +622,17 @@ def selfcheck_masks(params, seed=0):
     return rng.integers(0, universe.n_u, size=n_pts)
 
 
+def spy(monkeypatch, owner, name, log, record):
+    """Wrap ``owner.name`` so each call appends ``record(*args)`` to ``log``."""
+    real = getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        log.append(record(*args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapped)
+
+
 class TestSelfcheckServesEveryPoint:
     """The selfcheck runs the served round at every sampled point and
     index, and compares every one of them with the batched path."""
@@ -630,19 +642,9 @@ class TestSelfcheckServesEveryPoint:
     def test_one_network_per_point_and_one_round_per_index(self, monkeypatch):
         p = self.PARAMS
         networks, queries, answers = [], [], []
-
-        def spy(owner, name, log, record):
-            real = getattr(owner, name)
-
-            def wrapped(*args, **kwargs):
-                log.append(record(*args))
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, wrapped)
-
-        spy(SimNetwork, "__init__", networks, lambda net, params, *_: (net, params))
-        spy(protocol, "gen_queries", queries, lambda params, g, theta: (params, theta))
-        spy(NodeHandler, "answer", answers, lambda handler, query: handler.node_index)
+        spy(monkeypatch, SimNetwork, "__init__", networks, lambda net, params, *_: (net, params))
+        spy(monkeypatch, protocol, "gen_queries", queries, lambda params, g, theta: (params, theta))
+        spy(monkeypatch, NodeHandler, "answer", answers, lambda handler, query: handler.node_index)
         assert audit_user_privacy(p, generator_for_instance(p)).all_passed
         # the logged networks stay alive, so distinct ids are distinct networks
         assert len(networks) == len({id(net) for net, _ in networks}) == _SELFCHECK_POINTS
@@ -699,6 +701,81 @@ class TestSelfcheckServesEveryPoint:
         monkeypatch.setattr(_BatchContext, "__init__", corrupted)
         with pytest.raises(AssertionError, match="batched query pack disagrees with gen_queries"):
             audit_user_privacy(p, generator_for_instance(p))
+
+
+class TestOneContextPerUniverse:
+    """run_audit builds one context, and runs one selfcheck over 32 served
+    points, per distinct universe that its requested checks sweep."""
+
+    PARAMS = StorageParams(q=3, n=3, m=2, k=2)
+
+    def served_points(self, monkeypatch, audit):
+        """The universes of the contexts built while ``audit`` runs, and the
+        networks each selfcheck serves."""
+        contexts, networks, served = [], [], []
+        spy(monkeypatch, _BatchContext, "__init__", contexts, lambda ctx, params, g, universe: universe)
+        spy(monkeypatch, SimNetwork, "__init__", networks, lambda net, *_: net)
+        real = _BatchContext.selfcheck
+
+        def counted(ctx, seed=0):
+            before = len(networks)
+            real(ctx, seed)
+            served.append(len(networks) - before)
+
+        monkeypatch.setattr(_BatchContext, "selfcheck", counted)
+        audit()
+        return contexts, served
+
+    @pytest.mark.parametrize(
+        "argv,universes",
+        [((), 1), (("--checks", "db-privacy"), 1), (("--randomness", "zeroed"), 2)],
+        ids=["default", "db-privacy", "zeroed"],
+    )
+    def test_cli_audit(self, monkeypatch, tmp_path, argv, universes):
+        p = self.PARAMS
+        argv = ["audit", "--q", str(p.q), "--n", str(p.n), "--m", str(p.m), "--k", str(p.k), *argv]
+        contexts, served = self.served_points(
+            monkeypatch, lambda: cli.main([*argv, "--out", str(tmp_path / "audit.json")])
+        )
+        assert len(contexts) == len(set(contexts)) == universes
+        assert served == [_SELFCHECK_POINTS] * universes
+
+    @pytest.mark.parametrize(
+        "audit",
+        [
+            audit_correctness,
+            audit_user_privacy,
+            lambda params, g: audit_user_privacy(params, g, mask_mode="zeroed"),
+            audit_db_privacy,
+            lambda params, g: leak_experiment(params, g, "zeroed"),
+        ],
+        ids=["correctness", "user_privacy", "user_privacy_zeroed_masks", "db_privacy", "leak_zeroed"],
+    )
+    def test_each_wrapper(self, monkeypatch, audit):
+        g = generator_for_instance(self.PARAMS)
+        contexts, served = self.served_points(monkeypatch, lambda: audit(self.PARAMS, g))
+        assert len(contexts) == 1
+        assert served == [_SELFCHECK_POINTS]
+
+    @pytest.mark.parametrize(
+        "checks,options,match",
+        [
+            ((), {}, "non-empty subset"),
+            (("user_privacy",), {}, "non-empty subset"),
+            (("correctness",), {"randomness_mode": "bogus"}, "unknown randomness mode"),
+            (("correctness",), {"mask_mode": "bogus"}, "unknown mask mode"),
+            (("correctness",), {"samples": 0}, "at least one sample"),
+        ],
+        ids=["empty", "unknown", "randomness_mode", "mask_mode", "samples"],
+    )
+    def test_refused_before_any_work(self, monkeypatch, checks, options, match):
+        g = generator_for_instance(self.PARAMS)
+
+        def refused():
+            with pytest.raises(InvalidParams, match=match):
+                run_audit(self.PARAMS, g, checks, **options)
+
+        assert self.served_points(monkeypatch, refused) == ([], [])
 
 
 def full_grid_correctness(params, g):

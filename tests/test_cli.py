@@ -284,6 +284,18 @@ class TestAudit:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("checks", [",", "", "user_privacy"], ids=["comma", "empty", "unknown"])
+    def test_empty_or_unknown_checks_are_config_errors(self, checks, tmp_path, capsys):
+        # an empty selection would pass vacuously, with no check run
+        out = tmp_path / "audit.json"
+        code = run_cli(
+            "audit", "--q", "2", "--n", "2", "--m", "1", "--k", "2",
+            "--checks", checks, "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: checks must be a non-empty subset")
+        assert not out.exists()
+
     # sha256 over exit code, report and stderr of every audit in the grid
     # below; moves only if some exact report, witness or exit code changes
     EXACT_AUDITS_SHA256 = "33f7eeeca8206637e121356f6b5d3cfe93ebbe628ab8d878ef5ebd160746e87d"

@@ -731,12 +731,6 @@ def _mc_correctness(g, universe, samples, seed, ceiling) -> tuple[IndependenceCh
     return (IndependenceCheck("correctness", ok, False, samples),)
 
 
-def require_samples(samples: Optional[int]):
-    """Reject a Monte Carlo sample count below 1, whose verdict would be vacuous."""
-    if samples is not None and samples < 1:
-        raise InvalidParams(f"a Monte Carlo audit needs at least one sample, got {samples}")
-
-
 def _mc_networks(g: GeneratorMatrix, universe: Universe, samples: int, seed: int):
     """Seeded uniform universe points, each as its network and masks
     (see ``_point_network``)."""
@@ -886,8 +880,8 @@ def _mc_db_privacy(g, universe, samples, seed, ceiling) -> tuple[IndependenceChe
 # Entry point
 # ---------------------------------------------------------------------------
 
-# check name: (exact core on a context, Monte Carlo core on (g, universe,
-# samples, seed, ceiling)); only the database screen bounds its work by the ceiling
+# check name: (exact core on a context, Monte Carlo core on g, universe,
+# samples, seed and ceiling); only the database screen reads the ceiling
 _CORES = {
     "correctness": (_correctness, _mc_correctness),
     "user-privacy": (_user_privacy, _mc_user_privacy),
@@ -917,9 +911,10 @@ def run_audit(
     when ``samples`` is given, and refused with UniverseTooLarge otherwise.
     Arguments and modes are refused before any work.
     """
-    require_samples(samples)
+    if samples is not None and samples < 1:  # an empty sample would pass vacuously
+        raise InvalidParams(f"a Monte Carlo audit needs at least one sample, got {samples}")
     selected = list(checks)
-    if not selected or not set(selected) <= set(CHECKS):
+    if not selected or not set(selected) <= set(CHECKS):  # so would an empty selection
         raise InvalidParams(f"checks must be a non-empty subset of {CHECKS}, got {selected}")
     universes = {
         "correctness": Universe(params),
@@ -943,12 +938,11 @@ def run_audit(
     return AuditReport(params, randomness_mode, tuple(found))
 
 
-# the single-check entry points: each is one run_audit call
-
 def audit_user_privacy(
     params: StorageParams, g: GeneratorMatrix, *, ceiling: int = DEFAULT_UNIVERSE_CEILING,
     mask_mode: str = "full", samples: Optional[int] = None, seed: int = 0,
 ) -> AuditReport:
+    """``run_audit`` with the user-privacy check alone."""
     return run_audit(
         params, g, ("user-privacy",), mask_mode=mask_mode, ceiling=ceiling, samples=samples, seed=seed
     )
@@ -959,6 +953,7 @@ def audit_db_privacy(
     partial_count: Optional[int] = None, ceiling: int = DEFAULT_UNIVERSE_CEILING,
     samples: Optional[int] = None, seed: int = 0,
 ) -> AuditReport:
+    """``run_audit`` with the database-privacy check alone."""
     return run_audit(
         params, g, ("db-privacy",), randomness_mode=randomness_mode, partial_count=partial_count,
         ceiling=ceiling, samples=samples, seed=seed,
@@ -984,9 +979,11 @@ def leak_experiment(
 
 
 def audit_correctness(params: StorageParams, g: GeneratorMatrix, *, ceiling: int = DEFAULT_UNIVERSE_CEILING) -> bool:
+    """True iff the exact correctness check passes."""
     return run_audit(params, g, ("correctness",), ceiling=ceiling).all_passed
 
 
 def mc_correctness(params: StorageParams, g: GeneratorMatrix, samples: int, seed: int = 0) -> bool:
-    # every universe has a digit, so it exceeds a zero ceiling: always sampled
+    """True iff the Monte Carlo correctness screen passes (every universe
+    has a digit, so it exceeds a zero ceiling)."""
     return run_audit(params, g, ("correctness",), ceiling=0, samples=samples, seed=seed).all_passed

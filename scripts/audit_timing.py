@@ -9,8 +9,9 @@ zeroed-randomness control, each a separate audit with its own selfcheck,
 and of one default `run_audit`, the `spir-mds audit` op, whose three
 checks share one universe and so one selfcheck.  One warm-up call
 precedes each series.  Then it prints the best per-call time of the
-calls a selfcheck repeats, 32·k or 32 times (`gen_queries`, `gen_answer`, `SimNetwork.exchange`,
-`_point_network`), and of the batched kernel a sweep runs once per chunk
+calls a selfcheck repeats, 32·k or 32 times (`gen_queries`,
+`gen_answer`, `SimNetwork.exchange`, `_point_network`), and of the
+batched kernel a sweep runs once per chunk
 (`chunk` on all 81 databases, which also adds every index's units, so
 `answer_parts` only looks its index up).  The figures are informational,
 for comparing runs on one machine.

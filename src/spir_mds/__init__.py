@@ -18,7 +18,6 @@ from .audit import (
     audit_db_privacy,
     audit_user_privacy,
     leak_experiment,
-    run_audit,
 )
 from .errors import (
     BadShareCount,
@@ -99,7 +98,6 @@ __all__ = [
     "measure",
     "pir_capacity_mds",
     "reconstruct",
-    "run_audit",
     "secrecy_floor",
     "smallest_admissible_prime",
     "spir_capacity",

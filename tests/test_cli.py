@@ -543,6 +543,43 @@ class TestMalformedDocuments:
         assert not out.exists()
 
 
+def _batched_database(tmp_path):
+    params = StorageParams(q=3, n=3, m=2, k=2)
+    doc = jsonio.database_to_json(Database.random(params, protocol.db_rng(0)))
+    doc["files"] = [doc["files"], doc["files"]]  # two databases stacked
+    return ["encode", "--q", "3", "--n", "3", "--m", "2", "--k", "2", "--db"], doc
+
+
+def _batched_shares(tmp_path):
+    doc = _shares_doc(tmp_path)
+    for node in doc["nodes"]:
+        node["values"] = [node["values"], node["values"]]  # two shares stacked
+    return ["reconstruct", "--nodes", "1,3", "--shares"], doc
+
+
+class TestLeadingAxisDocuments:
+    """Documents describe one database or one set of shares; a stacked
+    batch of them is refused with exit 2 and no output."""
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (_batched_database, "error: files shape (2, 2, 1, 2) != (2, 1, 2)\n"),
+            (_batched_shares, "error: share from node 1 has length (2, 2), want 2\n"),
+        ],
+        ids=["encode_db", "reconstruct_shares"],
+    )
+    def test_refused(self, build, message, tmp_path, capsys):
+        argv, doc = build(tmp_path)
+        path = tmp_path / "batched.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        assert run_cli(*argv, str(path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
 def run_module(*argv, timeout=None):
     # the child imports the same spir_mds as this process, installed or not
     src_dir = str(Path(spir_mds.__file__).resolve().parents[1])

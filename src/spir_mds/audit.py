@@ -41,9 +41,9 @@ database, randomness) grid.
 checks on one universe share one batched context.  Enumeration is
 vectorized in chunks for speed, but each audited universe first
 re-derives 32 sampled points, with every index, through the served round
-(a fresh ``network.SimNetwork`` per point at the audited params) and
-insists they agree, so the fast path cannot drift from the audited
-implementation.  Universes above the ceiling fall back to a seeded Monte
+(one ``network.SimNetwork`` over the 32 sampled points at the audited
+params) and insists they agree, so the fast path cannot drift from the
+audited implementation.  Universes above the ceiling fall back to a seeded Monte
 Carlo mode reported as statistical (chi-square screen), never as exact.
 """
 
@@ -450,9 +450,10 @@ class _BatchContext:
     def selfcheck(self, seed: int = 0):
         """Re-derive sampled grid points through the served round.
 
-        Each point gets its own SimNetwork at the audited params and each
-        (point, index) its own gen_queries and exchange; then, per index,
-        raises unless all served queries and answers equal the batched
+        One SimNetwork at the audited params holds the sampled points'
+        databases and randomness on its leading axis, and each index gets
+        one gen_queries and one exchange over all the points' masks; then
+        it raises unless the served queries and answers equal the batched
         ones.  The sampled databases form one chunk, which goes through the
         same batched path as a sweep.  Nothing is decoded here, so a wrong
         decoder reaches the correctness verdict instead of raising.
@@ -463,16 +464,13 @@ class _BatchContext:
         db_ids = rng.integers(0, self.universe.n_db, size=n_pts)
         u_ids = rng.integers(0, self.n_u, size=n_pts)
         s_ids = rng.integers(0, self.n_s, size=n_pts)
-        chunk = self.chunk(_digit_rows(db_ids, self.q, self.universe.db_digits))
-        served = []  # (queries, answers) as served, point-major, index-minor
-        for i, (u_i, s_i) in enumerate(zip(u_ids.tolist(), s_ids.tolist())):
-            net, u_val = _point_network(p, self.g, chunk["files"][i], self.u_rows[u_i], self.s_rows[s_i])
-            for theta in range(1, p.k + 1):
-                qs = protocol.gen_queries(p, self.g, theta, u_override=u_val)
-                served.append((qs.per_node, net.exchange(qs).per_node))
+        db_rows = _digit_rows(db_ids, self.q, self.universe.db_digits)
+        chunk = self.chunk(db_rows)
+        net, u_val = _point_network(p, self.g, db_rows, self.u_rows[u_ids], self.s_rows[s_ids])
         for theta in range(1, p.k + 1):
-            queries, answers = map(np.stack, zip(*served[theta - 1 :: p.k]))
-            queries = queries.reshape(n_pts, p.n, self.universe.u_digits)
+            qs = protocol.gen_queries(p, self.g, theta, u_override=u_val)
+            answers = net.exchange(qs).per_node  # compared as served
+            queries = qs.per_node.reshape(n_pts, p.n, self.universe.u_digits)
             if not np.array_equal(pack_digits(queries, self.q), self.qpack[theta - 1][:, u_ids].T):
                 raise AssertionError("batched query pack disagrees with gen_queries")
             ip = self.answer_parts(chunk, theta)
@@ -480,13 +478,15 @@ class _BatchContext:
                 raise AssertionError("batched answers disagree with gen_answer")
 
 
-def _point_network(params: StorageParams, g: GeneratorMatrix, files, u_row, s_row):
-    """The network on one universe point's database and shared randomness,
-    and the point's masks shaped for ``gen_queries``."""
-    db = Database(params, files.reshape(params.k, params.file_rows, params.m))
-    s = CommonRandomness(s_row.reshape(params.stripes, params.m, params.m))
+def _point_network(params: StorageParams, g: GeneratorMatrix, db_rows, u_rows, s_rows):
+    """The network on universe points' databases and shared randomness, and
+    the points' masks shaped for ``gen_queries``.  Each argument is digit
+    rows of one point, or of many along leading axes."""
+    lead = np.shape(db_rows)[:-1]
+    db = Database(params, db_rows.reshape(lead + (params.k, params.file_rows, params.m)))
+    s = CommonRandomness(s_rows.reshape(lead + (params.stripes, params.m, params.m)))
     net = network.SimNetwork(params, db, g, randomness=s)
-    return net, u_row.reshape(params.stripes, params.m, params.query_len)
+    return net, u_rows.reshape(lead + (params.stripes, params.m, params.query_len))
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,11 @@ def database_to_json(db: Database) -> dict:
 def database_from_json(obj) -> Database:
     _object("database document", obj, "params", "files")
     params = params_from_json(obj["params"])
-    return Database(params, _symbols("files", obj["files"], params.q))
+    files = _symbols("files", obj["files"], params.q)
+    shape = (params.k, params.file_rows, params.m)
+    if files.shape != shape:  # one database; Database itself takes a batch
+        raise InvalidParams(f"files shape {files.shape} != {shape}")
+    return Database(params, files)
 
 
 def shares_to_json(params: StorageParams, shares, g: GeneratorMatrix) -> dict:

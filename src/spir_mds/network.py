@@ -65,7 +65,9 @@ class SimNetwork:
     """Wires one user to n isolated node handlers sharing one database.
 
     ``randomness`` is the nodes' shared S; ``None`` draws it uniformly
-    from ``node_seed``.
+    from ``node_seed``.  Leading axes of the database and the randomness
+    are points, which ``exchange`` serves at once; ``serve`` and ``run``
+    are one round and refuse them.
     """
 
     def __init__(
@@ -90,8 +92,14 @@ class SimNetwork:
         self._randomness = randomness
 
     def exchange(self, query_set: QuerySet) -> AnswerSet:
-        """Deliver each node its own query and collect the answers."""
-        return AnswerSet(np.array([h.answer(query_set.node_query(h.node_index)) for h in self.nodes]))
+        """Deliver each node its own query and collect the answers.
+
+        Leading axes of the queries, database and randomness are points:
+        each node answers all of them in one call, and the answers stack
+        at axis -3 as (..., n, stripes, m).
+        """
+        answers = [h.answer(query_set.node_query(h.node_index)) for h in self.nodes]
+        return AnswerSet(np.stack(answers, axis=-3))
 
     def serve(self, query_set: QuerySet) -> Transcript:
         """One round on given queries: exchange, decode, check the file."""

@@ -148,11 +148,11 @@ class QuerySet:
     """Mask vectors and the per-node queries derived from them."""
 
     theta: int
-    u: np.ndarray  # (stripes, m, query_len) uniform masks
-    per_node: np.ndarray  # (n, stripes, m, query_len)
+    u: np.ndarray  # (..., stripes, m, query_len) uniform masks
+    per_node: np.ndarray  # (..., n, stripes, m, query_len)
 
     def node_query(self, node_index: int) -> np.ndarray:
-        return self.per_node[node_index - 1]
+        return self.per_node[..., node_index - 1, :, :, :]
 
     def __eq__(self, other):
         if not isinstance(other, QuerySet):
@@ -168,7 +168,7 @@ class QuerySet:
 class CommonRandomness:
     """Node-shared m x m uniform matrix per stripe, hidden from the user."""
 
-    values: np.ndarray  # (stripes, m, m); values[s, i-1, t-1] blinds X[i][t]
+    values: np.ndarray  # (..., stripes, m, m); values[..., s, i-1, t-1] blinds X[i][t]
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=np.int64)
@@ -236,7 +236,8 @@ def gen_queries(
 ) -> QuerySet:
     """Draw the mask vectors and attach unit vectors per the plan.
 
-    ``u_override`` is a test hook that pins the masks to given values.
+    ``u_override`` pins the masks to given values; its leading axes are
+    points, and the queries of every point are built at once.
     """
     if not 1 <= theta <= params.k:
         raise InvalidParams(f"theta={theta} not in [1, {params.k}]")
@@ -245,15 +246,17 @@ def gen_queries(
     shape = (params.stripes, params.m, params.query_len)
     if u_override is not None:
         u = np.asarray(u_override, dtype=np.int64) % params.q
-        if u.shape != shape:
+        if u.shape[-3:] != shape:
             raise DimensionMismatch(f"u_override shape {u.shape} != {shape}")
     else:
         u = user_rng(user_seed).integers(0, params.q, size=shape, dtype=np.int64)
     query_index, mask_index = _unit_index(params)
     offset = (theta - 1) * params.rows_per_stripe
-    per_node = np.empty((params.n,) + shape, dtype=np.int64)
-    per_node[...] = u
-    per_node.put(query_index + offset, (u.take(mask_index + offset) + 1) % params.q)
+    lead = u.shape[:-3]
+    per_node = np.empty(lead + (params.n,) + shape, dtype=np.int64)
+    per_node[...] = u[..., None, :, :, :]
+    raised = (u.reshape(lead + (-1,))[..., mask_index + offset] + 1) % params.q
+    per_node.reshape(lead + (-1,))[..., query_index + offset] = raised
     return QuerySet(theta, u, per_node)
 
 
@@ -268,15 +271,17 @@ def gen_answer(
 
     The signature is the isolation contract: a node sees its index, its
     own query, its own share, and the shared randomness, nothing else.
+    Leading axes of the query, share and randomness are points, answered
+    at once.
     """
     query = np.asarray(query, dtype=np.int64)
-    stripes, m, qlen = query.shape
-    if d.values.size != stripes * qlen:
+    *_, stripes, m, qlen = query.shape
+    if d.values.shape[-1] != stripes * qlen:
         raise DimensionMismatch(
-            f"node {node_index}: share length {d.values.size} != stripes*query_len {stripes * qlen}"
+            f"node {node_index}: share length {d.values.shape[-1]} != stripes*query_len {stripes * qlen}"
         )
-    out = np.einsum("stq,sq->st", query, d.values.reshape(stripes, qlen))
-    out += (g.column(node_index) @ s.values) % g.q  # coded blinding, (stripes, m)
+    out = np.einsum("...stq,...sq->...st", query, d.values.reshape(d.values.shape[:-1] + (stripes, qlen)))
+    out += (g.column(node_index) @ s.values) % g.q  # coded blinding, (..., stripes, m)
     out %= g.q
     return out
 

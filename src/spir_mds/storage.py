@@ -187,15 +187,19 @@ def is_mds(g: GeneratorMatrix) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Database:
-    """k files over F_q, each a (stripes*(n-m)) x m matrix."""
+    """k files over F_q, each a (stripes*(n-m)) x m matrix.
+
+    Leading axes of ``files`` are points: a batch of databases, one per
+    point, which ``encode`` and the served round broadcast over.
+    """
 
     params: StorageParams
-    files: np.ndarray  # shape (k, stripes*(n-m), m)
+    files: np.ndarray  # shape (..., k, stripes*(n-m), m)
 
     def __post_init__(self):
         p = self.params
         arr = np.asarray(self.files, dtype=np.int64) % p.q
-        if arr.shape != (p.k, p.file_rows, p.m):
+        if arr.shape[-3:] != (p.k, p.file_rows, p.m):
             raise DimensionMismatch(
                 f"files shape {arr.shape} != {(p.k, p.file_rows, p.m)}"
             )
@@ -213,16 +217,17 @@ class Database:
 
     def file(self, k: int) -> np.ndarray:
         """File matrix for 1-based file index k."""
-        return self.files[k - 1]
+        return self.files[..., k - 1, :, :]
 
     def slot_matrix(self) -> np.ndarray:
         """All (stripe, file, row) slots as rows, in node-vector order."""
         p = self.params
-        # (k, stripes, n-m, m) -> (stripes, k, n-m, m) -> (slots, m)
+        lead = self.files.shape[:-3]
+        # (..., k, stripes, n-m, m) -> (..., stripes, k, n-m, m) -> (..., slots, m)
         return (
-            self.files.reshape(p.k, p.stripes, p.rows_per_stripe, p.m)
-            .transpose(1, 0, 2, 3)
-            .reshape(p.node_len, p.m)
+            self.files.reshape(lead + (p.k, p.stripes, p.rows_per_stripe, p.m))
+            .swapaxes(-4, -3)
+            .reshape(lead + (p.node_len, p.m))
         )
 
     @classmethod
@@ -247,7 +252,7 @@ class NodeData:
     """Coded share held by one node (1-based node_index)."""
 
     node_index: int
-    values: np.ndarray
+    values: np.ndarray  # (..., node_len)
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=np.int64)
@@ -265,15 +270,16 @@ def encode(db: Database, g: GeneratorMatrix) -> tuple[NodeData, ...]:
 
     Node n's slot value is the inner product of generator column n with
     the m systematic symbols of that slot, so systematic nodes hold raw
-    file columns.
+    file columns.  A batch of databases gives shares with the same leading
+    point axes.
     """
     p = db.params
     if (g.m, g.n, g.q) != (p.m, p.n, p.q):
         raise DimensionMismatch(
             f"generator is ({g.m},{g.n}) over F_{g.q}, params want ({p.m},{p.n}) over F_{p.q}"
         )
-    shares = (g.array.T @ db.slot_matrix().T) % p.q  # (n, slots): one row per node
-    return tuple(NodeData(n + 1, row) for n, row in enumerate(shares))
+    shares = (g.array.T @ db.slot_matrix().swapaxes(-1, -2)) % p.q  # (..., n, slots)
+    return tuple(NodeData(i + 1, shares[..., i, :]) for i in range(p.n))
 
 
 def reconstruct(params: StorageParams, shares: Sequence[NodeData], g: GeneratorMatrix) -> Database:

@@ -622,6 +622,54 @@ def selfcheck_masks(params, seed=0):
     return rng.integers(0, universe.n_u, size=n_pts)
 
 
+def selfcheck_ids(universe, seed=0):
+    """The (database, mask, randomness) ids the selfcheck samples from
+    ``universe``, drawn as it draws them."""
+    rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
+    n_pts = min(_SELFCHECK_POINTS, universe.size)
+    return tuple(rng.integers(0, count, size=n_pts) for count in (universe.n_db, universe.n_u, universe.n_s))
+
+
+def log_served_rounds(monkeypatch) -> list:
+    """Log, in call order, each network built with its database, each
+    query set gen_queries returns and each node answer with its query."""
+    log = []
+    spy(monkeypatch, SimNetwork, "__init__", log, lambda net, params, db, *_, **__: ("network", db))
+    spy(monkeypatch, NodeHandler, "answer", log, lambda handler, query: ("answer", handler.node_index, query))
+    real = protocol.gen_queries
+
+    def gen_queries(*args, **kwargs):
+        log.append(("queries", real(*args, **kwargs)))
+        return log[-1][1]
+
+    monkeypatch.setattr(protocol, "gen_queries", gen_queries)
+    return log
+
+
+def assert_one_batched_round(log, params, universe, seed=0):
+    """One selfcheck's log: one network whose database batch is the sampled
+    databases; then per index one gen_queries over the sampled masks, 32
+    rows, and each node's one answer call, given its own query for every
+    point."""
+    db_ids, u_ids, _ = selfcheck_ids(universe, seed)
+    assert len(db_ids) == _SELFCHECK_POINTS
+    (kind, db), *rounds = log
+    assert kind == "network"
+    sampled = _digit_rows(db_ids, params.q, universe.db_digits)
+    assert np.array_equal(db.files, sampled.reshape(-1, params.k, params.file_rows, params.m))
+    assert len(rounds) == params.k * (1 + params.n)
+    masks = _digit_rows(u_ids, params.q, universe.u_digits)
+    for theta in range(1, params.k + 1):
+        (kind, qs), *answers = rounds[(theta - 1) * (1 + params.n) : theta * (1 + params.n)]
+        assert kind == "queries" and qs.theta == theta
+        assert qs.u.shape == (_SELFCHECK_POINTS, params.stripes, params.m, params.query_len)
+        assert np.array_equal(qs.u.reshape(_SELFCHECK_POINTS, -1), masks)
+        assert [entry[:2] for entry in answers] == [("answer", node) for node in range(1, params.n + 1)]
+        for _, node, query in answers:
+            assert query.shape[0] == _SELFCHECK_POINTS
+            assert np.array_equal(query, qs.per_node[:, node - 1])
+
+
 def spy(monkeypatch, owner, name, log, record):
     """Wrap ``owner.name`` so each call appends ``record(*args)`` to ``log``."""
     real = getattr(owner, name)
@@ -639,22 +687,11 @@ class TestSelfcheckServesEveryPoint:
 
     PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 
-    def test_one_network_per_point_and_one_round_per_index(self, monkeypatch):
+    def test_one_network_over_every_point_and_one_round_per_index(self, monkeypatch):
         p = self.PARAMS
-        networks, queries, answers = [], [], []
-        spy(monkeypatch, SimNetwork, "__init__", networks, lambda net, params, *_: (net, params))
-        spy(monkeypatch, protocol, "gen_queries", queries, lambda params, g, theta: (params, theta))
-        spy(monkeypatch, NodeHandler, "answer", answers, lambda handler, query: handler.node_index)
+        log = log_served_rounds(monkeypatch)
         assert audit_user_privacy(p, generator_for_instance(p)).all_passed
-        # the logged networks stay alive, so distinct ids are distinct networks
-        assert len(networks) == len({id(net) for net, _ in networks}) == _SELFCHECK_POINTS
-        assert all(params == p for _, params in networks)
-        assert len(queries) == _SELFCHECK_POINTS * p.k
-        assert sorted(queries, key=lambda pt: pt[1]) == [
-            (p, theta) for theta in range(1, p.k + 1) for _ in range(_SELFCHECK_POINTS)
-        ]
-        assert len(answers) == _SELFCHECK_POINTS * p.k * p.n
-        assert sorted(answers) == sorted(list(range(1, p.n + 1)) * _SELFCHECK_POINTS * p.k)
+        assert_one_batched_round(log, p, Universe(p))
 
     @pytest.mark.parametrize("where", ["last_point", "last_theta"])
     def test_one_wrong_batched_answer_fails(self, monkeypatch, where):
@@ -709,22 +746,27 @@ class TestOneContextPerUniverse:
 
     PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 
-    def served_points(self, monkeypatch, audit):
-        """The universes of the contexts built while ``audit`` runs, and the
-        networks each selfcheck serves."""
-        contexts, networks, served = [], [], []
+    def served_rounds(self, monkeypatch, audit):
+        """The universes of the contexts built while ``audit`` runs, and
+        each selfcheck's universe with its log of served rounds."""
+        contexts, served = [], []
         spy(monkeypatch, _BatchContext, "__init__", contexts, lambda ctx, params, g, universe: universe)
-        spy(monkeypatch, SimNetwork, "__init__", networks, lambda net, *_: net)
+        log = log_served_rounds(monkeypatch)
         real = _BatchContext.selfcheck
 
-        def counted(ctx, seed=0):
-            before = len(networks)
+        def logged(ctx, seed=0):
+            before = len(log)
             real(ctx, seed)
-            served.append(len(networks) - before)
+            served.append((ctx.universe, log[before:]))
 
-        monkeypatch.setattr(_BatchContext, "selfcheck", counted)
+        monkeypatch.setattr(_BatchContext, "selfcheck", logged)
         audit()
         return contexts, served
+
+    def assert_batched_selfchecks(self, contexts, served):
+        assert [universe for universe, _ in served] == contexts
+        for universe, log in served:
+            assert_one_batched_round(log, self.PARAMS, universe)
 
     @pytest.mark.parametrize(
         "argv,universes",
@@ -734,11 +776,11 @@ class TestOneContextPerUniverse:
     def test_cli_audit(self, monkeypatch, tmp_path, argv, universes):
         p = self.PARAMS
         argv = ["audit", "--q", str(p.q), "--n", str(p.n), "--m", str(p.m), "--k", str(p.k), *argv]
-        contexts, served = self.served_points(
+        contexts, served = self.served_rounds(
             monkeypatch, lambda: cli.main([*argv, "--out", str(tmp_path / "audit.json")])
         )
         assert len(contexts) == len(set(contexts)) == universes
-        assert served == [_SELFCHECK_POINTS] * universes
+        self.assert_batched_selfchecks(contexts, served)
 
     @pytest.mark.parametrize(
         "audit",
@@ -753,9 +795,9 @@ class TestOneContextPerUniverse:
     )
     def test_each_wrapper(self, monkeypatch, audit):
         g = generator_for_instance(self.PARAMS)
-        contexts, served = self.served_points(monkeypatch, lambda: audit(self.PARAMS, g))
+        contexts, served = self.served_rounds(monkeypatch, lambda: audit(self.PARAMS, g))
         assert len(contexts) == 1
-        assert served == [_SELFCHECK_POINTS]
+        self.assert_batched_selfchecks(contexts, served)
 
     @pytest.mark.parametrize(
         "checks,options,match",
@@ -775,7 +817,7 @@ class TestOneContextPerUniverse:
             with pytest.raises(InvalidParams, match=match):
                 run_audit(self.PARAMS, g, checks, **options)
 
-        assert self.served_points(monkeypatch, refused) == ([], [])
+        assert self.served_rounds(monkeypatch, refused) == ([], [])
 
 
 def full_grid_correctness(params, g):

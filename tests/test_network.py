@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spir_mds import protocol
-from spir_mds.errors import DecodeFailure
+from spir_mds.errors import DecodeFailure, InvalidParams
 from spir_mds.network import NodeHandler, SimNetwork, make_randomness
+from spir_mds.protocol import CommonRandomness
 from spir_mds.storage import Database, NodeData, StorageParams, build_generator
 
 
@@ -115,3 +118,38 @@ def test_randomness_defaults_to_full_draw_from_node_seed():
     tr = drawn.run(2, user_seed=3)
     assert tr.answer_set == given.run(2, user_seed=3).answer_set
     assert tr.randomness_count == p.stripes * p.m * p.m
+
+
+# small instances: one stripe, two stripes, and case 2 (n - m > m)
+BATCH_PARAMS = [
+    StorageParams(q=3, n=3, m=2, k=2),
+    StorageParams(q=3, n=3, m=2, k=2, stripes=2),
+    StorageParams(q=2, n=3, m=1, k=3, stripes=2),
+    StorageParams(q=5, n=5, m=2, k=2),
+]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(p=st.sampled_from(BATCH_PARAMS), batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_batched_round_equals_stacked_single_rounds(p, batch, seed):
+    """One network over B points serves every point's queries and answers
+    exactly as B single-point networks do, stacked on a leading axis."""
+    g = build_generator(p)
+    rng = np.random.default_rng(seed)
+    files = rng.integers(0, p.q, size=(batch, p.k, p.file_rows, p.m))
+    s = rng.integers(0, p.q, size=(batch, p.stripes, p.m, p.m))
+    u = rng.integers(0, p.q, size=(batch, p.stripes, p.m, p.query_len))
+    batched = SimNetwork(p, Database(p, files), g, randomness=CommonRandomness(s))
+    singles = [SimNetwork(p, Database(p, files[b]), g, randomness=CommonRandomness(s[b])) for b in range(batch)]
+    for theta in range(1, p.k + 1):
+        qs = protocol.gen_queries(p, g, theta, u_override=u)
+        single_qs = [protocol.gen_queries(p, g, theta, u_override=u[b]) for b in range(batch)]
+        assert np.array_equal(qs.per_node, np.stack([one.per_node for one in single_qs]))
+        answers = batched.exchange(qs).per_node
+        single_answers = [net.exchange(one).per_node for net, one in zip(singles, single_qs)]
+        assert np.array_equal(answers, np.stack(single_answers))
+        # serve is one round: a batch of queries is refused, not decoded
+        with pytest.raises(InvalidParams):
+            singles[0].serve(qs)
+        with pytest.raises(InvalidParams):
+            batched.serve(qs)

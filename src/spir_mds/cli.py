@@ -19,8 +19,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import audit as audit_mod
 from . import jsonio, protocol, rates, storage
 from .errors import DecodeFailure, SpirError
@@ -282,19 +280,21 @@ def _rates_rows(n_list, m_list, k_list, convergence: bool):
     header = ["n", "m", "k", "spir_capacity", "secrecy_floor", "pir_capacity"]
     if convergence:
         header.append("gap")
+    pairs = [(n, m) for n in n_list for m in m_list if 1 <= m < n]
+    if not pairs:  # a header alone would pass for a table
+        raise SpirError(f"no (n, m) pair has 1 <= m < n among n={n_list}, m={m_list}")
+    if not k_list:
+        raise SpirError("no file count k given")
     rows = [header]
-    for n in n_list:
-        for m in m_list:
-            if not 1 <= m < n:
-                continue
-            floor = rates.secrecy_floor(n, m)
-            cap = rates.spir_capacity(n, m, floor)
-            for k in k_list:
-                pir = rates.pir_capacity_mds(n, m, k)
-                row = [str(n), str(m), str(k), str(cap), str(floor), str(pir)]
-                if convergence:
-                    row.append(str(pir - cap))
-                rows.append(row)
+    for n, m in pairs:
+        floor = rates.secrecy_floor(n, m)
+        cap = rates.spir_capacity(n, m, floor)
+        for k in k_list:
+            pir = rates.pir_capacity_mds(n, m, k)
+            row = [str(n), str(m), str(k), str(cap), str(floor), str(pir)]
+            if convergence:
+                row.append(str(pir - cap))
+            rows.append(row)
     return rows
 
 

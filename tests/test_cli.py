@@ -345,9 +345,26 @@ class TestRates:
         assert "1/2" in out and "2/3" in out
 
     def test_skips_infeasible_shapes(self, capsys):
-        assert run_cli("rates", "--n", "2", "--m", "2,3", "--k", "2") == 0
+        assert run_cli("rates", "--n", "2", "--m", "1,2,3", "--k", "2") == 0
         out = capsys.readouterr().out
-        assert len(out.strip().splitlines()) == 1  # header only
+        assert len(out.strip().splitlines()) == 2  # header and the (2, 1) row
+
+    @pytest.mark.parametrize(
+        "n,m,k,message",
+        [
+            ("3", "5", "2", "error: no (n, m) pair has 1 <= m < n among n=[3], m=[5]\n"),
+            ("", "2", "2", "error: no (n, m) pair has 1 <= m < n among n=[], m=[2]\n"),
+            ("2", "2,3", "2", "error: no (n, m) pair has 1 <= m < n among n=[2], m=[2, 3]\n"),
+            ("4", "2", "", "error: no file count k given\n"),
+        ],
+        ids=["m_above_n", "empty_n", "m_not_below_n", "empty_k"],
+    )
+    def test_no_admissible_row_is_config_error(self, n, m, k, message, tmp_path, capsys):
+        out = tmp_path / "rates.txt"
+        assert run_cli("rates", "--n", n, "--m", m, "--k", k, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message and captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_bad_k_is_config_error(self, k, capsys):

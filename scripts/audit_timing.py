@@ -3,15 +3,15 @@
 
 At (q, n, m, k) = (3, 3, 2, 2), the instance of the benchmark's exact-audit
 workload, it prints the median wall time of one `_BatchContext.selfcheck`
-(32 sampled points, every index, each through its own SimNetwork), of
+(32 sampled points, every index, through one SimNetwork over them), of
 one op: correctness, user privacy, database privacy and the
 zeroed-randomness control, each a separate audit with its own selfcheck,
 and of one default `run_audit`, the `spir-mds audit` op, whose three
 checks share one universe and so one selfcheck.  One warm-up call
 precedes each series.  Then it prints the best per-call time of the
-calls a selfcheck repeats, 32·k or 32 times (`gen_queries`,
-`gen_answer`, `SimNetwork.exchange`, `_point_network`), and of the
-batched kernel a sweep runs once per chunk
+served calls a selfcheck makes over its 32 points: the network build
+(`_point_network`) once, and `gen_queries` and `SimNetwork.exchange` k
+times each, and of the batched kernel a sweep runs once per chunk
 (`chunk` on all 81 databases, which also adds every index's units, so
 `answer_parts` only looks its index up).  The figures are informational,
 for comparing runs on one machine.
@@ -60,18 +60,16 @@ def main():
     default_audit = median_ms(lambda seed: audit.run_audit(PARAMS, g, seed=seed))
     print(f"default run_audit: {default_audit:.1f} ms at {where}, median of {REPS}")
 
-    # one universe point, as the selfcheck serves it, and one full chunk
+    # 32 universe points, served as the selfcheck serves them, and one full chunk
     rows = audit.enumerate_assignments(PARAMS.q, ctx.universe.db_digits, 0, ctx.universe.n_db)
-    point = (rows[1], ctx.u_rows[5], ctx.s_rows[7])
-    net, u_val = audit._point_network(PARAMS, g, *point)
+    points = tuple(axis[: audit._SELFCHECK_POINTS] for axis in (rows, ctx.u_rows, ctx.s_rows))
+    net, u_val = audit._point_network(PARAMS, g, *points)
     qs = protocol.gen_queries(PARAMS, g, 1, u_override=u_val)
-    node = net.nodes[-1]  # a parity node
-    query = qs.node_query(node.node_index)
+    batch = f"{audit._SELFCHECK_POINTS} points"
     calls = [
-        ("gen_queries(u_override=...)", lambda: protocol.gen_queries(PARAMS, g, 1, u_override=u_val), 2000),
-        ("gen_answer", lambda: protocol.gen_answer(node.node_index, query, node.data, node.randomness, g), 2000),
-        (f"SimNetwork.exchange (n = {PARAMS.n})", lambda: net.exchange(qs), 2000),
-        ("_point_network", lambda: audit._point_network(PARAMS, g, *point), 2000),
+        (f"_point_network ({batch})", lambda: audit._point_network(PARAMS, g, *points), 500),
+        (f"gen_queries(u_override=...) ({batch})", lambda: protocol.gen_queries(PARAMS, g, 1, u_override=u_val), 500),
+        (f"SimNetwork.exchange ({batch}, n = {PARAMS.n})", lambda: net.exchange(qs), 500),
         (f"_BatchContext.chunk ({len(rows)} rows)", lambda: ctx.chunk(rows), 50),
     ]
     for name, fn, number in calls:

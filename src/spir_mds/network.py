@@ -65,9 +65,8 @@ class SimNetwork:
     """Wires one user to n isolated node handlers sharing one database.
 
     ``randomness`` is the nodes' shared S; ``None`` draws it uniformly
-    from ``node_seed``.  Leading axes of the database and the randomness
-    are points, which ``exchange`` serves at once; ``serve`` and ``run``
-    are one round and refuse them.
+    from ``node_seed``.  ``exchange`` serves leading point axes of the
+    database and randomness at once; ``serve`` and ``run`` refuse them.
     """
 
     def __init__(
@@ -92,12 +91,8 @@ class SimNetwork:
         self._randomness = randomness
 
     def exchange(self, query_set: QuerySet) -> AnswerSet:
-        """Deliver each node its own query and collect the answers.
-
-        Leading axes of the queries, database and randomness are points:
-        each node answers all of them in one call, and the answers stack
-        at axis -3 as (..., n, stripes, m).
-        """
+        """Deliver each node its own query and collect the answers; each node
+        answers every point at once, stacked at axis -3 as (..., n, stripes, m)."""
         answers = [h.answer(query_set.node_query(h.node_index)) for h in self.nodes]
         return AnswerSet(np.stack(answers, axis=-3))
 

@@ -255,7 +255,7 @@ def gen_queries(
     lead = u.shape[:-3]
     per_node = np.empty(lead + (params.n,) + shape, dtype=np.int64)
     per_node[...] = u[..., None, :, :, :]
-    raised = (u.reshape(lead + (-1,))[..., mask_index + offset] + 1) % params.q
+    raised = (u.reshape(lead + (-1,)).take(mask_index + offset, axis=-1) + 1) % params.q
     per_node.reshape(lead + (-1,))[..., query_index + offset] = raised
     return QuerySet(theta, u, per_node)
 
@@ -271,8 +271,7 @@ def gen_answer(
 
     The signature is the isolation contract: a node sees its index, its
     own query, its own share, and the shared randomness, nothing else.
-    Leading axes of the query, share and randomness are points, answered
-    at once.
+    Leading axes of all three are points, answered at once.
     """
     query = np.asarray(query, dtype=np.int64)
     *_, stripes, m, qlen = query.shape

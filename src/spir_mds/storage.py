@@ -187,11 +187,8 @@ def is_mds(g: GeneratorMatrix) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Database:
-    """k files over F_q, each a (stripes*(n-m)) x m matrix.
-
-    Leading axes of ``files`` are points: a batch of databases, one per
-    point, which ``encode`` and the served round broadcast over.
-    """
+    """k files over F_q, each a (stripes*(n-m)) x m matrix; leading axes of
+    ``files`` are points, a batch of databases the served round serves at once."""
 
     params: StorageParams
     files: np.ndarray  # shape (..., k, stripes*(n-m), m)
@@ -230,17 +227,6 @@ class Database:
             .reshape(lead + (p.node_len, p.m))
         )
 
-    @classmethod
-    def from_slot_matrix(cls, params: StorageParams, slots: np.ndarray) -> "Database":
-        p = params
-        files = (
-            np.asarray(slots, dtype=np.int64)
-            .reshape(p.stripes, p.k, p.rows_per_stripe, p.m)
-            .transpose(1, 0, 2, 3)
-            .reshape(p.k, p.file_rows, p.m)
-        )
-        return cls(params, files)
-
     def __eq__(self, other):
         if not isinstance(other, Database):
             return NotImplemented
@@ -270,8 +256,7 @@ def encode(db: Database, g: GeneratorMatrix) -> tuple[NodeData, ...]:
 
     Node n's slot value is the inner product of generator column n with
     the m systematic symbols of that slot, so systematic nodes hold raw
-    file columns.  A batch of databases gives shares with the same leading
-    point axes.
+    file columns.  Shares keep the database's leading point axes.
     """
     p = db.params
     if (g.m, g.n, g.q) != (p.m, p.n, p.q):
@@ -303,8 +288,9 @@ def reconstruct(params: StorageParams, shares: Sequence[NodeData], g: GeneratorM
     cols = g.array[:, [i - 1 for i in idx]]  # m x m
     inv = fields.invert(cols, params.q)
     stacked = np.stack([s.values for s in shares], axis=1)  # (slots, m) = W @ cols
-    slots = (stacked @ inv) % params.q
-    return Database.from_slot_matrix(params, slots)
+    slots = (stacked @ inv) % params.q  # node-vector order, as slot_matrix lays it out
+    files = slots.reshape(params.stripes, params.k, params.rows_per_stripe, params.m).swapaxes(0, 1)
+    return Database(params, files.reshape(params.k, params.file_rows, params.m))
 
 
 def smallest_admissible_prime(n: int, m: int) -> int:

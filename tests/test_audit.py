@@ -612,29 +612,24 @@ class TestSweepCannotGoVacuous:
         assert mc_correctness(self.PARAMS, g, 20, seed=1) is False
 
 
-def selfcheck_masks(params, seed=0):
-    """The mask ids the selfcheck samples, drawn as it draws them: after
-    the database ids, from the same generator."""
-    universe = Universe(params)
-    rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
-    n_pts = min(_SELFCHECK_POINTS, universe.size)
-    rng.integers(0, universe.n_db, size=n_pts)
-    return rng.integers(0, universe.n_u, size=n_pts)
-
-
 def selfcheck_ids(universe, seed=0):
     """The (database, mask, randomness) ids the selfcheck samples from
-    ``universe``, drawn as it draws them."""
+    ``universe``, drawn as it draws them, in that order from one generator."""
     rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
     n_pts = min(_SELFCHECK_POINTS, universe.size)
     return tuple(rng.integers(0, count, size=n_pts) for count in (universe.n_db, universe.n_u, universe.n_s))
+
+
+def selfcheck_masks(params, seed=0):
+    """The mask ids the selfcheck samples from the plain universe."""
+    return selfcheck_ids(Universe(params), seed)[1]
 
 
 def log_served_rounds(monkeypatch) -> list:
     """Log, in call order, each network built with its database, each
     query set gen_queries returns and each node answer with its query."""
     log = []
-    spy(monkeypatch, SimNetwork, "__init__", log, lambda net, params, db, *_, **__: ("network", db))
+    spy(monkeypatch, SimNetwork, "__init__", log, lambda net, params, db, *_: ("network", db))
     spy(monkeypatch, NodeHandler, "answer", log, lambda handler, query: ("answer", handler.node_index, query))
     real = protocol.gen_queries
 

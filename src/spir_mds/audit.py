@@ -482,7 +482,7 @@ def _point_network(params: StorageParams, g: GeneratorMatrix, db_rows, u_rows, s
     """The network on universe points' databases and shared randomness, and
     the points' masks shaped for ``gen_queries``.  Each argument is digit
     rows of one point, or of many along leading axes."""
-    lead = np.shape(db_rows)[:-1]
+    lead = db_rows.shape[:-1]
     db = Database(params, db_rows.reshape(lead + (params.k, params.file_rows, params.m)))
     s = CommonRandomness(s_rows.reshape(lead + (params.stripes, params.m, params.m)))
     net = network.SimNetwork(params, db, g, randomness=s)

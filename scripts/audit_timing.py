@@ -23,7 +23,8 @@ import statistics
 import time
 import timeit
 
-from spir_mds import StorageParams, audit, protocol
+from spir_mds import audit, protocol
+from spir_mds.storage import StorageParams
 
 PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 REPS = 15

@@ -8,8 +8,9 @@ import argparse
 
 import numpy as np
 
-from spir_mds import Database, StorageParams, build_generator, encode, protocol, rates
+from spir_mds import protocol, rates
 from spir_mds.network import SimNetwork
+from spir_mds.storage import Database, StorageParams, build_generator, encode
 
 
 def main():

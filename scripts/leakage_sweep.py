@@ -9,7 +9,9 @@ simply reported.  Decoding works at every j; only privacy is at stake.
 
 import time
 
-from spir_mds import StorageParams, audit_db_privacy, find_decodable_generator, leak_experiment
+from spir_mds.audit import audit_db_privacy, leak_experiment
+from spir_mds.protocol import find_decodable_generator
+from spir_mds.storage import StorageParams
 
 
 def main():

@@ -56,8 +56,8 @@ import numpy as np
 
 from . import fields, network, protocol
 from .errors import DecodeFailure, InvalidParams, UniverseTooLarge
-from .protocol import CommonRandomness, GeneratorMatrix
-from .storage import Database, StorageParams
+from .protocol import CommonRandomness
+from .storage import Database, GeneratorMatrix, StorageParams
 
 DEFAULT_UNIVERSE_CEILING = 1 << 24
 MC_SIGNIFICANCE = 1e-6
@@ -733,7 +733,7 @@ def _mc_correctness(g, universe, samples, seed, ceiling) -> tuple[IndependenceCh
 
 def _mc_networks(g: GeneratorMatrix, universe: Universe, samples: int, seed: int):
     """Seeded uniform universe points, each as its network and masks
-    (see ``_point_network``)."""
+    (see ``_point_network``); an oversized sample is refused on the call."""
     p = universe.params
     if samples * (universe.db_digits + universe.u_digits + universe.s_digits) * 8 >= 1 << 63:
         raise UniverseTooLarge(f"{samples} sampled points exceed 2**63 bytes of int64 digits")
@@ -747,8 +747,7 @@ def _mc_networks(g: GeneratorMatrix, universe: Universe, samples: int, seed: int
     s = np.zeros((samples, universe.s_digits), dtype=np.int64)
     if universe.s_free:
         s[:, : universe.s_free] = rng.integers(0, q, size=(samples, universe.s_free), dtype=np.int64)
-    for point in zip(db, u, s):
-        yield _point_network(p, g, *point)
+    return (_point_network(p, g, *point) for point in zip(db, u, s))
 
 
 def _chi2_p(counter: DistributionCounter) -> float:
@@ -794,9 +793,10 @@ def _mc_user_privacy(g, universe, samples, seed, ceiling) -> tuple[IndependenceC
     params = universe.params
     projections = ("view", "query", "answer", "share", "randomness")
     tables = [{name: DistributionCounter() for name in projections} for _ in range(params.n)]
+    networks = _mc_networks(g, universe, samples, seed)
     rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed, 1])
     thetas = rng.integers(1, params.k + 1, size=samples)
-    for theta, (net, u_val) in zip(thetas.tolist(), _mc_networks(g, universe, samples, seed)):
+    for theta, (net, u_val) in zip(thetas.tolist(), networks):
         qs = protocol.gen_queries(params, g, theta, u_override=u_val)
         answers = net.exchange(qs).per_node
         # byte views of int64 digit arrays: exact keys at any length
@@ -843,9 +843,10 @@ def _mc_db_privacy(g, universe, samples, seed, ceiling) -> tuple[IndependenceChe
         )
     view = DistributionCounter()
     answers, others = [], []
+    networks = _mc_networks(g, universe, samples, seed)
     rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed, 2])
     thetas = rng.integers(1, params.k + 1, size=samples)
-    for theta, (net, u_val) in zip(thetas.tolist(), _mc_networks(g, universe, samples, seed)):
+    for theta, (net, u_val) in zip(thetas.tolist(), networks):
         a_digits = net.exchange(protocol.gen_queries(params, g, theta, u_override=u_val)).per_node.ravel()
         other = np.delete(net.db.files, theta - 1, axis=0).ravel()
         view.add((theta, a_digits.tobytes(), u_val.tobytes()), other.tobytes())

@@ -30,6 +30,8 @@ EXIT_CONFIG = 2
 EXIT_PROTOCOL = 3
 EXIT_AUDIT = 4
 
+MAX_SPEC_VALUES = 100_000  # a longer range spec or rates table is refused unbuilt
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -96,8 +98,10 @@ def _parse_randomness(text: str) -> tuple[str, Optional[int]]:
 def _parse_int_spec(text: str) -> list[int]:
     """Accept '4', '2,3,4', or '1:30' (inclusive range)."""
     if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(end) for end in text.split(":", 1))
+        if hi - lo >= MAX_SPEC_VALUES:
+            raise SpirError(f"range {text} lists more than {MAX_SPEC_VALUES} values")
+        return list(range(lo, hi + 1))
     return [int(part) for part in text.split(",") if part]
 
 
@@ -185,13 +189,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(doc: dict, path: Optional[str]):
-    text = jsonio.canonical_dumps(doc)
+def _write(text: str, path: Optional[str]):
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc: dict, path: Optional[str]):
+    _write(jsonio.canonical_dumps(doc), path)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -280,6 +287,8 @@ def _rates_rows(n_list, m_list, k_list, convergence: bool):
     header = ["n", "m", "k", "spir_capacity", "secrecy_floor", "pir_capacity"]
     if convergence:
         header.append("gap")
+    if len(n_list) * len(m_list) * len(k_list) > MAX_SPEC_VALUES:
+        raise SpirError(f"{len(n_list)} x {len(m_list)} x {len(k_list)} (n, m, k) rows exceed {MAX_SPEC_VALUES}")
     pairs = [(n, m) for n in n_list for m in m_list if 1 <= m < n]
     if not pairs:  # a header alone would pass for a table
         raise SpirError(f"no (n, m) pair has 1 <= m < n among n={n_list}, m={m_list}")
@@ -317,11 +326,7 @@ def cmd_rates(args) -> int:
             )
             + "\n"
         )
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return EXIT_OK
 
 

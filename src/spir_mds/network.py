@@ -16,8 +16,8 @@ import numpy as np
 
 from . import protocol
 from .errors import DecodeFailure, InvalidParams
-from .protocol import AnswerSet, CommonRandomness, GeneratorMatrix, QuerySet, Transcript
-from .storage import Database, NodeData, StorageParams, encode
+from .protocol import AnswerSet, CommonRandomness, QuerySet, Transcript
+from .storage import Database, GeneratorMatrix, NodeData, StorageParams, encode
 
 
 class NodeHandler:

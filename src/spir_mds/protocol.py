@@ -280,7 +280,7 @@ def gen_answer(
             f"node {node_index}: share length {d.values.shape[-1]} != stripes*query_len {stripes * qlen}"
         )
     out = np.einsum("...stq,...sq->...st", query, d.values.reshape(d.values.shape[:-1] + (stripes, qlen)))
-    out += (g.column(node_index) @ s.values) % g.q  # coded blinding, (..., stripes, m)
+    out = out + (g.column(node_index) @ s.values) % g.q  # coded blinding, broadcast over point axes
     out %= g.q
     return out
 

@@ -15,6 +15,10 @@ from .protocol import Transcript
 
 RationalLike = Union[Fraction, int]
 
+# The PIR capacity's terms are below n**k, of under k * n.bit_length() bits.  A
+# larger k than this allows would not print within Python's 4300-digit default.
+MAX_CAPACITY_BITS = 14_000
+
 
 def _check_nm(n: int, m: int):
     if not 1 <= m < n:
@@ -42,6 +46,8 @@ def pir_capacity_mds(n: int, m: int, k: int) -> Fraction:
     _check_nm(n, m)
     if k < 1:
         raise InvalidParams(f"need k >= 1, got {k}")
+    if k * n.bit_length() > MAX_CAPACITY_BITS:
+        raise InvalidParams(f"k={k} is too large for n={n}: the exact capacity passes {MAX_CAPACITY_BITS} bits")
     ratio = Fraction(m, n)
     return (1 - ratio) / (1 - ratio ** k)
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from spir_mds import StorageParams, build_generator, find_decodable_generator
-from spir_mds.protocol import make_query_plan
 from spir_mds.errors import FieldTooSmall
+from spir_mds.protocol import find_decodable_generator, make_query_plan
+from spir_mds.storage import StorageParams, build_generator
 
 # The four desk-scale instances every exhaustive audit runs on.
 EXHAUSTIVE_INSTANCES = [

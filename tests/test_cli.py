@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spir_mds
 from spir_mds import jsonio, protocol
@@ -656,3 +661,124 @@ class TestHugeStripes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and "pairwise tables" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+# Edge values drawn for every integer flag, besides the flag's own values.
+HUGE = str(2**70)
+EDGE = ("0", "-1", HUGE, "", "x", "1.5")
+
+
+def _ints(*own, edge=EDGE):
+    """Each own value six times as likely as each edge value, so that
+    whole argvs are often valid."""
+    return st.sampled_from(own * 6 + edge)
+
+
+def _specs(*own):
+    return st.sampled_from(own + ("0", "-1", HUGE, "", "x", "1:" + HUGE, "0:" + HUGE, "2,x"))
+
+
+# q=4 is not prime, q=2 is below the Cauchy threshold once m >= 2, m=4 is never below n
+INSTANCE = {
+    "--q": _ints("2", "3", "5", "7", "4"),
+    "--n": _ints("2", "3", "4", "5"),
+    "--m": _ints("1", "2", "4"),
+    "--k": _ints("2", "1", "3"),
+}
+INSTANCE_OPTIONAL = {
+    "--stripes": _ints("1", "2"),
+    "--generator": st.sampled_from(["cauchy", "search", "vandermonde"]),
+}
+SEED = _ints("1", "2")
+# no huge ceiling: it would let an exact audit enumerate 7**18 points
+CEILING = _ints("4096", "64", "1", edge=tuple(e for e in EDGE if e != HUGE))
+RANDOMNESS = st.sampled_from(
+    ["full", "zeroed", "partial=0", "partial=1", "partial=-1", "partial=99", f"partial={HUGE}",
+     "partial=", "partial=x", "none"]
+)
+FLAG = st.just(None)  # a store_true flag, given without a value
+# <name> stands for a document path the test fills in; <missing> names no file
+DOCUMENT = st.sampled_from(["<shares>", "<db>", "<config>", "<missing>"])
+
+# Per subcommand: flags always given, and flags each given half the time.
+GRAMMAR = {
+    "run": (INSTANCE, {
+        **INSTANCE_OPTIONAL, "--config": DOCUMENT, "--theta": _ints("1", "2", "3"),
+        "--seed-user": SEED, "--seed-node": SEED, "--seed-db": SEED, "--randomness": RANDOMNESS,
+    }),
+    "audit": ({**INSTANCE, "--ceiling": CEILING}, {
+        **INSTANCE_OPTIONAL, "--config": DOCUMENT, "--randomness": RANDOMNESS, "--seed": SEED,
+        "--checks": st.sampled_from(
+            ["correctness", "user-privacy", "db-privacy", "correctness,db-privacy", ",", "", "bogus"]
+        ),
+        "--monte-carlo": _ints("30", "1"),
+    }),
+    "rates": (
+        {"--n": _specs("4", "2:5", "3,4", "2:400"), "--m": _specs("2", "1:3", "5", "1:400"),
+         "--k": _specs("2", "1:4", "1000000")},
+        {"--csv": FLAG, "--convergence": FLAG},
+    ),
+    "encode": (INSTANCE, {**INSTANCE_OPTIONAL, "--seed-db": SEED, "--db": DOCUMENT}),
+    "reconstruct": ({"--shares": DOCUMENT, "--nodes": _specs("1,2", "2,4", "1", "1,1", "3:4", "0,5")}, {}),
+}
+
+
+def _argv(command, flags):
+    words = [command]
+    for flag, value in flags.items():
+        words += [flag] if value is None else [flag, value]
+    return words
+
+
+ARGV = st.one_of(
+    st.fixed_dictionaries(required, optional=optional).map(lambda flags, c=command: _argv(c, flags))
+    for command, (required, optional) in GRAMMAR.items()
+)
+
+
+@pytest.fixture(scope="module")
+def cli_documents(tmp_path_factory):
+    """Paths of a valid shares, database and run_config document, and of no file."""
+    base = tmp_path_factory.mktemp("documents")
+    docs = {f"<{name}>": str(base / f"{name}.json") for name in ("shares", "db", "config", "missing")}
+    assert run_cli("encode", "--q", "5", "--n", "4", "--m", "2", "--k", "2", "--out", docs["<shares>"]) == 0
+    assert run_cli("reconstruct", "--shares", docs["<shares>"], "--nodes", "1,2", "--out", docs["<db>"]) == 0
+    Path(docs["<config>"]).write_text(jsonio.canonical_dumps({"kind": "run_config", **CONFIG_INSTANCE}))
+    return docs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(argv=ARGV)
+@example(argv=["rates", "--n", "3", "--m", "5", "--k", "2"])
+@example(argv=["rates", "--n", "", "--m", "1", "--k", "2"])
+@example(argv=["rates", "--n", "3", "--m", "1", "--k", HUGE])
+@example(argv=["rates", "--n", "2:400", "--m", "1:400", "--k", "1:4"])
+@example(argv=["audit", "--q", "2", "--n", "2", "--m", "1", "--k", "2", "--ceiling", "4096", "--randomness", "zeroed"])
+@example(argv=["audit", "--q", "5", "--n", "4", "--m", "2", "--k", "2", "--ceiling", "64",
+               "--monte-carlo", HUGE, "--checks", "user-privacy"])
+def test_every_argv_gives_a_document_a_refusal_or_a_witness(cli_documents, argv):
+    """Whatever argv the grammar draws, ``main`` ends in exactly one of:
+    exit 0 with non-empty documents, exit 2 with one ``error:`` line and
+    no output file, or exit 4 with a witness; never a traceback."""
+    argv = [cli_documents.get(word, word) for word in argv]
+    with tempfile.TemporaryDirectory() as out_dir:
+        outs = [os.path.join(out_dir, "out")]
+        argv += ["--out", outs[0]]
+        if argv[0] == "run":
+            outs.append(os.path.join(out_dir, "rate"))
+            argv += ["--rate-out", outs[1]]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own refusals
+                code = exc.code
+        err = stderr.getvalue()
+        assert "Traceback" not in err and stdout.getvalue() == ""
+        assert code in (0, 2, 4), (code, err)
+        if code == 2:
+            assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:], err
+            assert os.listdir(out_dir) == []
+        else:
+            assert all(Path(out).read_text() for out in outs)
+            assert code == 0 or "witness" in err, err

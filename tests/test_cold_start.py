@@ -2,8 +2,10 @@
 
 Importing scipy.stats costs about a second of start-up, so every other
 entry point (the package import, run, rates, encode, reconstruct and an
-exact audit) must leave it out of ``sys.modules``.  One fresh interpreter
-walks all of them in turn, so the whole guard costs one start-up.
+exact audit) must leave it out of ``sys.modules``.  The package root
+itself loads none of its submodules: each name is imported from the
+module that defines it.  One fresh interpreter walks all of them in
+turn, so the whole guard costs one start-up.
 """
 
 import json
@@ -21,6 +23,7 @@ out = sys.argv[1]
 loaded = {}
 import spir_mds
 loaded["import spir_mds"] = "scipy" in sys.modules
+submodules = sorted(name for name in sys.modules if name.startswith("spir_mds."))
 from spir_mds.cli import main
 inst = ["--q", "2", "--n", "4", "--m", "1", "--k", "2"]
 steps = {
@@ -38,7 +41,7 @@ codes = {}
 for name, argv in steps.items():
     codes[name] = main(argv)
     loaded[name] = "scipy" in sys.modules
-print(json.dumps({"codes": codes, "loaded": loaded}))
+print(json.dumps({"codes": codes, "loaded": loaded, "submodules": submodules}))
 """
 
 
@@ -57,3 +60,4 @@ def test_scipy_loads_only_for_monte_carlo_audit(tmp_path):
     assert all(code == 0 for code in result["codes"].values()), result["codes"]
     loaded = result["loaded"]
     assert [step for step, yes in loaded.items() if yes] == ["monte carlo audit"], loaded
+    assert result["submodules"] == [], "import spir_mds loaded " + ", ".join(result["submodules"])

@@ -130,26 +130,45 @@ BATCH_PARAMS = [
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(p=st.sampled_from(BATCH_PARAMS), batch=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-def test_batched_round_equals_stacked_single_rounds(p, batch, seed):
+@given(
+    p=st.sampled_from(BATCH_PARAMS),
+    batch=st.integers(1, 4),
+    batched=st.sets(st.sampled_from(("db", "s", "u")), min_size=1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_round_equals_stacked_single_rounds(p, batch, batched, seed):
     """One network over B points serves every point's queries and answers
-    exactly as B single-point networks do, stacked on a leading axis."""
+    exactly as B single-point networks do, stacked on a leading axis.  Of
+    the database, randomness and masks, those not in ``batched`` are one
+    value shared by every point and broadcast against the others."""
     g = build_generator(p)
     rng = np.random.default_rng(seed)
-    files = rng.integers(0, p.q, size=(batch, p.k, p.file_rows, p.m))
-    s = rng.integers(0, p.q, size=(batch, p.stripes, p.m, p.m))
-    u = rng.integers(0, p.q, size=(batch, p.stripes, p.m, p.query_len))
-    batched = SimNetwork(p, Database(p, files), g, randomness=CommonRandomness(s))
-    singles = [SimNetwork(p, Database(p, files[b]), g, randomness=CommonRandomness(s[b])) for b in range(batch)]
+
+    def draw(name, shape):
+        return rng.integers(0, p.q, size=((batch,) if name in batched else ()) + shape)
+
+    def at(name, arr, b):
+        return arr[b] if name in batched else arr
+
+    files = draw("db", (p.k, p.file_rows, p.m))
+    s = draw("s", (p.stripes, p.m, p.m))
+    u = draw("u", (p.stripes, p.m, p.query_len))
+    net = SimNetwork(p, Database(p, files), g, randomness=CommonRandomness(s))
+    singles = [
+        SimNetwork(p, Database(p, at("db", files, b)), g, randomness=CommonRandomness(at("s", s, b)))
+        for b in range(batch)
+    ]
     for theta in range(1, p.k + 1):
         qs = protocol.gen_queries(p, g, theta, u_override=u)
-        single_qs = [protocol.gen_queries(p, g, theta, u_override=u[b]) for b in range(batch)]
-        assert np.array_equal(qs.per_node, np.stack([one.per_node for one in single_qs]))
-        answers = batched.exchange(qs).per_node
-        single_answers = [net.exchange(one).per_node for net, one in zip(singles, single_qs)]
+        single_qs = [protocol.gen_queries(p, g, theta, u_override=at("u", u, b)) for b in range(batch)]
+        expected = np.stack([one.per_node for one in single_qs]) if "u" in batched else single_qs[0].per_node
+        assert np.array_equal(qs.per_node, expected)
+        answers = net.exchange(qs).per_node
+        single_answers = [single.exchange(one).per_node for single, one in zip(singles, single_qs)]
         assert np.array_equal(answers, np.stack(single_answers))
-        # serve is one round: a batch of queries is refused, not decoded
+        # serve is one round: a batch of queries or answers is refused, not decoded
+        if "u" in batched:
+            with pytest.raises(InvalidParams):
+                singles[0].serve(qs)
         with pytest.raises(InvalidParams):
-            singles[0].serve(qs)
-        with pytest.raises(InvalidParams):
-            batched.serve(qs)
+            net.serve(qs)

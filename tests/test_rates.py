@@ -60,6 +60,11 @@ class TestFormulas:
             secrecy_floor(1, 1)
         with pytest.raises(InvalidParams):
             pir_capacity_mds(4, 2, 0)
+        # k * n.bit_length() past 14,000 bits is refused; up to it, the
+        # exact capacity still prints within Python's 4300-digit default
+        with pytest.raises(InvalidParams):
+            pir_capacity_mds(3, 1, 7001)
+        assert str(pir_capacity_mds(3, 1, 7000))
 
     def test_everything_is_exact_rational(self):
         values = [

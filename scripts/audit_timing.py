@@ -1,24 +1,28 @@
 #!/usr/bin/env python3
-"""Time one exact-audit selfcheck, one four-audit op, and the calls they make.
+"""Time one exact-audit selfcheck, each check of one four-audit op, and the
+calls they make.
 
 At (q, n, m, k) = (3, 3, 2, 2), the instance of the benchmark's exact-audit
 workload, it prints the median wall time of one `_BatchContext.selfcheck`
 (32 sampled points, every index, through one SimNetwork over them), of
-one op: correctness, user privacy, database privacy and the
+each audit of one op: correctness, user privacy, database privacy and the
 zeroed-randomness control, each a separate audit with its own selfcheck,
 and of one default `run_audit`, the `spir-mds audit` op, whose three
-checks share one universe and so one selfcheck.  One warm-up call
-precedes each series.  Then it prints the best per-call time of the
-served calls a selfcheck makes over its 32 points: the network build
-(`_point_network`) once, and `gen_queries` and `SimNetwork.exchange` k
-times each, and of the batched kernel a sweep runs once per chunk
-(`chunk` on all 81 databases, which also adds every index's units, so
-`answer_parts` only looks its index up).  The figures are informational,
-for comparing runs on one machine.
+checks share one universe and so one selfcheck.  The op's audits are
+timed twice: as they run, where a certificate decides each passing check,
+and with every certificate forced to fail, so the enumerator decides.  One
+warm-up call precedes each series.  Then it prints the best per-call time
+of the served calls a selfcheck makes over its 32 points: the network
+build (`_point_network`) once, and `gen_queries` and
+`SimNetwork.exchange` k times each, and of the batched kernel a sweep runs
+once per chunk (`chunk` on all 81 databases, which also adds every index's
+units, so `answer_parts` only looks its index up).  The figures are
+informational, for comparing runs on one machine.
 
     python scripts/audit_timing.py
 """
 
+import contextlib
 import statistics
 import time
 import timeit
@@ -29,6 +33,7 @@ from spir_mds.storage import StorageParams
 PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 REPS = 15
 CALL_REPEATS = 7  # best of CALL_REPEATS timings of `number` calls each
+CERTIFICATES = ("_decodes_on_the_basis", "_user_privacy_certificate", "_db_privacy_certificate")
 
 
 def median_ms(fn) -> float:
@@ -45,19 +50,36 @@ def best_us(fn, number: int) -> float:
     return min(timeit.repeat(fn, number=number, repeat=CALL_REPEATS)) / number * 1e6
 
 
+@contextlib.contextmanager
+def certificates_fail(forced: bool):
+    """Within the block, every certificate fails when ``forced``."""
+    saved = {name: getattr(audit, name) for name in CERTIFICATES}
+    if forced:
+        for name in CERTIFICATES:
+            setattr(audit, name, lambda ctx: False)
+    try:
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(audit, name, fn)
+
+
 def main():
     g = protocol.generator_for(PARAMS)
     ctx = audit._BatchContext(PARAMS, g, audit.Universe(PARAMS))
 
-    def op(seed):
-        audit.audit_correctness(PARAMS, g)
-        audit.audit_user_privacy(PARAMS, g, seed=seed)
-        audit.audit_db_privacy(PARAMS, g, seed=seed)
-        audit.leak_experiment(PARAMS, g, "zeroed", seed=seed)
-
+    audits = {
+        "correctness": lambda seed: audit.audit_correctness(PARAMS, g),
+        "user privacy": lambda seed: audit.audit_user_privacy(PARAMS, g, seed=seed),
+        "database privacy": lambda seed: audit.audit_db_privacy(PARAMS, g, seed=seed),
+        "zeroed-randomness control": lambda seed: audit.leak_experiment(PARAMS, g, "zeroed", seed=seed),
+    }
     where = f"(q, n, m, k) = ({PARAMS.q}, {PARAMS.n}, {PARAMS.m}, {PARAMS.k})"
     print(f"selfcheck: {median_ms(ctx.selfcheck):.1f} ms at {where}, median of {REPS}")
-    print(f"four-audit op: {median_ms(op):.1f} ms at {where}, median of {REPS}")
+    for path in ("by certificate", "certificates forced to fail"):
+        with certificates_fail(path != "by certificate"):
+            for name, fn in audits.items():
+                print(f"{name} audit, {path}: {median_ms(fn):.1f} ms at {where}, median of {REPS}")
     default_audit = median_ms(lambda seed: audit.run_audit(PARAMS, g, seed=seed))
     print(f"default run_audit: {default_audit:.1f} ms at {where}, median of {REPS}")
 

@@ -1,12 +1,39 @@
-"""Exact privacy auditing by exhaustive enumeration.
+"""Exact privacy auditing: linear certificates first, then exhaustive
+enumeration.
 
-The auditor enumerates every (database, mask, shared-randomness)
-assignment, each uniform and independent, runs the scheme over the
-whole universe, and decides independence by integer counting: X and Y
+The universe is every (database, mask, shared-randomness) assignment,
+each uniform and independent.  The enumerator runs the scheme over the
+whole universe and decides independence by integer counting: X and Y
 are independent iff ``total * count(x, y) == count(x) * count(y)`` for
 every cell, which needs no tolerance and no floating point.
 
-Three checks are offered:
+Before it sweeps, each exact check tries a certificate read off the
+scheme's linear structure.  The batched model's answer is ``ip(u, c) +
+blind(s)``: the mask side is affine in the masks u and linear in the
+database c, the randomness side linear in S.  So the mask side at the
+basis chunk (the masks 0, e_1, ..., e_U at the unit databases) and the
+randomness side at the unit S rows fix every answer:
+
+* correctness: decoding cancels the randomness side of every unit S row
+  and returns the requested file on the basis chunk;
+* database privacy: every randomness digit is free, the blinding span V
+  has one dimension per digit and decoding is right, so V and the
+  requested file's columns fill the answer space, and every answer is
+  uniform whatever the other files are (the blinding argument of the
+  achievability proof);
+* user privacy: with full masks, each packed query row is a permutation
+  of all queries, and on the basis chunk the mask side is the inner
+  product of the query with the node's share, so the view has the same
+  law for every index.
+
+A certificate that passes returns the report the enumerator would;
+before it does, the basis chunk's bilinear expansion must reproduce the
+selfcheck's served answers (``_BatchContext.link``), which ties the
+assumed affinity to the served round.  A certificate that fails (zeroed
+masks, randomness below the floor, a model that does not decode) leaves
+the check to the enumerator below, which names the witness.
+
+The enumerator offers three checks:
 
 * user privacy: the requested index vs one node's view
   (query, answer, share, shared randomness), per node;
@@ -50,6 +77,7 @@ Carlo mode reported as statistical (chi-square screen), never as exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -74,6 +102,11 @@ CHECKS = ("correctness", "user-privacy", "db-privacy")
 def enumerate_assignments(q: int, digits: int, start: int, stop: int) -> np.ndarray:
     """Rows ``start..stop`` of the lexicographic enumeration of F_q^digits."""
     return _digit_rows(np.arange(start, stop, dtype=np.int64), q, digits)
+
+
+def _unit_ids(q: int, digits: int) -> np.ndarray:
+    """Enumeration ids of the unit rows e_1, ..., e_digits of F_q^digits."""
+    return q ** np.arange(digits - 1, -1, -1, dtype=np.int64)
 
 
 def _digit_rows(ids, q: int, digits: int) -> np.ndarray:
@@ -414,16 +447,24 @@ class _BatchContext:
             self.qpack[theta - 1] = pack_digits(queries, self.q).T
             self.units.append(np.unravel_index(query_index, (params.n, params.stripes, params.m, params.query_len)))
         self._chunk_rows = max(1, _CHUNK_TARGET // max(1, self.n_u * self.n_s))
+        self._served = None  # the selfcheck's points and served answers
 
     def db_chunks(self) -> Iterator[dict]:
         for _, rows in self.universe.db_row_chunks(self._chunk_rows):
             yield self.chunk(rows)
 
-    def chunk(self, rows: np.ndarray) -> dict:
-        """Files and node shares of database rows, and per index theta the
-        mask side ``ip`` (n_u, c, n, stripes, m) of every answer digit."""
+    def chunk(self, rows: np.ndarray, u_rows: Optional[np.ndarray] = None) -> dict:
+        """Files and node shares of database rows, their mask rows
+        ``u_mats`` (default: the enumerated ones) and, per index theta, the
+        mask side ``ip`` (masks, c, n, stripes, m) of every answer digit."""
         p = self.params
         c = rows.shape[0]
+        if u_rows is None:
+            u_mats, u_cols = self.u_mats, self.u_cols
+        else:
+            u_mats = u_rows.reshape(-1, p.stripes, p.m, p.query_len)
+            u_cols = u_mats.transpose(0, 1, 3, 2)
+        n_u = u_mats.shape[0]
         files = rows.reshape(c, p.k, p.file_rows, p.m)
         # slot order: stripe-major, file-major, row-minor (node layout)
         slots = files.reshape(c, p.k, p.stripes, p.rows_per_stripe, p.m).transpose(0, 4, 2, 1, 3)
@@ -431,20 +472,28 @@ class _BatchContext:
         data = shares.reshape(c, p.n, p.stripes, p.query_len)
         # every theta's mask side in one buffer: one product per (u, stripe),
         # reduced once, copied per theta, then raised by that theta's units
-        ip = np.empty((p.k, self.n_u, p.stripes, c * p.n, p.m), dtype=np.int64)
-        np.matmul(data.transpose(2, 0, 1, 3).reshape(p.stripes, c * p.n, p.query_len), self.u_cols, out=ip[0])
+        ip = np.empty((p.k, n_u, p.stripes, c * p.n, p.m), dtype=np.int64)
+        np.matmul(data.transpose(2, 0, 1, 3).reshape(p.stripes, c * p.n, p.query_len), u_cols, out=ip[0])
         ip[0] %= self.q
         ip[1:] = ip[0]
-        flat = ip.reshape(p.k, self.n_u, -1)
+        flat = ip.reshape(p.k, n_u, -1)
         for theta, (node0, stripe, t0, col) in enumerate(self.units):
             at = np.ravel_multi_index((stripe, np.arange(c)[:, None], node0, t0), (p.stripes, c, p.n, p.m))
             flat[theta][:, at] = fields.add_reduced(flat[theta][:, at], data[:, node0, stripe, col], self.q)
-        ip = ip.reshape(p.k, self.n_u, p.stripes, c, p.n, p.m).transpose(0, 1, 3, 4, 2, 5)
-        return {"count": c, "files": files, "data": data.transpose(1, 0, 2, 3), "ip": ip}
+        ip = ip.reshape(p.k, n_u, p.stripes, c, p.n, p.m).transpose(0, 1, 3, 4, 2, 5)
+        return {"count": c, "files": files, "data": data.transpose(1, 0, 2, 3), "u_mats": u_mats, "ip": ip}
+
+    @cached_property
+    def basis(self) -> dict:
+        """The chunk of the unit databases at the masks {0, e_1, ..., e_U}:
+        (U + 1) * db_digits rows that fix the mask side everywhere, as it is
+        affine in the mask and linear in the database."""
+        u = self.universe.u_digits
+        return self.chunk(np.eye(self.universe.db_digits, dtype=np.int64), np.eye(u + 1, u, -1, dtype=np.int64))
 
     def answer_parts(self, chunk: dict, theta: int) -> np.ndarray:
-        """Mask side ``ip`` (n_u, c, n, stripes, m) of every answer digit for
-        index theta; the randomness side is ``self.blind``."""
+        """Mask side ``ip`` (masks, c, n, stripes, m) of every answer digit
+        for index theta; the randomness side is ``self.blind``."""
         return chunk["ip"][theta - 1]
 
     def selfcheck(self, seed: int = 0):
@@ -456,7 +505,8 @@ class _BatchContext:
         it raises unless the served queries and answers equal the batched
         ones.  The sampled databases form one chunk, which goes through the
         same batched path as a sweep.  Nothing is decoded here, so a wrong
-        decoder reaches the correctness verdict instead of raising.
+        decoder reaches the correctness verdict instead of raising.  The
+        served answers are kept for ``link``.
         """
         p = self.params
         rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
@@ -467,6 +517,7 @@ class _BatchContext:
         db_rows = _digit_rows(db_ids, self.q, self.universe.db_digits)
         chunk = self.chunk(db_rows)
         net, u_val = _point_network(p, self.g, db_rows, self.u_rows[u_ids], self.s_rows[s_ids])
+        served = []
         for theta in range(1, p.k + 1):
             qs = protocol.gen_queries(p, self.g, theta, u_override=u_val)
             answers = net.exchange(qs).per_node  # compared as served
@@ -476,6 +527,30 @@ class _BatchContext:
             ip = self.answer_parts(chunk, theta)
             if not np.array_equal(answers, (ip[u_ids, np.arange(n_pts)] + self.blind[s_ids]) % self.q):
                 raise AssertionError("batched answers disagree with gen_answer")
+            served.append(answers)
+        self._served = (db_rows, self.u_rows[u_ids], self.s_rows[s_ids], np.stack(served))
+
+    def link(self):
+        """Raise unless the selfcheck's served answers equal the answers
+        that the basis chunk and the unit randomness rows predict.
+
+        A certificate reads the batched model at basis points only and
+        extends it by bilinear expansion; this ties that expansion to the
+        served round at the selfcheck's points, as the selfcheck ties the
+        enumerated chunks.  Checked once per context; a context whose
+        selfcheck has not run has no served answers to compare.
+        """
+        if self._served is None:
+            return
+        (db_rows, u_rows, s_rows, served), self._served = self._served, None
+        q, free = self.q, self.universe.s_free
+        ip = np.stack([self.answer_parts(self.basis, theta) for theta in range(1, self.params.k + 1)])
+        ip = ip.reshape(ip.shape[:3] + (-1,))  # (k, U + 1, db_digits, answer digits)
+        at_u = (ip[:, 0, None] + np.einsum("pi,kidx->kpdx", u_rows, (ip[:, 1:] - ip[:, :1]) % q)) % q
+        mask_side = np.einsum("pd,kpdx->kpx", db_rows, at_u) % q
+        blind = (s_rows[:, :free] @ self.blind[_unit_ids(q, free)].reshape(free, self.a_digits_all)) % q
+        if not np.array_equal(served, ((mask_side + blind) % q).reshape(served.shape)):
+            raise AssertionError("basis points disagree with gen_answer")
 
 
 def _point_network(params: StorageParams, g: GeneratorMatrix, db_rows, u_rows, s_rows):
@@ -504,6 +579,11 @@ def _user_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck, ...]:
     q = params.q
     d_digits = params.node_len
     _require_key_bits(q ** universe.u_digits, q ** ctx.a_digits_node, q ** d_digits)
+    if _user_privacy_certificate(ctx):
+        return tuple(
+            IndependenceCheck(f"user_privacy_node_{node}", True, True, universe.size, conditional_equal=True)
+            for node in range(1, params.n + 1)
+        )
     a_radix = q ** ctx.a_digits_node
     d_radix = q ** d_digits
     # parts[node0][theta-1]: one (values, counts) table per chunk
@@ -540,6 +620,33 @@ def _user_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck, ...]:
             )
         )
     return tuple(checks)
+
+
+def _user_privacy_certificate(ctx: _BatchContext) -> bool:
+    """Certificate: with full masks, each node's query is uniform for
+    every index and its mask side is the inner product of that query with
+    the node's share.
+
+    Every packed query row ``qpack[theta-1, node]`` must be a permutation
+    of the q^U queries, and on the basis chunk the mask side must equal
+    the inner product of the basis masks' queries, read off ``qpack``,
+    with the shares.  Both sides are affine in the mask and linear in the
+    database, so the equality holds at every grid point; then each node's
+    (query, ip, share) is one function of a (query, share) pair whose law
+    is the same for every index, and the per-index tables are equal.
+    """
+    universe, p, q = ctx.universe, ctx.params, ctx.q
+    if universe.mask_mode != "full" or not (np.sort(ctx.qpack, axis=-1) == np.arange(ctx.n_u)).all():
+        return False
+    ids = np.concatenate(([0], _unit_ids(q, universe.u_digits)))
+    queries = _digit_rows(ctx.qpack[:, :, ids], q, universe.u_digits)
+    queries = queries.reshape(p.k, p.n, len(ids), p.stripes, p.m, p.query_len)
+    for theta in range(1, p.k + 1):
+        expected = np.einsum("nbstl,njsl->bjnst", queries[theta - 1], ctx.basis["data"]) % q
+        if not np.array_equal(ctx.answer_parts(ctx.basis, theta), expected):
+            return False
+    ctx.link()
+    return True
 
 
 def _user_witness(ctx: _BatchContext, tables: list, node: int) -> dict:
@@ -602,6 +709,8 @@ def _db_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck]:
     wbar_digits = (params.k - 1) * params.file_len
     _require_key_bits(q ** ctx.a_digits_all, ctx.n_u, params.k, q ** wbar_digits)
     w_radix = q ** wbar_digits
+    if _db_privacy_certificate(ctx):
+        return (IndependenceCheck("db_privacy", True, True, ctx.universe.size),)
     # the generator has full row rank, so as s sweeps the randomness rows
     # blind[s] hits each point of the blinding span V once: each (u, c) cell
     # is seen once with every answer of its coset ip + V (module docstring)
@@ -636,6 +745,25 @@ def _db_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck]:
     return (check,)
 
 
+def _db_privacy_certificate(ctx: _BatchContext) -> bool:
+    """Certificate: under full randomness the blinding span V and the
+    requested file's columns fill the whole answer space.
+
+    Every randomness digit is free and V has dimension s_digits, one per
+    digit.  Where decoding is right (``_decodes_on_the_basis``) it returns
+    the requested file and vanishes on V, so the file's columns are
+    independent modulo V and add file_len dimensions: s_digits + file_len
+    = stripes * n * m, every answer digit.  So at each mask and index the
+    answers are uniform whatever the other files are, and the product
+    rule holds.
+    """
+    universe = ctx.universe
+    if universe.s_free != universe.s_digits:
+        return False
+    span, _ = _blinding_span(ctx, ctx.blind.reshape(ctx.n_s, -1))
+    return len(span) == universe.s_digits and _decodes_on_the_basis(ctx)
+
+
 def _blinding_span(ctx: _BatchContext, blind: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Row-reduced basis of the blinding span V and its pivot columns.
 
@@ -644,9 +772,7 @@ def _blinding_span(ctx: _BatchContext, blind: np.ndarray) -> tuple[np.ndarray, l
     coordinate subspace and ``blind`` is linear in s, so V is spanned by
     the images of the free unit vectors.
     """
-    free = ctx.universe.s_free
-    units = blind[ctx.q ** np.arange(free - 1, -1, -1)]  # rows of the unit vectors
-    basis, pivots = fields.rref(units, ctx.q)
+    basis, pivots = fields.rref(blind[_unit_ids(ctx.q, ctx.universe.s_free)], ctx.q)
     return basis[: len(pivots)], pivots
 
 
@@ -682,33 +808,62 @@ def _db_witness(ctx: _BatchContext, cell: Violation, wbar_digits: int) -> dict:
 
 
 def _correctness(ctx: _BatchContext) -> tuple[IndependenceCheck]:
-    return (IndependenceCheck("correctness", _decodes_everywhere(ctx), True, ctx.universe.size),)
+    ok = _decodes_on_the_basis(ctx) or _decodes_everywhere(ctx)
+    return (IndependenceCheck("correctness", ok, True, ctx.universe.size),)
+
+
+def _decodes_on_the_basis(ctx: _BatchContext) -> bool:
+    """Certificate: decoding cancels the randomness side of the unit
+    randomness rows and returns the requested file on the basis chunk.
+
+    The randomness side is linear in S, and the mask side affine in the
+    masks and linear in the database, so this holds iff decoding returns
+    the requested file at every universe point.
+    """
+    units = _decoded_blinding(ctx, ctx.blind[_unit_ids(ctx.q, ctx.universe.s_free)])
+    if units.any() or not _mask_sides_decode(ctx, [ctx.basis], 0):
+        return False
+    ctx.link()
+    return True
 
 
 def _decodes_everywhere(ctx: _BatchContext) -> bool:
     """True iff decoding returns the requested file at every universe
     point, for every requested index."""
-    params = ctx.params
-    q = params.q
-    eqs = params.n * params.m
-    inv = protocol.decode_matrix_inverse(params, ctx.g)
-    w_rows = inv[params.m * params.m :, :]  # ((n-m)*m, n*m) per stripe
-    # decoding is linear, so it maps the two sides of each answer apart;
-    # both sides are reduced, so the n*m-term sums stay inside int64
-    blind = ctx.blind.transpose(0, 2, 1, 3).reshape(ctx.n_s, params.stripes, eqs)
-    blind_w = (blind @ w_rows.T) % q  # (n_s, stripes, w_pos)
+    # decoding is linear, so it maps the two sides of each answer apart:
     # right at every (u, c, s) iff the blinding cancels, blind_w[s] == b for
-    # every s, and ip_w, itself reduced, is (file - b) % q at every (u, c)
-    if not (blind_w == blind_w[0]).all():
-        return False
-    for chunk in ctx.db_chunks():
+    # every s, and ip_w is (file - b) % q at every (u, c)
+    blind_w = _decoded_blinding(ctx, ctx.blind)
+    return bool((blind_w == blind_w[0]).all()) and _mask_sides_decode(ctx, ctx.db_chunks(), blind_w[0])
+
+
+def _w_rows(ctx: _BatchContext) -> np.ndarray:
+    """The decoder's file-symbol rows, ((n-m)*m, n*m) per stripe."""
+    return protocol.decode_matrix_inverse(ctx.params, ctx.g)[ctx.params.m * ctx.params.m :]
+
+
+def _decoded_blinding(ctx: _BatchContext, blind: np.ndarray) -> np.ndarray:
+    """(rows, stripes, w_pos): the file symbols decoded from randomness
+    sides ``blind`` (rows, n, stripes, m)."""
+    p = ctx.params
+    # both sides are reduced, so the n*m-term sums stay inside int64
+    blind = blind.transpose(0, 2, 1, 3).reshape(len(blind), p.stripes, p.n * p.m)
+    return (blind @ _w_rows(ctx).T) % p.q
+
+
+def _mask_sides_decode(ctx: _BatchContext, chunks: Iterable[dict], offset) -> bool:
+    """True iff every chunk's mask side decodes, for every index, to the
+    requested file minus ``offset`` (stripes, w_pos)."""
+    p = ctx.params
+    w_rows = _w_rows(ctx)
+    for chunk in chunks:
         c = chunk["count"]
-        for theta in range(1, params.k + 1):
+        for theta in range(1, p.k + 1):
             ip = ctx.answer_parts(chunk, theta)
-            ip = ip.transpose(0, 1, 3, 2, 4).reshape(ctx.n_u, c, params.stripes, eqs)
-            ip_w = (ip @ w_rows.T) % q  # (n_u, c, stripes, w_pos)
-            expected = chunk["files"][:, theta - 1].reshape(c, params.stripes, -1)
-            if not (ip_w == (expected - blind_w[0]) % q).all():
+            ip = ip.transpose(0, 1, 3, 2, 4).reshape(len(ip), c, p.stripes, p.n * p.m)
+            ip_w = (ip @ w_rows.T) % p.q  # (masks, c, stripes, w_pos)
+            expected = chunk["files"][:, theta - 1].reshape(c, p.stripes, -1)
+            if not (ip_w == (expected - offset) % p.q).all():
                 return False
     return True
 

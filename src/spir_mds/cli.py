@@ -15,6 +15,7 @@ large for memory), 3 protocol failure, 4 audit failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -189,6 +190,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unwritable(path: Optional[str]) -> Optional[str]:
+    """Why an output path cannot be written, or None (stdout, or a file
+    that can be created or replaced)."""
+    if not path:
+        return None
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return f"output directory {parent} does not exist"
+    if os.path.isdir(path):
+        return f"output path {path} is a directory"
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        return f"output path {path} is not writable"
+    return None
+
+
 def _write(text: str, path: Optional[str]):
     if path:
         with open(path, "w") as fh:
@@ -283,6 +299,14 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
+def _summary(name: str, values: list[int]) -> str:
+    """A list of any length in a few words: its count and its range."""
+    if not values:
+        return f"no {name} value"
+    plural = "s" if len(values) > 1 else ""
+    return f"{len(values)} {name} value{plural} in [{min(values)}, {max(values)}]"
+
+
 def _rates_rows(n_list, m_list, k_list, convergence: bool):
     header = ["n", "m", "k", "spir_capacity", "secrecy_floor", "pir_capacity"]
     if convergence:
@@ -291,7 +315,7 @@ def _rates_rows(n_list, m_list, k_list, convergence: bool):
         raise SpirError(f"{len(n_list)} x {len(m_list)} x {len(k_list)} (n, m, k) rows exceed {MAX_SPEC_VALUES}")
     pairs = [(n, m) for n in n_list for m in m_list if 1 <= m < n]
     if not pairs:  # a header alone would pass for a table
-        raise SpirError(f"no (n, m) pair has 1 <= m < n among n={n_list}, m={m_list}")
+        raise SpirError(f"no (n, m) pair has 1 <= m < n among {_summary('n', n_list)} and {_summary('m', m_list)}")
     if not k_list:
         raise SpirError("no file count k given")
     rows = [header]
@@ -375,6 +399,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "encode": cmd_encode,
         "reconstruct": cmd_reconstruct,
     }
+    for path in (getattr(args, "out", None), getattr(args, "rate_out", None)):
+        problem = _unwritable(path)
+        if problem:  # refused before any work, so no output is half written
+            print(f"error: {problem}", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         return handlers[args.command](args)
     except MemoryError as exc:

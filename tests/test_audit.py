@@ -922,7 +922,12 @@ class TestCorrectnessOnTheGrid:
         g = generator_for_instance(params)
         blind_w = decoded_blinding(params, g)
         assert (blind_w == blind_w[0]).all() and blind_w[0].any()
-        assert audit_correctness(params, g) is full_grid_correctness(params, g) is True
+        sweeps = log_sweeps(monkeypatch)
+        assert audit_correctness(params, g) is True
+        # the shifted blinding is not linear in S, so the certificate
+        # refuses it and the enumerator decides
+        assert sweeps == [Universe(params)]
+        assert full_grid_correctness(params, g) is True
 
 
 def full_view_witness(ctx, node):
@@ -1031,9 +1036,18 @@ class TestGridCertificate:
 
 
 def mask_side(ctx, chunk):
-    """The (n_u, c, n, stripes, m) inner products of the masks alone with
-    every node's share: the mask side with no index's units."""
-    return np.einsum("ustq,ncsq->ucnst", ctx.u_mats, chunk["data"]) % ctx.q
+    """The (masks, c, n, stripes, m) inner products of the chunk's masks
+    alone with every node's share: the mask side with no index's units."""
+    return np.einsum("ustq,ncsq->ucnst", chunk["u_mats"], chunk["data"]) % ctx.q
+
+
+def log_sweeps(monkeypatch) -> list:
+    """The universe of each enumerator sweep, in call order: every sweep
+    streams its context's databases through ``db_chunks``, and no
+    certificate does."""
+    log = []
+    spy(monkeypatch, _BatchContext, "db_chunks", log, lambda ctx: ctx.universe)
+    return log
 
 
 class TestBlindingCosetKeys:
@@ -1095,8 +1109,12 @@ class TestBlindingCosetKeys:
 
         monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
         monkeypatch.setattr(_BatchContext, "answer_parts", shifted)
+        sweeps = log_sweeps(monkeypatch)
         check = audit_db_privacy(params, g).checks[0]
         assert check.independent == private
+        # a shift inside V leaves decoding right, so the certificate
+        # decides; every other shift breaks decoding, and the enumerator does
+        assert (sweeps == []) == (where == "codeword" and requested)
         if private:
             assert check.witness is None
         else:
@@ -1142,6 +1160,103 @@ class TestBlindingCosetKeys:
             "right": reference.right[y],
             "total": reference.total,
         }
+
+
+CERTIFICATES = ("_decodes_on_the_basis", "_user_privacy_certificate", "_db_privacy_certificate")
+
+
+class TestCertificatesAgreeWithTheEnumerator:
+    """A certificate that passes gives the enumerator's report byte for
+    byte; one that fails leaves the verdict to the enumerator."""
+
+    @pytest.mark.parametrize("params", EXHAUSTIVE_INSTANCES + [StorageParams(q=3, n=3, m=2, k=2)], ids=str)
+    def test_same_bytes_and_the_expected_path(self, monkeypatch, params):
+        import spir_mds.audit as audit_mod
+
+        g = generator_for_instance(params)
+        s_digits = Universe(params).s_digits
+        cases = [
+            (mode, j, masks)
+            for mode, j in [("full", None), ("zeroed", None)] + [("partial", j) for j in range(s_digits + 1)]
+            for masks in ("full", "zeroed")
+        ]
+        sweeps = log_sweeps(monkeypatch)
+
+        def report_bytes(mode, j, masks):
+            del sweeps[:]
+            report = run_audit(params, g, randomness_mode=mode, partial_count=j, mask_mode=masks, seed=3)
+            return jsonio.canonical_dumps(jsonio.audit_report_to_json(report))
+
+        certified = {}
+        for mode, j, masks in cases:
+            certified[mode, j, masks] = report_bytes(mode, j, masks)
+            # correctness is always certified, user privacy with full masks
+            # and database privacy at the secrecy floor, J = s_digits
+            swept = [Universe(params, mask_mode="zeroed")] if masks == "zeroed" else []
+            if mode == "zeroed" or (mode == "partial" and j < s_digits):
+                swept.append(Universe(params, mode, j))
+            assert sweeps == swept
+        for name in CERTIFICATES:
+            monkeypatch.setattr(audit_mod, name, lambda ctx: False)
+        for case in cases:
+            assert report_bytes(*case) == certified[case]
+            assert len(sweeps) == 3  # every check swept
+
+
+def shift_off_the_enumeration(monkeypatch, shift):
+    """Add ``shift`` (n, stripes, m) to every mask side of a chunk at given
+    mask rows, such as the basis chunk, and to none of the enumerated
+    chunks the selfcheck compares with the served round."""
+    real = _BatchContext.answer_parts
+
+    def shifted(self, chunk, theta):
+        ip = real(self, chunk, theta)
+        return ip if chunk["u_mats"] is self.u_mats else (ip + shift) % self.q
+
+    monkeypatch.setattr(_BatchContext, "answer_parts", shifted)
+
+
+class TestServedRoundTiesTheCertificates:
+    """The selfcheck's served answers tie the basis chunk, and so each
+    certificate that decides, to the served round."""
+
+    PARAMS = StorageParams(q=3, n=3, m=2, k=2)
+
+    def test_answer_without_blinding_fails_selfcheck(self, monkeypatch):
+        real = protocol.gen_answer
+
+        def unblinded(node_index, query, d, s, g):
+            return real(node_index, query, d, CommonRandomness(np.zeros_like(s.values)), g)
+
+        monkeypatch.setattr(protocol, "gen_answer", unblinded)
+        with pytest.raises(AssertionError, match="batched answers disagree with gen_answer"):
+            run_audit(self.PARAMS, generator_for_instance(self.PARAMS))
+
+    # a codeword of G at (stripe 1, vector 1) lies in the blinding span, so
+    # decoding stays right on the basis and the certificate passes; but the
+    # shift is constant, not linear in the database, so the basis points no
+    # longer predict the served answers
+    @pytest.mark.parametrize("check", ["correctness", "db-privacy"])
+    def test_basis_off_the_served_model_fails_the_link(self, monkeypatch, check):
+        p = self.PARAMS
+        g = generator_for_instance(p)
+        shift = np.zeros((p.n, p.stripes, p.m), dtype=np.int64)
+        shift[:, 0, 0] = g.array[0]
+        shift_off_the_enumeration(monkeypatch, shift)
+        with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
+            run_audit(p, g, (check,))
+
+    def test_link_needs_a_certificate_to_pass(self, monkeypatch):
+        # the same shift outside the span fails the certificates, so the
+        # enumerator decides, on chunks that the shift does not reach
+        p = self.PARAMS
+        shift = np.zeros((p.n, p.stripes, p.m), dtype=np.int64)
+        shift[0, 0, 0] = 1
+        shift_off_the_enumeration(monkeypatch, shift)
+        sweeps = log_sweeps(monkeypatch)
+        assert run_audit(p, generator_for_instance(p)).all_passed
+        assert len(sweeps) == 3
+
 
 # sha256 over the canonical audit reports of REPORT_INSTANCES, fixed when the
 # sweep was rebuilt on the mask-side / randomness-side answer split; any

@@ -357,9 +357,9 @@ class TestRates:
     @pytest.mark.parametrize(
         "n,m,k,message",
         [
-            ("3", "5", "2", "error: no (n, m) pair has 1 <= m < n among n=[3], m=[5]\n"),
-            ("", "2", "2", "error: no (n, m) pair has 1 <= m < n among n=[], m=[2]\n"),
-            ("2", "2,3", "2", "error: no (n, m) pair has 1 <= m < n among n=[2], m=[2, 3]\n"),
+            ("3", "5", "2", "error: no (n, m) pair has 1 <= m < n among 1 n value in [3, 3] and 1 m value in [5, 5]\n"),
+            ("", "2", "2", "error: no (n, m) pair has 1 <= m < n among no n value and 1 m value in [2, 2]\n"),
+            ("2", "2,3", "2", "error: no (n, m) pair has 1 <= m < n among 1 n value in [2, 2] and 2 m values in [2, 3]\n"),
             ("4", "2", "", "error: no file count k given\n"),
         ],
         ids=["m_above_n", "empty_n", "m_not_below_n", "empty_k"],
@@ -371,11 +371,56 @@ class TestRates:
         assert captured.err == message and captured.out == ""
         assert not out.exists()
 
+    def test_refusal_summarises_long_lists(self, capsys):
+        # 100,000 n values and one m: the refusal names their counts and
+        # ranges, so its one line stays short whatever the lists hold
+        assert run_cli("rates", "--n", "2:100001", "--m", "100001", "--k", "1") == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: no (n, m) pair has 1 <= m < n among 100000 n values in [2, 100001]"
+            " and 1 m value in [100001, 100001]\n"
+        )
+        assert len(err) == 108
+
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_bad_k_is_config_error(self, k, capsys):
         assert run_cli("rates", "--n", "4", "--m", "2", "--k", k) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "k >= 1" in err
+
+
+class TestOutputPaths:
+    """An output path in a missing directory is refused before any work:
+    exit 2, one ``error:`` line and no file written."""
+
+    INSTANCE = ("--q", "5", "--n", "3", "--m", "2", "--k", "2")
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("run", *INSTANCE), "--out"),
+            (("run", *INSTANCE, "--out", "<tmp>/transcript.json"), "--rate-out"),
+            (("audit", "--q", "2", "--n", "2", "--m", "1", "--k", "2"), "--out"),
+            (("rates", "--n", "4", "--m", "2", "--k", "2"), "--out"),
+            (("encode", *INSTANCE), "--out"),
+            (("reconstruct", "--shares", "<tmp>/shares.json", "--nodes", "1,2"), "--out"),
+        ],
+        ids=["run", "run-rate-out", "audit", "rates", "encode", "reconstruct"],
+    )
+    def test_missing_directory_is_refused(self, argv, flag, tmp_path, capsys):
+        shares = tmp_path / "shares.json"
+        assert run_cli("encode", *self.INSTANCE, "--out", str(shares)) == 0
+        argv = [word.replace("<tmp>", str(tmp_path)) for word in argv]
+        missing = tmp_path / "missing"
+        assert run_cli(*argv, flag, str(missing / "out.json")) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: output directory {missing} does not exist\n"
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["shares.json"]
+
+    def test_directory_as_output_is_refused(self, tmp_path, capsys):
+        assert run_cli("rates", "--n", "4", "--m", "2", "--k", "2", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: output path {tmp_path} is a directory\n"
 
 
 class TestEncodeReconstruct:

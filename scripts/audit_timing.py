@@ -8,7 +8,9 @@ workload, it prints the median wall time of one `_BatchContext.selfcheck`
 each audit of one op: correctness, user privacy, database privacy and the
 zeroed-randomness control, each a separate audit with its own selfcheck,
 and of one default `run_audit`, the `spir-mds audit` op, whose three
-checks share one universe and so one selfcheck.  The op's audits are
+checks share one universe and so one selfcheck; the default `run_audit` is
+also timed at (2, 4, 2, 2) and (3, 4, 1, 2), with the search generator, as
+the field is too small for the Cauchy one.  The op's audits are
 timed twice: as they run, where a certificate decides each passing check,
 and with every certificate forced to fail, so the enumerator decides.  One
 warm-up call precedes each series.  Then it prints the best per-call time
@@ -16,7 +18,8 @@ of the served calls a selfcheck makes over its 32 points: the network
 build (`_point_network`) once, and `gen_queries` and
 `SimNetwork.exchange` k times each, and of the batched kernel a sweep runs
 once per chunk (`chunk` on all 81 databases, which also adds every index's
-units, so `answer_parts` only looks its index up).  The figures are
+units, so `answer_parts` only looks its index up; its mask rows are the
+81 enumerated ones, as a sweep passes them).  The figures are
 informational, for comparing runs on one machine.
 
     python scripts/audit_timing.py
@@ -31,6 +34,7 @@ from spir_mds import audit, protocol
 from spir_mds.storage import StorageParams
 
 PARAMS = StorageParams(q=3, n=3, m=2, k=2)
+SEARCH_PARAMS = (StorageParams(q=2, n=4, m=2, k=2), StorageParams(q=3, n=4, m=1, k=2))
 REPS = 15
 CALL_REPEATS = 7  # best of CALL_REPEATS timings of `number` calls each
 CERTIFICATES = ("_decodes_on_the_basis", "_user_privacy_certificate", "_db_privacy_certificate")
@@ -82,6 +86,11 @@ def main():
                 print(f"{name} audit, {path}: {median_ms(fn):.1f} ms at {where}, median of {REPS}")
     default_audit = median_ms(lambda seed: audit.run_audit(PARAMS, g, seed=seed))
     print(f"default run_audit: {default_audit:.1f} ms at {where}, median of {REPS}")
+    for params in SEARCH_PARAMS:
+        search_g = protocol.generator_for(params, "search")
+        ms = median_ms(lambda seed: audit.run_audit(params, search_g, seed=seed))
+        at = f"(q, n, m, k) = ({params.q}, {params.n}, {params.m}, {params.k})"
+        print(f"default run_audit, search generator: {ms:.1f} ms at {at}, median of {REPS}")
 
     # 32 universe points, served as the selfcheck serves them, and one full chunk
     rows = audit.enumerate_assignments(PARAMS.q, ctx.universe.db_digits, 0, ctx.universe.n_db)
@@ -93,7 +102,7 @@ def main():
         (f"_point_network ({batch})", lambda: audit._point_network(PARAMS, g, *points), 500),
         (f"gen_queries(u_override=...) ({batch})", lambda: protocol.gen_queries(PARAMS, g, 1, u_override=u_val), 500),
         (f"SimNetwork.exchange ({batch}, n = {PARAMS.n})", lambda: net.exchange(qs), 500),
-        (f"_BatchContext.chunk ({len(rows)} rows)", lambda: ctx.chunk(rows), 50),
+        (f"_BatchContext.chunk ({len(rows)} rows)", lambda: ctx.chunk(rows, ctx.u_rows), 50),
     ]
     for name, fn, number in calls:
         print(f"{name}: {best_us(fn, number):.1f} us per call at {where}, best of {CALL_REPEATS}")

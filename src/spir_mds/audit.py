@@ -65,19 +65,24 @@ already counted, and its counts are scaled back to the full (mask,
 database, randomness) grid.
 
 ``run_audit`` is the one entry point: it runs the named checks, and
-checks on one universe share one batched context.  Enumeration is
-vectorized in chunks for speed, but each audited universe first
-re-derives 32 sampled points, with every index, through the served round
-(one ``network.SimNetwork`` over the 32 sampled points at the audited
-params) and insists they agree, so the fast path cannot drift from the
-audited implementation.  Universes above the ceiling fall back to a seeded Monte
+checks on one universe share one batched context.  A context fixes only
+each index's unit positions; the tables only the selfcheck and the
+enumerator read (the enumerated mask rows, randomness rows, blinding
+digits ``blind`` and packed queries ``qpack``) are built on first read,
+so a passing correctness or database-privacy certificate enumerates no
+mask and packs no query.  Enumeration is vectorized in chunks for speed,
+but each audited universe first re-derives 32 sampled points, drawn by
+id on each axis, with every index, through the served round (one
+``network.SimNetwork`` over the 32 sampled points at the audited params)
+and insists they agree, so the fast path cannot drift from the audited
+implementation.  Universes above the ceiling fall back to a seeded Monte
 Carlo mode reported as statistical (chi-square screen), never as exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -94,6 +99,7 @@ AUDIT_SEED_DOMAIN = 4
 _CHUNK_TARGET = 1 << 22  # max elements per (mask, db, randomness) plane
 _SELFCHECK_POINTS = 32  # per audited universe: cross-validation against the served round
 _KEY_BITS = 62
+_INT64_MAX = (1 << 63) - 1
 
 RANDOMNESS_MODES = ("full", "zeroed", "partial")
 CHECKS = ("correctness", "user-privacy", "db-privacy")
@@ -104,20 +110,37 @@ def enumerate_assignments(q: int, digits: int, start: int, stop: int) -> np.ndar
     return _digit_rows(np.arange(start, stop, dtype=np.int64), q, digits)
 
 
+@lru_cache(maxsize=None)
 def _unit_ids(q: int, digits: int) -> np.ndarray:
-    """Enumeration ids of the unit rows e_1, ..., e_digits of F_q^digits."""
-    return q ** np.arange(digits - 1, -1, -1, dtype=np.int64)
+    """Enumeration ids of the unit rows e_1, ..., e_digits of F_q^digits,
+    which are also the place values q**(digits-1), ..., q, 1 of a packed row
+    (read-only: one array per (q, digits) is shared).
+
+    Raises UniverseTooLarge unless q**digits < 2**63, so that every packed
+    row fits int64; no power of q past int64 is formed.
+    """
+    values = [1]
+    for _ in range(digits):
+        if values[-1] > _INT64_MAX // q:
+            raise UniverseTooLarge(f"{digits} base-{q} digits do not pack into int64")
+        values.append(values[-1] * q)
+    ids = np.array(values[-2::-1], dtype=np.int64)
+    ids.flags.writeable = False
+    return ids
 
 
 def _digit_rows(ids, q: int, digits: int) -> np.ndarray:
     """Base-q digit rows of ``ids`` (first digit most significant): the
     inverse of ``pack_digits`` for ids below q**digits."""
-    ids = np.array(ids, dtype=np.int64)
-    out = np.empty(ids.shape + (digits,), dtype=np.int64)
-    for pos in range(digits - 1, -1, -1):
-        out[..., pos] = ids % q
-        ids //= q
-    return out
+    return np.asarray(ids, dtype=np.int64)[..., None] // _unit_ids(q, digits) % q
+
+
+def _free_rows(ids, q: int, free: int, digits: int) -> np.ndarray:
+    """Digit rows of ``ids`` on the first ``free`` of ``digits`` digits;
+    the fixed digits after them are zero."""
+    rows = np.zeros(np.shape(ids) + (digits,), dtype=np.int64)
+    rows[..., :free] = _digit_rows(ids, q, free)
+    return rows
 
 
 def pack_digits(rows: np.ndarray, q: int) -> np.ndarray:
@@ -126,13 +149,7 @@ def pack_digits(rows: np.ndarray, q: int) -> np.ndarray:
     Raises UniverseTooLarge when the packed values could leave int64.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    if q ** rows.shape[-1] >= 1 << 63:
-        raise UniverseTooLarge(f"{rows.shape[-1]} base-{q} digits do not pack into int64")
-    out = np.zeros(rows.shape[:-1], dtype=np.int64)
-    for pos in range(rows.shape[-1]):
-        out *= q
-        out += rows[..., pos]
-    return out
+    return rows @ _unit_ids(q, rows.shape[-1])
 
 
 def unpack_digits(value: int, q: int, digits: int) -> list[int]:
@@ -223,17 +240,22 @@ class Universe:
                 "rerun with a Monte Carlo sample budget for a statistical check"
             )
 
+    def require_enumerable(self):
+        """Refuse an exact audit whose database, mask or randomness axis has
+        2**63 rows or more: its enumeration ids would leave int64."""
+        for axis, free in (("database", self.db_digits), ("mask", self.u_free), ("randomness", self.s_free)):
+            if self.params.q ** free > _INT64_MAX:
+                raise UniverseTooLarge(
+                    f"the {axis} axis has {self.params.q}**{free} rows; exact enumeration ids need fewer than 2**63"
+                )
+
     def u_rows(self) -> np.ndarray:
-        if self.mask_mode == "zeroed":
-            return np.zeros((1, self.u_digits), dtype=np.int64)
-        return enumerate_assignments(self.params.q, self.u_digits, 0, self.n_u)
+        """All mask assignments; under zeroed masks, the one zero row."""
+        return _free_rows(np.arange(self.n_u), self.params.q, self.u_free, self.u_digits)
 
     def s_rows(self) -> np.ndarray:
         """All shared-randomness assignments; fixed digits are zero."""
-        rows = np.zeros((self.n_s, self.s_digits), dtype=np.int64)
-        if self.s_free:
-            rows[:, : self.s_free] = enumerate_assignments(self.params.q, self.s_free, 0, self.n_s)
-        return rows
+        return _free_rows(np.arange(self.n_s), self.params.q, self.s_free, self.s_digits)
 
     def db_row_chunks(self, max_rows: int) -> Iterator[tuple[int, np.ndarray]]:
         for start in range(0, self.n_db, max_rows):
@@ -343,7 +365,7 @@ def merge_count_tables(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.n
 def _require_key_bits(*radixes: int):
     """Refuse a view tuple whose packed key, one digit per radix, could
     leave the exact-mode budget of ``_KEY_BITS`` bits."""
-    bits = sum(int(np.ceil(np.log2(max(2, r)))) for r in radixes)
+    bits = sum((max(2, r) - 1).bit_length() for r in radixes)  # ceil(log2 r), exact on any int
     if bits > _KEY_BITS:
         raise UniverseTooLarge(f"view tuple needs {bits} packed bits; exceeds exact-mode budget")
 
@@ -404,15 +426,16 @@ def _table_rows(rows: np.ndarray, q: int) -> tuple[np.ndarray, Optional[np.ndarr
 
 
 class _BatchContext:
-    """Precomputed tables for sweeping the universe in vectorized chunks.
+    """Tables for sweeping the universe in vectorized chunks.
 
     Every answer digit splits into a mask side and a randomness side: at
     grid point (mask u, database c, randomness s) the answer of (node,
     stripe, vector t) is ``(ip[u, c] + blind[s]) % q``, where ``ip`` is the
     inner product of the query (mask plus unit) with the node's share and
-    ``blind`` the node's coded share of S.  Mask rows, randomness rows,
-    blinding digits and packed per-node queries are derived once;
-    database rows stream through in chunks.
+    ``blind`` the node's coded share of S.  The constructor fixes only each
+    index's unit positions.  The enumerated mask and randomness rows, the
+    blinding digits ``blind`` and the packed per-node queries ``qpack`` are
+    built on first read, and database rows stream through in chunks.
     """
 
     def __init__(self, params: StorageParams, g: GeneratorMatrix, universe: Universe):
@@ -420,50 +443,72 @@ class _BatchContext:
         self.g = g
         self.universe = universe
         self.q = params.q
-        self.u_rows = universe.u_rows()
-        self.s_rows = universe.s_rows()
-        self.n_u = self.u_rows.shape[0]
-        self.n_s = self.s_rows.shape[0]
+        self.n_u = universe.n_u
+        self.n_s = universe.n_s
         self.a_digits_node = params.stripes * params.m
         self.a_digits_all = params.n * self.a_digits_node
-        self.u_mats = self.u_rows.reshape(self.n_u, params.stripes, params.m, params.query_len)
-        # mask rows as (n_u, stripes, query_len, m) right operands of chunk's matmul
-        self.u_cols = np.ascontiguousarray(self.u_mats.transpose(0, 1, 3, 2))
-
-        # blind[s_idx, node0, stripe, t0]
-        s_mats = self.s_rows.reshape(self.n_s, params.stripes, params.m, params.m)
-        self.blind = np.einsum("xsit,in->xnst", s_mats, g.array) % self.q
-
-        # per theta: packed per-node queries (k, n, n_u), built as gen_queries
-        # builds them, and the (node0, stripe, t0, column) of its units
-        self.qpack = np.empty((params.k, params.n, self.n_u), dtype=np.int64)
-        self.units = []
-        queries = np.empty((self.n_u, params.n, universe.u_digits), dtype=np.int64)
-        base = protocol._unit_index(params)
-        for theta in range(1, params.k + 1):
-            query_index, mask_index = (index + (theta - 1) * params.rows_per_stripe for index in base)
-            queries[...] = self.u_rows[:, None]
-            queries.reshape(self.n_u, -1)[:, query_index] = (self.u_rows[:, mask_index] + 1) % self.q
-            self.qpack[theta - 1] = pack_digits(queries, self.q).T
-            self.units.append(np.unravel_index(query_index, (params.n, params.stripes, params.m, params.query_len)))
+        # per theta: the (node0, stripe, t0, column) of its units
+        query_index = protocol._unit_index(params)[0]
+        self.units = [
+            np.unravel_index(query_index + theta * params.rows_per_stripe, (params.n, params.stripes, params.m, params.query_len))
+            for theta in range(params.k)
+        ]
         self._chunk_rows = max(1, _CHUNK_TARGET // max(1, self.n_u * self.n_s))
         self._served = None  # the selfcheck's points and served answers
+        self._served_queries = None  # the selfcheck's mask ids and served packed queries
+
+    @cached_property
+    def u_rows(self) -> np.ndarray:
+        return self.universe.u_rows()
+
+    @cached_property
+    def s_rows(self) -> np.ndarray:
+        return self.universe.s_rows()
+
+    @cached_property
+    def blind(self) -> np.ndarray:
+        """blind[s_idx, node0, stripe, t0] over the enumerated randomness rows."""
+        p = self.params
+        s_mats = self.s_rows.reshape(self.n_s, p.stripes, p.m, p.m)
+        return np.einsum("xsit,in->xnst", s_mats, self.g.array) % self.q
+
+    @cached_property
+    def qpack(self) -> np.ndarray:
+        """Packed per-node queries (k, n, n_u) of the enumerated masks.  Built
+        after the selfcheck, it must agree with the served packed queries
+        at the selfcheck's masks."""
+        qpack = self._pack_queries(self.u_rows)
+        if self._served_queries is not None:
+            u_ids, served = self._served_queries
+            if not np.array_equal(qpack[:, :, u_ids], served):
+                raise AssertionError("batched query pack disagrees with gen_queries")
+        return qpack
+
+    def _pack_queries(self, u_rows: np.ndarray) -> np.ndarray:
+        """Packed per-node queries (k, n, masks) of mask rows, built as
+        gen_queries builds them."""
+        p = self.params
+        queries = np.empty((len(u_rows), p.n, self.universe.u_digits), dtype=np.int64)
+        packed = np.empty((p.k, p.n, len(u_rows)), dtype=np.int64)
+        base = protocol._unit_index(p)
+        for theta in range(1, p.k + 1):
+            query_index, mask_index = (index + (theta - 1) * p.rows_per_stripe for index in base)
+            queries[...] = u_rows[:, None]
+            queries.reshape(len(u_rows), -1)[:, query_index] = (u_rows[:, mask_index] + 1) % self.q
+            packed[theta - 1] = pack_digits(queries, self.q).T
+        return packed
 
     def db_chunks(self) -> Iterator[dict]:
         for _, rows in self.universe.db_row_chunks(self._chunk_rows):
-            yield self.chunk(rows)
+            yield self.chunk(rows, self.u_rows)
 
-    def chunk(self, rows: np.ndarray, u_rows: Optional[np.ndarray] = None) -> dict:
-        """Files and node shares of database rows, their mask rows
-        ``u_mats`` (default: the enumerated ones) and, per index theta, the
+    def chunk(self, rows: np.ndarray, u_rows: np.ndarray) -> dict:
+        """Files and node shares of database rows, the mask rows as
+        ``u_mats`` (masks, stripes, m, query_len) and, per index theta, the
         mask side ``ip`` (masks, c, n, stripes, m) of every answer digit."""
         p = self.params
         c = rows.shape[0]
-        if u_rows is None:
-            u_mats, u_cols = self.u_mats, self.u_cols
-        else:
-            u_mats = u_rows.reshape(-1, p.stripes, p.m, p.query_len)
-            u_cols = u_mats.transpose(0, 1, 3, 2)
+        u_mats = u_rows.reshape(-1, p.stripes, p.m, p.query_len)
         n_u = u_mats.shape[0]
         files = rows.reshape(c, p.k, p.file_rows, p.m)
         # slot order: stripe-major, file-major, row-minor (node layout)
@@ -473,6 +518,7 @@ class _BatchContext:
         # every theta's mask side in one buffer: one product per (u, stripe),
         # reduced once, copied per theta, then raised by that theta's units
         ip = np.empty((p.k, n_u, p.stripes, c * p.n, p.m), dtype=np.int64)
+        u_cols = np.ascontiguousarray(u_mats.transpose(0, 1, 3, 2))  # right operands of the matmul
         np.matmul(data.transpose(2, 0, 1, 3).reshape(p.stripes, c * p.n, p.query_len), u_cols, out=ip[0])
         ip[0] %= self.q
         ip[1:] = ip[0]
@@ -499,36 +545,47 @@ class _BatchContext:
     def selfcheck(self, seed: int = 0):
         """Re-derive sampled grid points through the served round.
 
-        One SimNetwork at the audited params holds the sampled points'
-        databases and randomness on its leading axis, and each index gets
-        one gen_queries and one exchange over all the points' masks; then
-        it raises unless the served queries and answers equal the batched
-        ones.  The sampled databases form one chunk, which goes through the
-        same batched path as a sweep.  Nothing is decoded here, so a wrong
-        decoder reaches the correctness verdict instead of raising.  The
-        served answers are kept for ``link``.
+        The points are drawn by id on each axis, and their digit rows made
+        from the ids.  One SimNetwork at the audited params holds the
+        sampled points' databases and randomness on its leading axis, and
+        each index gets one gen_queries and one exchange over all the
+        points' masks; then it raises unless the served queries and answers
+        equal the batched ones.  The sampled databases at the sampled masks
+        form one chunk, through the same batched path as a sweep, whose
+        diagonal holds the points.  The served queries are compared with
+        ``qpack`` if it is built, else with the builder it is made from, and
+        kept, so a ``qpack`` built later is compared with them then.  Nothing
+        is decoded here, so a wrong decoder reaches the correctness verdict
+        instead of raising.  The served answers are kept for ``link``.
         """
-        p = self.params
+        p, q, universe = self.params, self.q, self.universe
         rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
-        n_pts = min(_SELFCHECK_POINTS, self.universe.n_db * self.n_u * self.n_s)
-        db_ids = rng.integers(0, self.universe.n_db, size=n_pts)
+        n_pts = min(_SELFCHECK_POINTS, universe.n_db * self.n_u * self.n_s)
+        db_ids = rng.integers(0, universe.n_db, size=n_pts)
         u_ids = rng.integers(0, self.n_u, size=n_pts)
         s_ids = rng.integers(0, self.n_s, size=n_pts)
-        db_rows = _digit_rows(db_ids, self.q, self.universe.db_digits)
-        chunk = self.chunk(db_rows)
-        net, u_val = _point_network(p, self.g, db_rows, self.u_rows[u_ids], self.s_rows[s_ids])
-        served = []
+        db_rows = _digit_rows(db_ids, q, universe.db_digits)
+        u_rows = _free_rows(u_ids, q, universe.u_free, universe.u_digits)
+        s_rows = _free_rows(s_ids, q, universe.s_free, universe.s_digits)
+        chunk = self.chunk(db_rows, u_rows)
+        built = vars(self).get("qpack")
+        batched = self._pack_queries(u_rows) if built is None else built[:, :, u_ids]
+        net, u_val = _point_network(p, self.g, db_rows, u_rows, s_rows)
+        points = np.arange(n_pts)
+        served, served_queries = [], []
         for theta in range(1, p.k + 1):
             qs = protocol.gen_queries(p, self.g, theta, u_override=u_val)
             answers = net.exchange(qs).per_node  # compared as served
-            queries = qs.per_node.reshape(n_pts, p.n, self.universe.u_digits)
-            if not np.array_equal(pack_digits(queries, self.q), self.qpack[theta - 1][:, u_ids].T):
+            queries = pack_digits(qs.per_node.reshape(n_pts, p.n, universe.u_digits), q).T
+            if not np.array_equal(queries, batched[theta - 1]):
                 raise AssertionError("batched query pack disagrees with gen_queries")
             ip = self.answer_parts(chunk, theta)
-            if not np.array_equal(answers, (ip[u_ids, np.arange(n_pts)] + self.blind[s_ids]) % self.q):
+            if not np.array_equal(answers, (ip[points, points] + self.blind[s_ids]) % q):
                 raise AssertionError("batched answers disagree with gen_answer")
             served.append(answers)
-        self._served = (db_rows, self.u_rows[u_ids], self.s_rows[s_ids], np.stack(served))
+            served_queries.append(queries)
+        self._served = (db_rows, u_rows, s_rows, np.stack(served))
+        self._served_queries = (u_ids, np.stack(served_queries))
 
     def link(self):
         """Raise unless the selfcheck's served answers equal the answers
@@ -783,8 +840,11 @@ def _coset_keys(rows: np.ndarray, basis: np.ndarray, pivots: list[int], q: int) 
     ``row - row[pivots] @ basis`` is zero at the pivots: any other member
     of the coset is larger at its first nonzero coefficient's pivot and
     equal before it.  Packing keeps that order, the first digit being the
-    most significant.  The reduction runs over ``_table_rows``.
+    most significant.  The reduction runs over ``_table_rows``; an empty
+    span, as under zeroed randomness, leaves each row its own key.
     """
+    if not pivots:
+        return pack_digits(rows, q)
     words, index = _table_rows(rows.reshape(-1, rows.shape[-1]), q)
     keys = pack_digits((words - words[:, pivots] @ basis) % q, q)
     return (keys if index is None else keys[index]).reshape(rows.shape[:-1])
@@ -1065,7 +1125,8 @@ def run_audit(
     is exact, and checks on one universe share its context and its one
     selfcheck.  Above the ceiling a check is a seeded Monte Carlo screen
     when ``samples`` is given, and refused with UniverseTooLarge otherwise.
-    Arguments and modes are refused before any work.
+    Arguments and modes are refused before any work, and so is an exact
+    check with an axis of 2**63 rows or more.
     """
     if samples is not None and samples < 1:  # an empty sample would pass vacuously
         raise InvalidParams(f"a Monte Carlo audit needs at least one sample, got {samples}")
@@ -1077,9 +1138,13 @@ def run_audit(
         "user-privacy": Universe(params, mask_mode=mask_mode),
         "db-privacy": Universe(params, randomness_mode, partial_count),
     }
+    order = [c for c in CHECKS if c in selected]
+    for name in order:
+        if not universes[name].exceeds(ceiling):
+            universes[name].require_enumerable()
     contexts: dict[Universe, _BatchContext] = {}
     found: list[IndependenceCheck] = []
-    for name in [c for c in CHECKS if c in selected]:
+    for name in order:
         universe = universes[name]
         exact, sampled = _CORES[name]
         if not universe.exceeds(ceiling):

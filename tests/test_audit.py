@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXHAUSTIVE_INSTANCES, generator_for_instance, reference_unit_mask
@@ -79,10 +79,37 @@ class TestEnumeration:
         assert np.array_equal(_digit_rows(pack_digits(rows, q), q, digits), rows)
         assert unpack_digits(int(pack_digits(rows[1, 2], q)), q, digits) == rows[1, 2].tolist()
 
+    @settings(max_examples=200)
+    @given(q=st.sampled_from([2, 3, 5, 7, 101, 1000003, 2**31 - 1]), data=st.data())
+    @example(q=2, data=None)
+    @example(q=3, data=None)
+    @example(q=1000003, data=None)
+    def test_digit_rows_pack_roundtrip(self, q, data):
+        # the widest rows that pack, whose largest id is q**widest - 1, and
+        # the refusal one digit wider; an example (data=None) takes the edge
+        widest = max(d for d in range(64) if q ** d < 1 << 63)
+        if data is None:
+            digits, ids = widest, [0, 1, q ** widest - 1]
+        else:
+            digits = data.draw(st.integers(0, widest), label="digits")
+            ids = data.draw(st.lists(st.integers(0, q ** digits - 1), min_size=1, max_size=6), label="ids")
+        ids = np.array(ids, dtype=np.int64)
+        assert np.array_equal(pack_digits(_digit_rows(ids, q, digits), q), ids)
+        with pytest.raises(UniverseTooLarge, match=f"{widest + 1} base-{q} digits do not pack into int64"):
+            pack_digits(np.zeros((1, widest + 1), dtype=np.int64), q)
+        with pytest.raises(UniverseTooLarge, match="do not pack into int64"):
+            _digit_rows(ids, q, widest + 1)
+
     def test_key_budget_is_62_bits(self):
         _require_key_bits(2 ** 31, 3 ** 19)  # 31 + 31 bits
         with pytest.raises(UniverseTooLarge, match="needs 63 packed bits; exceeds exact-mode budget"):
             _require_key_bits(2 ** 31, 3 ** 19, 2)
+
+    @pytest.mark.parametrize("radix,bits", [(2 ** 64, 64), (2 ** 64 + 1, 65), (3 ** 200, 317)])
+    def test_key_budget_counts_the_bits_of_any_int(self, radix, bits):
+        # float log2 of a Python int past 2**64 raises TypeError in numpy
+        with pytest.raises(UniverseTooLarge, match=f"needs {bits} packed bits"):
+            _require_key_bits(radix)
 
 
 class TestDistributionCounter:
@@ -691,14 +718,13 @@ class TestSelfcheckServesEveryPoint:
     @pytest.mark.parametrize("where", ["last_point", "last_theta"])
     def test_one_wrong_batched_answer_fails(self, monkeypatch, where):
         p = self.PARAMS
-        u_ids = selfcheck_masks(p)
         real = _BatchContext.answer_parts
 
         def flipped(self, chunk, theta):
             ip = real(self, chunk, theta)
             ip = ip.copy()
-            if where == "last_point":  # the last sampled mask and database
-                ip[u_ids[-1], chunk["count"] - 1, -1, -1, -1] += 1
+            if where == "last_point":  # the selfcheck chunk's last mask and database: the last point
+                ip[-1, chunk["count"] - 1, -1, -1, -1] += 1
             elif theta == p.k:
                 ip[..., -1] += 1
             return ip % self.q
@@ -941,7 +967,8 @@ def full_view_witness(ctx, node):
         c = chunk["count"]
         shares = chunk["data"][node - 1].reshape(c, -1).tolist()
         for theta in range(1, p.k + 1):
-            queries = ((ctx.u_mats + reference_unit_mask(p, theta, node)) % p.q).reshape(ctx.n_u, -1).tolist()
+            u_mats = ctx.u_rows.reshape(ctx.n_u, p.stripes, p.m, p.query_len)
+            queries = ((u_mats + reference_unit_mask(p, theta, node)) % p.q).reshape(ctx.n_u, -1).tolist()
             ip = ctx.answer_parts(chunk, theta)
             answers = (ip[:, :, node - 1][:, :, None] + ctx.blind[:, node - 1]) % p.q
             answers = answers.reshape(ctx.n_u, c, ctx.n_s, -1).tolist()
@@ -1070,7 +1097,7 @@ class TestBlindingCosetKeys:
         ctx = _BatchContext(params, generator_for_instance(params), universe)
         basis, pivots = _blinding_span(ctx, ctx.blind.reshape(ctx.n_s, -1))
         (_, db_rows), = universe.db_row_chunks(universe.n_db)
-        ip = ctx.answer_parts(ctx.chunk(db_rows), 1).reshape(-1, ctx.a_digits_all)[:limit]
+        ip = ctx.answer_parts(ctx.chunk(db_rows, ctx.u_rows), 1).reshape(-1, ctx.a_digits_all)[:limit]
         blind = ctx.blind.reshape(ctx.n_s, -1)
         keys = _coset_keys(ip, basis, pivots, params.q)
         coset = pack_digits((ip[:, None] + blind[None]) % params.q, params.q)  # (rows, n_s)
@@ -1162,6 +1189,70 @@ class TestBlindingCosetKeys:
         }
 
 
+class TestContextSplit:
+    """The enumerated mask and randomness rows, ``blind`` and ``qpack`` are
+    built on first read: a certificate that passes on the basis chunk
+    enumerates no mask and packs no query, and the selfcheck runs on its
+    own sampled points."""
+
+    PARAMS = StorageParams(q=3, n=3, m=2, k=2)
+
+    def test_selfcheck_chunk_is_its_sampled_masks(self, monkeypatch):
+        p = self.PARAMS
+        universe = Universe(p)
+        _, u_ids, _ = selfcheck_ids(universe)
+        chunks = []
+        spy(monkeypatch, _BatchContext, "chunk", chunks, lambda ctx, rows, u_rows: (rows, u_rows))
+        ctx = _BatchContext(p, generator_for_instance(p), universe)
+        ctx.selfcheck()
+        (rows, u_rows), = chunks
+        assert rows.shape == (_SELFCHECK_POINTS, universe.db_digits)
+        assert np.array_equal(u_rows, _digit_rows(u_ids, p.q, universe.u_digits))
+        assert "u_rows" not in vars(ctx) and "qpack" not in vars(ctx)
+
+    def test_passing_certificates_enumerate_no_mask_and_pack_no_query(self, monkeypatch):
+        p = self.PARAMS
+        enumerated, contexts = [], []
+        spy(monkeypatch, Universe, "u_rows", enumerated, lambda universe: universe)
+        spy(monkeypatch, _BatchContext, "__init__", contexts, lambda ctx, *args: ctx)
+        sweeps = log_sweeps(monkeypatch)
+        assert run_audit(p, generator_for_instance(p), ("correctness", "db-privacy")).all_passed
+        assert sweeps == [] and enumerated == []
+        (ctx,) = contexts
+        assert "qpack" not in vars(ctx)
+
+    def test_query_pack_built_after_the_selfcheck_is_tied_to_it(self, monkeypatch):
+        p = self.PARAMS
+        u_ids = selfcheck_masks(p)
+        built_late = []
+        real_pack, real_selfcheck = _BatchContext._pack_queries, _BatchContext.selfcheck
+
+        def corrupted(self, u_rows):
+            packed = real_pack(self, u_rows)
+            if len(u_rows) == self.n_u:  # the enumerated masks: qpack itself
+                packed[p.k - 1, p.n - 1, u_ids[-1]] += 1
+            return packed
+
+        def selfcheck(self, seed=0):
+            real_selfcheck(self, seed)
+            built_late.append("qpack" not in vars(self))
+
+        monkeypatch.setattr(_BatchContext, "_pack_queries", corrupted)
+        monkeypatch.setattr(_BatchContext, "selfcheck", selfcheck)
+        with pytest.raises(AssertionError, match="batched query pack disagrees with gen_queries"):
+            audit_user_privacy(p, generator_for_instance(p))
+        assert built_late == [True]
+
+    def test_axis_past_int64_is_refused_before_any_work(self, monkeypatch):
+        # 3**164 points fit under the ceiling, but the 3**80 database ids do not
+        p = StorageParams(q=3, n=3, m=2, k=40)
+        contexts = []
+        spy(monkeypatch, _BatchContext, "__init__", contexts, lambda ctx, *args: ctx)
+        with pytest.raises(UniverseTooLarge, match=r"database axis has 3\*\*80 rows"):
+            run_audit(p, generator_for_instance(p), ("correctness",), ceiling=2**300)
+        assert contexts == []
+
+
 CERTIFICATES = ("_decodes_on_the_basis", "_user_privacy_certificate", "_db_privacy_certificate")
 
 
@@ -1204,14 +1295,14 @@ class TestCertificatesAgreeWithTheEnumerator:
 
 
 def shift_off_the_enumeration(monkeypatch, shift):
-    """Add ``shift`` (n, stripes, m) to every mask side of a chunk at given
-    mask rows, such as the basis chunk, and to none of the enumerated
-    chunks the selfcheck compares with the served round."""
+    """Add ``shift`` (n, stripes, m) to every mask side of the basis chunk,
+    and to none of the enumerated chunks or the chunk the selfcheck
+    compares with the served round."""
     real = _BatchContext.answer_parts
 
     def shifted(self, chunk, theta):
         ip = real(self, chunk, theta)
-        return ip if chunk["u_mats"] is self.u_mats else (ip + shift) % self.q
+        return (ip + shift) % self.q if chunk is vars(self).get("basis") else ip
 
     monkeypatch.setattr(_BatchContext, "answer_parts", shifted)
 

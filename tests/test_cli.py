@@ -801,6 +801,8 @@ def cli_documents(tmp_path_factory):
 @example(argv=["audit", "--q", "2", "--n", "2", "--m", "1", "--k", "2", "--ceiling", "4096", "--randomness", "zeroed"])
 @example(argv=["audit", "--q", "5", "--n", "4", "--m", "2", "--k", "2", "--ceiling", "64",
                "--monte-carlo", HUGE, "--checks", "user-privacy"])
+@example(argv=["audit", "--q", "3", "--n", "3", "--m", "2", "--k", "40", "--checks", "correctness",
+               "--ceiling", str(2**300)])
 def test_every_argv_gives_a_document_a_refusal_or_a_witness(cli_documents, argv):
     """Whatever argv the grammar draws, ``main`` ends in exactly one of:
     exit 0 with non-empty documents, exit 2 with one ``error:`` line and

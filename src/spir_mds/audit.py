@@ -553,10 +553,11 @@ class _BatchContext:
         equal the batched ones.  The sampled databases at the sampled masks
         form one chunk, through the same batched path as a sweep, whose
         diagonal holds the points.  The served queries are compared with
-        ``qpack`` if it is built, else with the builder it is made from, and
-        kept, so a ``qpack`` built later is compared with them then.  Nothing
-        is decoded here, so a wrong decoder reaches the correctness verdict
-        instead of raising.  The served answers are kept for ``link``.
+        ``qpack`` if it is built, else with ``_pack_queries``, which builds
+        it, and kept, so a ``qpack`` built later is compared with them then.
+        Nothing is decoded here, so a wrong decoder reaches the correctness
+        verdict instead of raising.  The served answers are kept for
+        ``link``.
         """
         p, q, universe = self.params, self.q, self.universe
         rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])

@@ -1,5 +1,5 @@
-"""Exact privacy auditing: linear certificates first, then exhaustive
-enumeration.
+"""Exact privacy auditing: linear certificates and rank gaps first,
+then exhaustive enumeration.
 
 The universe is every (database, mask, shared-randomness) assignment,
 each uniform and independent.  The enumerator runs the scheme over the
@@ -7,12 +7,12 @@ whole universe and decides independence by integer counting: X and Y
 are independent iff ``total * count(x, y) == count(x) * count(y)`` for
 every cell, which needs no tolerance and no floating point.
 
-Before it sweeps, each exact check tries a certificate read off the
-scheme's linear structure.  The batched model's answer is ``ip(u, c) +
-blind(s)``: the mask side is affine in the masks u and linear in the
-database c, the randomness side linear in S.  So the mask side at the
-basis chunk (the masks 0, e_1, ..., e_U at the unit databases) and the
-randomness side at the unit S rows fix every answer:
+Before it sweeps, each exact check reads the scheme's linear structure.
+The batched model's answer is ``ip(u, c) + blind(s)``: the mask side is
+affine in the masks u and linear in the database c, the randomness side
+linear in S.  So the mask side at the basis chunk (the masks 0, e_1,
+..., e_U at the unit databases) and the randomness side at the unit S
+rows fix every answer, and three certificates read them:
 
 * correctness: decoding cancels the randomness side of every unit S row
   and returns the requested file on the basis chunk;
@@ -29,40 +29,46 @@ randomness side at the unit S rows fix every answer:
 A certificate that passes returns the report the enumerator would;
 before it does, the basis chunk's bilinear expansion must reproduce the
 selfcheck's served answers (``_BatchContext.link``), which ties the
-assumed affinity to the served round.  A certificate that fails (zeroed
-masks, randomness below the floor, a model that does not decode) leaves
-the check to the enumerator below, which names the witness.
+assumed affinity to the served round.  A correctness or user-privacy
+certificate that fails (zeroed masks, a model that does not decode)
+leaves the check to the enumerator below, which names the witness.
 
-The enumerator offers three checks:
+Database privacy, the other files W̄ vs the user's view (all answers,
+the query scheme, the requested index), never sweeps.  Where its
+certificate fails, ``link`` runs and each (mask, index) pair is read off
+the basis chunk: at mask u and index theta the answers are M c +
+blind(s) (``_BatchContext.mask_matrices``), and blind(s) hits each point
+of V once, so for fixed W̄ they are uniform on a coset of the span of V
+and M_theta, the requested file's columns.  The pair leaks iff r_own <
+r_full, the ranks modulo V of M_theta and of M (Sun and Jafar's blinding
+argument); no leaking pair is an exact pass.  A sweep would key its
+cells by (least member of the coset ip + V, mask id, theta, W̄): the
+answers at c = 0 are V, so the zero key is least and every pair has
+it, and a leaking pair breaks its cell (0, u, theta, 0) first.  So the
+first leaking pair in (mask id, index) order names the sweep's first
+broken cell, with counts joint = q^(file_len - r_own), left =
+q^(db_digits - r_full), total = k * universe size and right = total /
+q^((k - 1) * file_len).
+
+The enumerator offers two checks:
 
 * user privacy: the requested index vs one node's view
   (query, answer, share, shared randomness), per node;
-* database privacy: the non-requested files vs the user's view
-  (all answers, the query scheme, the requested index);
 * correctness: the decoder returns the requested file at every point.
 
-Both privacy verdicts are exact certificates that need no cross
-product.  Every index sweeps the same universe, so the index is uniform
-and user privacy holds iff the per-index count tables are equal.  Those
-tables are counted on the (mask, database) grid alone: S is a digit of
-the node's view and, for a fixed S, each answer symbol (ip + blind[S])
-mod q is a bijection of the mask side ip, so the per-index view tables
-are equal iff the per-index (query, ip, share) tables are.  Database
-privacy is counted on the same grid, once per blinding coset: S is
-hidden from the user, and as it sweeps the randomness axis its coded
-share blind[S] covers the span V of the blinding equally often, so two
-answers in one coset ip + V are seen equally often with every database.
-Each cell is keyed by its coset's least member, a subset of the full
-view keys in the same order.  Every database is enumerated, so the other
-files are uniform and database privacy holds iff each view is seen with
-every value of them, all with one count; the first view cell that is
-not names the witness (``_short_block``).  Decoding is linear, so
-correctness decodes the two sides apart into (ip_w[u, c] + blind_w[S])
-mod q, right everywhere iff blind_w is one value b over S (checked once)
-and ip_w is (file - b) mod q on the grid.  No check sweeps the
-randomness axis.  A witness is the first broken cell among the keys
-already counted, and its counts are scaled back to the full (mask,
-database, randomness) grid.
+User privacy is an exact certificate that needs no cross product.
+Every index sweeps the same universe, so the index is uniform and user
+privacy holds iff the per-index count tables are equal.  Those tables
+are counted on the (mask, database) grid alone: S is a digit of the
+node's view and, for a fixed S, each answer symbol (ip + blind[S]) mod q
+is a bijection of the mask side ip, so the per-index view tables are
+equal iff the per-index (query, ip, share) tables are.  Decoding is
+linear, so correctness decodes the two sides apart into (ip_w[u, c] +
+blind_w[S]) mod q, right everywhere iff blind_w is one value b over S
+(checked once) and ip_w is (file - b) mod q on the grid.  No check
+sweeps the randomness axis.  A witness is the first broken cell among
+the keys already counted, and its counts are scaled back to the full
+(mask, database, randomness) grid.
 
 ``run_audit`` is the one entry point: it runs the named checks, and
 checks on one universe share one batched context.  A context fixes only
@@ -81,9 +87,10 @@ Carlo mode reported as statistical (chi-square screen), never as exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -98,6 +105,7 @@ AUDIT_SEED_DOMAIN = 4
 
 _CHUNK_TARGET = 1 << 22  # max elements per (mask, db, randomness) plane
 _SELFCHECK_POINTS = 32  # per audited universe: cross-validation against the served round
+_RANK_BATCH, _RANK_BATCH_MAX = 4, 1 << 10  # first and largest mask batch of the rank gap
 _KEY_BITS = 62
 _INT64_MAX = (1 << 63) - 1
 
@@ -370,60 +378,9 @@ def _require_key_bits(*radixes: int):
         raise UniverseTooLarge(f"view tuple needs {bits} packed bits; exceeds exact-mode budget")
 
 
-class Violation(NamedTuple):
-    """A cell (x, y) that breaks the product rule, with its four counts."""
-
-    x: int
-    y: int
-    joint: int
-    left: int
-    right: int
-    total: int
-
-    def counts(self) -> dict:
-        return {"joint": self.joint, "left": self.left, "right": self.right, "total": self.total}
-
-
-def _short_block(keys: np.ndarray, counts: np.ndarray, right_radix: int) -> Optional[Violation]:
-    """The first packed (left*right_radix + right) cell whose count times
-    ``right_radix`` is not its left value's count, or None.
-
-    ``keys`` are sorted and distinct, so each left value x is one run.
-    None certifies the product rule on any table: every cell of x then
-    holds left(x) / right_radix, so x is seen with all right_radix values,
-    each with that count, and right = total / right_radix everywhere.  On
-    a uniform right marginal, as for the enumerated W̄, right = total /
-    right_radix for every value, so the product rule at a cell reads
-    count * right_radix == left(x): the named cell is the first that
-    breaks it, with its four counts.
-    """
-    if int(counts.max()) * right_radix >= 1 << 63:
-        raise UniverseTooLarge(f"count products exceed int64 exact arithmetic (radix {right_radix})")
-    left_keys = keys // right_radix
-    starts = np.flatnonzero(np.concatenate(([True], left_keys[1:] != left_keys[:-1])))
-    left = np.repeat(np.add.reduceat(counts, starts), np.diff(starts, append=len(keys)))
-    bad = counts * right_radix != left
-    if not bad.any():
-        return None
-    i = int(np.argmax(bad))
-    total = int(counts.sum())
-    x, y = divmod(int(keys[i]), right_radix)
-    return Violation(x, y, int(counts[i]), int(left[i]), total // right_radix, total)
-
-
 # ---------------------------------------------------------------------------
 # Batched enumeration context
 # ---------------------------------------------------------------------------
-
-def _table_rows(rows: np.ndarray, q: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """What a per-row table of (R, J) digit rows is built over: all q^J
-    words, indexed by each row's packed word, when that alphabet is no
-    larger than R; else the rows themselves, with no index."""
-    digits = rows.shape[-1]
-    if q ** digits <= rows.shape[0]:
-        return enumerate_assignments(q, digits, 0, q ** digits), pack_digits(rows, q)
-    return rows, None
-
 
 class _BatchContext:
     """Tables for sweeping the universe in vectorized chunks.
@@ -500,34 +457,46 @@ class _BatchContext:
 
     def db_chunks(self) -> Iterator[dict]:
         for _, rows in self.universe.db_row_chunks(self._chunk_rows):
-            yield self.chunk(rows, self.u_rows)
+            yield self.chunk(rows[None], self.u_rows[:, None])
 
     def chunk(self, rows: np.ndarray, u_rows: np.ndarray) -> dict:
-        """Files and node shares of database rows, the mask rows as
-        ``u_mats`` (masks, stripes, m, query_len) and, per index theta, the
-        mask side ``ip`` (masks, c, n, stripes, m) of every answer digit."""
-        p = self.params
-        c = rows.shape[0]
-        u_mats = u_rows.reshape(-1, p.stripes, p.m, p.query_len)
-        n_u = u_mats.shape[0]
-        files = rows.reshape(c, p.k, p.file_rows, p.m)
+        """Files and node shares of database rows, the mask rows, and per
+        index theta the mask side ``ip`` (k, *lead, n, stripes, m) of every
+        answer digit.
+
+        The leading axes of ``rows`` and ``u_rows`` broadcast to ``lead``
+        as the served round's do: (masks, 1) mask rows against (1, c)
+        database rows give the (masks, c) grid a sweep reads, and two
+        stacks of 32 rows give 32 points.  ``files`` (c, k, file_rows, m),
+        ``data`` (n, c, stripes, query_len) and ``u_mats`` (masks, stripes,
+        m, query_len) hold the rows given, their leading axes flattened.
+        """
+        p, q = self.params, self.q
+        db_lead, u_lead = rows.shape[:-1], u_rows.shape[:-1]
+        files = rows.reshape(db_lead + (p.k, p.file_rows, p.m))
         # slot order: stripe-major, file-major, row-minor (node layout)
-        slots = files.reshape(c, p.k, p.stripes, p.rows_per_stripe, p.m).transpose(0, 4, 2, 1, 3)
-        shares = (self.g.array.T @ slots.reshape(c, p.m, p.node_len)) % self.q
-        data = shares.reshape(c, p.n, p.stripes, p.query_len)
-        # every theta's mask side in one buffer: one product per (u, stripe),
-        # reduced once, copied per theta, then raised by that theta's units
-        ip = np.empty((p.k, n_u, p.stripes, c * p.n, p.m), dtype=np.int64)
-        u_cols = np.ascontiguousarray(u_mats.transpose(0, 1, 3, 2))  # right operands of the matmul
-        np.matmul(data.transpose(2, 0, 1, 3).reshape(p.stripes, c * p.n, p.query_len), u_cols, out=ip[0])
-        ip[0] %= self.q
+        slots = files.reshape(db_lead + (p.k, p.stripes, p.rows_per_stripe, p.m)).swapaxes(-4, -1).swapaxes(-2, -1)
+        shares = (self.g.array.T @ slots.reshape(db_lead + (p.m, p.node_len))) % q
+        data = shares.reshape(db_lead + (p.n, p.stripes, p.query_len))
+        u_mats = u_rows.reshape(u_lead + (p.stripes, p.m, p.query_len))
+        # the masks' inner products with the shares, one (n, query_len) by
+        # (query_len, m) product per point and stripe, reduced once and
+        # copied per index theta, then raised by the shares at its units
+        lead = np.broadcast_shapes(db_lead, u_lead)
+        ip = np.empty((p.k,) + lead + (p.stripes, p.n, p.m), dtype=np.int64)
+        np.matmul(data.swapaxes(-3, -2), u_mats.swapaxes(-2, -1), out=ip[0])
+        ip[0] %= q
         ip[1:] = ip[0]
-        flat = ip.reshape(p.k, n_u, -1)
-        for theta, (node0, stripe, t0, col) in enumerate(self.units):
-            at = np.ravel_multi_index((stripe, np.arange(c)[:, None], node0, t0), (p.stripes, c, p.n, p.m))
-            flat[theta][:, at] = fields.add_reduced(flat[theta][:, at], data[:, node0, stripe, col], self.q)
-        ip = ip.reshape(p.k, n_u, p.stripes, c, p.n, p.m).transpose(0, 1, 3, 4, 2, 5)
-        return {"count": c, "files": files, "data": data.transpose(1, 0, 2, 3), "u_mats": u_mats, "ip": ip}
+        for raised, (node0, stripe, t0, col) in zip(ip, self.units):
+            at = (Ellipsis, stripe, node0, t0)
+            raised[at] = fields.add_reduced(raised[at], data[..., node0, stripe, col], q)
+        return {
+            "count": math.prod(db_lead),
+            "files": files.reshape((-1,) + files.shape[-3:]),
+            "data": data.reshape((-1,) + data.shape[-3:]).swapaxes(0, 1),
+            "u_mats": u_mats.reshape((-1,) + u_mats.shape[-3:]),
+            "ip": ip.swapaxes(-3, -2),
+        }
 
     @cached_property
     def basis(self) -> dict:
@@ -535,11 +504,12 @@ class _BatchContext:
         (U + 1) * db_digits rows that fix the mask side everywhere, as it is
         affine in the mask and linear in the database."""
         u = self.universe.u_digits
-        return self.chunk(np.eye(self.universe.db_digits, dtype=np.int64), np.eye(u + 1, u, -1, dtype=np.int64))
+        masks = np.eye(u + 1, u, -1, dtype=np.int64)
+        return self.chunk(np.eye(self.universe.db_digits, dtype=np.int64)[None], masks[:, None])
 
     def answer_parts(self, chunk: dict, theta: int) -> np.ndarray:
-        """Mask side ``ip`` (masks, c, n, stripes, m) of every answer digit
-        for index theta; the randomness side is ``self.blind``."""
+        """Mask side ``ip`` (*lead, n, stripes, m) of every answer digit for
+        index theta; the randomness side is ``self.blind``."""
         return chunk["ip"][theta - 1]
 
     def selfcheck(self, seed: int = 0):
@@ -550,11 +520,12 @@ class _BatchContext:
         sampled points' databases and randomness on its leading axis, and
         each index gets one gen_queries and one exchange over all the
         points' masks; then it raises unless the served queries and answers
-        equal the batched ones.  The sampled databases at the sampled masks
-        form one chunk, through the same batched path as a sweep, whose
-        diagonal holds the points.  The served queries are compared with
-        ``qpack`` if it is built, else with ``_pack_queries``, which builds
-        it, and kept, so a ``qpack`` built later is compared with them then.
+        equal the batched ones.  The sampled databases and masks, paired
+        point by point, form one chunk through the same batched path as a
+        sweep, which evaluates the points alone.  The served queries are
+        compared with ``qpack`` if it is built, else with ``_pack_queries``,
+        which builds it, and kept, so a ``qpack`` built later is compared
+        with them then.
         Nothing is decoded here, so a wrong decoder reaches the correctness
         verdict instead of raising.  The served answers are kept for
         ``link``.
@@ -572,7 +543,6 @@ class _BatchContext:
         built = vars(self).get("qpack")
         batched = self._pack_queries(u_rows) if built is None else built[:, :, u_ids]
         net, u_val = _point_network(p, self.g, db_rows, u_rows, s_rows)
-        points = np.arange(n_pts)
         served, served_queries = [], []
         for theta in range(1, p.k + 1):
             qs = protocol.gen_queries(p, self.g, theta, u_override=u_val)
@@ -581,12 +551,23 @@ class _BatchContext:
             if not np.array_equal(queries, batched[theta - 1]):
                 raise AssertionError("batched query pack disagrees with gen_queries")
             ip = self.answer_parts(chunk, theta)
-            if not np.array_equal(answers, (ip[points, points] + self.blind[s_ids]) % q):
+            if not np.array_equal(answers, (ip + self.blind[s_ids]) % q):
                 raise AssertionError("batched answers disagree with gen_answer")
             served.append(answers)
             served_queries.append(queries)
         self._served = (db_rows, u_rows, s_rows, np.stack(served))
         self._served_queries = (u_ids, np.stack(served_queries))
+
+    def mask_matrices(self, u_rows: np.ndarray) -> np.ndarray:
+        """(k, masks, db_digits, answer digits): per index, the mask side of
+        each mask row at the unit databases, the matrix that maps a
+        database to the mask side.  It is read off the basis chunk by
+        bilinear expansion: affine in the mask, each row is ip(0) plus
+        u_i * (ip(e_i) - ip(0)) summed over the mask digits i."""
+        q = self.q
+        ip = np.stack([self.answer_parts(self.basis, theta) for theta in range(1, self.params.k + 1)])
+        ip = ip.reshape(ip.shape[:3] + (-1,))  # (k, U + 1, db_digits, answer digits)
+        return (ip[:, 0, None] + np.einsum("pi,kidx->kpdx", u_rows, (ip[:, 1:] - ip[:, :1]) % q)) % q
 
     def link(self):
         """Raise unless the selfcheck's served answers equal the answers
@@ -602,10 +583,7 @@ class _BatchContext:
             return
         (db_rows, u_rows, s_rows, served), self._served = self._served, None
         q, free = self.q, self.universe.s_free
-        ip = np.stack([self.answer_parts(self.basis, theta) for theta in range(1, self.params.k + 1)])
-        ip = ip.reshape(ip.shape[:3] + (-1,))  # (k, U + 1, db_digits, answer digits)
-        at_u = (ip[:, 0, None] + np.einsum("pi,kidx->kpdx", u_rows, (ip[:, 1:] - ip[:, :1]) % q)) % q
-        mask_side = np.einsum("pd,kpdx->kpx", db_rows, at_u) % q
+        mask_side = np.einsum("pd,kpdx->kpx", db_rows, self.mask_matrices(u_rows)) % q
         blind = (s_rows[:, :free] @ self.blind[_unit_ids(q, free)].reshape(free, self.a_digits_all)) % q
         if not np.array_equal(served, ((mask_side + blind) % q).reshape(served.shape)):
             raise AssertionError("basis points disagree with gen_answer")
@@ -760,47 +738,54 @@ def _db_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck]:
     The view is (all answers, the query scheme, the requested index); the
     masks determine the complete query scheme (every node receives some
     plain mask vector, so the map between them is a bijection) and stand
-    in for it in the counted tuple.
+    in for it.  Decided by the certificate, or else by the rank gaps of
+    the (mask, index) pairs in mask id order, in growing batches; the
+    first pair that leaks names the witness (module docstring).
     """
-    params = ctx.params
-    q = params.q
-    wbar_digits = (params.k - 1) * params.file_len
-    _require_key_bits(q ** ctx.a_digits_all, ctx.n_u, params.k, q ** wbar_digits)
-    w_radix = q ** wbar_digits
+    p, q, universe = ctx.params, ctx.q, ctx.universe
     if _db_privacy_certificate(ctx):
-        return (IndependenceCheck("db_privacy", True, True, ctx.universe.size),)
-    # the generator has full row rank, so as s sweeps the randomness rows
-    # blind[s] hits each point of the blinding span V once: each (u, c) cell
-    # is seen once with every answer of its coset ip + V (module docstring)
-    basis, pivots = _blinding_span(ctx, ctx.blind.reshape(ctx.n_s, -1))
-    u_ids = np.arange(ctx.n_u, dtype=np.int64)[:, None]
-    parts = []
-    for chunk in ctx.db_chunks():
-        c = chunk["count"]
-        # theta is a key digit, so the per-theta key sets are disjoint and
-        # one count over all of them needs no merge
-        key = np.empty((params.k, ctx.n_u, c), dtype=np.int64)
-        for theta in range(1, params.k + 1):
-            ip = ctx.answer_parts(chunk, theta)
-            apack = _coset_keys(ip.reshape(ctx.n_u, c, -1), basis, pivots, q)
-            others = np.delete(chunk["files"], theta - 1, axis=1).reshape(c, wbar_digits)
-            wbar = pack_digits(others, q)  # (c,)
-            # view key ((answer*n_u + u)*k + theta-1)*w_radix + wbar
-            np.multiply(apack, ctx.n_u * params.k * w_radix, out=key[theta - 1])
-            key[theta - 1] += (u_ids * params.k + (theta - 1)) * w_radix + wbar
-        parts.append(np.unique(key.ravel(), return_counts=True))
-    keys, counts = merge_count_tables(parts)
-    cell = _short_block(keys, counts, w_radix)
-    if cell is not None:  # the cell's counts over the full (u, c, s) grid
-        cell = cell._replace(right=cell.right * ctx.n_s, total=cell.total * ctx.n_s)
-    check = IndependenceCheck(
-        name="db_privacy",
-        independent=cell is None,
-        exact=True,
-        universe_size=ctx.universe.size,
-        witness=None if cell is None else _db_witness(ctx, cell, wbar_digits),
-    )
-    return (check,)
+        return (IndependenceCheck("db_privacy", True, True, universe.size),)
+    ctx.link()
+    start, size = 0, _RANK_BATCH
+    while start < ctx.n_u:
+        u_rows = _free_rows(np.arange(start, min(ctx.n_u, start + size)), q, universe.u_free, universe.u_digits)
+        r_own, r_full = _rank_gaps(ctx, u_rows)
+        leaks = np.flatnonzero(r_own < r_full)  # in (mask, index) order
+        if leaks.size:
+            u_idx, theta = np.unravel_index(leaks[0], r_own.shape)
+            wbar_digits = (p.k - 1) * p.file_len
+            total = p.k * universe.size
+            witness = {
+                "theta": int(theta) + 1,
+                "answers": [0] * ctx.a_digits_all,
+                "masks": u_rows[u_idx].tolist(),
+                "other_files": [0] * wbar_digits,
+                "counts": {
+                    "joint": q ** (p.file_len - int(r_own[u_idx, theta])),
+                    "left": q ** (universe.db_digits - int(r_full[u_idx, theta])),
+                    "right": total // q ** wbar_digits,
+                    "total": total,
+                },
+            }
+            return (IndependenceCheck("db_privacy", False, True, universe.size, witness=witness),)
+        start, size = start + size, min(2 * size, _RANK_BATCH_MAX)
+    return (IndependenceCheck("db_privacy", True, True, universe.size),)
+
+
+def _rank_gaps(ctx: _BatchContext, u_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks (masks, k), modulo the blinding span V, of the requested
+    file's columns of ``mask_matrices`` and of all its columns, at each
+    mask row and index: the pair leaks exactly where they differ.  Each
+    column is reduced to its coset's least member; one elimination of
+    them, the requested file's first, counts both ranks by its pivots.
+    """
+    p = ctx.params
+    span = _blinding_span(ctx, ctx.blind.reshape(ctx.n_s, -1))
+    matrices = _least_members(ctx.mask_matrices(u_rows), *span, ctx.q)  # (k, masks, db_digits, answers)
+    # the database digits file by file, from the requested one on
+    cols = np.stack([np.roll(m, -theta * p.file_len, axis=1) for theta, m in enumerate(matrices)], axis=1)
+    _, found = fields.row_reduce(cols.swapaxes(-1, -2), ctx.q)
+    return found[..., : p.file_len].sum(axis=-1), found.sum(axis=-1)
 
 
 def _db_privacy_certificate(ctx: _BatchContext) -> bool:
@@ -834,38 +819,21 @@ def _blinding_span(ctx: _BatchContext, blind: np.ndarray) -> tuple[np.ndarray, l
     return basis[: len(pivots)], pivots
 
 
-def _coset_keys(rows: np.ndarray, basis: np.ndarray, pivots: list[int], q: int) -> np.ndarray:
-    """Packed lexicographically least member of each coset ``row + V``.
+def _least_members(rows: np.ndarray, basis: np.ndarray, pivots: list[int], q: int) -> np.ndarray:
+    """Lexicographically least member of each coset ``row + V``.
 
     ``rows`` is (..., J) and ``basis`` V's reduced row-echelon basis, so
     ``row - row[pivots] @ basis`` is zero at the pivots: any other member
     of the coset is larger at its first nonzero coefficient's pivot and
-    equal before it.  Packing keeps that order, the first digit being the
-    most significant.  The reduction runs over ``_table_rows``; an empty
-    span, as under zeroed randomness, leaves each row its own key.
+    equal before it.  An empty span leaves each row as it is.
     """
-    if not pivots:
-        return pack_digits(rows, q)
-    words, index = _table_rows(rows.reshape(-1, rows.shape[-1]), q)
-    keys = pack_digits((words - words[:, pivots] @ basis) % q, q)
-    return (keys if index is None else keys[index]).reshape(rows.shape[:-1])
+    return (rows - rows[..., pivots] @ basis) % q
 
 
-def _db_witness(ctx: _BatchContext, cell: Violation, wbar_digits: int) -> dict:
-    p = ctx.params
-    q = p.q
-    rest = cell.x
-    theta = int(rest % p.k) + 1
-    rest //= p.k
-    u_idx = int(rest % ctx.n_u)
-    a_val = int(rest // ctx.n_u)
-    return {
-        "theta": theta,
-        "answers": unpack_digits(a_val, q, ctx.a_digits_all),
-        "masks": ctx.u_rows[u_idx].tolist(),
-        "other_files": unpack_digits(cell.y, q, wbar_digits),
-        "counts": cell.counts(),
-    }
+def _coset_keys(rows: np.ndarray, basis: np.ndarray, pivots: list[int], q: int) -> np.ndarray:
+    """Packed ``_least_members``; packing keeps their order, the first
+    digit being the most significant."""
+    return pack_digits(_least_members(rows, basis, pivots, q), q)
 
 
 def _correctness(ctx: _BatchContext) -> tuple[IndependenceCheck]:
@@ -1120,7 +1088,7 @@ def run_audit(
 ) -> AuditReport:
     """Run the named checks, in ``CHECKS`` order.
 
-    Correctness sweeps the plain universe, user privacy the one with
+    Correctness audits the plain universe, user privacy the one with
     ``mask_mode`` and database privacy the one with ``randomness_mode``
     (and ``partial_count``).  A check whose universe is within the ceiling
     is exact, and checks on one universe share its context and its one

@@ -8,6 +8,8 @@ run.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, SingularSystem
@@ -43,32 +45,55 @@ def _as_field_array(arr, q: int) -> np.ndarray:
     return np.array(arr, dtype=np.int64) % q
 
 
-def rref(arr: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form mod q; returns (matrix, pivot column list).
+def _inverses(values: np.ndarray, q: int) -> np.ndarray:
+    """Inverses mod q of nonzero ``values``: values ** (q - 2) (Fermat), by
+    square-and-multiply over the exponent's bits after the leading one
+    (at q = 2 every nonzero value is 1, its own inverse)."""
+    out = values
+    for bit in bin(q - 2)[3:]:
+        out = out * out % q
+        if bit == "1":
+            out = out * values % q
+    return out
 
-    Pivot choice is the first row with a nonzero entry in the current
-    column, scanning columns left to right; deterministic by design.
+
+def row_reduce(arr: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row-echelon forms mod q of a stack of matrices (..., rows,
+    cols), and each matrix's pivot columns as flags (..., cols): among a
+    matrix's first j columns, as many pivots as their rank.
+
+    Step r pivots each matrix that is not yet reduced at the first column
+    with a nonzero entry in rows r on, on the first such row.
     """
     a = _as_field_array(arr, q)
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
+    *lead, rows, cols = a.shape
+    a = a.reshape(math.prod(lead), rows, cols)
+    batch = np.arange(len(a))
+    pivots = np.zeros((len(a), cols), dtype=bool)
+    for r in range(min(rows, cols)):
+        nonzero = a[:, r:] != 0
+        live = nonzero.any(axis=1)
+        c = live.argmax(axis=1)
+        found = live[batch, c]
+        if not found.any():
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), q - 2, q)) % q
-        for rr in range(rows):
-            if rr != r and a[rr, c] != 0:
-                a[rr] = (a[rr] - a[rr, c] * a[r]) % q
-        pivots.append(c)
-        r += 1
-    return a, pivots
+        # a reduced matrix, zero from row r on, scales a zero row to zero
+        p = r + nonzero[batch, :, c].argmax(axis=1)
+        top = a[batch, p]
+        a[batch, p] = a[:, r]
+        top = top * (_inverses(top[batch, c], q) * found)[:, None] % q
+        a -= a[batch, :, c][:, :, None] * top[:, None]
+        a %= q
+        a[:, r] = top
+        pivots[batch, c] |= found
+    return a.reshape(tuple(lead) + (rows, cols)), pivots.reshape(tuple(lead) + (cols,))
+
+
+def rref(arr: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form mod q of one matrix and its pivot column
+    list (``row_reduce`` of a stack of one)."""
+    a, pivots = row_reduce(arr, q)
+    return a, np.flatnonzero(pivots).tolist()
 
 
 def rank_of(arr: np.ndarray, q: int) -> int:

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import fields
 from .errors import BadShareCount, DimensionMismatch, FieldTooSmall, InvalidParams
+
+_MDS_BATCH = 1 << 12  # column choices per elimination of ``is_mds``
 
 
 def require_int(name: str, value, low: Optional[int] = None) -> int:
@@ -178,9 +180,11 @@ def build_generator(params: StorageParams) -> GeneratorMatrix:
 
 
 def is_mds(g: GeneratorMatrix) -> bool:
-    """Exhaustively check that every choice of m columns has rank m."""
-    for cols in combinations(range(g.n), g.m):
-        if fields.rank_of(g.array[:, cols], g.q) != g.m:
+    """Exhaustively check that every choice of m columns has rank m, the
+    m x m blocks eliminated as one stack per batch of column choices."""
+    choices = combinations(range(g.n), g.m)
+    while batch := list(islice(choices, _MDS_BATCH)):
+        if not (fields.row_reduce(g.array[:, batch].swapaxes(0, 1), g.q)[1].sum(axis=-1) == g.m).all():
             return False
     return True
 

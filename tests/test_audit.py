@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from spir_mds.audit import (
     _blinding_span,
     _coset_keys,
     _digit_rows,
+    _rank_gaps,
     _require_key_bits,
-    _short_block,
     audit_correctness,
     audit_db_privacy,
     audit_user_privacy,
@@ -148,98 +149,6 @@ class TestDistributionCounter:
         vals_b, counts_b = merge_count_tables(split)
         assert np.array_equal(vals_a, vals_b)
         assert np.array_equal(counts_a, counts_b)
-
-
-def packed_table(cells: dict, radix: int):
-    """Sorted distinct packed keys x*radix + y, their counts, and the
-    reference counter of the same (x, y) -> count cells, inserted in key
-    order, so its first broken cell is the first in key order."""
-    keys = np.array(sorted(x * radix + y for (x, y) in cells), dtype=np.int64)
-    counts = np.array([cells[divmod(int(k), radix)] for k in keys], dtype=np.int64)
-    reference = DistributionCounter()
-    for x, y in sorted(cells):
-        reference.add(x, y, cells[(x, y)])
-    return keys, counts, reference
-
-
-class TestShortBlock:
-    """``_short_block`` may only pass tables the product rule accepts, and
-    on a uniform right marginal (the enumerated W̄) it must give the
-    reference's verdict and first broken cell, with its four counts."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(radix=st.integers(1, 4), data=st.data())
-    def test_sound(self, radix, data):
-        xs = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True))
-        cells = {}
-        for x in xs:
-            shape = data.draw(st.sampled_from(["block", "varied", "subset"]))
-            if shape == "block":
-                c = data.draw(st.integers(1, 3))
-                cells.update({(x, y): c for y in range(radix)})
-            else:
-                ys = range(radix) if shape == "varied" else data.draw(
-                    st.lists(st.integers(0, radix - 1), min_size=1, unique=True)
-                )
-                cells.update({(x, y): data.draw(st.integers(1, 3)) for y in ys})
-        keys, counts, reference = packed_table(cells, radix)
-        cell = _short_block(keys, counts, radix)
-        if cell is None:
-            assert reference.check_independent() == (True, None)
-        else:  # only the right count leans on a uniform right marginal
-            assert cell.joint * radix != cell.left
-            assert (cell.joint, cell.left, cell.total) == (
-                reference.joint[(cell.x, cell.y)], reference.left[cell.x], reference.total
-            )
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        radix=st.integers(1, 4),
-        n_x=st.integers(1, 4),
-        product=st.booleans(),
-        data=st.data(),
-    )
-    def test_complete_on_uniform_right_marginal(self, radix, n_x, product, data):
-        # a random table, then each column's deficit added to one of its
-        # cells so that every right value has the same mass
-        if product:
-            rows = [[data.draw(st.integers(1, 3))] * radix for _ in range(n_x)]
-        else:
-            rows = [[data.draw(st.integers(0, 3)) for _ in range(radix)] for _ in range(n_x)]
-        target = max(1, max(sum(col) for col in zip(*rows)))
-        for y in range(radix):
-            x = data.draw(st.integers(0, n_x - 1))
-            rows[x][y] += target - sum(row[y] for row in rows)
-        cells = {(x, y): c for x, row in enumerate(rows) for y, c in enumerate(row) if c}
-        keys, counts, reference = packed_table(cells, radix)
-        assert set(reference.right.values()) == {target}
-        ok, named = reference.check_independent()
-        cell = _short_block(keys, counts, radix)
-        if ok:
-            assert cell is None
-        else:
-            x, y = named
-            assert cell == (x, y, reference.joint[named], reference.left[x], reference.right[y], reference.total)
-
-    @pytest.mark.parametrize(
-        "cells",
-        [
-            {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 1},
-            {(0, 1): 1, (1, 0): 1},
-            {(0, 0): 1, (1, 1): 1},
-            {(0, 0): 1, (0, 1): 1, (1, 0): 1},
-        ],
-        ids=["counts", "start", "span", "length"],
-    )
-    def test_refuses_a_dependent_table(self, cells):
-        keys, counts, reference = packed_table(cells, 2)
-        assert reference.check_independent()[0] is False
-        assert _short_block(keys, counts, 2) is not None
-
-    def test_refuses_counts_past_int64(self):
-        # each count is multiplied by the radix in int64
-        with pytest.raises(UniverseTooLarge, match="int64"):
-            _short_block(np.array([0, 1]), np.array([1 << 62, 1 << 62]), 2)
 
 
 def pointwise_user_privacy_counter(params, g, node):
@@ -610,7 +519,7 @@ class TestSweepCannotGoVacuous:
         def flipped(self, chunk, theta):
             ip = real(self, chunk, theta)
             ip = ip.copy()
-            ip[:, :, 0, 0, 0] = (ip[:, :, 0, 0, 0] + 1) % self.q
+            ip[..., 0, 0, 0] = (ip[..., 0, 0, 0] + 1) % self.q  # at every point of a grid or of the selfcheck
             return ip
 
         monkeypatch.setattr(_BatchContext, "answer_parts", flipped)
@@ -723,8 +632,8 @@ class TestSelfcheckServesEveryPoint:
         def flipped(self, chunk, theta):
             ip = real(self, chunk, theta)
             ip = ip.copy()
-            if where == "last_point":  # the selfcheck chunk's last mask and database: the last point
-                ip[-1, chunk["count"] - 1, -1, -1, -1] += 1
+            if where == "last_point":  # the selfcheck chunk's last paired point
+                ip[chunk["count"] - 1, -1, -1, -1] += 1
             elif theta == p.k:
                 ip[..., -1] += 1
             return ip % self.q
@@ -1084,8 +993,8 @@ class TestBlindingCosetKeys:
 
     PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 
-    # all 6,561 (u, c) rows take the word table, 500 of them the per-row
-    # reduction (q^J = 729 words at J = 6)
+    # all 6,561 (u, c) rows of the grid, and the first 500 of them (the ids
+    # name the two reduction paths the keys took before they became one)
     @pytest.mark.parametrize("limit", [None, 500], ids=["word_table", "row_reduction"])
     @pytest.mark.parametrize("partial_count", [None, 2], ids=["full", "partial2"])
     def test_key_is_least_member_of_the_coset(self, limit, partial_count):
@@ -1097,7 +1006,8 @@ class TestBlindingCosetKeys:
         ctx = _BatchContext(params, generator_for_instance(params), universe)
         basis, pivots = _blinding_span(ctx, ctx.blind.reshape(ctx.n_s, -1))
         (_, db_rows), = universe.db_row_chunks(universe.n_db)
-        ip = ctx.answer_parts(ctx.chunk(db_rows, ctx.u_rows), 1).reshape(-1, ctx.a_digits_all)[:limit]
+        grid = ctx.chunk(db_rows[None], ctx.u_rows[:, None])
+        ip = ctx.answer_parts(grid, 1).reshape(-1, ctx.a_digits_all)[:limit]
         blind = ctx.blind.reshape(ctx.n_s, -1)
         keys = _coset_keys(ip, basis, pivots, params.q)
         coset = pack_digits((ip[:, None] + blind[None]) % params.q, params.q)  # (rows, n_s)
@@ -1140,8 +1050,9 @@ class TestBlindingCosetKeys:
         check = audit_db_privacy(params, g).checks[0]
         assert check.independent == private
         # a shift inside V leaves decoding right, so the certificate
-        # decides; every other shift breaks decoding, and the enumerator does
-        assert (sweeps == []) == (where == "codeword" and requested)
+        # decides; every other shift breaks decoding, and the rank gap
+        # does: neither sweeps
+        assert sweeps == []
         if private:
             assert check.witness is None
         else:
@@ -1187,6 +1098,53 @@ class TestBlindingCosetKeys:
             "right": reference.right[y],
             "total": reference.total,
         }
+
+
+class TestRankGap:
+    """Below the secrecy floor, the leak of one (mask, index) pair is its
+    rank gap: the rank of every database column modulo the blinding span
+    V less that of the requested file's columns.  Driven over every mask,
+    the mean gap in q-ary symbols is the leak table of the coset-key
+    counts, at every randomness budget J."""
+
+    # (q, n, m, k): the mean gap at J = 0, 1, ..., s_digits
+    LEAK_TABLE = {
+        (2, 4, 2, 2): ["21/8", "33/16", "21/16", "3/4", "0"],
+        (3, 3, 2, 2): ["16/9", "14/9", "8/9", "2/3", "0"],
+        (2, 3, 2, 2): ["3/2", "5/4", "3/4", "1/2", "0"],
+        (2, 4, 1, 2): ["7/8", "0"],
+        (3, 4, 1, 2): ["26/27", "0"],
+        (2, 2, 1, 2): ["1/2", "0"],
+    }
+
+    @pytest.mark.parametrize("instance", LEAK_TABLE, ids=str)
+    def test_mean_gap_is_the_leak_table(self, instance):
+        params = StorageParams(*instance)
+        g = generator_for_instance(params)
+        means = []
+        for j in range(Universe(params).s_digits + 1):
+            ctx = _BatchContext(params, g, Universe(params, randomness_mode="partial", partial_count=j))
+            r_own, r_full = _rank_gaps(ctx, ctx.u_rows)
+            assert r_own.shape == (ctx.n_u, params.k) and (r_own <= r_full).all()
+            means.append(Fraction(int((r_full - r_own).sum()), r_own.size))
+        assert means == [Fraction(value) for value in self.LEAK_TABLE[instance]]
+
+    def test_no_sweep_and_the_first_leak_in_mask_order(self, monkeypatch):
+        # the zeroed control leaks first at mask id 1; the witness is the
+        # zero view cell of that pair, read off its ranks
+        params = StorageParams(q=3, n=3, m=2, k=2)
+        g = generator_for_instance(params)
+        sweeps = log_sweeps(monkeypatch)
+        check = run_audit(params, g, ("db-privacy",), randomness_mode="zeroed").checks[0]
+        assert sweeps == [] and not check.independent
+        ctx = _BatchContext(params, g, Universe(params, randomness_mode="zeroed"))
+        r_own, r_full = _rank_gaps(ctx, ctx.u_rows)
+        u_idx, theta = np.argwhere(r_own < r_full)[0]
+        w = check.witness
+        assert (w["theta"], w["masks"]) == (theta + 1, ctx.u_rows[u_idx].tolist())
+        assert not any(w["answers"]) and not any(w["other_files"])
+        assert w["counts"]["joint"] == params.q ** (params.file_len - r_own[u_idx, theta])
+        assert w["counts"]["left"] == params.q ** (Universe(params).db_digits - r_full[u_idx, theta])
 
 
 class TestContextSplit:
@@ -1281,17 +1239,15 @@ class TestCertificatesAgreeWithTheEnumerator:
         certified = {}
         for mode, j, masks in cases:
             certified[mode, j, masks] = report_bytes(mode, j, masks)
-            # correctness is always certified, user privacy with full masks
-            # and database privacy at the secrecy floor, J = s_digits
-            swept = [Universe(params, mask_mode="zeroed")] if masks == "zeroed" else []
-            if mode == "zeroed" or (mode == "partial" and j < s_digits):
-                swept.append(Universe(params, mode, j))
-            assert sweeps == swept
+            # correctness is always certified, user privacy with full masks;
+            # database privacy never sweeps: the certificate decides at the
+            # secrecy floor, J = s_digits, and the rank gap below it
+            assert sweeps == ([Universe(params, mask_mode="zeroed")] if masks == "zeroed" else [])
         for name in CERTIFICATES:
             monkeypatch.setattr(audit_mod, name, lambda ctx: False)
         for case in cases:
             assert report_bytes(*case) == certified[case]
-            assert len(sweeps) == 3  # every check swept
+            assert len(sweeps) == 2  # correctness and user privacy swept
 
 
 def shift_off_the_enumeration(monkeypatch, shift):
@@ -1339,14 +1295,18 @@ class TestServedRoundTiesTheCertificates:
 
     def test_link_needs_a_certificate_to_pass(self, monkeypatch):
         # the same shift outside the span fails the certificates, so the
-        # enumerator decides, on chunks that the shift does not reach
+        # enumerator decides correctness and user privacy, on chunks that
+        # the shift does not reach; database privacy reads the shifted
+        # basis by its rank gap, and the link refuses it
         p = self.PARAMS
         shift = np.zeros((p.n, p.stripes, p.m), dtype=np.int64)
         shift[0, 0, 0] = 1
         shift_off_the_enumeration(monkeypatch, shift)
         sweeps = log_sweeps(monkeypatch)
-        assert run_audit(p, generator_for_instance(p)).all_passed
-        assert len(sweeps) == 3
+        assert run_audit(p, generator_for_instance(p), ("correctness", "user-privacy")).all_passed
+        assert len(sweeps) == 2
+        with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
+            run_audit(p, generator_for_instance(p))
 
 
 # sha256 over the canonical audit reports of REPORT_INSTANCES, fixed when the

@@ -326,6 +326,25 @@ class TestAudit:
         assert digest.hexdigest() == self.EXACT_AUDITS_SHA256
 
 
+class TestRankGapDecidesAtOnce:
+    """Below the secrecy floor, database privacy is decided by the rank gap
+    of the first leaking (mask, index) pair: there is no packed view key
+    to refuse and no sweep of the universe, however large the ceiling."""
+
+    @pytest.mark.parametrize("q,ceiling,left", [("11", 2**62, 121), ("5", 2**60, 25)], ids=["q11", "q5"])
+    def test_zeroed_control_exits_4_with_a_witness(self, q, ceiling, left):
+        proc = run_module(
+            "audit", "--q", q, "--n", "4", "--m", "2", "--k", "2", "--randomness", "zeroed",
+            "--checks", "db-privacy", "--ceiling", str(ceiling), timeout=30,
+        )
+        assert proc.returncode == 4, proc.stderr
+        headline, document = proc.stderr.split("\n", 1)
+        assert headline == "audit failed: db_privacy"
+        witness = json.loads(document)["witness"]
+        assert witness["masks"] == [0] * 7 + [1]
+        assert witness["counts"]["joint"] == 1 and witness["counts"]["left"] == left
+
+
 class TestRates:
     def test_table_rows(self, capsys):
         assert run_cli("rates", "--n", "4", "--m", "2", "--k", "2") == 0

@@ -97,3 +97,51 @@ class TestRank:
         )
         arr = np.array(flat, dtype=np.int64).reshape(rows, cols)
         assert fields.rank_of(arr, q) == brute_force_rank(arr, q)
+
+
+def span_size(arr: np.ndarray, q: int) -> int:
+    """Number of distinct combinations of the rows of ``arr`` mod q, found
+    by trying every coefficient vector: q ** rank."""
+    coefficients = np.array(list(itertools.product(range(q), repeat=arr.shape[0])), dtype=np.int64)
+    return len({tuple(row) for row in ((coefficients @ arr) % q).tolist()})
+
+
+class TestRowReduceStacks:
+    """The one elimination kernel reduces every matrix of a stack as it
+    reduces that matrix alone, and its pivots count each matrix's rank."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        q=st.sampled_from([2, 3, 5]),
+        rows=st.integers(1, 4),
+        cols=st.integers(1, 4),
+        kinds=st.lists(st.sampled_from(["random", "zero", "deficient"]), min_size=1, max_size=5),
+        data=st.data(),
+    )
+    def test_batched_ranks_match_the_span_count(self, q, rows, cols, kinds, data):
+        stack = []
+        for kind in kinds:
+            flat = data.draw(st.lists(st.integers(0, q - 1), min_size=rows * cols, max_size=rows * cols))
+            arr = np.array(flat, dtype=np.int64).reshape(rows, cols)
+            if kind == "zero":
+                arr[:] = 0
+            elif kind == "deficient":  # the last row a combination of the others
+                coefficients = data.draw(st.lists(st.integers(0, q - 1), min_size=rows - 1, max_size=rows - 1))
+                arr[-1] = np.array(coefficients, dtype=np.int64) @ arr[:-1] % q
+            stack.append(arr)
+        stack = np.stack(stack)
+        reduced, pivots = fields.row_reduce(stack, q)
+        for arr, red, flags in zip(stack, reduced, pivots):
+            assert q ** int(flags.sum()) == span_size(arr, q)
+            alone, columns = fields.rref(arr, q)
+            assert np.array_equal(red, alone) and np.flatnonzero(flags).tolist() == columns
+            # each prefix of columns has as many pivots as its rank
+            for j in range(1, cols + 1):
+                assert q ** int(flags[:j].sum()) == span_size(arr[:, :j].T, q)
+
+    def test_leading_axes_and_empty_matrices(self):
+        stack = np.arange(2 * 3 * 2 * 3).reshape(2, 3, 2, 3)
+        reduced, pivots = fields.row_reduce(stack, 5)
+        assert reduced.shape == stack.shape and pivots.shape == (2, 3, 3)
+        reduced, pivots = fields.row_reduce(np.zeros((4, 0, 6), dtype=np.int64), 5)
+        assert reduced.shape == (4, 0, 6) and not pivots.any()

@@ -4,7 +4,7 @@ database-privacy rank gap, and the calls they make.
 
 At (q, n, m, k) = (3, 3, 2, 2), the instance of the benchmark's exact-audit
 workload, it prints the median wall time of one `_BatchContext.selfcheck`
-(32 sampled points, every index, through one SimNetwork over them), of
+(32 sampled points served, every index, through one SimNetwork over them), of
 each audit of one op: correctness, user privacy, database privacy and the
 zeroed-randomness control, each a separate audit with its own selfcheck,
 and of one default `run_audit`, the `spir-mds audit` op, whose three
@@ -19,11 +19,10 @@ floor its rank gap decides, timed on the zeroed-randomness control at
 2**60 admits.  One warm-up call precedes each series.  Then it prints
 the best per-call time of the served calls a selfcheck makes over its 32
 points: the network build (`_point_network`) once, and `gen_queries` and
-`SimNetwork.exchange` k times each, and of the batched kernel: `chunk` on
-the selfcheck's 32 paired points, and on the (81 masks) x (81 databases)
-grid that a sweep evaluates per chunk (which also adds every index's
-units, so `answer_parts` only looks its index up).  The figures are
-informational, for comparing runs on one machine.
+`SimNetwork.exchange` k times each, and of `chunk` on the (81 masks) x
+(81 databases) grid that a sweep serves per chunk: one network over the
+databases, and one `gen_queries` and one exchange per index.  The figures
+are informational, for comparing runs on one machine.
 
     python scripts/audit_timing.py
 """
@@ -109,7 +108,7 @@ def main():
         ms = median_ms(lambda seed: audit.run_audit(params, search_g, seed=seed))
         print(f"default run_audit, search generator: {ms:.1f} ms at {at(params)}, median of {REPS}")
 
-    # 32 universe points, served and evaluated as the selfcheck does, and one full grid chunk
+    # 32 universe points, served as the selfcheck serves them, and one full served grid
     rows = audit.enumerate_assignments(PARAMS.q, ctx.universe.db_digits, 0, ctx.universe.n_db)
     points = tuple(axis[: audit._SELFCHECK_POINTS] for axis in (rows, ctx.u_rows, ctx.s_rows))
     net, u_val = audit._point_network(PARAMS, g, *points)
@@ -120,8 +119,7 @@ def main():
         (f"_point_network ({batch})", lambda: audit._point_network(PARAMS, g, *points), 500),
         (f"gen_queries(u_override=...) ({batch})", lambda: protocol.gen_queries(PARAMS, g, 1, u_override=u_val), 500),
         (f"SimNetwork.exchange ({batch}, n = {PARAMS.n})", lambda: net.exchange(qs), 500),
-        (f"_BatchContext.chunk ({batch})", lambda: ctx.chunk(points[0], points[1]), 500),
-        (f"_BatchContext.chunk ({grid})", lambda: ctx.chunk(rows[None], ctx.u_rows[:, None]), 50),
+        (f"_BatchContext.chunk, served {grid}", lambda: ctx.chunk(rows[None], ctx.u_rows[:, None]), 50),
     ]
     for name, fn, number in calls:
         print(f"{name}: {best_us(fn, number):.1f} us per call at {where}, best of {CALL_REPEATS}")

@@ -8,11 +8,12 @@ are independent iff ``total * count(x, y) == count(x) * count(y)`` for
 every cell, which needs no tolerance and no floating point.
 
 Before it sweeps, each exact check reads the scheme's linear structure.
-The batched model's answer is ``ip(u, c) + blind(s)``: the mask side is
-affine in the masks u and linear in the database c, the randomness side
-linear in S.  So the mask side at the basis chunk (the masks 0, e_1,
-..., e_U at the unit databases) and the randomness side at the unit S
-rows fix every answer, and three certificates read them:
+An answer is ``ip(u, c) + blind(s)``: the mask side ``ip`` is the served
+round's answer at zero shared randomness, affine in the masks u and
+linear in the database c, and the randomness side ``blind`` the node's
+coded share of S, linear in S.  So the mask side at the basis chunk (the
+masks 0, e_1, ..., e_U at the unit databases) and the randomness side at
+the unit S rows fix every answer, and three certificates read them:
 
 * correctness: decoding cancels the randomness side of every unit S row
   and returns the requested file on the basis chunk;
@@ -26,20 +27,18 @@ rows fix every answer, and three certificates read them:
   product of the query with the node's share, so the view has the same
   law for every index.
 
-A certificate that passes returns the report the enumerator would;
-before it does, the basis chunk's bilinear expansion must reproduce the
-selfcheck's served answers (``_BatchContext.link``), which ties the
-assumed affinity to the served round.  A correctness or user-privacy
-certificate that fails (zeroed masks, a model that does not decode)
-leaves the check to the enumerator below, which names the witness.
+A certificate that passes returns the report the enumerator would.  A
+correctness or user-privacy certificate that fails (zeroed masks, a
+model that does not decode) leaves the check to the enumerator below,
+which names the witness.
 
 Database privacy, the other files W̄ vs the user's view (all answers,
 the query scheme, the requested index), never sweeps.  Where its
-certificate fails, ``link`` runs and each (mask, index) pair is read off
-the basis chunk: at mask u and index theta the answers are M c +
-blind(s) (``_BatchContext.mask_matrices``), and blind(s) hits each point
-of V once, so for fixed W̄ they are uniform on a coset of the span of V
-and M_theta, the requested file's columns.  The pair leaks iff r_own <
+certificate fails, each (mask, index) pair is read off the basis chunk:
+at mask u and index theta the answers are M c + blind(s)
+(``_BatchContext.mask_matrices``), and blind(s) hits each point of V
+once, so for fixed W̄ they are uniform on a coset of the span of V and
+M_theta, the requested file's columns.  The pair leaks iff r_own <
 r_full, the ranks modulo V of M_theta and of M (Sun and Jafar's blinding
 argument); no leaking pair is an exact pass.  A sweep would key its
 cells by (least member of the coset ip + V, mask id, theta, W̄): the
@@ -71,18 +70,22 @@ the keys already counted, and its counts are scaled back to the full
 (mask, database, randomness) grid.
 
 ``run_audit`` is the one entry point: it runs the named checks, and
-checks on one universe share one batched context.  A context fixes only
-each index's unit positions; the tables only the selfcheck and the
-enumerator read (the enumerated mask rows, randomness rows, blinding
-digits ``blind`` and packed queries ``qpack``) are built on first read,
-so a passing correctness or database-privacy certificate enumerates no
-mask and packs no query.  Enumeration is vectorized in chunks for speed,
-but each audited universe first re-derives 32 sampled points, drawn by
-id on each axis, with every index, through the served round (one
-``network.SimNetwork`` over the 32 sampled points at the audited params)
-and insists they agree, so the fast path cannot drift from the audited
-implementation.  Universes above the ceiling fall back to a seeded Monte
-Carlo mode reported as statistical (chi-square screen), never as exact.
+checks on one universe share one context.  The sweeps' chunks, the
+basis chunk and the packed queries ``qpack`` are served rounds: one
+``network.SimNetwork`` over the chunk's databases, and per index one
+``gen_queries`` and one exchange over its masks, with zero shared
+randomness.  The tables (the enumerated mask and randomness rows, the
+blinding digits ``blind`` and ``qpack``) are built on first read, so a
+passing correctness or database-privacy certificate enumerates no mask
+and packs no query.  ``blind`` is the one table not served.  So before
+any verdict, each audited universe serves 32 sampled points, drawn by id
+on each axis, with their randomness and every index, through one
+network (``_BatchContext.selfcheck``), and ``_BatchContext.link`` raises
+unless the basis chunk's bilinear expansion plus ``blind`` at the unit S
+rows reproduces them: that ties ``blind`` and the assumed affinity to
+the served round.  Universes above the ceiling fall back to a seeded
+Monte Carlo mode reported as statistical (chi-square screen), never as
+exact.
 """
 
 from __future__ import annotations
@@ -388,11 +391,12 @@ class _BatchContext:
     Every answer digit splits into a mask side and a randomness side: at
     grid point (mask u, database c, randomness s) the answer of (node,
     stripe, vector t) is ``(ip[u, c] + blind[s]) % q``, where ``ip`` is the
-    inner product of the query (mask plus unit) with the node's share and
-    ``blind`` the node's coded share of S.  The constructor fixes only each
-    index's unit positions.  The enumerated mask and randomness rows, the
-    blinding digits ``blind`` and the packed per-node queries ``qpack`` are
-    built on first read, and database rows stream through in chunks.
+    served round's answer with zero shared randomness and ``blind`` the
+    node's coded share of S.  Chunks, ``basis`` and ``qpack`` are served
+    rounds; ``blind`` is the one batched table, and ``link`` ties it and
+    the basis's linearity to the selfcheck's served points.  The
+    enumerated mask and randomness rows, ``blind`` and ``qpack`` are built
+    on first read, and database rows stream through in chunks.
     """
 
     def __init__(self, params: StorageParams, g: GeneratorMatrix, universe: Universe):
@@ -404,15 +408,8 @@ class _BatchContext:
         self.n_s = universe.n_s
         self.a_digits_node = params.stripes * params.m
         self.a_digits_all = params.n * self.a_digits_node
-        # per theta: the (node0, stripe, t0, column) of its units
-        query_index = protocol._unit_index(params)[0]
-        self.units = [
-            np.unravel_index(query_index + theta * params.rows_per_stripe, (params.n, params.stripes, params.m, params.query_len))
-            for theta in range(params.k)
-        ]
         self._chunk_rows = max(1, _CHUNK_TARGET // max(1, self.n_u * self.n_s))
         self._served = None  # the selfcheck's points and served answers
-        self._served_queries = None  # the selfcheck's mask ids and served packed queries
 
     @cached_property
     def u_rows(self) -> np.ndarray:
@@ -431,71 +428,36 @@ class _BatchContext:
 
     @cached_property
     def qpack(self) -> np.ndarray:
-        """Packed per-node queries (k, n, n_u) of the enumerated masks.  Built
-        after the selfcheck, it must agree with the served packed queries
-        at the selfcheck's masks."""
-        qpack = self._pack_queries(self.u_rows)
-        if self._served_queries is not None:
-            u_ids, served = self._served_queries
-            if not np.array_equal(qpack[:, :, u_ids], served):
-                raise AssertionError("batched query pack disagrees with gen_queries")
-        return qpack
-
-    def _pack_queries(self, u_rows: np.ndarray) -> np.ndarray:
-        """Packed per-node queries (k, n, masks) of mask rows, built as
-        gen_queries builds them."""
+        """Packed per-node queries (k, n, n_u) that gen_queries builds at the
+        enumerated masks."""
         p = self.params
-        queries = np.empty((len(u_rows), p.n, self.universe.u_digits), dtype=np.int64)
-        packed = np.empty((p.k, p.n, len(u_rows)), dtype=np.int64)
-        base = protocol._unit_index(p)
-        for theta in range(1, p.k + 1):
-            query_index, mask_index = (index + (theta - 1) * p.rows_per_stripe for index in base)
-            queries[...] = u_rows[:, None]
-            queries.reshape(len(u_rows), -1)[:, query_index] = (u_rows[:, mask_index] + 1) % self.q
-            packed[theta - 1] = pack_digits(queries, self.q).T
-        return packed
+        u = self.u_rows.reshape(self.n_u, p.stripes, p.m, p.query_len)
+        queries = [protocol.gen_queries(p, self.g, theta, u_override=u).per_node for theta in range(1, p.k + 1)]
+        return pack_digits(np.stack(queries).reshape(p.k, self.n_u, p.n, -1), self.q).swapaxes(1, 2)
 
     def db_chunks(self) -> Iterator[dict]:
         for _, rows in self.universe.db_row_chunks(self._chunk_rows):
             yield self.chunk(rows[None], self.u_rows[:, None])
 
     def chunk(self, rows: np.ndarray, u_rows: np.ndarray) -> dict:
-        """Files and node shares of database rows, the mask rows, and per
-        index theta the mask side ``ip`` (k, *lead, n, stripes, m) of every
-        answer digit.
+        """The served round at database rows and mask rows, with zero shared
+        randomness: the files and node shares of the rows and the answers
+        ``ip`` (k, *lead, n, stripes, m) per index theta, the mask side of
+        every answer digit.
 
         The leading axes of ``rows`` and ``u_rows`` broadcast to ``lead``
-        as the served round's do: (masks, 1) mask rows against (1, c)
-        database rows give the (masks, c) grid a sweep reads, and two
-        stacks of 32 rows give 32 points.  ``files`` (c, k, file_rows, m),
-        ``data`` (n, c, stripes, query_len) and ``u_mats`` (masks, stripes,
-        m, query_len) hold the rows given, their leading axes flattened.
+        in the served round: (masks, 1) mask rows against (1, c) database
+        rows give the (masks, c) grid a sweep reads.  ``files`` (c, k,
+        file_rows, m) and ``data`` (n, c, stripes, query_len) hold the
+        database rows given, their leading axes flattened.
         """
-        p, q = self.params, self.q
-        db_lead, u_lead = rows.shape[:-1], u_rows.shape[:-1]
-        files = rows.reshape(db_lead + (p.k, p.file_rows, p.m))
-        # slot order: stripe-major, file-major, row-minor (node layout)
-        slots = files.reshape(db_lead + (p.k, p.stripes, p.rows_per_stripe, p.m)).swapaxes(-4, -1).swapaxes(-2, -1)
-        shares = (self.g.array.T @ slots.reshape(db_lead + (p.m, p.node_len))) % q
-        data = shares.reshape(db_lead + (p.n, p.stripes, p.query_len))
-        u_mats = u_rows.reshape(u_lead + (p.stripes, p.m, p.query_len))
-        # the masks' inner products with the shares, one (n, query_len) by
-        # (query_len, m) product per point and stripe, reduced once and
-        # copied per index theta, then raised by the shares at its units
-        lead = np.broadcast_shapes(db_lead, u_lead)
-        ip = np.empty((p.k,) + lead + (p.stripes, p.n, p.m), dtype=np.int64)
-        np.matmul(data.swapaxes(-3, -2), u_mats.swapaxes(-2, -1), out=ip[0])
-        ip[0] %= q
-        ip[1:] = ip[0]
-        for raised, (node0, stripe, t0, col) in zip(ip, self.units):
-            at = (Ellipsis, stripe, node0, t0)
-            raised[at] = fields.add_reduced(raised[at], data[..., node0, stripe, col], q)
+        p = self.params
+        net, ip = _served_answers(p, self.g, rows, u_rows, np.zeros(self.universe.s_digits, dtype=np.int64))
         return {
-            "count": math.prod(db_lead),
-            "files": files.reshape((-1,) + files.shape[-3:]),
-            "data": data.reshape((-1,) + data.shape[-3:]).swapaxes(0, 1),
-            "u_mats": u_mats.reshape((-1,) + u_mats.shape[-3:]),
-            "ip": ip.swapaxes(-3, -2),
+            "count": math.prod(rows.shape[:-1]),
+            "files": net.db.files.reshape((-1,) + net.db.files.shape[-3:]),
+            "data": np.stack([h.data.values for h in net.nodes]).reshape(p.n, -1, p.stripes, p.query_len),
+            "ip": ip,
         }
 
     @cached_property
@@ -513,22 +475,15 @@ class _BatchContext:
         return chunk["ip"][theta - 1]
 
     def selfcheck(self, seed: int = 0):
-        """Re-derive sampled grid points through the served round.
+        """Serve sampled universe points, with their randomness, for ``link``.
 
         The points are drawn by id on each axis, and their digit rows made
         from the ids.  One SimNetwork at the audited params holds the
         sampled points' databases and randomness on its leading axis, and
         each index gets one gen_queries and one exchange over all the
-        points' masks; then it raises unless the served queries and answers
-        equal the batched ones.  The sampled databases and masks, paired
-        point by point, form one chunk through the same batched path as a
-        sweep, which evaluates the points alone.  The served queries are
-        compared with ``qpack`` if it is built, else with ``_pack_queries``,
-        which builds it, and kept, so a ``qpack`` built later is compared
-        with them then.
-        Nothing is decoded here, so a wrong decoder reaches the correctness
-        verdict instead of raising.  The served answers are kept for
-        ``link``.
+        points' masks.  Nothing is compared or decoded here: ``link``
+        compares the served answers, and a wrong decoder reaches the
+        correctness verdict instead of raising.
         """
         p, q, universe = self.params, self.q, self.universe
         rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
@@ -539,24 +494,7 @@ class _BatchContext:
         db_rows = _digit_rows(db_ids, q, universe.db_digits)
         u_rows = _free_rows(u_ids, q, universe.u_free, universe.u_digits)
         s_rows = _free_rows(s_ids, q, universe.s_free, universe.s_digits)
-        chunk = self.chunk(db_rows, u_rows)
-        built = vars(self).get("qpack")
-        batched = self._pack_queries(u_rows) if built is None else built[:, :, u_ids]
-        net, u_val = _point_network(p, self.g, db_rows, u_rows, s_rows)
-        served, served_queries = [], []
-        for theta in range(1, p.k + 1):
-            qs = protocol.gen_queries(p, self.g, theta, u_override=u_val)
-            answers = net.exchange(qs).per_node  # compared as served
-            queries = pack_digits(qs.per_node.reshape(n_pts, p.n, universe.u_digits), q).T
-            if not np.array_equal(queries, batched[theta - 1]):
-                raise AssertionError("batched query pack disagrees with gen_queries")
-            ip = self.answer_parts(chunk, theta)
-            if not np.array_equal(answers, (ip + self.blind[s_ids]) % q):
-                raise AssertionError("batched answers disagree with gen_answer")
-            served.append(answers)
-            served_queries.append(queries)
-        self._served = (db_rows, u_rows, s_rows, np.stack(served))
-        self._served_queries = (u_ids, np.stack(served_queries))
+        self._served = (db_rows, u_rows, s_rows, _served_answers(p, self.g, db_rows, u_rows, s_rows)[1])
 
     def mask_matrices(self, u_rows: np.ndarray) -> np.ndarray:
         """(k, masks, db_digits, answer digits): per index, the mask side of
@@ -570,34 +508,44 @@ class _BatchContext:
         return (ip[:, 0, None] + np.einsum("pi,kidx->kpdx", u_rows, (ip[:, 1:] - ip[:, :1]) % q)) % q
 
     def link(self):
-        """Raise unless the selfcheck's served answers equal the answers
-        that the basis chunk and the unit randomness rows predict.
+        """Raise unless the selfcheck's served answers equal, index by
+        index, the mask side that the basis chunk predicts plus the
+        blinding that the unit randomness rows of ``blind`` predict.
 
-        A certificate reads the batched model at basis points only and
-        extends it by bilinear expansion; this ties that expansion to the
-        served round at the selfcheck's points, as the selfcheck ties the
-        enumerated chunks.  Checked once per context; a context whose
+        The certificates, the rank gap and the sweeps read served rounds
+        at zero randomness and add ``blind``; the certificates and the
+        rank gap also extend the basis by bilinear expansion.  This ties
+        both to the served round at the selfcheck's points.  ``run_audit``
+        calls it once per context, before any verdict; a context whose
         selfcheck has not run has no served answers to compare.
         """
         if self._served is None:
             return
-        (db_rows, u_rows, s_rows, served), self._served = self._served, None
+        db_rows, u_rows, s_rows, served = self._served
         q, free = self.q, self.universe.s_free
-        mask_side = np.einsum("pd,kpdx->kpx", db_rows, self.mask_matrices(u_rows)) % q
+        mask_side = np.einsum("pd,kpdx->kpx", db_rows, self.mask_matrices(u_rows))
         blind = (s_rows[:, :free] @ self.blind[_unit_ids(q, free)].reshape(free, self.a_digits_all)) % q
-        if not np.array_equal(served, ((mask_side + blind) % q).reshape(served.shape)):
+        served = served.reshape(served.shape[:2] + (-1,))  # (k, points, answer digits)
+        if not all(np.array_equal((answers - ip) % q, blind) for answers, ip in zip(served, mask_side)):
             raise AssertionError("basis points disagree with gen_answer")
 
 
 def _point_network(params: StorageParams, g: GeneratorMatrix, db_rows, u_rows, s_rows):
     """The network on universe points' databases and shared randomness, and
     the points' masks shaped for ``gen_queries``.  Each argument is digit
-    rows of one point, or of many along leading axes."""
-    lead = db_rows.shape[:-1]
-    db = Database(params, db_rows.reshape(lead + (params.k, params.file_rows, params.m)))
-    s = CommonRandomness(s_rows.reshape(lead + (params.stripes, params.m, params.m)))
+    rows of one point, or of many along leading axes that broadcast."""
+    db = Database(params, db_rows.reshape(db_rows.shape[:-1] + (params.k, params.file_rows, params.m)))
+    s = CommonRandomness(s_rows.reshape(s_rows.shape[:-1] + (params.stripes, params.m, params.m)))
     net = network.SimNetwork(params, db, g, randomness=s)
-    return net, u_rows.reshape(lead + (params.stripes, params.m, params.query_len))
+    return net, u_rows.reshape(u_rows.shape[:-1] + (params.stripes, params.m, params.query_len))
+
+
+def _served_answers(params: StorageParams, g: GeneratorMatrix, db_rows, u_rows, s_rows):
+    """The points' network (``_point_network``) and its answers (k, *lead,
+    n, stripes, m): per index, one gen_queries and one exchange."""
+    net, u_val = _point_network(params, g, db_rows, u_rows, s_rows)
+    queries = (protocol.gen_queries(params, g, theta, u_override=u_val) for theta in range(1, params.k + 1))
+    return net, np.stack([net.exchange(qs).per_node for qs in queries])
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +629,6 @@ def _user_privacy_certificate(ctx: _BatchContext) -> bool:
         expected = np.einsum("nbstl,njsl->bjnst", queries[theta - 1], ctx.basis["data"]) % q
         if not np.array_equal(ctx.answer_parts(ctx.basis, theta), expected):
             return False
-    ctx.link()
     return True
 
 
@@ -745,7 +692,6 @@ def _db_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck]:
     p, q, universe = ctx.params, ctx.q, ctx.universe
     if _db_privacy_certificate(ctx):
         return (IndependenceCheck("db_privacy", True, True, universe.size),)
-    ctx.link()
     start, size = 0, _RANK_BATCH
     while start < ctx.n_u:
         u_rows = _free_rows(np.arange(start, min(ctx.n_u, start + size)), q, universe.u_free, universe.u_digits)
@@ -850,10 +796,7 @@ def _decodes_on_the_basis(ctx: _BatchContext) -> bool:
     the requested file at every universe point.
     """
     units = _decoded_blinding(ctx, ctx.blind[_unit_ids(ctx.q, ctx.universe.s_free)])
-    if units.any() or not _mask_sides_decode(ctx, [ctx.basis], 0):
-        return False
-    ctx.link()
-    return True
+    return not units.any() and _mask_sides_decode(ctx, [ctx.basis], 0)
 
 
 def _decodes_everywhere(ctx: _BatchContext) -> bool:
@@ -1118,8 +1061,9 @@ def run_audit(
         exact, sampled = _CORES[name]
         if not universe.exceeds(ceiling):
             if universe not in contexts:
-                contexts[universe] = _BatchContext(params, g, universe)
-                contexts[universe].selfcheck(seed)
+                contexts[universe] = ctx = _BatchContext(params, g, universe)
+                ctx.selfcheck(seed)
+                ctx.link()
             found += exact(contexts[universe])
         elif samples is None:
             universe.require_within(ceiling)

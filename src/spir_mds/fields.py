@@ -31,16 +31,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def add_reduced(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """a = (a + b) mod q in place, for int64 a and b already reduced mod q:
-    as uint64, a + b - q wraps past every field element exactly when a + b < q,
-    so their unsigned minimum is the reduced sum, without an int64 remainder."""
-    a += b
-    total = a.view(np.uint64)
-    np.minimum(total, total - np.uint64(q), out=total)
-    return a
-
-
 def _as_field_array(arr, q: int) -> np.ndarray:
     return np.array(arr, dtype=np.int64) % q
 

@@ -10,6 +10,7 @@ from conftest import EXHAUSTIVE_INSTANCES, generator_for_instance, reference_uni
 from spir_mds import cli, jsonio, protocol, storage
 from spir_mds.audit import (
     AUDIT_SEED_DOMAIN,
+    CHECKS,
     AuditReport,
     DistributionCounter,
     IndependenceCheck,
@@ -519,14 +520,14 @@ class TestSweepCannotGoVacuous:
         def flipped(self, chunk, theta):
             ip = real(self, chunk, theta)
             ip = ip.copy()
-            ip[..., 0, 0, 0] = (ip[..., 0, 0, 0] + 1) % self.q  # at every point of a grid or of the selfcheck
+            ip[..., 0, 0, 0] = (ip[..., 0, 0, 0] + 1) % self.q  # at every point of every chunk
             return ip
 
         monkeypatch.setattr(_BatchContext, "answer_parts", flipped)
         g = generator_for_instance(self.PARAMS)
-        with pytest.raises(AssertionError, match="batched answers disagree with gen_answer"):
+        with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
             audit_user_privacy(self.PARAMS, g)
-        with pytest.raises(AssertionError, match="batched answers disagree with gen_answer"):
+        with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
             audit_correctness(self.PARAMS, g)
 
     def test_wrong_decode_inverse_fails_correctness(self, monkeypatch):
@@ -554,11 +555,6 @@ def selfcheck_ids(universe, seed=0):
     rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
     n_pts = min(_SELFCHECK_POINTS, universe.size)
     return tuple(rng.integers(0, count, size=n_pts) for count in (universe.n_db, universe.n_u, universe.n_s))
-
-
-def selfcheck_masks(params, seed=0):
-    """The mask ids the selfcheck samples from the plain universe."""
-    return selfcheck_ids(Universe(params), seed)[1]
 
 
 def log_served_rounds(monkeypatch) -> list:
@@ -614,15 +610,18 @@ def spy(monkeypatch, owner, name, log, record):
 
 class TestSelfcheckServesEveryPoint:
     """The selfcheck runs the served round at every sampled point and
-    index, and compares every one of them with the batched path."""
+    index, and ``link`` compares every one of them with the basis chunk
+    and the blinding table."""
 
     PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 
     def test_one_network_over_every_point_and_one_round_per_index(self, monkeypatch):
         p = self.PARAMS
+        ctx = _BatchContext(p, generator_for_instance(p), Universe(p))
         log = log_served_rounds(monkeypatch)
-        assert audit_user_privacy(p, generator_for_instance(p)).all_passed
+        ctx.selfcheck()
         assert_one_batched_round(log, p, Universe(p))
+        ctx.link()
 
     @pytest.mark.parametrize("where", ["last_point", "last_theta"])
     def test_one_wrong_batched_answer_fails(self, monkeypatch, where):
@@ -632,20 +631,21 @@ class TestSelfcheckServesEveryPoint:
         def flipped(self, chunk, theta):
             ip = real(self, chunk, theta)
             ip = ip.copy()
-            if where == "last_point":  # the selfcheck chunk's last paired point
-                ip[chunk["count"] - 1, -1, -1, -1] += 1
+            if where == "last_point":  # the basis's last mask at its last unit database
+                ip[-1, -1, -1, -1, -1] += 1
             elif theta == p.k:
                 ip[..., -1] += 1
             return ip % self.q
 
         monkeypatch.setattr(_BatchContext, "answer_parts", flipped)
-        with pytest.raises(AssertionError, match="batched answers disagree with gen_answer"):
+        with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
             audit_user_privacy(p, generator_for_instance(p))
 
     @pytest.mark.parametrize("drift", ["fractional", "broadcastable_shape"])
     def test_served_answers_are_compared_as_served(self, monkeypatch, drift):
         # a store into an int64 buffer would floor the 0.5 away; the served
-        # arrays must reach the comparison with their own dtype and shape
+        # arrays must reach the comparison with their own dtype and shape,
+        # while the blinding table they are compared with keeps its own
         real = SimNetwork.exchange
 
         def drifted(net, query_set):
@@ -653,21 +653,8 @@ class TestSelfcheckServesEveryPoint:
             return protocol.AnswerSet(per_node + 0.5 if drift == "fractional" else per_node[..., :1])
 
         monkeypatch.setattr(SimNetwork, "exchange", drifted)
-        with pytest.raises(AssertionError, match="batched answers disagree with gen_answer"):
+        with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
             audit_user_privacy(self.PARAMS, generator_for_instance(self.PARAMS))
-
-    def test_one_wrong_batched_query_fails(self, monkeypatch):
-        p = self.PARAMS
-        u_ids = selfcheck_masks(p)
-        real = _BatchContext.__init__
-
-        def corrupted(self, *args):
-            real(self, *args)
-            self.qpack[p.k - 1, p.n - 1, u_ids[-1]] += 1
-
-        monkeypatch.setattr(_BatchContext, "__init__", corrupted)
-        with pytest.raises(AssertionError, match="batched query pack disagrees with gen_queries"):
-            audit_user_privacy(p, generator_for_instance(p))
 
 
 class TestOneContextPerUniverse:
@@ -840,8 +827,8 @@ class TestCorrectnessOnTheGrid:
     @pytest.mark.parametrize("params", [PARAMS, StorageParams(q=3, n=3, m=2, k=2)], ids=str)
     def test_constant_nonzero_blinding_cancels_against_the_mask_side(self, monkeypatch, params):
         # move a fixed offset v from every mask side to the blinding: the
-        # answers, and so the decoded file, are unchanged, but the decoded
-        # blinding is the nonzero constant v_w
+        # answers, and so the decoded file, are unchanged at every grid
+        # point, but the decoded blinding is the nonzero constant v_w
         offset = np.random.default_rng(3).integers(1, params.q, size=(params.n, params.stripes, params.m))
         real_init, real_parts = _BatchContext.__init__, _BatchContext.answer_parts
 
@@ -857,12 +844,14 @@ class TestCorrectnessOnTheGrid:
         g = generator_for_instance(params)
         blind_w = decoded_blinding(params, g)
         assert (blind_w == blind_w[0]).all() and blind_w[0].any()
-        sweeps = log_sweeps(monkeypatch)
-        assert audit_correctness(params, g) is True
-        # the shifted blinding is not linear in S, so the certificate
-        # refuses it and the enumerator decides
-        assert sweeps == [Universe(params)]
         assert full_grid_correctness(params, g) is True
+        # the shifted blinding is not linear in S, nor the shifted mask
+        # side in the database, so the link refuses them before the
+        # certificate or the enumerator decides
+        sweeps = log_sweeps(monkeypatch)
+        with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
+            audit_correctness(params, g)
+        assert sweeps == []
 
 
 def full_view_witness(ctx, node):
@@ -971,10 +960,12 @@ class TestGridCertificate:
         assert all(c.conditional_equal and c.independent for c in others)
 
 
-def mask_side(ctx, chunk):
-    """The (masks, c, n, stripes, m) inner products of the chunk's masks
-    alone with every node's share: the mask side with no index's units."""
-    return np.einsum("ustq,ncsq->ucnst", chunk["u_mats"], chunk["data"]) % ctx.q
+def mask_side(ctx, ip):
+    """The (masks, c, n, stripes, m) inner products of a chunk's masks alone
+    with every node's share: its mask side ``ip`` with no index's units.
+    The mask side is affine in the mask, and the first mask of the basis
+    and of the enumerated masks is zero, so its row is the units' part."""
+    return (ip - ip[:1]) % ctx.q
 
 
 def log_sweeps(monkeypatch) -> list:
@@ -1038,7 +1029,7 @@ class TestBlindingCosetKeys:
 
         def shifted(self, chunk, theta):
             ip = real(self, chunk, theta)
-            out = ip.copy() if requested else mask_side(self, chunk)
+            out = ip.copy() if requested else mask_side(self, ip)
             w0 = np.delete(chunk["files"], theta - 1, axis=1).reshape(chunk["count"], -1)[:, 0]
             shift = g.array[0] if where == "codeword" else np.eye(params.n, dtype=np.int64)[0]
             out[:, :, :, 0, 0] = (out[:, :, :, 0, 0] + w0[:, None] * shift) % self.q
@@ -1064,9 +1055,10 @@ class TestBlindingCosetKeys:
     def test_witness_counts_match_the_full_grid(self, monkeypatch):
         params = StorageParams(q=2, n=3, m=2, k=2)
         g = GeneratorMatrix(2, [[1, 0, 1], [0, 1, 1]])
+        real = _BatchContext.answer_parts
 
         def shifted(self, chunk, theta):
-            out = mask_side(self, chunk)
+            out = mask_side(self, real(self, chunk, theta))
             w0 = np.delete(chunk["files"], theta - 1, axis=1).reshape(chunk["count"], -1)[:, 0]
             out[:, :, 0, 0, 0] = (out[:, :, 0, 0, 0] + w0) % self.q
             return out
@@ -1150,23 +1142,19 @@ class TestRankGap:
 class TestContextSplit:
     """The enumerated mask and randomness rows, ``blind`` and ``qpack`` are
     built on first read: a certificate that passes on the basis chunk
-    enumerates no mask and packs no query, and the selfcheck runs on its
-    own sampled points."""
+    enumerates no mask and packs no query, and the selfcheck only serves
+    its own sampled points."""
 
     PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 
-    def test_selfcheck_chunk_is_its_sampled_masks(self, monkeypatch):
+    def test_selfcheck_builds_no_chunk_and_no_table(self, monkeypatch):
         p = self.PARAMS
-        universe = Universe(p)
-        _, u_ids, _ = selfcheck_ids(universe)
         chunks = []
         spy(monkeypatch, _BatchContext, "chunk", chunks, lambda ctx, rows, u_rows: (rows, u_rows))
-        ctx = _BatchContext(p, generator_for_instance(p), universe)
+        ctx = _BatchContext(p, generator_for_instance(p), Universe(p))
         ctx.selfcheck()
-        (rows, u_rows), = chunks
-        assert rows.shape == (_SELFCHECK_POINTS, universe.db_digits)
-        assert np.array_equal(u_rows, _digit_rows(u_ids, p.q, universe.u_digits))
-        assert "u_rows" not in vars(ctx) and "qpack" not in vars(ctx)
+        assert chunks == []
+        assert not {"u_rows", "s_rows", "blind", "qpack", "basis"} & set(vars(ctx))
 
     def test_passing_certificates_enumerate_no_mask_and_pack_no_query(self, monkeypatch):
         p = self.PARAMS
@@ -1178,28 +1166,6 @@ class TestContextSplit:
         assert sweeps == [] and enumerated == []
         (ctx,) = contexts
         assert "qpack" not in vars(ctx)
-
-    def test_query_pack_built_after_the_selfcheck_is_tied_to_it(self, monkeypatch):
-        p = self.PARAMS
-        u_ids = selfcheck_masks(p)
-        built_late = []
-        real_pack, real_selfcheck = _BatchContext._pack_queries, _BatchContext.selfcheck
-
-        def corrupted(self, u_rows):
-            packed = real_pack(self, u_rows)
-            if len(u_rows) == self.n_u:  # the enumerated masks: qpack itself
-                packed[p.k - 1, p.n - 1, u_ids[-1]] += 1
-            return packed
-
-        def selfcheck(self, seed=0):
-            real_selfcheck(self, seed)
-            built_late.append("qpack" not in vars(self))
-
-        monkeypatch.setattr(_BatchContext, "_pack_queries", corrupted)
-        monkeypatch.setattr(_BatchContext, "selfcheck", selfcheck)
-        with pytest.raises(AssertionError, match="batched query pack disagrees with gen_queries"):
-            audit_user_privacy(p, generator_for_instance(p))
-        assert built_late == [True]
 
     def test_axis_past_int64_is_refused_before_any_work(self, monkeypatch):
         # 3**164 points fit under the ceiling, but the 3**80 database ids do not
@@ -1252,8 +1218,7 @@ class TestCertificatesAgreeWithTheEnumerator:
 
 def shift_off_the_enumeration(monkeypatch, shift):
     """Add ``shift`` (n, stripes, m) to every mask side of the basis chunk,
-    and to none of the enumerated chunks or the chunk the selfcheck
-    compares with the served round."""
+    and to none of the enumerated chunks."""
     real = _BatchContext.answer_parts
 
     def shifted(self, chunk, theta):
@@ -1263,21 +1228,42 @@ def shift_off_the_enumeration(monkeypatch, shift):
     monkeypatch.setattr(_BatchContext, "answer_parts", shifted)
 
 
+def drop_blinding(monkeypatch):
+    """Serve every round with zero shared randomness, whatever S the nodes hold."""
+    real = protocol.gen_answer
+
+    def unblinded(node_index, query, d, s, g):
+        return real(node_index, query, d, CommonRandomness(np.zeros_like(s.values)), g)
+
+    monkeypatch.setattr(protocol, "gen_answer", unblinded)
+
+
 class TestServedRoundTiesTheCertificates:
-    """The selfcheck's served answers tie the basis chunk, and so each
-    certificate that decides, to the served round."""
+    """The selfcheck's served answers tie the basis chunk and the blinding
+    table, and so every verdict, certified or enumerated, to the served
+    round."""
 
     PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 
     def test_answer_without_blinding_fails_selfcheck(self, monkeypatch):
-        real = protocol.gen_answer
-
-        def unblinded(node_index, query, d, s, g):
-            return real(node_index, query, d, CommonRandomness(np.zeros_like(s.values)), g)
-
-        monkeypatch.setattr(protocol, "gen_answer", unblinded)
-        with pytest.raises(AssertionError, match="batched answers disagree with gen_answer"):
+        drop_blinding(monkeypatch)
+        with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
             run_audit(self.PARAMS, generator_for_instance(self.PARAMS))
+
+    # the chunks are served with zero randomness, so a round that drops
+    # its blinding leaves them as they are: only the link sees it, and it
+    # must, whichever path would decide (the zeroed-mask sweep here)
+    @pytest.mark.parametrize(
+        "checks,options",
+        [(("user-privacy",), {"mask_mode": "zeroed"}), (("correctness",), {}), (("db-privacy",), {})],
+        ids=["user_privacy_zeroed_masks", "correctness", "db_privacy"],
+    )
+    def test_round_without_blinding_stops_every_exact_audit(self, monkeypatch, checks, options):
+        drop_blinding(monkeypatch)
+        sweeps = log_sweeps(monkeypatch)
+        with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
+            run_audit(self.PARAMS, generator_for_instance(self.PARAMS), checks, **options)
+        assert sweeps == []
 
     # a codeword of G at (stripe 1, vector 1) lies in the blinding span, so
     # decoding stays right on the basis and the certificate passes; but the
@@ -1293,20 +1279,20 @@ class TestServedRoundTiesTheCertificates:
         with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
             run_audit(p, g, (check,))
 
-    def test_link_needs_a_certificate_to_pass(self, monkeypatch):
-        # the same shift outside the span fails the certificates, so the
-        # enumerator decides correctness and user privacy, on chunks that
-        # the shift does not reach; database privacy reads the shifted
-        # basis by its rank gap, and the link refuses it
+    @pytest.mark.parametrize("checks", [("correctness", "user-privacy"), CHECKS], ids=["enumerated", "default"])
+    def test_link_runs_before_the_enumerator(self, monkeypatch, checks):
+        # the same shift outside the span fails the certificates, and the
+        # enumerator would decide correctness and user privacy on chunks
+        # that the shift does not reach; the link refuses the shifted
+        # basis first, on every path
         p = self.PARAMS
         shift = np.zeros((p.n, p.stripes, p.m), dtype=np.int64)
         shift[0, 0, 0] = 1
         shift_off_the_enumeration(monkeypatch, shift)
         sweeps = log_sweeps(monkeypatch)
-        assert run_audit(p, generator_for_instance(p), ("correctness", "user-privacy")).all_passed
-        assert len(sweeps) == 2
         with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
-            run_audit(p, generator_for_instance(p))
+            run_audit(p, generator_for_instance(p), checks)
+        assert sweeps == []
 
 
 # sha256 over the canonical audit reports of REPORT_INSTANCES, fixed when the

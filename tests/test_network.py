@@ -134,13 +134,17 @@ BATCH_PARAMS = [
     p=st.sampled_from(BATCH_PARAMS),
     batch=st.integers(1, 4),
     batched=st.sets(st.sampled_from(("db", "s", "u")), min_size=1),
+    masks=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_batched_round_equals_stacked_single_rounds(p, batch, batched, seed):
+def test_batched_round_equals_stacked_single_rounds(p, batch, batched, masks, seed):
     """One network over B points serves every point's queries and answers
     exactly as B single-point networks do, stacked on a leading axis.  Of
     the database, randomness and masks, those not in ``batched`` are one
-    value shared by every point and broadcast against the others."""
+    value shared by every point and broadcast against the others.  And
+    databases and randomness on a (1, B) lead against masks on (masks, 1)
+    serve the outer-product grid: the answers at (i, j) are the single
+    round of mask i at point j."""
     g = build_generator(p)
     rng = np.random.default_rng(seed)
 
@@ -172,3 +176,18 @@ def test_batched_round_equals_stacked_single_rounds(p, batch, batched, seed):
                 singles[0].serve(qs)
         with pytest.raises(InvalidParams):
             net.serve(qs)
+
+    grid_files = rng.integers(0, p.q, size=(1, batch, p.k, p.file_rows, p.m))
+    grid_s = rng.integers(0, p.q, size=(1, batch, p.stripes, p.m, p.m))
+    grid_u = rng.integers(0, p.q, size=(masks, 1, p.stripes, p.m, p.query_len))
+    grid = SimNetwork(p, Database(p, grid_files), g, randomness=CommonRandomness(grid_s))
+    columns = [
+        SimNetwork(p, Database(p, grid_files[0, j]), g, randomness=CommonRandomness(grid_s[0, j]))
+        for j in range(batch)
+    ]
+    for theta in range(1, p.k + 1):
+        answers = grid.exchange(protocol.gen_queries(p, g, theta, u_override=grid_u)).per_node
+        assert answers.shape == (masks, batch, p.n, p.stripes, p.m)
+        for i, j in np.ndindex(masks, batch):
+            single = columns[j].exchange(protocol.gen_queries(p, g, theta, u_override=grid_u[i, 0]))
+            assert np.array_equal(answers[i, j], single.per_node)

@@ -5,8 +5,8 @@ erasure code, without revealing which file (user privacy) and without
 learning anything about the others (database privacy).  The package
 implements the capacity-achieving scheme (download n*m symbols per
 (n-m)*m-symbol file, blinded by m^2 node-shared random symbols) plus an
-auditor that verifies both privacy guarantees *exactly* on desk-scale
-instances by exhaustive enumeration and integer counting.
+auditor that verifies correctness and both privacy guarantees *exactly*
+by linear certificates and rank gaps, with no sweep of the universe.
 """
 
 __version__ = "0.1.0"

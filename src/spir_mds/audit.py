@@ -1,91 +1,76 @@
-"""Exact privacy auditing: linear certificates and rank gaps first,
-then exhaustive enumeration.
+"""Exact privacy auditing by linear certificates and rank gaps; no check
+sweeps the universe.
 
 The universe is every (database, mask, shared-randomness) assignment,
-each uniform and independent.  The enumerator runs the scheme over the
-whole universe and decides independence by integer counting: X and Y
-are independent iff ``total * count(x, y) == count(x) * count(y)`` for
-every cell, which needs no tolerance and no floating point.
+each uniform and independent.  X and Y are independent over it iff
+``total * count(x, y) == count(x) * count(y)`` for every cell, and each
+exact verdict below decides that product rule with integers alone,
+without enumerating a point.
 
-Before it sweeps, each exact check reads the scheme's linear structure.
-An answer is ``ip(u, c) + blind(s)``: the mask side ``ip`` is the served
-round's answer at zero shared randomness, affine in the masks u and
-linear in the database c, and the randomness side ``blind`` the node's
-coded share of S, linear in S.  So the mask side at the basis chunk (the
-masks 0, e_1, ..., e_U at the unit databases) and the randomness side at
-the unit S rows fix every answer, and three certificates read them:
+Each check reads the scheme's linear structure.  An answer is
+``ip(u, c) + blind(s)``: the mask side ``ip`` is the served round's answer
+at zero shared randomness, affine in the masks u and linear in the
+database c, and the randomness side ``blind`` the node's coded share of S,
+linear in S.  So the basis chunk (the round served at the masks 0, e_1,
+..., e_U and the unit databases, with the queries it served) and the
+randomness side at the unit S rows fix every answer:
 
 * correctness: decoding cancels the randomness side of every unit S row
-  and returns the requested file on the basis chunk;
-* database privacy: every randomness digit is free, the blinding span V
-  has one dimension per digit and decoding is right, so V and the
-  requested file's columns fill the answer space, and every answer is
-  uniform whatever the other files are (the blinding argument of the
-  achievability proof);
-* user privacy: with full masks, each packed query row is a permutation
-  of all queries, and on the basis chunk the mask side is the inner
-  product of the query with the node's share, so the view has the same
-  law for every index.
+  and returns the requested file on the basis chunk, which holds iff it
+  does at every universe point;
+* user privacy, the index vs one node's view (query, answer, share, S):
+  the answer depends only on the node's own query, its share and S, so
+  the index is hidden iff the node's query has the same law for every
+  index.  On the basis chunk the mask side must be the inner product of
+  the served query with the share, and with full masks each query must
+  be the mask plus a fixed pattern, Q(e_i) - Q(0) = e_i: a one-time pad,
+  uniform for every index.  A basis that is neither is off the model and
+  raises AssertionError.  With zeroed masks the query is the pattern P =
+  Q(0) itself, and a node is private iff every index has the same
+  pattern.  Otherwise the first view cell, in (index, view) order, that
+  breaks the product rule is index 1's, with query P_1 and zero answer,
+  share and S (the least coset key, share and S): it is seen at every
+  database whose share is zero, so joint = q^(db_digits - rank of the
+  node's share map), right = joint times the number of indices whose
+  pattern is P_1, left = the universe size and total = k * left;
+* database privacy, the other files W̄ vs the user's view (all answers,
+  the query scheme, the requested index): every randomness digit is free,
+  the blinding span V has one dimension per digit and decoding is right,
+  so V and the requested file's columns fill the answer space, and every
+  answer is uniform whatever the other files are (the blinding argument
+  of the achievability proof).  Where that certificate fails, each (mask,
+  index) pair is read off the basis chunk: at mask u and index theta the
+  answers are M c + blind(s) (``_BatchContext.mask_matrices``), and
+  blind(s) hits each point of V once, so for fixed W̄ they are uniform on
+  a coset of the span of V and M_theta, the requested file's columns.
+  The pair leaks iff r_own < r_full, the ranks modulo V of M_theta and of
+  M (Sun and Jafar's blinding argument); no leaking pair is an exact
+  pass.  Keyed by (least member of the coset ip + V, mask id, theta, W̄),
+  the zero key is least and every pair has it, so a leaking pair breaks
+  its cell (0, u, theta, 0) first, and the first leaking pair in (mask
+  id, index) order names the first broken cell, with counts joint =
+  q^(file_len - r_own), left = q^(db_digits - r_full), total = k *
+  universe size and right = total / q^((k - 1) * file_len).
 
-A certificate that passes returns the report the enumerator would.  A
-correctness or user-privacy certificate that fails (zeroed masks, a
-model that does not decode) leaves the check to the enumerator below,
-which names the witness.
-
-Database privacy, the other files W̄ vs the user's view (all answers,
-the query scheme, the requested index), never sweeps.  Where its
-certificate fails, each (mask, index) pair is read off the basis chunk:
-at mask u and index theta the answers are M c + blind(s)
-(``_BatchContext.mask_matrices``), and blind(s) hits each point of V
-once, so for fixed W̄ they are uniform on a coset of the span of V and
-M_theta, the requested file's columns.  The pair leaks iff r_own <
-r_full, the ranks modulo V of M_theta and of M (Sun and Jafar's blinding
-argument); no leaking pair is an exact pass.  A sweep would key its
-cells by (least member of the coset ip + V, mask id, theta, W̄): the
-answers at c = 0 are V, so the zero key is least and every pair has
-it, and a leaking pair breaks its cell (0, u, theta, 0) first.  So the
-first leaking pair in (mask id, index) order names the sweep's first
-broken cell, with counts joint = q^(file_len - r_own), left =
-q^(db_digits - r_full), total = k * universe size and right = total /
-q^((k - 1) * file_len).
-
-The enumerator offers two checks:
-
-* user privacy: the requested index vs one node's view
-  (query, answer, share, shared randomness), per node;
-* correctness: the decoder returns the requested file at every point.
-
-User privacy is an exact certificate that needs no cross product.
-Every index sweeps the same universe, so the index is uniform and user
-privacy holds iff the per-index count tables are equal.  Those tables
-are counted on the (mask, database) grid alone: S is a digit of the
-node's view and, for a fixed S, each answer symbol (ip + blind[S]) mod q
-is a bijection of the mask side ip, so the per-index view tables are
-equal iff the per-index (query, ip, share) tables are.  Decoding is
-linear, so correctness decodes the two sides apart into (ip_w[u, c] +
-blind_w[S]) mod q, right everywhere iff blind_w is one value b over S
-(checked once) and ip_w is (file - b) mod q on the grid.  No check
-sweeps the randomness axis.  A witness is the first broken cell among
-the keys already counted, and its counts are scaled back to the full
-(mask, database, randomness) grid.
+The references these verdicts are tested against, per-point oracles and
+counts over the whole (mask, database, randomness) grid, live in the test
+files, not here.
 
 ``run_audit`` is the one entry point: it runs the named checks, and
-checks on one universe share one context.  The sweeps' chunks, the
-basis chunk and the packed queries ``qpack`` are served rounds: one
-``network.SimNetwork`` over the chunk's databases, and per index one
-``gen_queries`` and one exchange over its masks, with zero shared
-randomness.  The tables (the enumerated mask and randomness rows, the
-blinding digits ``blind`` and ``qpack``) are built on first read, so a
-passing correctness or database-privacy certificate enumerates no mask
-and packs no query.  ``blind`` is the one table not served.  So before
-any verdict, each audited universe serves 32 sampled points, drawn by id
-on each axis, with their randomness and every index, through one
-network (``_BatchContext.selfcheck``), and ``_BatchContext.link`` raises
-unless the basis chunk's bilinear expansion plus ``blind`` at the unit S
-rows reproduces them: that ties ``blind`` and the assumed affinity to
-the served round.  Universes above the ceiling fall back to a seeded
-Monte Carlo mode reported as statistical (chi-square screen), never as
-exact.
+checks on one universe share one context.  The basis chunk is a served
+round: one ``network.SimNetwork`` over the unit databases, and per index
+one ``gen_queries`` and one exchange over the basis masks, with zero
+shared randomness.  The randomness side ``blind`` is the one table not
+served, built on first read.  So before any verdict, each audited
+universe serves 32 sampled points, drawn by id on each axis, with their
+randomness and every index, through one network
+(``_BatchContext.selfcheck``), and ``_BatchContext.link`` raises unless
+the served queries are the basis query at mask 0 plus the mask and the
+basis chunk's bilinear expansion plus ``blind`` at the unit S rows
+reproduces the served answers: that ties ``blind`` and the assumed
+affinity to the served round.  Universes above the ceiling fall back to
+a seeded Monte Carlo mode reported as statistical (chi-square screen),
+never as exact.
 """
 
 from __future__ import annotations
@@ -93,7 +78,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -106,29 +91,22 @@ DEFAULT_UNIVERSE_CEILING = 1 << 24
 MC_SIGNIFICANCE = 1e-6
 AUDIT_SEED_DOMAIN = 4
 
-_CHUNK_TARGET = 1 << 22  # max elements per (mask, db, randomness) plane
 _SELFCHECK_POINTS = 32  # per audited universe: cross-validation against the served round
 _RANK_BATCH, _RANK_BATCH_MAX = 4, 1 << 10  # first and largest mask batch of the rank gap
-_KEY_BITS = 62
 _INT64_MAX = (1 << 63) - 1
 
 RANDOMNESS_MODES = ("full", "zeroed", "partial")
 CHECKS = ("correctness", "user-privacy", "db-privacy")
 
 
-def enumerate_assignments(q: int, digits: int, start: int, stop: int) -> np.ndarray:
-    """Rows ``start..stop`` of the lexicographic enumeration of F_q^digits."""
-    return _digit_rows(np.arange(start, stop, dtype=np.int64), q, digits)
-
-
 @lru_cache(maxsize=None)
 def _unit_ids(q: int, digits: int) -> np.ndarray:
     """Enumeration ids of the unit rows e_1, ..., e_digits of F_q^digits,
-    which are also the place values q**(digits-1), ..., q, 1 of a packed row
-    (read-only: one array per (q, digits) is shared).
+    which are also the place values q**(digits-1), ..., q, 1 of a digit
+    row's id (read-only: one array per (q, digits) is shared).
 
-    Raises UniverseTooLarge unless q**digits < 2**63, so that every packed
-    row fits int64; no power of q past int64 is formed.
+    Raises UniverseTooLarge unless q**digits < 2**63, so that every id
+    fits int64; no power of q past int64 is formed.
     """
     values = [1]
     for _ in range(digits):
@@ -141,8 +119,8 @@ def _unit_ids(q: int, digits: int) -> np.ndarray:
 
 
 def _digit_rows(ids, q: int, digits: int) -> np.ndarray:
-    """Base-q digit rows of ``ids`` (first digit most significant): the
-    inverse of ``pack_digits`` for ids below q**digits."""
+    """Base-q digit rows of ``ids`` (first digit most significant), for
+    ids below q**digits."""
     return np.asarray(ids, dtype=np.int64)[..., None] // _unit_ids(q, digits) % q
 
 
@@ -154,22 +132,9 @@ def _free_rows(ids, q: int, free: int, digits: int) -> np.ndarray:
     return rows
 
 
-def pack_digits(rows: np.ndarray, q: int) -> np.ndarray:
-    """Fold base-q digit rows into integers (first digit most significant).
-
-    Raises UniverseTooLarge when the packed values could leave int64.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    return rows @ _unit_ids(q, rows.shape[-1])
-
-
-def unpack_digits(value: int, q: int, digits: int) -> list[int]:
-    return _digit_rows(value, q, digits).tolist()
-
-
 @dataclass(frozen=True)
 class Universe:
-    """The enumerated probability space of one audit.
+    """The probability space of one audit.
 
     ``randomness_mode`` shrinks the shared-randomness axis (the leakage
     experiment), ``mask_mode='zeroed'`` removes the user's masks (the
@@ -253,33 +218,24 @@ class Universe:
 
     def require_enumerable(self):
         """Refuse an exact audit whose database, mask or randomness axis has
-        2**63 rows or more: its enumeration ids would leave int64."""
+        2**63 rows or more: the ids the selfcheck draws would leave int64."""
         for axis, free in (("database", self.db_digits), ("mask", self.u_free), ("randomness", self.s_free)):
             if self.params.q ** free > _INT64_MAX:
                 raise UniverseTooLarge(
-                    f"the {axis} axis has {self.params.q}**{free} rows; exact enumeration ids need fewer than 2**63"
+                    f"the {axis} axis has {self.params.q}**{free} rows; exact audit ids need fewer than 2**63"
                 )
-
-    def u_rows(self) -> np.ndarray:
-        """All mask assignments; under zeroed masks, the one zero row."""
-        return _free_rows(np.arange(self.n_u), self.params.q, self.u_free, self.u_digits)
 
     def s_rows(self) -> np.ndarray:
         """All shared-randomness assignments; fixed digits are zero."""
         return _free_rows(np.arange(self.n_s), self.params.q, self.s_free, self.s_digits)
-
-    def db_row_chunks(self, max_rows: int) -> Iterator[tuple[int, np.ndarray]]:
-        for start in range(0, self.n_db, max_rows):
-            stop = min(start + max_rows, self.n_db)
-            yield start, enumerate_assignments(self.params.q, self.db_digits, start, stop)
 
 
 @dataclass
 class DistributionCounter:
     """Integer joint/marginal tables with an exact independence test.
 
-    This is the reference engine: the vectorized sweeps below implement
-    the same product rule on arrays and are checked against it in tests.
+    The Monte Carlo screens count their samples in it, and the tests'
+    per-point oracles count whole universes in it.
     """
 
     joint: dict = field(default_factory=dict)
@@ -344,59 +300,20 @@ class AuditReport:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized count tables
-# ---------------------------------------------------------------------------
-
-def _merge_runs(parts: list[tuple[np.ndarray, np.ndarray]]):
-    """Merge sorted (values, counts) tables into sorted distinct values and
-    summed counts; ``where`` gives each input entry's merged position."""
-    vals = np.concatenate([v for v, _ in parts])
-    order = np.argsort(vals, kind="stable")  # parts are sorted runs: a merge
-    vals = vals[order]
-    new_run = np.concatenate(([True], vals[1:] != vals[:-1]))
-    starts = np.flatnonzero(new_run)
-    counts = np.concatenate([c for _, c in parts])[order]
-    where = np.empty(len(vals), dtype=np.int64)
-    where[order] = np.cumsum(new_run) - 1
-    return vals[starts], np.add.reduceat(counts, starts), where
-
-
-def merge_count_tables(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Merge (values, counts) tables from disjoint partitions.
-
-    Associative and commutative, so chunked sweeps can count partitions
-    separately and combine; counts for repeated values are summed.
-    """
-    if len(parts) == 1:
-        return parts[0]
-    vals, counts, _ = _merge_runs(parts)
-    return vals, counts
-
-
-def _require_key_bits(*radixes: int):
-    """Refuse a view tuple whose packed key, one digit per radix, could
-    leave the exact-mode budget of ``_KEY_BITS`` bits."""
-    bits = sum((max(2, r) - 1).bit_length() for r in radixes)  # ceil(log2 r), exact on any int
-    if bits > _KEY_BITS:
-        raise UniverseTooLarge(f"view tuple needs {bits} packed bits; exceeds exact-mode budget")
-
-
-# ---------------------------------------------------------------------------
-# Batched enumeration context
+# Audit context: the basis chunk, the blinding table and the selfcheck
 # ---------------------------------------------------------------------------
 
 class _BatchContext:
-    """Tables for sweeping the universe in vectorized chunks.
+    """What one audited universe's checks read.
 
     Every answer digit splits into a mask side and a randomness side: at
-    grid point (mask u, database c, randomness s) the answer of (node,
+    universe point (mask u, database c, randomness s) the answer of (node,
     stripe, vector t) is ``(ip[u, c] + blind[s]) % q``, where ``ip`` is the
     served round's answer with zero shared randomness and ``blind`` the
-    node's coded share of S.  Chunks, ``basis`` and ``qpack`` are served
-    rounds; ``blind`` is the one batched table, and ``link`` ties it and
-    the basis's linearity to the selfcheck's served points.  The
-    enumerated mask and randomness rows, ``blind`` and ``qpack`` are built
-    on first read, and database rows stream through in chunks.
+    node's coded share of S.  The checks read ``basis``, a served chunk,
+    and ``blind``, the one batched table; ``link`` ties both, and the
+    basis's affinity in the mask, to the selfcheck's served points.  The
+    randomness rows, ``blind`` and ``basis`` are built on first read.
     """
 
     def __init__(self, params: StorageParams, g: GeneratorMatrix, universe: Universe):
@@ -408,12 +325,7 @@ class _BatchContext:
         self.n_s = universe.n_s
         self.a_digits_node = params.stripes * params.m
         self.a_digits_all = params.n * self.a_digits_node
-        self._chunk_rows = max(1, _CHUNK_TARGET // max(1, self.n_u * self.n_s))
-        self._served = None  # the selfcheck's points and served answers
-
-    @cached_property
-    def u_rows(self) -> np.ndarray:
-        return self.universe.u_rows()
+        self._served = None  # the selfcheck's points and served queries and answers
 
     @cached_property
     def s_rows(self) -> np.ndarray:
@@ -426,37 +338,27 @@ class _BatchContext:
         s_mats = self.s_rows.reshape(self.n_s, p.stripes, p.m, p.m)
         return np.einsum("xsit,in->xnst", s_mats, self.g.array) % self.q
 
-    @cached_property
-    def qpack(self) -> np.ndarray:
-        """Packed per-node queries (k, n, n_u) that gen_queries builds at the
-        enumerated masks."""
-        p = self.params
-        u = self.u_rows.reshape(self.n_u, p.stripes, p.m, p.query_len)
-        queries = [protocol.gen_queries(p, self.g, theta, u_override=u).per_node for theta in range(1, p.k + 1)]
-        return pack_digits(np.stack(queries).reshape(p.k, self.n_u, p.n, -1), self.q).swapaxes(1, 2)
-
-    def db_chunks(self) -> Iterator[dict]:
-        for _, rows in self.universe.db_row_chunks(self._chunk_rows):
-            yield self.chunk(rows[None], self.u_rows[:, None])
-
     def chunk(self, rows: np.ndarray, u_rows: np.ndarray) -> dict:
         """The served round at database rows and mask rows, with zero shared
-        randomness: the files and node shares of the rows and the answers
-        ``ip`` (k, *lead, n, stripes, m) per index theta, the mask side of
-        every answer digit.
+        randomness: the files and node shares of the rows, the per-node
+        queries (k, *mask lead, n, stripes, m, query_len) served at the
+        masks, and the answers ``ip`` (k, *lead, n, stripes, m) per index
+        theta, the mask side of every answer digit.
 
         The leading axes of ``rows`` and ``u_rows`` broadcast to ``lead``
         in the served round: (masks, 1) mask rows against (1, c) database
-        rows give the (masks, c) grid a sweep reads.  ``files`` (c, k,
-        file_rows, m) and ``data`` (n, c, stripes, query_len) hold the
-        database rows given, their leading axes flattened.
+        rows give the (masks, c) grid.  ``files`` (c, k, file_rows, m) and
+        ``data`` (n, c, stripes, query_len) hold the database rows given,
+        their leading axes flattened.
         """
         p = self.params
-        net, ip = _served_answers(p, self.g, rows, u_rows, np.zeros(self.universe.s_digits, dtype=np.int64))
+        zero = np.zeros(self.universe.s_digits, dtype=np.int64)
+        net, queries, ip = _served_answers(p, self.g, rows, u_rows, zero)
         return {
             "count": math.prod(rows.shape[:-1]),
             "files": net.db.files.reshape((-1,) + net.db.files.shape[-3:]),
             "data": np.stack([h.data.values for h in net.nodes]).reshape(p.n, -1, p.stripes, p.query_len),
+            "queries": queries,
             "ip": ip,
         }
 
@@ -482,8 +384,8 @@ class _BatchContext:
         sampled points' databases and randomness on its leading axis, and
         each index gets one gen_queries and one exchange over all the
         points' masks.  Nothing is compared or decoded here: ``link``
-        compares the served answers, and a wrong decoder reaches the
-        correctness verdict instead of raising.
+        compares the served queries and answers, and a wrong decoder
+        reaches the correctness verdict instead of raising.
         """
         p, q, universe = self.params, self.q, self.universe
         rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
@@ -494,7 +396,7 @@ class _BatchContext:
         db_rows = _digit_rows(db_ids, q, universe.db_digits)
         u_rows = _free_rows(u_ids, q, universe.u_free, universe.u_digits)
         s_rows = _free_rows(s_ids, q, universe.s_free, universe.s_digits)
-        self._served = (db_rows, u_rows, s_rows, _served_answers(p, self.g, db_rows, u_rows, s_rows)[1])
+        self._served = (db_rows, u_rows, s_rows, *_served_answers(p, self.g, db_rows, u_rows, s_rows)[1:])
 
     def mask_matrices(self, u_rows: np.ndarray) -> np.ndarray:
         """(k, masks, db_digits, answer digits): per index, the mask side of
@@ -508,21 +410,25 @@ class _BatchContext:
         return (ip[:, 0, None] + np.einsum("pi,kidx->kpdx", u_rows, (ip[:, 1:] - ip[:, :1]) % q)) % q
 
     def link(self):
-        """Raise unless the selfcheck's served answers equal, index by
-        index, the mask side that the basis chunk predicts plus the
+        """Raise unless the selfcheck's served queries are, index by index,
+        the basis query at mask 0 plus the point's mask, and its served
+        answers the mask side that the basis chunk predicts plus the
         blinding that the unit randomness rows of ``blind`` predict.
 
-        The certificates, the rank gap and the sweeps read served rounds
-        at zero randomness and add ``blind``; the certificates and the
-        rank gap also extend the basis by bilinear expansion.  This ties
-        both to the served round at the selfcheck's points.  ``run_audit``
-        calls it once per context, before any verdict; a context whose
-        selfcheck has not run has no served answers to compare.
+        The checks read the basis chunk, served at zero randomness, add
+        ``blind`` and extend the basis by affinity in the mask (the
+        queries) and bilinear expansion (the answers).  This ties both to
+        the served round at the selfcheck's points.  ``run_audit`` calls it
+        once per context, before any verdict; a context whose selfcheck has
+        not run has no served points to compare.
         """
         if self._served is None:
             return
-        db_rows, u_rows, s_rows, served = self._served
-        q, free = self.q, self.universe.s_free
+        db_rows, u_rows, s_rows, queries, served = self._served
+        p, q, free = self.params, self.q, self.universe.s_free
+        at_zero = self.basis["queries"][:, 0]  # (k, 1, n, stripes, m, query_len)
+        if not np.array_equal(queries, (at_zero + u_rows.reshape(-1, 1, p.stripes, p.m, p.query_len)) % q):
+            raise AssertionError("served queries are not the basis query at mask 0 plus the mask")
         mask_side = np.einsum("pd,kpdx->kpx", db_rows, self.mask_matrices(u_rows))
         blind = (s_rows[:, :free] @ self.blind[_unit_ids(q, free)].reshape(free, self.a_digits_all)) % q
         served = served.reshape(served.shape[:2] + (-1,))  # (k, points, answer digits)
@@ -541,142 +447,71 @@ def _point_network(params: StorageParams, g: GeneratorMatrix, db_rows, u_rows, s
 
 
 def _served_answers(params: StorageParams, g: GeneratorMatrix, db_rows, u_rows, s_rows):
-    """The points' network (``_point_network``) and its answers (k, *lead,
-    n, stripes, m): per index, one gen_queries and one exchange."""
+    """The points' network (``_point_network``), the per-node queries
+    (k, *mask lead, n, stripes, m, query_len) and the answers (k, *lead, n,
+    stripes, m) it served: per index, one gen_queries and one exchange."""
     net, u_val = _point_network(params, g, db_rows, u_rows, s_rows)
-    queries = (protocol.gen_queries(params, g, theta, u_override=u_val) for theta in range(1, params.k + 1))
-    return net, np.stack([net.exchange(qs).per_node for qs in queries])
+    query_sets = (protocol.gen_queries(params, g, theta, u_override=u_val) for theta in range(1, params.k + 1))
+    rounds = [(qs.per_node, net.exchange(qs).per_node) for qs in query_sets]
+    return net, *map(np.stack, zip(*rounds))
 
 
 # ---------------------------------------------------------------------------
-# Exact cores: each sweeps its context's universe and returns its verdicts
+# Exact cores: each reads its context's basis and returns its verdicts
 # ---------------------------------------------------------------------------
 
 def _user_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck, ...]:
     """Per node: is the index independent of (query, answer, share, S)?
 
-    The index is modeled uniform; each check carries both the exact
-    product-rule verdict and the per-index conditional-table comparison,
-    which agree by construction.
+    The index is modeled uniform.  The node's answer is the inner product
+    of its query with its share plus the blinding, which depends on S
+    alone, so the index is hidden iff the query has the same law for every
+    index: with full masks a one-time pad, with zeroed masks the same unit
+    pattern (module docstring).  Each check carries both the product-rule
+    verdict and the per-index conditional-table comparison, which agree:
+    the index is uniform.  A basis chunk off that model raises.
     """
-    params, universe = ctx.params, ctx.universe
-    q = params.q
-    d_digits = params.node_len
-    _require_key_bits(q ** universe.u_digits, q ** ctx.a_digits_node, q ** d_digits)
-    if _user_privacy_certificate(ctx):
+    p, q, universe = ctx.params, ctx.q, ctx.universe
+    basis, u = ctx.basis, universe.u_digits
+    queries = basis["queries"].reshape(p.k, u + 1, p.n, p.stripes, p.m, p.query_len)
+    inner = np.einsum("kbnstl,njsl->kbjnst", queries, basis["data"]) % q
+    if not all(np.array_equal(ctx.answer_parts(basis, theta), inner[theta - 1]) for theta in range(1, p.k + 1)):
+        raise AssertionError("basis answers are not the queries' inner products with the shares")
+    queries = queries.reshape(p.k, u + 1, p.n, u)
+    if universe.mask_mode == "full":
+        steps = (queries[:, 1:] - queries[:, :1]) % q  # (k, U, n, U): Q(e_i) - Q(0)
+        if not (steps == np.eye(u, dtype=np.int64)[:, None]).all():
+            raise AssertionError("basis queries are not the mask plus a fixed pattern")
         return tuple(
             IndependenceCheck(f"user_privacy_node_{node}", True, True, universe.size, conditional_equal=True)
-            for node in range(1, params.n + 1)
+            for node in range(1, p.n + 1)
         )
-    a_radix = q ** ctx.a_digits_node
-    d_radix = q ** d_digits
-    # parts[node0][theta-1]: one (values, counts) table per chunk
-    parts = [[[] for _ in range(params.k)] for _ in range(params.n)]
-    for chunk in ctx.db_chunks():
-        c = chunk["count"]
-        dpack = pack_digits(chunk["data"].reshape(params.n, c, d_digits), q)  # (n, c)
-        for theta in range(1, params.k + 1):
-            ip = ctx.answer_parts(chunk, theta)
-            for node0 in range(params.n):
-                # grid key (query*a_radix + ip)*d_radix + share over (u, c)
-                key = pack_digits(ip[:, :, node0].reshape(ctx.n_u, c, -1), q)
-                key += ctx.qpack[theta - 1, node0][:, None] * a_radix
-                key *= d_radix
-                key += dpack[node0]
-                parts[node0][theta - 1].append(np.unique(key.ravel(), return_counts=True))
     checks = []
-    for node in range(1, params.n + 1):
-        tables = [merge_count_tables(t) for t in parts[node - 1]]
-        (vals, counts), *rest = tables
-        # S is a view digit and, for fixed s, answer = (ip + blind[s]) % q is
-        # a bijection of ip, so the per-theta view tables are equal iff these
-        # grid tables are; theta is uniform, so that certifies the product
-        # rule, and the witness is read off the same tables
-        conditional = all(np.array_equal(v, vals) and np.array_equal(t, counts) for v, t in rest)
+    for node in range(1, p.n + 1):
+        patterns = queries[:, 0, node - 1]  # (k, U): the query at mask 0 per index
+        same = int((patterns == patterns[0]).all(axis=-1).sum())
+        witness = None
+        if same != p.k:
+            shares = basis["data"][node - 1].reshape(universe.db_digits, -1)
+            joint = q ** (universe.db_digits - fields.rank_of(shares, q))
+            witness = {
+                "theta": 1,
+                "node": node,
+                "query": patterns[0].tolist(),
+                "answers": [0] * ctx.a_digits_node,
+                "node_data": [0] * p.node_len,
+                "shared_randomness": [0] * universe.s_digits,
+                "counts": {
+                    "joint": joint, "left": universe.size, "right": same * joint, "total": p.k * universe.size,
+                },
+            }
         checks.append(
             IndependenceCheck(
-                name=f"user_privacy_node_{node}",
-                independent=conditional,
-                exact=True,
-                universe_size=universe.size,
-                witness=None if conditional else _user_witness(ctx, tables, node),
-                conditional_equal=conditional,
+                f"user_privacy_node_{node}", witness is None, True, universe.size,
+                witness=witness, conditional_equal=witness is None,
             )
         )
     return tuple(checks)
-
-
-def _user_privacy_certificate(ctx: _BatchContext) -> bool:
-    """Certificate: with full masks, each node's query is uniform for
-    every index and its mask side is the inner product of that query with
-    the node's share.
-
-    Every packed query row ``qpack[theta-1, node]`` must be a permutation
-    of the q^U queries, and on the basis chunk the mask side must equal
-    the inner product of the basis masks' queries, read off ``qpack``,
-    with the shares.  Both sides are affine in the mask and linear in the
-    database, so the equality holds at every grid point; then each node's
-    (query, ip, share) is one function of a (query, share) pair whose law
-    is the same for every index, and the per-index tables are equal.
-    """
-    universe, p, q = ctx.universe, ctx.params, ctx.q
-    if universe.mask_mode != "full" or not (np.sort(ctx.qpack, axis=-1) == np.arange(ctx.n_u)).all():
-        return False
-    ids = np.concatenate(([0], _unit_ids(q, universe.u_digits)))
-    queries = _digit_rows(ctx.qpack[:, :, ids], q, universe.u_digits)
-    queries = queries.reshape(p.k, p.n, len(ids), p.stripes, p.m, p.query_len)
-    for theta in range(1, p.k + 1):
-        expected = np.einsum("nbstl,njsl->bjnst", queries[theta - 1], ctx.basis["data"]) % q
-        if not np.array_equal(ctx.answer_parts(ctx.basis, theta), expected):
-            return False
-    return True
-
-
-def _user_witness(ctx: _BatchContext, tables: list, node: int) -> dict:
-    """The first cell of the node's view (query, answer, share, S), in
-    (theta, view key) order, that breaks the product rule.
-
-    ``tables`` are the per-theta grid tables of (query, ip, share).  For a
-    fixed s the view cell (query, (ip + blind[s]) % q, share, s) is seen as
-    often as its grid cell, so it breaks the rule (theta is uniform: k *
-    count != right) exactly when the grid cell does.
-    """
-    p = ctx.params
-    q = ctx.q
-    a_radix = q ** ctx.a_digits_node
-    d_radix = q ** p.node_len
-    _, right, where = _merge_runs(tables)
-    cuts = np.cumsum([len(vals) for vals, _ in tables])[:-1]
-    for theta, ((vals, counts), idx) in enumerate(zip(tables, np.split(where, cuts)), 1):
-        rc = right[idx]
-        bad = counts * p.k != rc
-        if bad.any():
-            break
-    query = vals // (a_radix * d_radix)
-    mine = bad & (query == query[bad][0])  # keys are sorted: the least query
-    left = int(counts.sum()) * ctx.n_s
-    counts, rc = counts[mine], rc[mine]
-    ip = vals[mine] // d_radix % a_radix
-    share = vals[mine] % d_radix
-    # a broken cell's least answer is the least member of its coset ip + V
-    blind = ctx.blind[:, node - 1].reshape(ctx.n_s, -1)
-    answers = _coset_keys(_digit_rows(ip, q, ctx.a_digits_node), *_blinding_span(ctx, blind), q)
-    tied = answers == answers.min()
-    tied &= share == share[tied].min()
-    answer = unpack_digits(int(answers[tied][0]), q, ctx.a_digits_node)
-    # the least s that turns the mask side of a tied cell into the answer
-    ip_of_s = pack_digits((np.array(answer) - blind) % q, q)
-    s_idx = int(np.argmax(np.isin(ip_of_s, ip[tied])))
-    i = int(np.flatnonzero(tied & (ip == ip_of_s[s_idx]))[0])
-    return {
-        "theta": theta,
-        "node": node,
-        "query": unpack_digits(int(query[mine][0]), q, ctx.universe.u_digits),
-        "answers": answer,
-        "node_data": unpack_digits(int(share[i]), q, p.node_len),
-        "shared_randomness": ctx.s_rows[s_idx].tolist(),
-        "counts": {"joint": int(counts[i]), "left": left, "right": int(rc[i]), "total": p.k * left},
-    }
 
 
 def _db_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck]:
@@ -776,37 +611,20 @@ def _least_members(rows: np.ndarray, basis: np.ndarray, pivots: list[int], q: in
     return (rows - rows[..., pivots] @ basis) % q
 
 
-def _coset_keys(rows: np.ndarray, basis: np.ndarray, pivots: list[int], q: int) -> np.ndarray:
-    """Packed ``_least_members``; packing keeps their order, the first
-    digit being the most significant."""
-    return pack_digits(_least_members(rows, basis, pivots, q), q)
-
-
 def _correctness(ctx: _BatchContext) -> tuple[IndependenceCheck]:
-    ok = _decodes_on_the_basis(ctx) or _decodes_everywhere(ctx)
-    return (IndependenceCheck("correctness", ok, True, ctx.universe.size),)
+    return (IndependenceCheck("correctness", _decodes_on_the_basis(ctx), True, ctx.universe.size),)
 
 
 def _decodes_on_the_basis(ctx: _BatchContext) -> bool:
-    """Certificate: decoding cancels the randomness side of the unit
-    randomness rows and returns the requested file on the basis chunk.
+    """Decoding cancels the randomness side of the unit randomness rows and
+    returns the requested file on the basis chunk.
 
-    The randomness side is linear in S, and the mask side affine in the
-    masks and linear in the database, so this holds iff decoding returns
-    the requested file at every universe point.
+    Decoding is linear, the randomness side is linear in S, and the mask
+    side affine in the masks and linear in the database, so this holds iff
+    decoding returns the requested file at every universe point.
     """
     units = _decoded_blinding(ctx, ctx.blind[_unit_ids(ctx.q, ctx.universe.s_free)])
-    return not units.any() and _mask_sides_decode(ctx, [ctx.basis], 0)
-
-
-def _decodes_everywhere(ctx: _BatchContext) -> bool:
-    """True iff decoding returns the requested file at every universe
-    point, for every requested index."""
-    # decoding is linear, so it maps the two sides of each answer apart:
-    # right at every (u, c, s) iff the blinding cancels, blind_w[s] == b for
-    # every s, and ip_w is (file - b) % q at every (u, c)
-    blind_w = _decoded_blinding(ctx, ctx.blind)
-    return bool((blind_w == blind_w[0]).all()) and _mask_sides_decode(ctx, ctx.db_chunks(), blind_w[0])
+    return not units.any() and _mask_sides_decode(ctx)
 
 
 def _w_rows(ctx: _BatchContext) -> np.ndarray:
@@ -823,20 +641,18 @@ def _decoded_blinding(ctx: _BatchContext, blind: np.ndarray) -> np.ndarray:
     return (blind @ _w_rows(ctx).T) % p.q
 
 
-def _mask_sides_decode(ctx: _BatchContext, chunks: Iterable[dict], offset) -> bool:
-    """True iff every chunk's mask side decodes, for every index, to the
-    requested file minus ``offset`` (stripes, w_pos)."""
-    p = ctx.params
+def _mask_sides_decode(ctx: _BatchContext) -> bool:
+    """True iff the basis chunk's mask side decodes, for every index, to
+    the requested file."""
+    p, basis = ctx.params, ctx.basis
+    c = basis["count"]
     w_rows = _w_rows(ctx)
-    for chunk in chunks:
-        c = chunk["count"]
-        for theta in range(1, p.k + 1):
-            ip = ctx.answer_parts(chunk, theta)
-            ip = ip.transpose(0, 1, 3, 2, 4).reshape(len(ip), c, p.stripes, p.n * p.m)
-            ip_w = (ip @ w_rows.T) % p.q  # (masks, c, stripes, w_pos)
-            expected = chunk["files"][:, theta - 1].reshape(c, p.stripes, -1)
-            if not (ip_w == (expected - offset) % p.q).all():
-                return False
+    for theta in range(1, p.k + 1):
+        ip = ctx.answer_parts(basis, theta)
+        ip = ip.transpose(0, 1, 3, 2, 4).reshape(len(ip), c, p.stripes, p.n * p.m)
+        ip_w = (ip @ w_rows.T) % p.q  # (masks, c, stripes, w_pos)
+        if not (ip_w == basis["files"][:, theta - 1].reshape(c, p.stripes, -1)).all():
+            return False
     return True
 
 

@@ -34,4 +34,4 @@ class DecodeFailure(SpirError):
 
 
 class UniverseTooLarge(SpirError):
-    """Exhaustive enumeration would exceed the configured ceiling."""
+    """An exact audit exceeds the configured ceiling, or has an axis past int64."""

@@ -18,20 +18,17 @@ from spir_mds.audit import (
     _SELFCHECK_POINTS,
     _BatchContext,
     _blinding_span,
-    _coset_keys,
     _digit_rows,
+    _free_rows,
+    _least_members,
     _rank_gaps,
-    _require_key_bits,
+    _unit_ids,
     audit_correctness,
     audit_db_privacy,
     audit_user_privacy,
-    enumerate_assignments,
     leak_experiment,
     mc_correctness,
-    merge_count_tables,
-    pack_digits,
     run_audit,
-    unpack_digits,
 )
 from spir_mds.errors import InvalidParams, UniverseTooLarge
 from spir_mds.network import NodeHandler, SimNetwork
@@ -39,47 +36,30 @@ from spir_mds.protocol import CommonRandomness
 from spir_mds.storage import Database, GeneratorMatrix, StorageParams
 
 
+def pack_digits(rows, q):
+    """Fold base-q digit rows into ids, first digit most significant."""
+    return np.asarray(rows, dtype=np.int64) @ _unit_ids(q, np.shape(rows)[-1])
+
+
+def database_rows(universe):
+    return _digit_rows(np.arange(universe.n_db), universe.params.q, universe.db_digits)
+
+
+def mask_rows(universe):
+    return _free_rows(np.arange(universe.n_u), universe.params.q, universe.u_free, universe.u_digits)
+
+
+def grid_chunk(ctx):
+    """One served chunk over the context's whole (mask, database) grid."""
+    return ctx.chunk(database_rows(ctx.universe)[None], mask_rows(ctx.universe)[:, None])
+
+
 class TestEnumeration:
-    @pytest.mark.parametrize("q,digits", [(2, 5), (3, 3), (5, 2)])
-    def test_exhaustive_and_duplicate_free(self, q, digits):
-        rows = enumerate_assignments(q, digits, 0, q ** digits)
-        assert rows.shape == (q ** digits, digits)
-        assert len({tuple(r) for r in rows.tolist()}) == q ** digits
-        assert rows.min() == 0 and rows.max() == q - 1
-
-    def test_chunked_equals_full(self):
-        full = enumerate_assignments(3, 4, 0, 81)
-        parts = [enumerate_assignments(3, 4, a, b) for a, b in [(0, 30), (30, 77), (77, 81)]]
-        assert np.array_equal(np.concatenate(parts), full)
-
-    @settings(max_examples=100)
-    @given(
-        q=st.sampled_from([2, 3, 5]),
-        digits=st.integers(1, 8),
-        data=st.data(),
-    )
-    def test_pack_unpack_roundtrip(self, q, digits, data):
-        row = data.draw(st.lists(st.integers(0, q - 1), min_size=digits, max_size=digits))
-        packed = int(pack_digits(np.array([row]), q)[0])
-        assert unpack_digits(packed, q, digits) == row
-
-    @pytest.mark.parametrize("q,digits", [(7, 90), (2, 63), (3, 40)])
-    def test_pack_refuses_int64_overflow(self, q, digits):
-        # q**digits >= 2**63: the packed value would wrap silently
-        with pytest.raises(UniverseTooLarge):
-            pack_digits(np.full((1, digits), q - 1), q)
-
-    @pytest.mark.parametrize("q,digits", [(2, 62), (3, 39)])
-    def test_pack_largest_fitting_width(self, q, digits):
-        packed = int(pack_digits(np.full((1, digits), q - 1), q)[0])
-        assert packed == q ** digits - 1
-
     @pytest.mark.parametrize("q,digits", [(2, 62), (3, 39), (5, 3)])
     def test_digit_rows_invert_pack(self, q, digits):
         rows = np.random.default_rng(digits).integers(0, q, size=(2, 3, digits))
         rows[0, 0] = q - 1
         assert np.array_equal(_digit_rows(pack_digits(rows, q), q, digits), rows)
-        assert unpack_digits(int(pack_digits(rows[1, 2], q)), q, digits) == rows[1, 2].tolist()
 
     @settings(max_examples=200)
     @given(q=st.sampled_from([2, 3, 5, 7, 101, 1000003, 2**31 - 1]), data=st.data())
@@ -101,17 +81,6 @@ class TestEnumeration:
             pack_digits(np.zeros((1, widest + 1), dtype=np.int64), q)
         with pytest.raises(UniverseTooLarge, match="do not pack into int64"):
             _digit_rows(ids, q, widest + 1)
-
-    def test_key_budget_is_62_bits(self):
-        _require_key_bits(2 ** 31, 3 ** 19)  # 31 + 31 bits
-        with pytest.raises(UniverseTooLarge, match="needs 63 packed bits; exceeds exact-mode budget"):
-            _require_key_bits(2 ** 31, 3 ** 19, 2)
-
-    @pytest.mark.parametrize("radix,bits", [(2 ** 64, 64), (2 ** 64 + 1, 65), (3 ** 200, 317)])
-    def test_key_budget_counts_the_bits_of_any_int(self, radix, bits):
-        # float log2 of a Python int past 2**64 raises TypeError in numpy
-        with pytest.raises(UniverseTooLarge, match=f"needs {bits} packed bits"):
-            _require_key_bits(radix)
 
 
 class TestDistributionCounter:
@@ -140,17 +109,6 @@ class TestDistributionCounter:
         ok, cell = counter.check_independent()
         assert not ok
 
-    def test_merge_count_tables_partitions(self):
-        full = [(np.array([1, 2, 3]), np.array([4, 5, 6]))]
-        split = [
-            (np.array([1, 3]), np.array([4, 2])),
-            (np.array([2, 3]), np.array([5, 4])),
-        ]
-        vals_a, counts_a = merge_count_tables(full)
-        vals_b, counts_b = merge_count_tables(split)
-        assert np.array_equal(vals_a, vals_b)
-        assert np.array_equal(counts_a, counts_b)
-
 
 def pointwise_user_privacy_counter(params, g, node):
     """Independent oracle: enumerate the universe one point at a time
@@ -158,30 +116,29 @@ def pointwise_user_privacy_counter(params, g, node):
     universe = Universe(params)
     counter = DistributionCounter()
     q = params.q
-    u_rows = universe.u_rows()
+    u_rows = mask_rows(universe)
     s_rows = universe.s_rows()
-    for _, db_rows in universe.db_row_chunks(universe.n_db):
-        for db_row in db_rows:
-            db = Database(params, db_row.reshape(params.k, params.file_rows, params.m))
-            shares = storage.encode(db, g)
-            for u_row in u_rows:
-                u_val = u_row.reshape(params.stripes, params.m, params.query_len)
-                for s_row in s_rows:
-                    s_val = CommonRandomness(
-                        s_row.reshape(params.stripes, params.m, params.m)
+    for db_row in database_rows(universe):
+        db = Database(params, db_row.reshape(params.k, params.file_rows, params.m))
+        shares = storage.encode(db, g)
+        for u_row in u_rows:
+            u_val = u_row.reshape(params.stripes, params.m, params.query_len)
+            for s_row in s_rows:
+                s_val = CommonRandomness(
+                    s_row.reshape(params.stripes, params.m, params.m)
+                )
+                for theta in range(1, params.k + 1):
+                    qs = protocol.gen_queries(params, g, theta, u_override=u_val)
+                    ans = protocol.gen_answer(
+                        node, qs.node_query(node), shares[node - 1], s_val, g
                     )
-                    for theta in range(1, params.k + 1):
-                        qs = protocol.gen_queries(params, g, theta, u_override=u_val)
-                        ans = protocol.gen_answer(
-                            node, qs.node_query(node), shares[node - 1], s_val, g
-                        )
-                        view = (
-                            int(pack_digits(qs.node_query(node).reshape(1, -1), q)[0]),
-                            int(pack_digits(ans.reshape(1, -1), q)[0]),
-                            int(pack_digits(shares[node - 1].values.reshape(1, -1), q)[0]),
-                            int(pack_digits(s_row.reshape(1, -1), q)[0]),
-                        )
-                        counter.add(theta, view)
+                    view = (
+                        int(pack_digits(qs.node_query(node).reshape(1, -1), q)[0]),
+                        int(pack_digits(ans.reshape(1, -1), q)[0]),
+                        int(pack_digits(shares[node - 1].values.reshape(1, -1), q)[0]),
+                        int(pack_digits(s_row.reshape(1, -1), q)[0]),
+                    )
+                    counter.add(theta, view)
     return counter
 
 
@@ -193,22 +150,21 @@ def pointwise_db_privacy_counter(params, g, universe):
         (theta, u_row, protocol.gen_queries(
             params, g, theta, u_override=u_row.reshape(params.stripes, params.m, params.query_len)
         ))
-        for u_row in universe.u_rows()
+        for u_row in mask_rows(universe)
         for theta in range(1, params.k + 1)
     ]
-    for _, db_rows in universe.db_row_chunks(universe.n_db):
-        for db_row in db_rows:
-            db = Database(params, db_row.reshape(params.k, params.file_rows, params.m))
-            for s_row in universe.s_rows():
-                s_val = CommonRandomness(s_row.reshape(params.stripes, params.m, params.m))
-                net = SimNetwork(params, db, g, randomness=s_val)
-                for theta, u_row, qs in queries:
-                    answers = net.exchange(qs).per_node.ravel()
-                    others = np.delete(db.files, theta - 1, axis=0).ravel()
-                    counter.add(
-                        (theta, tuple(answers.tolist()), tuple(u_row.tolist())),
-                        tuple(others.tolist()),
-                    )
+    for db_row in database_rows(universe):
+        db = Database(params, db_row.reshape(params.k, params.file_rows, params.m))
+        for s_row in universe.s_rows():
+            s_val = CommonRandomness(s_row.reshape(params.stripes, params.m, params.m))
+            net = SimNetwork(params, db, g, randomness=s_val)
+            for theta, u_row, qs in queries:
+                answers = net.exchange(qs).per_node.ravel()
+                others = np.delete(db.files, theta - 1, axis=0).ravel()
+                counter.add(
+                    (theta, tuple(answers.tolist()), tuple(u_row.tolist())),
+                    tuple(others.tolist()),
+                )
     return counter
 
 
@@ -270,27 +226,26 @@ class TestExactAgainstPointwiseOracle:
         universe = Universe(params, mask_mode="zeroed")
         counter = DistributionCounter()
         q = params.q
-        for _, db_rows in universe.db_row_chunks(universe.n_db):
-            for db_row in db_rows:
-                db = Database(params, db_row.reshape(params.k, params.file_rows, params.m))
-                shares = storage.encode(db, g)
-                for s_row in universe.s_rows():
-                    s_val = CommonRandomness(s_row.reshape(params.stripes, params.m, params.m))
-                    for theta in range(1, params.k + 1):
-                        qs = protocol.gen_queries(
-                            params,
-                            g,
-                            theta,
-                            u_override=np.zeros(
-                                (params.stripes, params.m, params.query_len), dtype=np.int64
-                            ),
-                        )
-                        ans = protocol.gen_answer(1, qs.node_query(1), shares[0], s_val, g)
-                        view = (
-                            int(pack_digits(qs.node_query(1).reshape(1, -1), q)[0]),
-                            int(pack_digits(ans.reshape(1, -1), q)[0]),
-                        )
-                        counter.add(theta, view)
+        for db_row in database_rows(universe):
+            db = Database(params, db_row.reshape(params.k, params.file_rows, params.m))
+            shares = storage.encode(db, g)
+            for s_row in universe.s_rows():
+                s_val = CommonRandomness(s_row.reshape(params.stripes, params.m, params.m))
+                for theta in range(1, params.k + 1):
+                    qs = protocol.gen_queries(
+                        params,
+                        g,
+                        theta,
+                        u_override=np.zeros(
+                            (params.stripes, params.m, params.query_len), dtype=np.int64
+                        ),
+                    )
+                    ans = protocol.gen_answer(1, qs.node_query(1), shares[0], s_val, g)
+                    view = (
+                        int(pack_digits(qs.node_query(1).reshape(1, -1), q)[0]),
+                        int(pack_digits(ans.reshape(1, -1), q)[0]),
+                    )
+                    counter.add(theta, view)
         ok, cell = counter.check_independent()
         assert not ok
 
@@ -310,7 +265,7 @@ class TestExhaustiveInstances:
     @pytest.mark.parametrize("mask_mode", ["full", "zeroed"])
     @pytest.mark.parametrize("params", EXHAUSTIVE_INSTANCES, ids=str)
     def test_user_verdict_is_conditional_equality(self, params, mask_mode):
-        # every theta sweeps the same universe, so theta is uniform and the
+        # every theta audits the same universe, so theta is uniform and the
         # product rule holds exactly when the per-theta tables are equal
         report = audit_user_privacy(params, generator_for_instance(params), mask_mode=mask_mode)
         for check in report.checks:
@@ -484,33 +439,6 @@ class TestCeilingAndMonteCarlo:
         assert report.all_passed
 
 
-class TestPartitionedSweep:
-    def test_tiny_chunks_give_identical_reports(self, monkeypatch):
-        # force many database partitions: merged counts must match the
-        # single-pass sweep exactly, down to every witness
-        import spir_mds.audit as audit_mod
-
-        params = StorageParams(q=2, n=3, m=2, k=2)
-        g = generator_for_instance(params)
-
-        def audits():
-            return (
-                audit_user_privacy(params, g),
-                audit_user_privacy(params, g, mask_mode="zeroed"),
-                audit_db_privacy(params, g),
-                leak_experiment(params, g, "zeroed"),
-                audit_correctness(params, g),
-            )
-
-        whole = audits()
-        monkeypatch.setattr(audit_mod, "_CHUNK_TARGET", 64)
-        split = audits()
-        assert split == whole
-        # the controls really do carry witnesses to compare
-        assert whole[1].failed_checks()[0].witness is not None
-        assert whole[3].failed_checks()[0].witness is not None
-
-
 class TestSweepCannotGoVacuous:
     PARAMS = StorageParams(q=2, n=3, m=2, k=2)
 
@@ -659,7 +587,7 @@ class TestSelfcheckServesEveryPoint:
 
 class TestOneContextPerUniverse:
     """run_audit builds one context, and runs one selfcheck over 32 served
-    points, per distinct universe that its requested checks sweep."""
+    points, per distinct universe that its requested checks audit."""
 
     PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 
@@ -744,18 +672,16 @@ def full_grid_correctness(params, g):
     q, eqs, w_pos_count = params.q, params.n * params.m, params.rows_per_stripe * params.m
     w_rows = protocol.decode_matrix_inverse(params, g)[params.m * params.m :]
     blind_w = decoded_blinding(params, g)
-    for chunk in ctx.db_chunks():
-        c = chunk["count"]
-        for theta in range(1, params.k + 1):
-            ip = ctx.answer_parts(chunk, theta)
-            ip = ip.transpose(0, 1, 3, 2, 4).reshape(ctx.n_u, c, params.stripes, eqs)
-            ip_w = (ip @ w_rows.T) % q
-            expected = chunk["files"][:, theta - 1].reshape(c, params.stripes, w_pos_count)
-            for stripe in range(params.stripes):
-                for w_pos in range(w_pos_count):
-                    decoded = (ip_w[:, :, stripe, w_pos, None] + blind_w[:, stripe, w_pos]) % q
-                    if not (decoded == expected[:, stripe, w_pos, None]).all():
-                        return False
+    grid = grid_chunk(ctx)
+    c = grid["count"]
+    for theta in range(1, params.k + 1):
+        ip = ctx.answer_parts(grid, theta)
+        ip = ip.transpose(0, 1, 3, 2, 4).reshape(ctx.n_u, c, params.stripes, eqs)
+        ip_w = (ip @ w_rows.T) % q
+        expected = grid["files"][:, theta - 1].reshape(c, params.stripes, w_pos_count)
+        for blind_s in blind_w:  # one randomness row at a time
+            if not ((ip_w + blind_s) % q == expected).all():
+                return False
     return True
 
 
@@ -847,52 +773,62 @@ class TestCorrectnessOnTheGrid:
         assert full_grid_correctness(params, g) is True
         # the shifted blinding is not linear in S, nor the shifted mask
         # side in the database, so the link refuses them before the
-        # certificate or the enumerator decides
-        sweeps = log_sweeps(monkeypatch)
+        # certificate decides
         with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
             audit_correctness(params, g)
-        assert sweeps == []
 
 
 def full_view_witness(ctx, node):
     """Reference user-privacy witness: one node's view (query, answer,
-    share, S) counted at every (u, c, s) point of the batched grid, and the
-    first cell, in (theta, view key) order, that breaks the product rule;
-    None when no cell does."""
-    p = ctx.params
-    counter = DistributionCounter()
-    for chunk in ctx.db_chunks():
-        c = chunk["count"]
-        shares = chunk["data"][node - 1].reshape(c, -1).tolist()
-        for theta in range(1, p.k + 1):
-            u_mats = ctx.u_rows.reshape(ctx.n_u, p.stripes, p.m, p.query_len)
-            queries = ((u_mats + reference_unit_mask(p, theta, node)) % p.q).reshape(ctx.n_u, -1).tolist()
-            ip = ctx.answer_parts(chunk, theta)
-            answers = (ip[:, :, node - 1][:, :, None] + ctx.blind[:, node - 1]) % p.q
-            answers = answers.reshape(ctx.n_u, c, ctx.n_s, -1).tolist()
-            for u, ci, s in np.ndindex(ctx.n_u, c, ctx.n_s):
-                counter.add(theta, (tuple(queries[u]), tuple(answers[u][ci][s]), tuple(shares[ci]), s))
-    for theta, view in sorted(counter.joint):
-        joint, left, right = counter.joint[(theta, view)], counter.left[theta], counter.right[view]
-        if joint * counter.total != left * right:
-            query, answer, share, s = view
+    share, S) counted at every (u, c, s) point of the served grid, and the
+    first cell, in (theta, view) order, that breaks the product rule; None
+    when no cell does.  A view is counted by its key, (query, answer, share)
+    packed and then the randomness row's id, which orders as the tuple."""
+    p, q = ctx.params, ctx.q
+    grid = grid_chunk(ctx)
+    u_mats = mask_rows(ctx.universe).reshape(ctx.n_u, p.stripes, p.m, p.query_len)
+    share = pack_digits(grid["data"][node - 1].reshape(grid["count"], -1), q)
+    a_radix, d_radix = q ** ctx.a_digits_node, q ** p.node_len
+    keys = []
+    for theta in range(1, p.k + 1):
+        query = pack_digits(((u_mats + reference_unit_mask(p, theta, node)) % q).reshape(ctx.n_u, -1), q)
+        answers = (ctx.answer_parts(grid, theta)[:, :, node - 1][:, :, None] + ctx.blind[:, node - 1]) % q
+        answer = pack_digits(answers.reshape(answers.shape[:3] + (-1,)), q)  # (u, c, s)
+        cell = (query[:, None, None] * a_radix + answer) * d_radix + share[:, None]
+        keys.append((cell * ctx.n_s + np.arange(ctx.n_s)).ravel())  # S's id last
+    views, right = np.unique(np.concatenate(keys), return_counts=True)
+    left = keys[0].size
+    total = p.k * left
+    for theta, key in enumerate(keys, 1):
+        vals, joint = np.unique(key, return_counts=True)
+        rights = right[np.searchsorted(views, vals)]
+        bad = np.flatnonzero(joint * total != left * rights)
+        if bad.size:
+            i = bad[0]
+            view, s = divmod(int(vals[i]), ctx.n_s)
+            view, node_data = divmod(view, d_radix)
+            query, answer = divmod(view, a_radix)
             return {
                 "theta": theta,
                 "node": node,
-                "query": list(query),
-                "answers": list(answer),
-                "node_data": list(share),
+                "query": _digit_rows(query, q, ctx.universe.u_digits).tolist(),
+                "answers": _digit_rows(answer, q, ctx.a_digits_node).tolist(),
+                "node_data": _digit_rows(node_data, q, p.node_len).tolist(),
                 "shared_randomness": ctx.s_rows[s].tolist(),
-                "counts": {"joint": joint, "left": left, "right": right, "total": counter.total},
+                "counts": {
+                    "joint": int(joint[i]),
+                    "left": left,
+                    "right": int(rights[i]),
+                    "total": total,
+                },
             }
     return None
 
 
-def leak_theta(monkeypatch, leak):
+def leak_theta(monkeypatch, leak, selfcheck=False):
     """Make node 1's mask side depend on theta: shifted by theta, or, at
-    theta 2, read at another database or mask, which keeps the (query,
-    answer) or the (answer, share) table and shows only jointly with the
-    third part."""
+    theta 2, read at another database or mask; the selfcheck is off unless
+    ``selfcheck``."""
     real = _BatchContext.answer_parts
 
     def leaky(self, chunk, theta):
@@ -904,15 +840,15 @@ def leak_theta(monkeypatch, leak):
             out[:, :, 0] = np.flip(ip[:, :, 0], axis=1 if leak == "other_database" else 0)
         return out
 
-    monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
+    if not selfcheck:
+        monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
     monkeypatch.setattr(_BatchContext, "answer_parts", leaky)
 
 
 class TestGridCertificate:
-    """User privacy is certified on the (mask, database) grid: S is a view
-    digit and, for fixed S, the answer is a bijection of the mask side, so
-    the grid tables are equal across indices iff the full view tables are,
-    and the witness is read off the grid tables."""
+    """User privacy is decided by the query law: the report's witnesses are
+    the first broken cells of the full view tables, and an answer that is
+    no inner product of the served query with the share is refused."""
 
     # small enough for the per-point reference; the k = 3 instances are
     # not pinned by REPORT_SHA256
@@ -937,44 +873,41 @@ class TestGridCertificate:
         assert report.all_passed == (mask_mode == "full")
 
     @pytest.mark.parametrize("leak", ["shifted", "other_database", "other_mask"])
-    @pytest.mark.parametrize("params", WITNESS_INSTANCES, ids=str)
-    def test_witness_is_the_first_broken_view_cell(self, monkeypatch, params, leak):
+    @pytest.mark.parametrize("params", WITNESS_INSTANCES + [StorageParams(q=3, n=3, m=2, k=2)], ids=str)
+    def test_theta_dependent_answer_is_off_the_model(self, monkeypatch, params, leak):
         leak_theta(monkeypatch, leak)
-        g = generator_for_instance(params)
-        report = audit_user_privacy(params, g)
-        ctx = _BatchContext(params, g, Universe(params))
-        witnesses = [full_view_witness(ctx, node) for node in range(1, params.n + 1)]
-        assert [check.witness for check in report.checks] == witnesses
-        assert witnesses[0] is not None and not any(witnesses[1:])
+        with pytest.raises(AssertionError, match="basis answers are not the queries' inner products"):
+            audit_user_privacy(params, generator_for_instance(params))
 
-    @pytest.mark.parametrize("leak", ["shifted", "other_database", "other_mask"])
-    def test_theta_dependent_answer_fails_the_certificate(self, monkeypatch, leak):
+    # the zeroed-mask witnesses at (5, 4, 2, 2), 5**12 points per index:
+    # nodes 1 and 2 hold the unit patterns, nodes 3 and 4 none
+    ZEROED_5_4_2_2 = [
+        {"theta": 1, "node": node, "query": query, "answers": [0, 0], "node_data": [0, 0, 0, 0],
+         "shared_randomness": [0, 0, 0, 0],
+         "counts": {"joint": 625, "left": 244140625, "right": 625, "total": 488281250}}
+        for node, query in ((1, [1, 0, 0, 0, 0, 1, 0, 0]), (2, [0, 1, 0, 0, 1, 0, 0, 0]))
+    ] + [None, None]
+
+    def test_zeroed_mask_witnesses_far_above_the_default_ceiling(self):
+        params = StorageParams(q=5, n=4, m=2, k=2)
+        g = generator_for_instance(params)
+        report = run_audit(params, g, ("user-privacy",), mask_mode="zeroed", ceiling=2**60)
+        assert [check.witness for check in report.checks] == self.ZEROED_5_4_2_2
+        assert all(check.exact for check in report.checks)
+
+    def test_link_refuses_a_theta_dependent_answer_first(self, monkeypatch):
         params = StorageParams(q=3, n=3, m=2, k=2)
-        leak_theta(monkeypatch, leak)
-        report = audit_user_privacy(params, generator_for_instance(params))
-        first, *others = report.checks
-        assert first.conditional_equal is False and not first.independent
-        assert first.witness["node"] == 1
-        counts = first.witness["counts"]
-        assert counts["joint"] * counts["total"] != counts["left"] * counts["right"]
-        assert all(c.conditional_equal and c.independent for c in others)
+        leak_theta(monkeypatch, "shifted", selfcheck=True)
+        with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
+            audit_user_privacy(params, generator_for_instance(params))
 
 
 def mask_side(ctx, ip):
     """The (masks, c, n, stripes, m) inner products of a chunk's masks alone
     with every node's share: its mask side ``ip`` with no index's units.
     The mask side is affine in the mask, and the first mask of the basis
-    and of the enumerated masks is zero, so its row is the units' part."""
+    and of the grid's masks is zero, so its row is the units' part."""
     return (ip - ip[:1]) % ctx.q
-
-
-def log_sweeps(monkeypatch) -> list:
-    """The universe of each enumerator sweep, in call order: every sweep
-    streams its context's databases through ``db_chunks``, and no
-    certificate does."""
-    log = []
-    spy(monkeypatch, _BatchContext, "db_chunks", log, lambda ctx: ctx.universe)
-    return log
 
 
 class TestBlindingCosetKeys:
@@ -996,16 +929,14 @@ class TestBlindingCosetKeys:
             universe = Universe(params, randomness_mode="partial", partial_count=partial_count)
         ctx = _BatchContext(params, generator_for_instance(params), universe)
         basis, pivots = _blinding_span(ctx, ctx.blind.reshape(ctx.n_s, -1))
-        (_, db_rows), = universe.db_row_chunks(universe.n_db)
-        grid = ctx.chunk(db_rows[None], ctx.u_rows[:, None])
-        ip = ctx.answer_parts(grid, 1).reshape(-1, ctx.a_digits_all)[:limit]
+        ip = ctx.answer_parts(grid_chunk(ctx), 1).reshape(-1, ctx.a_digits_all)[:limit]
         blind = ctx.blind.reshape(ctx.n_s, -1)
-        keys = _coset_keys(ip, basis, pivots, params.q)
+        keys = pack_digits(_least_members(ip, basis, pivots, params.q), params.q)
         coset = pack_digits((ip[:, None] + blind[None]) % params.q, params.q)  # (rows, n_s)
         assert np.array_equal(keys, coset.min(axis=1))
         for s_idx in range(ctx.n_s):
             shifted = (ip + blind[s_idx]) % params.q
-            assert np.array_equal(_coset_keys(shifted, basis, pivots, params.q), keys)
+            assert np.array_equal(pack_digits(_least_members(shifted, basis, pivots, params.q), params.q), keys)
 
     # W̄'s first symbol w0 added to the answers at (stripe 0, t 0), times a
     # codeword row of G (inside V) or at node 1 alone (no codeword of the
@@ -1037,13 +968,10 @@ class TestBlindingCosetKeys:
 
         monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
         monkeypatch.setattr(_BatchContext, "answer_parts", shifted)
-        sweeps = log_sweeps(monkeypatch)
         check = audit_db_privacy(params, g).checks[0]
-        assert check.independent == private
         # a shift inside V leaves decoding right, so the certificate
-        # decides; every other shift breaks decoding, and the rank gap
-        # does: neither sweeps
-        assert sweeps == []
+        # decides; every other shift breaks decoding, and the rank gap does
+        assert check.independent == private
         if private:
             assert check.witness is None
         else:
@@ -1069,16 +997,16 @@ class TestBlindingCosetKeys:
         ctx = _BatchContext(params, g, Universe(params))
         # the full (u, c, s) grid of the same batched answers
         reference = DistributionCounter()
-        for chunk in ctx.db_chunks():
-            for theta in range(1, params.k + 1):
-                ip = ctx.answer_parts(chunk, theta)
-                answers = (ip[:, :, None] + ctx.blind[None, None]) % params.q
-                others = np.delete(chunk["files"], theta - 1, axis=1).reshape(chunk["count"], -1)
-                for u, c, s in np.ndindex(answers.shape[:3]):
-                    reference.add(
-                        (theta, tuple(answers[u, c, s].ravel().tolist()), tuple(ctx.u_rows[u].tolist())),
-                        tuple(others[c].tolist()),
-                    )
+        grid, u_rows = grid_chunk(ctx), mask_rows(ctx.universe)
+        for theta in range(1, params.k + 1):
+            ip = ctx.answer_parts(grid, theta)
+            answers = (ip[:, :, None] + ctx.blind[None, None]) % params.q
+            others = np.delete(grid["files"], theta - 1, axis=1).reshape(grid["count"], -1)
+            for u, c, s in np.ndindex(answers.shape[:3]):
+                reference.add(
+                    (theta, tuple(answers[u, c, s].ravel().tolist()), tuple(u_rows[u].tolist())),
+                    tuple(others[c].tolist()),
+                )
         assert reference.check_independent()[0] is False
         assert not check.independent
         w = check.witness
@@ -1116,34 +1044,32 @@ class TestRankGap:
         means = []
         for j in range(Universe(params).s_digits + 1):
             ctx = _BatchContext(params, g, Universe(params, randomness_mode="partial", partial_count=j))
-            r_own, r_full = _rank_gaps(ctx, ctx.u_rows)
+            r_own, r_full = _rank_gaps(ctx, mask_rows(ctx.universe))
             assert r_own.shape == (ctx.n_u, params.k) and (r_own <= r_full).all()
             means.append(Fraction(int((r_full - r_own).sum()), r_own.size))
         assert means == [Fraction(value) for value in self.LEAK_TABLE[instance]]
 
-    def test_no_sweep_and_the_first_leak_in_mask_order(self, monkeypatch):
+    def test_the_first_leak_in_mask_order(self):
         # the zeroed control leaks first at mask id 1; the witness is the
         # zero view cell of that pair, read off its ranks
         params = StorageParams(q=3, n=3, m=2, k=2)
         g = generator_for_instance(params)
-        sweeps = log_sweeps(monkeypatch)
         check = run_audit(params, g, ("db-privacy",), randomness_mode="zeroed").checks[0]
-        assert sweeps == [] and not check.independent
+        assert not check.independent
         ctx = _BatchContext(params, g, Universe(params, randomness_mode="zeroed"))
-        r_own, r_full = _rank_gaps(ctx, ctx.u_rows)
+        u_rows = mask_rows(ctx.universe)
+        r_own, r_full = _rank_gaps(ctx, u_rows)
         u_idx, theta = np.argwhere(r_own < r_full)[0]
         w = check.witness
-        assert (w["theta"], w["masks"]) == (theta + 1, ctx.u_rows[u_idx].tolist())
+        assert (w["theta"], w["masks"]) == (theta + 1, u_rows[u_idx].tolist())
         assert not any(w["answers"]) and not any(w["other_files"])
         assert w["counts"]["joint"] == params.q ** (params.file_len - r_own[u_idx, theta])
         assert w["counts"]["left"] == params.q ** (Universe(params).db_digits - r_full[u_idx, theta])
 
 
 class TestContextSplit:
-    """The enumerated mask and randomness rows, ``blind`` and ``qpack`` are
-    built on first read: a certificate that passes on the basis chunk
-    enumerates no mask and packs no query, and the selfcheck only serves
-    its own sampled points."""
+    """The randomness rows, ``blind`` and the basis chunk are built on first
+    read, and the selfcheck only serves its own sampled points."""
 
     PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 
@@ -1154,18 +1080,7 @@ class TestContextSplit:
         ctx = _BatchContext(p, generator_for_instance(p), Universe(p))
         ctx.selfcheck()
         assert chunks == []
-        assert not {"u_rows", "s_rows", "blind", "qpack", "basis"} & set(vars(ctx))
-
-    def test_passing_certificates_enumerate_no_mask_and_pack_no_query(self, monkeypatch):
-        p = self.PARAMS
-        enumerated, contexts = [], []
-        spy(monkeypatch, Universe, "u_rows", enumerated, lambda universe: universe)
-        spy(monkeypatch, _BatchContext, "__init__", contexts, lambda ctx, *args: ctx)
-        sweeps = log_sweeps(monkeypatch)
-        assert run_audit(p, generator_for_instance(p), ("correctness", "db-privacy")).all_passed
-        assert sweeps == [] and enumerated == []
-        (ctx,) = contexts
-        assert "qpack" not in vars(ctx)
+        assert not {"s_rows", "blind", "basis"} & set(vars(ctx))
 
     def test_axis_past_int64_is_refused_before_any_work(self, monkeypatch):
         # 3**164 points fit under the ceiling, but the 3**80 database ids do not
@@ -1177,48 +1092,57 @@ class TestContextSplit:
         assert contexts == []
 
 
-CERTIFICATES = ("_decodes_on_the_basis", "_user_privacy_certificate", "_db_privacy_certificate")
+class TestNoCheckEnumeratesMasks:
+    """Every check reads the basis chunk: no served round has more masks
+    than the basis, U + 1, or the selfcheck's 32 points."""
+
+    PARAMS = StorageParams(q=3, n=3, m=2, k=2)
+
+    @pytest.mark.parametrize("mask_mode", ["full", "zeroed"])
+    def test_no_round_serves_more_masks_than_the_basis_or_the_selfcheck(self, monkeypatch, mask_mode):
+        p = self.PARAMS
+        served, real = [], protocol.gen_queries
+
+        def counted(*args, **kwargs):
+            qs = real(*args, **kwargs)
+            served.append(int(np.prod(qs.u.shape[:-3])))
+            return qs
+
+        monkeypatch.setattr(protocol, "gen_queries", counted)
+        report = run_audit(p, generator_for_instance(p), mask_mode=mask_mode)
+        assert report.all_passed == (mask_mode == "full")
+        assert served and max(served) <= max(Universe(p).u_digits + 1, _SELFCHECK_POINTS)
 
 
-class TestCertificatesAgreeWithTheEnumerator:
-    """A certificate that passes gives the enumerator's report byte for
-    byte; one that fails leaves the verdict to the enumerator."""
+class TestReportsAgreeWithTheReferences:
+    """Under every randomness and mask mode, the report's correctness
+    verdict is the full-grid decode's and each node's user-privacy witness
+    the full view table's first broken cell."""
 
-    @pytest.mark.parametrize("params", EXHAUSTIVE_INSTANCES + [StorageParams(q=3, n=3, m=2, k=2)], ids=str)
-    def test_same_bytes_and_the_expected_path(self, monkeypatch, params):
-        import spir_mds.audit as audit_mod
+    # (3, 3, 2, 2) with full masks has 3**16 view points per index, past
+    # the reference's reach; REPORT_SHA256 pins its report
+    CASES = [(params, masks) for params in EXHAUSTIVE_INSTANCES for masks in ("full", "zeroed")]
+    CASES += [(StorageParams(q=3, n=3, m=2, k=2), "zeroed")]
 
+    @pytest.mark.parametrize("params,masks", CASES, ids=str)
+    def test_same_verdicts_as_the_references(self, params, masks):
         g = generator_for_instance(params)
+        correct = full_grid_correctness(params, g)
+        ctx = _BatchContext(params, g, Universe(params, mask_mode=masks))
+        witnesses = [full_view_witness(ctx, node) for node in range(1, params.n + 1)]
         s_digits = Universe(params).s_digits
-        cases = [
-            (mode, j, masks)
-            for mode, j in [("full", None), ("zeroed", None)] + [("partial", j) for j in range(s_digits + 1)]
-            for masks in ("full", "zeroed")
-        ]
-        sweeps = log_sweeps(monkeypatch)
-
-        def report_bytes(mode, j, masks):
-            del sweeps[:]
+        for mode, j in [("full", None), ("zeroed", None)] + [("partial", j) for j in range(s_digits + 1)]:
             report = run_audit(params, g, randomness_mode=mode, partial_count=j, mask_mode=masks, seed=3)
-            return jsonio.canonical_dumps(jsonio.audit_report_to_json(report))
-
-        certified = {}
-        for mode, j, masks in cases:
-            certified[mode, j, masks] = report_bytes(mode, j, masks)
-            # correctness is always certified, user privacy with full masks;
-            # database privacy never sweeps: the certificate decides at the
-            # secrecy floor, J = s_digits, and the rank gap below it
-            assert sweeps == ([Universe(params, mask_mode="zeroed")] if masks == "zeroed" else [])
-        for name in CERTIFICATES:
-            monkeypatch.setattr(audit_mod, name, lambda ctx: False)
-        for case in cases:
-            assert report_bytes(*case) == certified[case]
-            assert len(sweeps) == 2  # correctness and user privacy swept
+            correctness, *user, _ = report.checks
+            assert correctness.independent is correct is True
+            assert [check.witness for check in user] == witnesses
+            for check in user:
+                assert check.conditional_equal == check.independent == (check.witness is None)
 
 
-def shift_off_the_enumeration(monkeypatch, shift):
+def shift_the_basis(monkeypatch, shift):
     """Add ``shift`` (n, stripes, m) to every mask side of the basis chunk,
-    and to none of the enumerated chunks."""
+    and to no other chunk."""
     real = _BatchContext.answer_parts
 
     def shifted(self, chunk, theta):
@@ -1239,9 +1163,8 @@ def drop_blinding(monkeypatch):
 
 
 class TestServedRoundTiesTheCertificates:
-    """The selfcheck's served answers tie the basis chunk and the blinding
-    table, and so every verdict, certified or enumerated, to the served
-    round."""
+    """The selfcheck's served queries and answers tie the basis chunk and
+    the blinding table, and so every verdict, to the served round."""
 
     PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 
@@ -1250,9 +1173,9 @@ class TestServedRoundTiesTheCertificates:
         with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
             run_audit(self.PARAMS, generator_for_instance(self.PARAMS))
 
-    # the chunks are served with zero randomness, so a round that drops
-    # its blinding leaves them as they are: only the link sees it, and it
-    # must, whichever path would decide (the zeroed-mask sweep here)
+    # the basis chunk is served with zero randomness, so a round that drops
+    # its blinding leaves it as it is: only the link sees it, and it must,
+    # whichever check would decide
     @pytest.mark.parametrize(
         "checks,options",
         [(("user-privacy",), {"mask_mode": "zeroed"}), (("correctness",), {}), (("db-privacy",), {})],
@@ -1260,10 +1183,8 @@ class TestServedRoundTiesTheCertificates:
     )
     def test_round_without_blinding_stops_every_exact_audit(self, monkeypatch, checks, options):
         drop_blinding(monkeypatch)
-        sweeps = log_sweeps(monkeypatch)
         with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
             run_audit(self.PARAMS, generator_for_instance(self.PARAMS), checks, **options)
-        assert sweeps == []
 
     # a codeword of G at (stripe 1, vector 1) lies in the blinding span, so
     # decoding stays right on the basis and the certificate passes; but the
@@ -1275,24 +1196,42 @@ class TestServedRoundTiesTheCertificates:
         g = generator_for_instance(p)
         shift = np.zeros((p.n, p.stripes, p.m), dtype=np.int64)
         shift[:, 0, 0] = g.array[0]
-        shift_off_the_enumeration(monkeypatch, shift)
+        shift_the_basis(monkeypatch, shift)
         with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
             run_audit(p, g, (check,))
 
-    @pytest.mark.parametrize("checks", [("correctness", "user-privacy"), CHECKS], ids=["enumerated", "default"])
-    def test_link_runs_before_the_enumerator(self, monkeypatch, checks):
-        # the same shift outside the span fails the certificates, and the
-        # enumerator would decide correctness and user privacy on chunks
-        # that the shift does not reach; the link refuses the shifted
-        # basis first, on every path
+    @pytest.mark.parametrize("checks", [("correctness", "user-privacy"), CHECKS], ids=["two_checks", "default"])
+    def test_link_runs_before_any_check(self, monkeypatch, checks):
+        # the same shift outside the span breaks decoding and the inner
+        # products on the basis; the link refuses the shifted basis before
+        # any check decides
         p = self.PARAMS
         shift = np.zeros((p.n, p.stripes, p.m), dtype=np.int64)
         shift[0, 0, 0] = 1
-        shift_off_the_enumeration(monkeypatch, shift)
-        sweeps = log_sweeps(monkeypatch)
+        shift_the_basis(monkeypatch, shift)
         with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
             run_audit(p, generator_for_instance(p), checks)
-        assert sweeps == []
+
+    def test_query_off_the_translation_fails_the_link(self, monkeypatch):
+        # right at the mask 0 and at every unit mask e_i, so the basis
+        # queries pass the translation check; wrong at one sampled mask
+        p = self.PARAMS
+        g = generator_for_instance(p)
+        _, u_ids, _ = selfcheck_ids(Universe(p))
+        wrong = _digit_rows(u_ids[0], p.q, Universe(p).u_digits)
+        assert np.count_nonzero(wrong) > 1 or wrong.max() > 1  # neither 0 nor a unit mask
+        real = protocol.gen_queries
+
+        def skewed(*args, **kwargs):
+            qs = real(*args, **kwargs)
+            hit = (qs.u.reshape(qs.u.shape[:-3] + (-1,)) == wrong).all(axis=-1)
+            per_node = qs.per_node.copy()
+            per_node[hit, 0, 0, 0, 0] = (per_node[hit, 0, 0, 0, 0] + 1) % p.q
+            return protocol.QuerySet(qs.theta, qs.u, per_node)
+
+        monkeypatch.setattr(protocol, "gen_queries", skewed)
+        with pytest.raises(AssertionError, match="served queries are not the basis query at mask 0 plus the mask"):
+            run_audit(p, g)
 
 
 # sha256 over the canonical audit reports of REPORT_INSTANCES, fixed when the

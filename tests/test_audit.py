@@ -902,6 +902,76 @@ class TestGridCertificate:
             audit_user_privacy(params, generator_for_instance(params))
 
 
+def double_the_mask(monkeypatch, selfcheck=False):
+    """Serve every node the query P + 2u in place of P + u: still an inner
+    product with the share, but no longer a one-time pad on the mask (at
+    q = 2 it is the constant P); the selfcheck is off unless ``selfcheck``."""
+    real = protocol.gen_queries
+
+    def doubled(*args, **kwargs):
+        qs = real(*args, **kwargs)
+        return protocol.QuerySet(qs.theta, qs.u, (qs.per_node + qs.u[..., None, :, :, :]) % args[0].q)
+
+    if not selfcheck:
+        monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
+    monkeypatch.setattr(protocol, "gen_queries", doubled)
+
+
+class TestQueryLaw:
+    """User privacy is decided from the basis queries alone: a query that is
+    not the mask plus a fixed pattern is refused, and each zeroed-mask
+    witness breaks the product rule, at sizes no sweep could reach."""
+
+    OFF_MODEL = [
+        StorageParams(q=2, n=3, m=2, k=2),
+        StorageParams(q=2, n=3, m=1, k=3),
+        StorageParams(q=3, n=2, m=1, k=3),
+        StorageParams(q=3, n=3, m=2, k=2),
+    ]
+
+    @pytest.mark.parametrize("params", OFF_MODEL, ids=str)
+    def test_query_off_the_translation_is_off_the_model(self, monkeypatch, params):
+        double_the_mask(monkeypatch)
+        with pytest.raises(AssertionError, match="basis queries are not the mask plus a fixed pattern"):
+            audit_user_privacy(params, generator_for_instance(params))
+
+    def test_link_refuses_an_off_translation_query_first(self, monkeypatch):
+        params = StorageParams(q=3, n=3, m=2, k=2)
+        double_the_mask(monkeypatch, selfcheck=True)
+        with pytest.raises(AssertionError, match="served queries are not the basis query at mask 0 plus the mask"):
+            audit_user_privacy(params, generator_for_instance(params))
+
+    # each is past the default ceiling under zeroed masks but one (3,3,2,2)
+    ZEROED = [
+        StorageParams(q=3, n=3, m=2, k=2),
+        StorageParams(q=3, n=3, m=2, k=2, stripes=2),
+        StorageParams(q=3, n=4, m=2, k=3),
+        StorageParams(q=5, n=4, m=2, k=2),
+        StorageParams(q=7, n=4, m=2, k=2),
+    ]
+
+    @pytest.mark.parametrize("params", ZEROED, ids=str)
+    def test_zeroed_mask_witnesses_break_the_product_rule(self, params):
+        report = audit_user_privacy(params, generator_for_instance(params), mask_mode="zeroed", ceiling=2**4000)
+        assert all(check.exact for check in report.checks)
+        witnesses = [check.witness for check in report.checks if check.witness is not None]
+        assert witnesses and len(witnesses) == len(report.failed_checks())
+        for w in witnesses:
+            c = w["counts"]
+            assert c["total"] == params.k * c["left"]
+            assert c["joint"] * c["total"] != c["left"] * c["right"]
+
+    # q**(U + db + S digits) points, past 2**56: the sweep ran out of memory
+    # on the mask rows at q = 11
+    @pytest.mark.parametrize(
+        "params", [StorageParams(q=7, n=4, m=2, k=2), StorageParams(q=11, n=4, m=2, k=2)], ids=str
+    )
+    def test_exact_audit_far_above_the_default_ceiling(self, params):
+        report = run_audit(params, generator_for_instance(params), ceiling=2**80)
+        assert Universe(params).size > 2**56
+        assert report.all_passed and all(check.exact for check in report.checks)
+
+
 def mask_side(ctx, ip):
     """The (masks, c, n, stripes, m) inner products of a chunk's masks alone
     with every node's share: its mask side ``ip`` with no index's units.

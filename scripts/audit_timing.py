@@ -12,15 +12,18 @@ the rank gap, each a separate audit with its own selfcheck, and of one
 default `run_audit`, the `spir-mds audit` op, whose three checks share one
 universe and so one selfcheck; the default `run_audit` is also timed at
 (2, 4, 2, 2) and (3, 4, 1, 2), with the search generator, as the field is
-too small for the Cauchy one.  No check enumerates the universe: at
-(5, 4, 2, 2) and (7, 4, 2, 2), whose universes of up to 7**20 points only
-a ceiling of 2**60 admits, it times the zeroed-randomness control by rank
-gap, and user privacy with full and with zeroed masks.  One warm-up call
-precedes each series.  Then it prints the best per-call time of the served
-calls a selfcheck makes over its 32 points: the network build
-(`_point_network`) once, and `gen_queries` and `SimNetwork.exchange` k
-times each.  The figures are informational, for comparing runs on one
-machine.
+too small for the Cauchy one.  No check enumerates the universe, and
+under a ceiling of 2**100000 every check is exact: at (5, 4, 2, 2) and
+(7, 4, 2, 2), universes of up to 7**20 points, it times the
+zeroed-randomness control by rank gap, and user privacy with full and
+with zeroed masks; at q = 1,000,003 with (n, m, k) = (3, 2, 2), whose
+database axis alone has about 2**80 rows, at (3, 3, 2, 2) with 3 stripes
+and at (101, 10, 4, 3) it times the default `run_audit` and the
+zeroed-randomness control.  One warm-up call precedes each series.  Then
+it prints the best per-call time of the served calls a selfcheck makes
+over its 32 points: the network build (`_point_network`) once, and
+`gen_queries` and `SimNetwork.exchange` k times each.  The figures are
+informational, for comparing runs on one machine.
 
     python scripts/audit_timing.py
 """
@@ -37,7 +40,12 @@ from spir_mds.storage import StorageParams
 PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 SEARCH_PARAMS = (StorageParams(q=2, n=4, m=2, k=2), StorageParams(q=3, n=4, m=1, k=2))
 LARGE_PARAMS = (StorageParams(q=5, n=4, m=2, k=2), StorageParams(q=7, n=4, m=2, k=2))
-LARGE_CEILING = 2**60
+HUGE_PARAMS = (
+    StorageParams(q=1000003, n=3, m=2, k=2),
+    StorageParams(q=3, n=3, m=2, k=2, stripes=3),
+    StorageParams(q=101, n=10, m=4, k=3),
+)
+HUGE_CEILING = 2**100000
 REPS = 15
 CALL_REPEATS = 7  # best of CALL_REPEATS timings of `number` calls each
 
@@ -57,7 +65,8 @@ def best_us(fn, number: int) -> float:
 
 
 def at(params: StorageParams) -> str:
-    return f"(q, n, m, k) = ({params.q}, {params.n}, {params.m}, {params.k})"
+    stripes = f", stripes = {params.stripes}" if params.stripes > 1 else ""
+    return f"(q, n, m, k) = ({params.q}, {params.n}, {params.m}, {params.k}){stripes}"
 
 
 def main():
@@ -84,8 +93,13 @@ def main():
             "user privacy, zeroed masks": {"checks": ("user-privacy",), "mask_mode": "zeroed"},
         }
         for name, options in large.items():
-            ms = median_ms(lambda seed: audit.run_audit(params, gen, ceiling=LARGE_CEILING, seed=seed, **options))
+            ms = median_ms(lambda seed: audit.run_audit(params, gen, ceiling=HUGE_CEILING, seed=seed, **options))
             print(f"{name}: {ms:.1f} ms at {at(params)}, median of {REPS}")
+    for params in HUGE_PARAMS:
+        gen = protocol.generator_for(params)
+        for name, options in {"default run_audit": {}, "zeroed-randomness control": {"randomness_mode": "zeroed"}}.items():
+            ms = median_ms(lambda seed: audit.run_audit(params, gen, ceiling=HUGE_CEILING, seed=seed, **options))
+            print(f"{name}, exact: {ms:.1f} ms at {at(params)}, median of {REPS}")
     default_audit = median_ms(lambda seed: audit.run_audit(PARAMS, g, seed=seed))
     print(f"default run_audit: {default_audit:.1f} ms at {where}, median of {REPS}")
     for params in SEARCH_PARAMS:
@@ -93,14 +107,8 @@ def main():
         ms = median_ms(lambda seed: audit.run_audit(params, search_g, seed=seed))
         print(f"default run_audit, search generator: {ms:.1f} ms at {at(params)}, median of {REPS}")
 
-    # 32 universe points, served as the selfcheck serves them
-    universe = ctx.universe
-    ids = np.arange(audit._SELFCHECK_POINTS)
-    points = (
-        audit._digit_rows(ids, PARAMS.q, universe.db_digits),
-        audit._digit_rows(ids, PARAMS.q, universe.u_digits),
-        audit._digit_rows(ids, PARAMS.q, universe.s_digits),
-    )
+    # 32 universe points, drawn and served as the selfcheck draws and serves them
+    points = audit._random_rows(np.random.default_rng(0), audit._SELFCHECK_POINTS, ctx.universe)
     net, u_val = audit._point_network(PARAMS, g, *points)
     qs = protocol.gen_queries(PARAMS, g, 1, u_override=u_val)
     batch = f"{audit._SELFCHECK_POINTS} points"

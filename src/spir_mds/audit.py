@@ -60,24 +60,25 @@ files, not here.
 checks on one universe share one context.  The basis chunk is a served
 round: one ``network.SimNetwork`` over the unit databases, and per index
 one ``gen_queries`` and one exchange over the basis masks, with zero
-shared randomness.  The randomness side ``blind`` is the one table not
-served, built on first read.  So before any verdict, each audited
-universe serves 32 sampled points, drawn by id on each axis, with their
-randomness and every index, through one network
+shared randomness.  The randomness side ``blind``, its images of the
+free unit S rows, is the one table not served.  So before any verdict,
+each audited universe serves 32 sampled points, their digits drawn
+uniform, with their randomness and every index, through one network
 (``_BatchContext.selfcheck``), and ``_BatchContext.link`` raises unless
 the served queries are the basis query at mask 0 plus the mask and the
-basis chunk's bilinear expansion plus ``blind`` at the unit S rows
-reproduces the served answers: that ties ``blind`` and the assumed
-affinity to the served round.  Universes above the ceiling fall back to
-a seeded Monte Carlo mode reported as statistical (chi-square screen),
-never as exact.
+basis chunk's bilinear expansion plus ``blind`` reproduces the served
+answers: that ties ``blind`` and the assumed affinity to the served
+round.  No exact check forms an id past int64 or a table that grows with
+an axis, so any universe within the ceiling is decided exactly; above it
+a check falls back to a seeded Monte Carlo mode reported as statistical
+(chi-square screen), never as exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -93,35 +94,20 @@ AUDIT_SEED_DOMAIN = 4
 
 _SELFCHECK_POINTS = 32  # per audited universe: cross-validation against the served round
 _RANK_BATCH, _RANK_BATCH_MAX = 4, 1 << 10  # first and largest mask batch of the rank gap
-_INT64_MAX = (1 << 63) - 1
 
 RANDOMNESS_MODES = ("full", "zeroed", "partial")
 CHECKS = ("correctness", "user-privacy", "db-privacy")
 
 
-@lru_cache(maxsize=None)
-def _unit_ids(q: int, digits: int) -> np.ndarray:
-    """Enumeration ids of the unit rows e_1, ..., e_digits of F_q^digits,
-    which are also the place values q**(digits-1), ..., q, 1 of a digit
-    row's id (read-only: one array per (q, digits) is shared).
-
-    Raises UniverseTooLarge unless q**digits < 2**63, so that every id
-    fits int64; no power of q past int64 is formed.
-    """
-    values = [1]
-    for _ in range(digits):
-        if values[-1] > _INT64_MAX // q:
-            raise UniverseTooLarge(f"{digits} base-{q} digits do not pack into int64")
-        values.append(values[-1] * q)
-    ids = np.array(values[-2::-1], dtype=np.int64)
-    ids.flags.writeable = False
-    return ids
-
-
 def _digit_rows(ids, q: int, digits: int) -> np.ndarray:
     """Base-q digit rows of ``ids`` (first digit most significant), for
-    ids below q**digits."""
-    return np.asarray(ids, dtype=np.int64)[..., None] // _unit_ids(q, digits) % q
+    ids below q**digits: one divide by q per digit, least significant
+    first."""
+    rest = np.asarray(ids, dtype=np.int64)
+    rows = np.empty(rest.shape + (digits,), dtype=np.int64)
+    for d in reversed(range(digits)):
+        rest, rows[..., d] = np.divmod(rest, q)
+    return rows
 
 
 def _free_rows(ids, q: int, free: int, digits: int) -> np.ndarray:
@@ -130,6 +116,32 @@ def _free_rows(ids, q: int, free: int, digits: int) -> np.ndarray:
     rows = np.zeros(np.shape(ids) + (digits,), dtype=np.int64)
     rows[..., :free] = _digit_rows(ids, q, free)
     return rows
+
+
+def _random_rows(rng, count: int, universe: Universe) -> list[np.ndarray]:
+    """``count`` uniform database, mask and randomness digit rows of the
+    universe, drawn in that order; fixed digits are zero."""
+    axes = [(universe.db_digits,) * 2, (universe.u_free, universe.u_digits), (universe.s_free, universe.s_digits)]
+    rows = [np.zeros((count, digits), dtype=np.int64) for _, digits in axes]
+    for row, (free, _) in zip(rows, axes):
+        row[:, :free] = rng.integers(0, universe.params.q, size=(count, free), dtype=np.int64)
+    return rows
+
+
+def _einsum_mod(spec: str, a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """``np.einsum(spec, a, b) % q`` for operands reduced mod q, where the
+    contracted axis is ``a``'s last.  It is summed in blocks of at most
+    (2**63 - q) // (q - 1)**2 terms, so a block's sum plus the reduced sum
+    of the blocks before it stays inside int64."""
+    step = (2**63 - q) // (q - 1) ** 2
+    a_sub, b_sub = spec.split("->")[0].split(",")
+    b_axis = b_sub.index(a_sub[-1])
+    for lo in range(0, max(a.shape[-1], 1), step):  # one empty block for an empty axis
+        part = np.einsum(spec, a[..., lo : lo + step], b[(slice(None),) * b_axis + (slice(lo, lo + step),)])
+        if lo:
+            part += out
+        out = part % q
+    return out
 
 
 @dataclass(frozen=True)
@@ -182,16 +194,8 @@ class Universe:
         return self.u_digits if self.mask_mode == "full" else 0
 
     @property
-    def n_db(self) -> int:
-        return self.params.q ** self.db_digits
-
-    @property
     def n_u(self) -> int:
         return self.params.q ** self.u_free
-
-    @property
-    def n_s(self) -> int:
-        return self.params.q ** self.s_free
 
     @property
     def exponent(self) -> int:
@@ -215,19 +219,6 @@ class Universe:
                 f"universe has {shown} points, ceiling is {ceiling}; "
                 "rerun with a Monte Carlo sample budget for a statistical check"
             )
-
-    def require_enumerable(self):
-        """Refuse an exact audit whose database, mask or randomness axis has
-        2**63 rows or more: the ids the selfcheck draws would leave int64."""
-        for axis, free in (("database", self.db_digits), ("mask", self.u_free), ("randomness", self.s_free)):
-            if self.params.q ** free > _INT64_MAX:
-                raise UniverseTooLarge(
-                    f"the {axis} axis has {self.params.q}**{free} rows; exact audit ids need fewer than 2**63"
-                )
-
-    def s_rows(self) -> np.ndarray:
-        """All shared-randomness assignments; fixed digits are zero."""
-        return _free_rows(np.arange(self.n_s), self.params.q, self.s_free, self.s_digits)
 
 
 @dataclass
@@ -309,11 +300,12 @@ class _BatchContext:
     Every answer digit splits into a mask side and a randomness side: at
     universe point (mask u, database c, randomness s) the answer of (node,
     stripe, vector t) is ``(ip[u, c] + blind[s]) % q``, where ``ip`` is the
-    served round's answer with zero shared randomness and ``blind`` the
-    node's coded share of S.  The checks read ``basis``, a served chunk,
-    and ``blind``, the one batched table; ``link`` ties both, and the
-    basis's affinity in the mask, to the selfcheck's served points.  The
-    randomness rows, ``blind`` and ``basis`` are built on first read.
+    served round's answer with zero shared randomness and ``blind[s]`` the
+    node's coded share of S, linear in s.  The checks read ``basis``, a
+    served chunk, and ``blind`` at the free unit S rows, which fix it at
+    every s; ``link`` ties both, and the basis's affinity in the mask, to
+    the selfcheck's served points.  ``blind`` and ``basis`` are built on
+    first read.
     """
 
     def __init__(self, params: StorageParams, g: GeneratorMatrix, universe: Universe):
@@ -322,20 +314,17 @@ class _BatchContext:
         self.universe = universe
         self.q = params.q
         self.n_u = universe.n_u
-        self.n_s = universe.n_s
         self.a_digits_node = params.stripes * params.m
         self.a_digits_all = params.n * self.a_digits_node
         self._served = None  # the selfcheck's points and served queries and answers
 
     @cached_property
-    def s_rows(self) -> np.ndarray:
-        return self.universe.s_rows()
-
-    @cached_property
     def blind(self) -> np.ndarray:
-        """blind[s_idx, node0, stripe, t0] over the enumerated randomness rows."""
-        p = self.params
-        s_mats = self.s_rows.reshape(self.n_s, p.stripes, p.m, p.m)
+        """blind[i, node0, stripe, t0]: the randomness side at the free unit
+        S rows e_1, ..., e_{s_free}.  It is linear in S, so these rows fix
+        it at every S."""
+        p, free = self.params, self.universe.s_free
+        s_mats = np.eye(free, self.universe.s_digits, dtype=np.int64).reshape(free, p.stripes, p.m, p.m)
         return np.einsum("xsit,in->xnst", s_mats, self.g.array) % self.q
 
     def chunk(self, rows: np.ndarray, u_rows: np.ndarray) -> dict:
@@ -379,24 +368,17 @@ class _BatchContext:
     def selfcheck(self, seed: int = 0):
         """Serve sampled universe points, with their randomness, for ``link``.
 
-        The points are drawn by id on each axis, and their digit rows made
-        from the ids.  One SimNetwork at the audited params holds the
-        sampled points' databases and randomness on its leading axis, and
-        each index gets one gen_queries and one exchange over all the
-        points' masks.  Nothing is compared or decoded here: ``link``
+        Each free digit of a point is drawn uniform and each fixed digit
+        is zero (``_random_rows``).  One SimNetwork at the audited params
+        holds the sampled points' databases and randomness on its leading
+        axis, and each index gets one gen_queries and one exchange over all
+        the points' masks.  Nothing is compared or decoded here: ``link``
         compares the served queries and answers, and a wrong decoder
         reaches the correctness verdict instead of raising.
         """
-        p, q, universe = self.params, self.q, self.universe
         rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
-        n_pts = min(_SELFCHECK_POINTS, universe.n_db * self.n_u * self.n_s)
-        db_ids = rng.integers(0, universe.n_db, size=n_pts)
-        u_ids = rng.integers(0, self.n_u, size=n_pts)
-        s_ids = rng.integers(0, self.n_s, size=n_pts)
-        db_rows = _digit_rows(db_ids, q, universe.db_digits)
-        u_rows = _free_rows(u_ids, q, universe.u_free, universe.u_digits)
-        s_rows = _free_rows(s_ids, q, universe.s_free, universe.s_digits)
-        self._served = (db_rows, u_rows, s_rows, *_served_answers(p, self.g, db_rows, u_rows, s_rows)[1:])
+        points = _random_rows(rng, min(_SELFCHECK_POINTS, self.universe.size), self.universe)
+        self._served = (*points, *_served_answers(self.params, self.g, *points)[1:])
 
     def mask_matrices(self, u_rows: np.ndarray) -> np.ndarray:
         """(k, masks, db_digits, answer digits): per index, the mask side of
@@ -407,13 +389,13 @@ class _BatchContext:
         q = self.q
         ip = np.stack([self.answer_parts(self.basis, theta) for theta in range(1, self.params.k + 1)])
         ip = ip.reshape(ip.shape[:3] + (-1,))  # (k, U + 1, db_digits, answer digits)
-        return (ip[:, 0, None] + np.einsum("pi,kidx->kpdx", u_rows, (ip[:, 1:] - ip[:, :1]) % q)) % q
+        return (ip[:, 0, None] + _einsum_mod("pi,kidx->kpdx", u_rows, (ip[:, 1:] - ip[:, :1]) % q, q)) % q
 
     def link(self):
         """Raise unless the selfcheck's served queries are, index by index,
         the basis query at mask 0 plus the point's mask, and its served
         answers the mask side that the basis chunk predicts plus the
-        blinding that the unit randomness rows of ``blind`` predict.
+        blinding that ``blind``, the unit randomness rows, predicts.
 
         The checks read the basis chunk, served at zero randomness, add
         ``blind`` and extend the basis by affinity in the mask (the
@@ -429,8 +411,8 @@ class _BatchContext:
         at_zero = self.basis["queries"][:, 0]  # (k, 1, n, stripes, m, query_len)
         if not np.array_equal(queries, (at_zero + u_rows.reshape(-1, 1, p.stripes, p.m, p.query_len)) % q):
             raise AssertionError("served queries are not the basis query at mask 0 plus the mask")
-        mask_side = np.einsum("pd,kpdx->kpx", db_rows, self.mask_matrices(u_rows))
-        blind = (s_rows[:, :free] @ self.blind[_unit_ids(q, free)].reshape(free, self.a_digits_all)) % q
+        mask_side = _einsum_mod("pd,kpdx->kpx", db_rows, self.mask_matrices(u_rows), q)
+        blind = _einsum_mod("pi,ix->px", s_rows[:, :free], self.blind.reshape(free, self.a_digits_all), q)
         served = served.reshape(served.shape[:2] + (-1,))  # (k, points, answer digits)
         if not all(np.array_equal((answers - ip) % q, blind) for answers, ip in zip(served, mask_side)):
             raise AssertionError("basis points disagree with gen_answer")
@@ -561,7 +543,7 @@ def _rank_gaps(ctx: _BatchContext, u_rows: np.ndarray) -> tuple[np.ndarray, np.n
     them, the requested file's first, counts both ranks by its pivots.
     """
     p = ctx.params
-    span = _blinding_span(ctx, ctx.blind.reshape(ctx.n_s, -1))
+    span = _blinding_span(ctx)
     matrices = _least_members(ctx.mask_matrices(u_rows), *span, ctx.q)  # (k, masks, db_digits, answers)
     # the database digits file by file, from the requested one on
     cols = np.stack([np.roll(m, -theta * p.file_len, axis=1) for theta, m in enumerate(matrices)], axis=1)
@@ -584,19 +566,19 @@ def _db_privacy_certificate(ctx: _BatchContext) -> bool:
     universe = ctx.universe
     if universe.s_free != universe.s_digits:
         return False
-    span, _ = _blinding_span(ctx, ctx.blind.reshape(ctx.n_s, -1))
+    span, _ = _blinding_span(ctx)
     return len(span) == universe.s_digits and _decodes_on_the_basis(ctx)
 
 
-def _blinding_span(ctx: _BatchContext, blind: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _blinding_span(ctx: _BatchContext) -> tuple[np.ndarray, list[int]]:
     """Row-reduced basis of the blinding span V and its pivot columns.
 
-    V holds the randomness sides ``blind[s]`` of answers: ``blind`` is
-    (n_s, J), all nodes' columns or one node's.  The randomness rows are a
-    coordinate subspace and ``blind`` is linear in s, so V is spanned by
-    the images of the free unit vectors.
+    V holds the randomness sides of all nodes' answers.  The randomness
+    rows are a coordinate subspace and the randomness side is linear in
+    S, so V is spanned by ``blind``, the images of the free unit rows.
     """
-    basis, pivots = fields.rref(blind[_unit_ids(ctx.q, ctx.universe.s_free)], ctx.q)
+    blind = ctx.blind.reshape(ctx.universe.s_free, ctx.a_digits_all)
+    basis, pivots = fields.rref(blind, ctx.q)
     return basis[: len(pivots)], pivots
 
 
@@ -608,7 +590,7 @@ def _least_members(rows: np.ndarray, basis: np.ndarray, pivots: list[int], q: in
     of the coset is larger at its first nonzero coefficient's pivot and
     equal before it.  An empty span leaves each row as it is.
     """
-    return (rows - rows[..., pivots] @ basis) % q
+    return (rows - _einsum_mod("...p,pj->...j", rows[..., pivots], basis, q)) % q
 
 
 def _correctness(ctx: _BatchContext) -> tuple[IndependenceCheck]:
@@ -623,8 +605,7 @@ def _decodes_on_the_basis(ctx: _BatchContext) -> bool:
     side affine in the masks and linear in the database, so this holds iff
     decoding returns the requested file at every universe point.
     """
-    units = _decoded_blinding(ctx, ctx.blind[_unit_ids(ctx.q, ctx.universe.s_free)])
-    return not units.any() and _mask_sides_decode(ctx)
+    return not _decoded_blinding(ctx, ctx.blind).any() and _mask_sides_decode(ctx)
 
 
 def _w_rows(ctx: _BatchContext) -> np.ndarray:
@@ -680,17 +661,8 @@ def _mc_networks(g: GeneratorMatrix, universe: Universe, samples: int, seed: int
     p = universe.params
     if samples * (universe.db_digits + universe.u_digits + universe.s_digits) * 8 >= 1 << 63:
         raise UniverseTooLarge(f"{samples} sampled points exceed 2**63 bytes of int64 digits")
-    rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
-    q = p.q
-    db = rng.integers(0, q, size=(samples, universe.db_digits), dtype=np.int64)
-    if universe.mask_mode == "zeroed":
-        u = np.zeros((samples, universe.u_digits), dtype=np.int64)
-    else:
-        u = rng.integers(0, q, size=(samples, universe.u_digits), dtype=np.int64)
-    s = np.zeros((samples, universe.s_digits), dtype=np.int64)
-    if universe.s_free:
-        s[:, : universe.s_free] = rng.integers(0, q, size=(samples, universe.s_free), dtype=np.int64)
-    return (_point_network(p, g, *point) for point in zip(db, u, s))
+    rows = _random_rows(np.random.default_rng([AUDIT_SEED_DOMAIN, seed]), samples, universe)
+    return (_point_network(p, g, *point) for point in zip(*rows))
 
 
 def _chi2_p(counter: DistributionCounter) -> float:
@@ -853,8 +825,8 @@ def run_audit(
     is exact, and checks on one universe share its context and its one
     selfcheck.  Above the ceiling a check is a seeded Monte Carlo screen
     when ``samples`` is given, and refused with UniverseTooLarge otherwise.
-    Arguments and modes are refused before any work, and so is an exact
-    check with an axis of 2**63 rows or more.
+    Arguments and modes are refused before any work; within the ceiling
+    no size is refused, as no exact check forms an id past int64.
     """
     if samples is not None and samples < 1:  # an empty sample would pass vacuously
         raise InvalidParams(f"a Monte Carlo audit needs at least one sample, got {samples}")
@@ -867,9 +839,6 @@ def run_audit(
         "db-privacy": Universe(params, randomness_mode, partial_count),
     }
     order = [c for c in CHECKS if c in selected]
-    for name in order:
-        if not universes[name].exceeds(ceiling):
-            universes[name].require_enumerable()
     contexts: dict[Universe, _BatchContext] = {}
     found: list[IndependenceCheck] = []
     for name in order:

@@ -151,7 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma list from {audit_mod.CHECKS} (default: all)",
     )
     p_audit.add_argument("--randomness", type=_parse_randomness, default=None)
-    p_audit.add_argument("--ceiling", type=int, default=audit_mod.DEFAULT_UNIVERSE_CEILING)
+    p_audit.add_argument(
+        "--ceiling",
+        type=int,
+        default=audit_mod.DEFAULT_UNIVERSE_CEILING,
+        help="largest universe, in points, decided exactly; a larger one needs --monte-carlo (default: 2**24)",
+    )
     p_audit.add_argument(
         "--monte-carlo",
         type=int,

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +20,10 @@ from spir_mds.audit import (
     _BatchContext,
     _blinding_span,
     _digit_rows,
+    _einsum_mod,
     _free_rows,
     _least_members,
     _rank_gaps,
-    _unit_ids,
     audit_correctness,
     audit_db_privacy,
     audit_user_privacy,
@@ -38,15 +39,33 @@ from spir_mds.storage import Database, GeneratorMatrix, StorageParams
 
 def pack_digits(rows, q):
     """Fold base-q digit rows into ids, first digit most significant."""
-    return np.asarray(rows, dtype=np.int64) @ _unit_ids(q, np.shape(rows)[-1])
+    place_values = [q ** d for d in reversed(range(np.shape(rows)[-1]))]
+    return np.asarray(rows, dtype=np.int64) @ np.array(place_values, dtype=np.int64)
 
 
 def database_rows(universe):
-    return _digit_rows(np.arange(universe.n_db), universe.params.q, universe.db_digits)
+    q = universe.params.q
+    return _digit_rows(np.arange(q ** universe.db_digits), q, universe.db_digits)
 
 
 def mask_rows(universe):
     return _free_rows(np.arange(universe.n_u), universe.params.q, universe.u_free, universe.u_digits)
+
+
+def randomness_rows(universe):
+    """All shared-randomness assignments; fixed digits are zero."""
+    q = universe.params.q
+    return _free_rows(np.arange(q ** universe.s_free), q, universe.s_free, universe.s_digits)
+
+
+def blinding_table(ctx):
+    """(randomness rows, n, stripes, m): the randomness side at every row of
+    ``randomness_rows``, extended linearly from ``ctx.blind``, its images of
+    the free unit rows."""
+    free = ctx.universe.s_free
+    rows = randomness_rows(ctx.universe)[:, :free]
+    table = rows @ ctx.blind.reshape(free, ctx.a_digits_all) % ctx.q
+    return table.reshape((len(rows),) + ctx.blind.shape[1:])
 
 
 def grid_chunk(ctx):
@@ -67,8 +86,8 @@ class TestEnumeration:
     @example(q=3, data=None)
     @example(q=1000003, data=None)
     def test_digit_rows_pack_roundtrip(self, q, data):
-        # the widest rows that pack, whose largest id is q**widest - 1, and
-        # the refusal one digit wider; an example (data=None) takes the edge
+        # the widest rows that pack, whose largest id is q**widest - 1; an
+        # example (data=None) takes the edge
         widest = max(d for d in range(64) if q ** d < 1 << 63)
         if data is None:
             digits, ids = widest, [0, 1, q ** widest - 1]
@@ -77,10 +96,6 @@ class TestEnumeration:
             ids = data.draw(st.lists(st.integers(0, q ** digits - 1), min_size=1, max_size=6), label="ids")
         ids = np.array(ids, dtype=np.int64)
         assert np.array_equal(pack_digits(_digit_rows(ids, q, digits), q), ids)
-        with pytest.raises(UniverseTooLarge, match=f"{widest + 1} base-{q} digits do not pack into int64"):
-            pack_digits(np.zeros((1, widest + 1), dtype=np.int64), q)
-        with pytest.raises(UniverseTooLarge, match="do not pack into int64"):
-            _digit_rows(ids, q, widest + 1)
 
 
 class TestDistributionCounter:
@@ -117,7 +132,7 @@ def pointwise_user_privacy_counter(params, g, node):
     counter = DistributionCounter()
     q = params.q
     u_rows = mask_rows(universe)
-    s_rows = universe.s_rows()
+    s_rows = randomness_rows(universe)
     for db_row in database_rows(universe):
         db = Database(params, db_row.reshape(params.k, params.file_rows, params.m))
         shares = storage.encode(db, g)
@@ -155,7 +170,7 @@ def pointwise_db_privacy_counter(params, g, universe):
     ]
     for db_row in database_rows(universe):
         db = Database(params, db_row.reshape(params.k, params.file_rows, params.m))
-        for s_row in universe.s_rows():
+        for s_row in randomness_rows(universe):
             s_val = CommonRandomness(s_row.reshape(params.stripes, params.m, params.m))
             net = SimNetwork(params, db, g, randomness=s_val)
             for theta, u_row, qs in queries:
@@ -229,7 +244,7 @@ class TestExactAgainstPointwiseOracle:
         for db_row in database_rows(universe):
             db = Database(params, db_row.reshape(params.k, params.file_rows, params.m))
             shares = storage.encode(db, g)
-            for s_row in universe.s_rows():
+            for s_row in randomness_rows(universe):
                 s_val = CommonRandomness(s_row.reshape(params.stripes, params.m, params.m))
                 for theta in range(1, params.k + 1):
                     qs = protocol.gen_queries(
@@ -477,12 +492,18 @@ class TestSweepCannotGoVacuous:
         assert mc_correctness(self.PARAMS, g, 20, seed=1) is False
 
 
-def selfcheck_ids(universe, seed=0):
-    """The (database, mask, randomness) ids the selfcheck samples from
-    ``universe``, drawn as it draws them, in that order from one generator."""
+def selfcheck_rows(universe, seed=0):
+    """The (database, mask, randomness) digit rows the selfcheck samples
+    from ``universe``, drawn as it draws them: in that order from one
+    generator, each free digit uniform and each fixed digit zero."""
     rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
     n_pts = min(_SELFCHECK_POINTS, universe.size)
-    return tuple(rng.integers(0, count, size=n_pts) for count in (universe.n_db, universe.n_u, universe.n_s))
+    rows = []
+    for free, digits in [(universe.db_digits,) * 2, (universe.u_free, universe.u_digits),
+                         (universe.s_free, universe.s_digits)]:
+        drawn = rng.integers(0, universe.params.q, size=(n_pts, free))
+        rows.append(np.pad(drawn, ((0, 0), (0, digits - free))))
+    return rows
 
 
 def log_served_rounds(monkeypatch) -> list:
@@ -506,14 +527,12 @@ def assert_one_batched_round(log, params, universe, seed=0):
     databases; then per index one gen_queries over the sampled masks, 32
     rows, and each node's one answer call, given its own query for every
     point."""
-    db_ids, u_ids, _ = selfcheck_ids(universe, seed)
-    assert len(db_ids) == _SELFCHECK_POINTS
+    sampled, masks, _ = selfcheck_rows(universe, seed)
+    assert len(sampled) == _SELFCHECK_POINTS
     (kind, db), *rounds = log
     assert kind == "network"
-    sampled = _digit_rows(db_ids, params.q, universe.db_digits)
     assert np.array_equal(db.files, sampled.reshape(-1, params.k, params.file_rows, params.m))
     assert len(rounds) == params.k * (1 + params.n)
-    masks = _digit_rows(u_ids, params.q, universe.u_digits)
     for theta in range(1, params.k + 1):
         (kind, qs), *answers = rounds[(theta - 1) * (1 + params.n) : theta * (1 + params.n)]
         assert kind == "queries" and qs.theta == theta
@@ -686,10 +705,12 @@ def full_grid_correctness(params, g):
 
 
 def decoded_blinding(params, g):
-    """(n_s, stripes, w_pos): the file symbols decoded from the randomness side."""
+    """(randomness rows, stripes, w_pos): the file symbols decoded from the
+    randomness side at every randomness row."""
     ctx = _BatchContext(params, g, Universe(params))
     w_rows = protocol.decode_matrix_inverse(params, g)[params.m * params.m :]
-    blind = ctx.blind.transpose(0, 2, 1, 3).reshape(ctx.n_s, params.stripes, params.n * params.m)
+    table = blinding_table(ctx)
+    blind = table.transpose(0, 2, 1, 3).reshape(len(table), params.stripes, params.n * params.m)
     return (blind @ w_rows.T) % params.q
 
 
@@ -735,14 +756,15 @@ class TestCorrectnessOnTheGrid:
         assert audit_correctness(p, g) is full_grid_correctness(p, g) is False
 
     def test_randomness_side_flip_fails_with_a_right_mask_side(self, monkeypatch):
-        # only the blinding of points s > 0 moves: the grid check alone
-        # would pass, since blind_w[0] and every mask side are untouched
+        # only the blinding of the unit S rows moves, and so that of some
+        # s > 0: the grid check alone would pass, since blind_w[0] and
+        # every mask side are untouched
         real = _BatchContext.__init__
 
         def flipped(self, *args):
             real(self, *args)
             self.blind = self.blind.copy()
-            self.blind[1:, 0, 0, 0] = (self.blind[1:, 0, 0, 0] + 1) % self.q
+            self.blind[:, 0, 0, 0] = (self.blind[:, 0, 0, 0] + 1) % self.q
 
         monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
         monkeypatch.setattr(_BatchContext, "__init__", flipped)
@@ -752,9 +774,11 @@ class TestCorrectnessOnTheGrid:
 
     @pytest.mark.parametrize("params", [PARAMS, StorageParams(q=3, n=3, m=2, k=2)], ids=str)
     def test_constant_nonzero_blinding_cancels_against_the_mask_side(self, monkeypatch, params):
-        # move a fixed offset v from every mask side to the blinding: the
-        # answers, and so the decoded file, are unchanged at every grid
-        # point, but the decoded blinding is the nonzero constant v_w
+        # move a fixed offset v from every mask side to the blinding of
+        # every unit S row: there the answers, and so the decoded file, are
+        # unchanged, but the decoded blinding is the nonzero constant v_w;
+        # extended linearly, the blinding at S = 0 lacks v, so the grid
+        # decode fails there
         offset = np.random.default_rng(3).integers(1, params.q, size=(params.n, params.stripes, params.m))
         real_init, real_parts = _BatchContext.__init__, _BatchContext.answer_parts
 
@@ -769,11 +793,11 @@ class TestCorrectnessOnTheGrid:
         monkeypatch.setattr(_BatchContext, "answer_parts", shifted_parts)
         g = generator_for_instance(params)
         blind_w = decoded_blinding(params, g)
-        assert (blind_w == blind_w[0]).all() and blind_w[0].any()
-        assert full_grid_correctness(params, g) is True
-        # the shifted blinding is not linear in S, nor the shifted mask
-        # side in the database, so the link refuses them before the
-        # certificate decides
+        units_w = blind_w[[params.q ** i for i in reversed(range(Universe(params).s_digits))]]
+        assert (units_w == units_w[0]).all() and units_w[0].any()
+        assert full_grid_correctness(params, g) is False
+        # the shifted mask side is not linear in the database, so the
+        # link refuses it before the certificate decides
         with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
             audit_correctness(params, g)
 
@@ -786,16 +810,18 @@ def full_view_witness(ctx, node):
     packed and then the randomness row's id, which orders as the tuple."""
     p, q = ctx.params, ctx.q
     grid = grid_chunk(ctx)
+    s_rows, blind = randomness_rows(ctx.universe), blinding_table(ctx)
+    n_s = len(s_rows)
     u_mats = mask_rows(ctx.universe).reshape(ctx.n_u, p.stripes, p.m, p.query_len)
     share = pack_digits(grid["data"][node - 1].reshape(grid["count"], -1), q)
     a_radix, d_radix = q ** ctx.a_digits_node, q ** p.node_len
     keys = []
     for theta in range(1, p.k + 1):
         query = pack_digits(((u_mats + reference_unit_mask(p, theta, node)) % q).reshape(ctx.n_u, -1), q)
-        answers = (ctx.answer_parts(grid, theta)[:, :, node - 1][:, :, None] + ctx.blind[:, node - 1]) % q
+        answers = (ctx.answer_parts(grid, theta)[:, :, node - 1][:, :, None] + blind[:, node - 1]) % q
         answer = pack_digits(answers.reshape(answers.shape[:3] + (-1,)), q)  # (u, c, s)
         cell = (query[:, None, None] * a_radix + answer) * d_radix + share[:, None]
-        keys.append((cell * ctx.n_s + np.arange(ctx.n_s)).ravel())  # S's id last
+        keys.append((cell * n_s + np.arange(n_s)).ravel())  # S's id last
     views, right = np.unique(np.concatenate(keys), return_counts=True)
     left = keys[0].size
     total = p.k * left
@@ -805,7 +831,7 @@ def full_view_witness(ctx, node):
         bad = np.flatnonzero(joint * total != left * rights)
         if bad.size:
             i = bad[0]
-            view, s = divmod(int(vals[i]), ctx.n_s)
+            view, s = divmod(int(vals[i]), n_s)
             view, node_data = divmod(view, d_radix)
             query, answer = divmod(view, a_radix)
             return {
@@ -814,7 +840,7 @@ def full_view_witness(ctx, node):
                 "query": _digit_rows(query, q, ctx.universe.u_digits).tolist(),
                 "answers": _digit_rows(answer, q, ctx.a_digits_node).tolist(),
                 "node_data": _digit_rows(node_data, q, p.node_len).tolist(),
-                "shared_randomness": ctx.s_rows[s].tolist(),
+                "shared_randomness": s_rows[s].tolist(),
                 "counts": {
                     "joint": int(joint[i]),
                     "left": left,
@@ -998,13 +1024,13 @@ class TestBlindingCosetKeys:
         else:
             universe = Universe(params, randomness_mode="partial", partial_count=partial_count)
         ctx = _BatchContext(params, generator_for_instance(params), universe)
-        basis, pivots = _blinding_span(ctx, ctx.blind.reshape(ctx.n_s, -1))
+        basis, pivots = _blinding_span(ctx)
         ip = ctx.answer_parts(grid_chunk(ctx), 1).reshape(-1, ctx.a_digits_all)[:limit]
-        blind = ctx.blind.reshape(ctx.n_s, -1)
+        blind = blinding_table(ctx).reshape(-1, ctx.a_digits_all)
         keys = pack_digits(_least_members(ip, basis, pivots, params.q), params.q)
-        coset = pack_digits((ip[:, None] + blind[None]) % params.q, params.q)  # (rows, n_s)
+        coset = pack_digits((ip[:, None] + blind[None]) % params.q, params.q)  # (rows, randomness rows)
         assert np.array_equal(keys, coset.min(axis=1))
-        for s_idx in range(ctx.n_s):
+        for s_idx in range(len(blind)):
             shifted = (ip + blind[s_idx]) % params.q
             assert np.array_equal(pack_digits(_least_members(shifted, basis, pivots, params.q), params.q), keys)
 
@@ -1070,7 +1096,7 @@ class TestBlindingCosetKeys:
         grid, u_rows = grid_chunk(ctx), mask_rows(ctx.universe)
         for theta in range(1, params.k + 1):
             ip = ctx.answer_parts(grid, theta)
-            answers = (ip[:, :, None] + ctx.blind[None, None]) % params.q
+            answers = (ip[:, :, None] + blinding_table(ctx)[None, None]) % params.q
             others = np.delete(grid["files"], theta - 1, axis=1).reshape(grid["count"], -1)
             for u, c, s in np.ndindex(answers.shape[:3]):
                 reference.add(
@@ -1138,8 +1164,9 @@ class TestRankGap:
 
 
 class TestContextSplit:
-    """The randomness rows, ``blind`` and the basis chunk are built on first
-    read, and the selfcheck only serves its own sampled points."""
+    """``blind`` and the basis chunk are built on first read, ``blind`` holds
+    only the free unit randomness rows, and the selfcheck only serves its
+    own sampled points."""
 
     PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 
@@ -1150,16 +1177,61 @@ class TestContextSplit:
         ctx = _BatchContext(p, generator_for_instance(p), Universe(p))
         ctx.selfcheck()
         assert chunks == []
-        assert not {"s_rows", "blind", "basis"} & set(vars(ctx))
+        assert not {"blind", "basis"} & set(vars(ctx))
 
-    def test_axis_past_int64_is_refused_before_any_work(self, monkeypatch):
-        # 3**164 points fit under the ceiling, but the 3**80 database ids do not
+    @pytest.mark.parametrize(
+        "mode", [{}, {"randomness_mode": "partial", "partial_count": 5}, {"randomness_mode": "zeroed"}],
+        ids=["full", "partial5", "zeroed"],
+    )
+    def test_blind_holds_the_free_unit_rows(self, mode):
+        p = StorageParams(q=3, n=3, m=2, k=2, stripes=3)
+        universe = Universe(p, **mode)
+        ctx = _BatchContext(p, generator_for_instance(p), universe)
+        assert ctx.blind.shape == (universe.s_free, p.n, p.stripes, p.m)
+
+    def test_axis_past_int64_is_audited_exactly(self):
+        # 3**164 points fit under the ceiling, and the database axis has
+        # 3**80 rows, past int64
         p = StorageParams(q=3, n=3, m=2, k=40)
-        contexts = []
-        spy(monkeypatch, _BatchContext, "__init__", contexts, lambda ctx, *args: ctx)
-        with pytest.raises(UniverseTooLarge, match=r"database axis has 3\*\*80 rows"):
-            run_audit(p, generator_for_instance(p), ("correctness",), ceiling=2**300)
-        assert contexts == []
+        g = generator_for_instance(p)
+        assert p.q ** Universe(p).db_digits >= 2**63
+        report = run_audit(p, g, ceiling=2**300)
+        assert report.all_passed and all(check.exact for check in report.checks)
+        (leak,) = run_audit(p, g, ("db-privacy",), randomness_mode="zeroed", ceiling=2**300).checks
+        assert leak.exact and not leak.independent and leak.witness is not None
+
+
+class TestSumsStayInsideInt64:
+    """An audit contraction whose term count ``StorageParams`` does not
+    bound is summed in blocks that each stay inside int64."""
+
+    # 36 database digits of (q - 1)**2 each: the largest exact sum in the
+    # link is 1.08 * 2**63
+    PARAMS = StorageParams(q=876706517, n=4, m=3, k=12)
+
+    def test_past_int64_sums_decide_exactly(self):
+        p = self.PARAMS
+        g = generator_for_instance(p)
+        assert Universe(p).db_digits * (p.q - 1) ** 2 >= 2**63
+        start = time.perf_counter()
+        report = run_audit(p, g, ceiling=2**100000)
+        assert time.perf_counter() - start < 1
+        assert report.all_passed and all(check.exact for check in report.checks)
+        (leak,) = run_audit(p, g, ("db-privacy",), randomness_mode="zeroed", ceiling=2**100000).checks
+        assert leak.exact and not leak.independent
+        counts = leak.witness["counts"]
+        assert counts["joint"] * counts["total"] != counts["left"] * counts["right"]
+
+    def test_blocked_contraction_is_the_exact_sum(self):
+        # 40 terms near (q - 1)**2, about 3.3 * 2**63 in all, take 4
+        # blocks of 12; an empty axis gives zeros of the full shape
+        q = self.PARAMS.q
+        rng = np.random.default_rng(5)
+        a, b = rng.integers(q - 1000, q, size=(3, 40)), rng.integers(q - 1000, q, size=(2, 40, 5))
+        exact = [[[sum(int(x) * int(y) for x, y in zip(a[i], b[j, :, k])) % q for k in range(5)]
+                  for j in range(2)] for i in range(3)]
+        assert np.array_equal(_einsum_mod("id,jdk->ijk", a, b, q), exact)
+        assert np.array_equal(_einsum_mod("id,jdk->ijk", a[:, :0], b[:, :0], q), np.zeros((3, 2, 5)))
 
 
 class TestNoCheckEnumeratesMasks:
@@ -1287,8 +1359,7 @@ class TestServedRoundTiesTheCertificates:
         # queries pass the translation check; wrong at one sampled mask
         p = self.PARAMS
         g = generator_for_instance(p)
-        _, u_ids, _ = selfcheck_ids(Universe(p))
-        wrong = _digit_rows(u_ids[0], p.q, Universe(p).u_digits)
+        wrong = selfcheck_rows(Universe(p))[1][0]
         assert np.count_nonzero(wrong) > 1 or wrong.max() > 1  # neither 0 nor a unit mask
         real = protocol.gen_queries
 
@@ -1370,9 +1441,10 @@ class TestUniverseShape:
 
     def test_mode_shrinks_randomness_axis(self):
         params = StorageParams(q=2, n=3, m=2, k=2)
-        assert Universe(params, randomness_mode="zeroed").n_s == 1
-        assert Universe(params, randomness_mode="partial", partial_count=2).n_s == 4
-        assert Universe(params).n_s == 16
+        zeroed = Universe(params, randomness_mode="zeroed")
+        assert zeroed.s_free == 0
+        assert Universe(params, randomness_mode="partial", partial_count=2).size == 4 * zeroed.size
+        assert Universe(params).size == 16 * zeroed.size
 
     @pytest.mark.parametrize("mask_mode", ["full", "zeroed"])
     def test_exceeds_matches_size_at_every_ceiling(self, mask_mode):

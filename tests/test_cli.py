@@ -344,6 +344,18 @@ class TestRankGapDecidesAtOnce:
         assert witness["masks"] == [0] * 7 + [1]
         assert witness["counts"]["joint"] == 1 and witness["counts"]["left"] == left
 
+    def test_axes_past_int64_get_an_exact_witness(self):
+        # the database axis has 1000003**4 rows, past int64; the chi-square
+        # screen passes this leaky control
+        proc = run_module(
+            "audit", "--q", "1000003", "--n", "3", "--m", "2", "--k", "2", "--randomness", "zeroed",
+            "--checks", "db-privacy", "--ceiling", str(2**200), timeout=30,
+        )
+        assert proc.returncode == 4, proc.stderr
+        headline, document = proc.stderr.split("\n", 1)
+        assert headline == "audit failed: db_privacy"
+        assert json.loads(document)["witness"]["masks"] == [0, 0, 0, 1]
+
 
 class TestRates:
     def test_table_rows(self, capsys):

@@ -15,9 +15,9 @@ linear in S.  So the basis chunk (the round served at the masks 0, e_1,
 ..., e_U and the unit databases, with the queries it served) and the
 randomness side at the unit S rows fix every answer:
 
-* correctness: decoding cancels the randomness side of every unit S row
-  and returns the requested file on the basis chunk, which holds iff it
-  does at every universe point;
+* correctness: the user's decoder, ``protocol.solve``, cancels the
+  randomness side of every unit S row and returns the requested file on
+  the basis chunk, which holds iff it does at every universe point;
 * user privacy, the index vs one node's view (query, answer, share, S):
   the answer depends only on the node's own query, its share and S, so
   the index is hidden iff the node's query has the same law for every
@@ -76,7 +76,6 @@ a check falls back to a seeded Monte Carlo mode reported as statistical
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
@@ -95,7 +94,6 @@ AUDIT_SEED_DOMAIN = 4
 _SELFCHECK_POINTS = 32  # per audited universe: cross-validation against the served round
 _RANK_BATCH, _RANK_BATCH_MAX = 4, 1 << 10  # first and largest mask batch of the rank gap
 
-RANDOMNESS_MODES = ("full", "zeroed", "partial")
 CHECKS = ("correctness", "user-privacy", "db-privacy")
 
 
@@ -159,13 +157,8 @@ class Universe:
     mask_mode: str = "full"
 
     def __post_init__(self):
-        if self.randomness_mode not in RANDOMNESS_MODES:
-            raise InvalidParams(f"unknown randomness mode {self.randomness_mode!r}")
-        if self.randomness_mode == "partial":
-            if self.partial_count is None or not 0 <= self.partial_count <= self.s_digits:
-                raise InvalidParams(
-                    f"partial mode needs a count in [0, {self.s_digits}], got {self.partial_count}"
-                )
+        # refuses a bad randomness mode or count
+        protocol.free_randomness(self.params, self.randomness_mode, self.partial_count)
         if self.mask_mode not in ("full", "zeroed"):
             raise InvalidParams(f"unknown mask mode {self.mask_mode!r}")
 
@@ -183,11 +176,7 @@ class Universe:
 
     @property
     def s_free(self) -> int:
-        if self.randomness_mode == "full":
-            return self.s_digits
-        if self.randomness_mode == "zeroed":
-            return 0
-        return self.partial_count
+        return protocol.free_randomness(self.params, self.randomness_mode, self.partial_count)
 
     @property
     def u_free(self) -> int:
@@ -213,10 +202,10 @@ class Universe:
 
     def require_within(self, ceiling: int):
         if self.exceeds(ceiling):
-            huge = self.exponent > ceiling.bit_length()
-            shown = f"{self.params.q}**{self.exponent}" if huge else self.size
+            # no size is formed, and a long ceiling is named by its bit length
+            shown = ceiling if ceiling.bit_length() <= 64 else f"a {ceiling.bit_length()}-bit number"
             raise UniverseTooLarge(
-                f"universe has {shown} points, ceiling is {ceiling}; "
+                f"universe has {self.params.q}**{self.exponent} points, ceiling is {shown}; "
                 "rerun with a Monte Carlo sample budget for a statistical check"
             )
 
@@ -304,8 +293,9 @@ class _BatchContext:
     node's coded share of S, linear in s.  The checks read ``basis``, a
     served chunk, and ``blind`` at the free unit S rows, which fix it at
     every s; ``link`` ties both, and the basis's affinity in the mask, to
-    the selfcheck's served points.  ``blind`` and ``basis`` are built on
-    first read.
+    the selfcheck's served points.  ``blind``, ``basis``, the decoding
+    verdict ``decodes`` and the blinding span ``span`` are each built
+    once, on first read.
     """
 
     def __init__(self, params: StorageParams, g: GeneratorMatrix, universe: Universe):
@@ -344,7 +334,6 @@ class _BatchContext:
         zero = np.zeros(self.universe.s_digits, dtype=np.int64)
         net, queries, ip = _served_answers(p, self.g, rows, u_rows, zero)
         return {
-            "count": math.prod(rows.shape[:-1]),
             "files": net.db.files.reshape((-1,) + net.db.files.shape[-3:]),
             "data": np.stack([h.data.values for h in net.nodes]).reshape(p.n, -1, p.stripes, p.query_len),
             "queries": queries,
@@ -364,6 +353,32 @@ class _BatchContext:
         """Mask side ``ip`` (*lead, n, stripes, m) of every answer digit for
         index theta; the randomness side is ``self.blind``."""
         return chunk["ip"][theta - 1]
+
+    @cached_property
+    def decodes(self) -> bool:
+        """``protocol.solve`` cancels the randomness side of the unit S rows
+        and returns the requested file on the basis chunk, for every index.
+
+        Decoding is linear, the randomness side is linear in S, and the mask
+        side affine in the masks and linear in the database, so this holds
+        iff decoding returns the requested file at every universe point.
+        """
+        p, basis = self.params, self.basis
+        return not protocol.solve(p, self.g, self.blind).any() and all(
+            (protocol.solve(p, self.g, self.answer_parts(basis, theta)) == basis["files"][:, theta - 1]).all()
+            for theta in range(1, p.k + 1)
+        )
+
+    @cached_property
+    def span(self) -> tuple[np.ndarray, list[int]]:
+        """Row-reduced basis of the blinding span V and its pivot columns.
+
+        V holds the randomness sides of all nodes' answers.  The randomness
+        rows are a coordinate subspace and the randomness side is linear in
+        S, so V is spanned by ``blind``, the images of the free unit rows.
+        """
+        basis, pivots = fields.rref(self.blind.reshape(self.universe.s_free, self.a_digits_all), self.q)
+        return basis[: len(pivots)], pivots
 
     def selfcheck(self, seed: int = 0):
         """Serve sampled universe points, with their randomness, for ``link``.
@@ -543,8 +558,7 @@ def _rank_gaps(ctx: _BatchContext, u_rows: np.ndarray) -> tuple[np.ndarray, np.n
     them, the requested file's first, counts both ranks by its pivots.
     """
     p = ctx.params
-    span = _blinding_span(ctx)
-    matrices = _least_members(ctx.mask_matrices(u_rows), *span, ctx.q)  # (k, masks, db_digits, answers)
+    matrices = _least_members(ctx.mask_matrices(u_rows), *ctx.span, ctx.q)  # (k, masks, db_digits, answers)
     # the database digits file by file, from the requested one on
     cols = np.stack([np.roll(m, -theta * p.file_len, axis=1) for theta, m in enumerate(matrices)], axis=1)
     _, found = fields.row_reduce(cols.swapaxes(-1, -2), ctx.q)
@@ -556,7 +570,7 @@ def _db_privacy_certificate(ctx: _BatchContext) -> bool:
     requested file's columns fill the whole answer space.
 
     Every randomness digit is free and V has dimension s_digits, one per
-    digit.  Where decoding is right (``_decodes_on_the_basis``) it returns
+    digit.  Where decoding is right (``_BatchContext.decodes``) it returns
     the requested file and vanishes on V, so the file's columns are
     independent modulo V and add file_len dimensions: s_digits + file_len
     = stripes * n * m, every answer digit.  So at each mask and index the
@@ -566,20 +580,8 @@ def _db_privacy_certificate(ctx: _BatchContext) -> bool:
     universe = ctx.universe
     if universe.s_free != universe.s_digits:
         return False
-    span, _ = _blinding_span(ctx)
-    return len(span) == universe.s_digits and _decodes_on_the_basis(ctx)
-
-
-def _blinding_span(ctx: _BatchContext) -> tuple[np.ndarray, list[int]]:
-    """Row-reduced basis of the blinding span V and its pivot columns.
-
-    V holds the randomness sides of all nodes' answers.  The randomness
-    rows are a coordinate subspace and the randomness side is linear in
-    S, so V is spanned by ``blind``, the images of the free unit rows.
-    """
-    blind = ctx.blind.reshape(ctx.universe.s_free, ctx.a_digits_all)
-    basis, pivots = fields.rref(blind, ctx.q)
-    return basis[: len(pivots)], pivots
+    span, _ = ctx.span
+    return len(span) == universe.s_digits and ctx.decodes
 
 
 def _least_members(rows: np.ndarray, basis: np.ndarray, pivots: list[int], q: int) -> np.ndarray:
@@ -594,47 +596,7 @@ def _least_members(rows: np.ndarray, basis: np.ndarray, pivots: list[int], q: in
 
 
 def _correctness(ctx: _BatchContext) -> tuple[IndependenceCheck]:
-    return (IndependenceCheck("correctness", _decodes_on_the_basis(ctx), True, ctx.universe.size),)
-
-
-def _decodes_on_the_basis(ctx: _BatchContext) -> bool:
-    """Decoding cancels the randomness side of the unit randomness rows and
-    returns the requested file on the basis chunk.
-
-    Decoding is linear, the randomness side is linear in S, and the mask
-    side affine in the masks and linear in the database, so this holds iff
-    decoding returns the requested file at every universe point.
-    """
-    return not _decoded_blinding(ctx, ctx.blind).any() and _mask_sides_decode(ctx)
-
-
-def _w_rows(ctx: _BatchContext) -> np.ndarray:
-    """The decoder's file-symbol rows, ((n-m)*m, n*m) per stripe."""
-    return protocol.decode_matrix_inverse(ctx.params, ctx.g)[ctx.params.m * ctx.params.m :]
-
-
-def _decoded_blinding(ctx: _BatchContext, blind: np.ndarray) -> np.ndarray:
-    """(rows, stripes, w_pos): the file symbols decoded from randomness
-    sides ``blind`` (rows, n, stripes, m)."""
-    p = ctx.params
-    # both sides are reduced, so the n*m-term sums stay inside int64
-    blind = blind.transpose(0, 2, 1, 3).reshape(len(blind), p.stripes, p.n * p.m)
-    return (blind @ _w_rows(ctx).T) % p.q
-
-
-def _mask_sides_decode(ctx: _BatchContext) -> bool:
-    """True iff the basis chunk's mask side decodes, for every index, to
-    the requested file."""
-    p, basis = ctx.params, ctx.basis
-    c = basis["count"]
-    w_rows = _w_rows(ctx)
-    for theta in range(1, p.k + 1):
-        ip = ctx.answer_parts(basis, theta)
-        ip = ip.transpose(0, 1, 3, 2, 4).reshape(len(ip), c, p.stripes, p.n * p.m)
-        ip_w = (ip @ w_rows.T) % p.q  # (masks, c, stripes, w_pos)
-        if not (ip_w == basis["files"][:, theta - 1].reshape(c, p.stripes, -1)).all():
-            return False
-    return True
+    return (IndependenceCheck("correctness", ctx.decodes, True, ctx.universe.size),)
 
 
 # ---------------------------------------------------------------------------

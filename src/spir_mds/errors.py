@@ -34,4 +34,4 @@ class DecodeFailure(SpirError):
 
 
 class UniverseTooLarge(SpirError):
-    """An exact audit exceeds the configured ceiling, or has an axis past int64."""
+    """An exact audit exceeds the configured ceiling, or a Monte Carlo screen its memory or table budget."""

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import protocol
-from .errors import DecodeFailure, InvalidParams
+from .errors import DecodeFailure
 from .protocol import AnswerSet, CommonRandomness, QuerySet, Transcript
 from .storage import Database, GeneratorMatrix, NodeData, StorageParams, encode
 
@@ -49,16 +49,10 @@ def make_randomness(
     node_seed: int,
     partial_count: Optional[int] = None,
 ) -> CommonRandomness:
-    rng = protocol.node_rng(node_seed)
-    if mode == "full":
-        return CommonRandomness.sample(params, rng)
-    if mode == "zeroed":
-        return CommonRandomness.zeros(params)
-    if mode == "partial":
-        if partial_count is None:
-            raise InvalidParams("partial randomness mode needs a symbol count")
-        return CommonRandomness.partial(params, partial_count, rng)
-    raise InvalidParams(f"unknown randomness mode {mode!r}")
+    """The nodes' shared S: its ``protocol.free_randomness`` leading
+    symbols drawn from ``node_seed``, the rest zero."""
+    free = protocol.free_randomness(params, mode, partial_count)
+    return CommonRandomness.partial(params, free, protocol.node_rng(node_seed))
 
 
 class SimNetwork:

@@ -36,13 +36,15 @@ from .errors import (
     SingularSystem,
     TooFewFiles,
 )
-from .storage import GeneratorMatrix, NodeData, StorageParams, build_generator, is_mds
+from .storage import GeneratorMatrix, NodeData, StorageParams, build_generator, is_mds, require_int
 
 # Disjoint seed domains so user, node, and database randomness never collide
 # even when callers reuse one literal seed value.
 USER_SEED_DOMAIN = 1
 NODE_SEED_DOMAIN = 2
 DB_SEED_DOMAIN = 3
+
+RANDOMNESS_MODES = ("full", "zeroed", "partial")
 
 
 def user_rng(seed: int) -> np.random.Generator:
@@ -164,6 +166,22 @@ class QuerySet:
         )
 
 
+def free_randomness(params: StorageParams, mode: str, partial_count: Optional[int] = None) -> int:
+    """Free symbols of the nodes' shared randomness under ``mode``: all
+    stripes*m^2 of them ('full', the secrecy floor), none ('zeroed') or
+    the first ``partial_count`` ('partial').  The one place a mode is
+    read; a bad mode or count is refused here."""
+    total = params.stripes * params.m * params.m
+    if mode not in RANDOMNESS_MODES:
+        raise InvalidParams(f"unknown randomness mode {mode!r}")
+    if mode != "partial":
+        return total if mode == "full" else 0
+    count = require_int("partial randomness count", partial_count, low=0)
+    if count > total:
+        raise InvalidParams(f"partial randomness count must be <= {total}, got {count}")
+    return count
+
+
 @dataclass(frozen=True, eq=False)
 class CommonRandomness:
     """Node-shared m x m uniform matrix per stripe, hidden from the user."""
@@ -176,21 +194,10 @@ class CommonRandomness:
         object.__setattr__(self, "values", arr)
 
     @classmethod
-    def sample(cls, params: StorageParams, rng: np.random.Generator) -> "CommonRandomness":
-        shape = (params.stripes, params.m, params.m)
-        return cls(rng.integers(0, params.q, size=shape, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, params: StorageParams) -> "CommonRandomness":
-        return cls(np.zeros((params.stripes, params.m, params.m), dtype=np.int64))
-
-    @classmethod
     def partial(cls, params: StorageParams, free_symbols: int, rng: np.random.Generator) -> "CommonRandomness":
         """Only the first ``free_symbols`` entries (row-major) are random."""
-        total = params.stripes * params.m * params.m
-        if not 0 <= free_symbols <= total:
-            raise InvalidParams(f"partial randomness count {free_symbols} not in [0, {total}]")
-        flat = np.zeros(total, dtype=np.int64)
+        free_symbols = free_randomness(params, "partial", free_symbols)
+        flat = np.zeros(params.stripes * params.m * params.m, dtype=np.int64)
         flat[:free_symbols] = rng.integers(0, params.q, size=free_symbols, dtype=np.int64)
         return cls(flat.reshape(params.stripes, params.m, params.m))
 
@@ -367,13 +374,19 @@ def decode(
         per_node.take(query_index + offset), (u.take(mask_index + offset) + 1) % params.q
     ):
         raise InvalidParams("per-node queries inconsistent with masks and plan")
-    inv = decode_matrix_inverse(params, g)
-    n, m = params.n, params.m
-    # b[(node-1)*m + (t-1)] per stripe
-    b = answers.transpose(1, 0, 2).reshape(params.stripes, n * m)
-    x = (b @ inv.T) % params.q  # (stripes, n*m)
-    w = x[:, m * m:].reshape(params.stripes, params.rows_per_stripe, m)
-    return w.reshape(params.file_rows, m)
+    return solve(params, g, answers)
+
+
+def solve(params: StorageParams, g: GeneratorMatrix, answers: np.ndarray) -> np.ndarray:
+    """The file symbols that answers (..., n, stripes, m) decode to, as
+    (..., file_rows, m): per stripe, the file-symbol rows of the decode
+    system's inverse applied to the n*m answers in equation order.
+    Linear, so leading axes of points are solved at once."""
+    answers = np.asarray(answers)
+    lead = answers.shape[:-3]
+    b = np.swapaxes(answers, -3, -2).reshape(lead + (params.stripes, params.n * params.m))
+    w_rows = decode_matrix_inverse(params, g)[params.m * params.m :]
+    return ((b @ w_rows.T) % params.q).reshape(lead + (params.file_rows, params.m))
 
 
 _SEARCH_BUDGET = 1 << 20

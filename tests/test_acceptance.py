@@ -20,8 +20,7 @@ from spir_mds.audit import (
     leak_experiment,
 )
 from spir_mds.cli import main as cli_main
-from spir_mds.network import SimNetwork
-from spir_mds.protocol import CommonRandomness
+from spir_mds.network import SimNetwork, make_randomness
 from spir_mds.storage import (
     Database,
     StorageParams,
@@ -104,7 +103,7 @@ def test_criterion_5_randomness_is_necessary():
         print(f"\n  leak witness {params}: theta={witness['theta']} counts={witness['counts']}")
         # decoding is unaffected by the missing blinding
         db = Database.random(params, protocol.db_rng(1))
-        net = SimNetwork(params, db, g, randomness=CommonRandomness.zeros(params))
+        net = SimNetwork(params, db, g, randomness=make_randomness(params, "zeroed", 0))
         for theta in (1, params.k):
             tr = net.run(theta, user_seed=3)
             assert np.array_equal(tr.decoded_file, db.file(theta))

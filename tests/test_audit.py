@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXHAUSTIVE_INSTANCES, generator_for_instance, reference_unit_mask
-from spir_mds import cli, jsonio, protocol, storage
+from spir_mds import audit as audit_mod
+from spir_mds import cli, fields, jsonio, protocol, storage
 from spir_mds.audit import (
     AUDIT_SEED_DOMAIN,
     CHECKS,
@@ -18,7 +19,6 @@ from spir_mds.audit import (
     Universe,
     _SELFCHECK_POINTS,
     _BatchContext,
-    _blinding_span,
     _digit_rows,
     _einsum_mod,
     _free_rows,
@@ -32,7 +32,7 @@ from spir_mds.audit import (
     run_audit,
 )
 from spir_mds.errors import InvalidParams, UniverseTooLarge
-from spir_mds.network import NodeHandler, SimNetwork
+from spir_mds.network import NodeHandler, SimNetwork, make_randomness
 from spir_mds.protocol import CommonRandomness
 from spir_mds.storage import Database, GeneratorMatrix, StorageParams
 
@@ -357,7 +357,7 @@ class TestLeakModes:
         params = StorageParams(q=2, n=3, m=2, k=2)
         g = generator_for_instance(params)
         db = Database.random(params, np.random.default_rng(3))
-        tr = SimNetwork(params, db, g, randomness=CommonRandomness.zeros(params)).run(1, user_seed=1)
+        tr = SimNetwork(params, db, g, randomness=make_randomness(params, "zeroed", 0)).run(1, user_seed=1)
         assert np.array_equal(tr.decoded_file, db.file(1))
 
 
@@ -692,7 +692,7 @@ def full_grid_correctness(params, g):
     w_rows = protocol.decode_matrix_inverse(params, g)[params.m * params.m :]
     blind_w = decoded_blinding(params, g)
     grid = grid_chunk(ctx)
-    c = grid["count"]
+    c = len(grid["files"])
     for theta in range(1, params.k + 1):
         ip = ctx.answer_parts(grid, theta)
         ip = ip.transpose(0, 1, 3, 2, 4).reshape(ctx.n_u, c, params.stripes, eqs)
@@ -813,7 +813,7 @@ def full_view_witness(ctx, node):
     s_rows, blind = randomness_rows(ctx.universe), blinding_table(ctx)
     n_s = len(s_rows)
     u_mats = mask_rows(ctx.universe).reshape(ctx.n_u, p.stripes, p.m, p.query_len)
-    share = pack_digits(grid["data"][node - 1].reshape(grid["count"], -1), q)
+    share = pack_digits(grid["data"][node - 1].reshape(len(grid["files"]), -1), q)
     a_radix, d_radix = q ** ctx.a_digits_node, q ** p.node_len
     keys = []
     for theta in range(1, p.k + 1):
@@ -1024,7 +1024,7 @@ class TestBlindingCosetKeys:
         else:
             universe = Universe(params, randomness_mode="partial", partial_count=partial_count)
         ctx = _BatchContext(params, generator_for_instance(params), universe)
-        basis, pivots = _blinding_span(ctx)
+        basis, pivots = ctx.span
         ip = ctx.answer_parts(grid_chunk(ctx), 1).reshape(-1, ctx.a_digits_all)[:limit]
         blind = blinding_table(ctx).reshape(-1, ctx.a_digits_all)
         keys = pack_digits(_least_members(ip, basis, pivots, params.q), params.q)
@@ -1057,7 +1057,7 @@ class TestBlindingCosetKeys:
         def shifted(self, chunk, theta):
             ip = real(self, chunk, theta)
             out = ip.copy() if requested else mask_side(self, ip)
-            w0 = np.delete(chunk["files"], theta - 1, axis=1).reshape(chunk["count"], -1)[:, 0]
+            w0 = np.delete(chunk["files"], theta - 1, axis=1).reshape(len(chunk["files"]), -1)[:, 0]
             shift = g.array[0] if where == "codeword" else np.eye(params.n, dtype=np.int64)[0]
             out[:, :, :, 0, 0] = (out[:, :, :, 0, 0] + w0[:, None] * shift) % self.q
             return out
@@ -1083,7 +1083,7 @@ class TestBlindingCosetKeys:
 
         def shifted(self, chunk, theta):
             out = mask_side(self, real(self, chunk, theta))
-            w0 = np.delete(chunk["files"], theta - 1, axis=1).reshape(chunk["count"], -1)[:, 0]
+            w0 = np.delete(chunk["files"], theta - 1, axis=1).reshape(len(chunk["files"]), -1)[:, 0]
             out[:, :, 0, 0, 0] = (out[:, :, 0, 0, 0] + w0) % self.q
             return out
 
@@ -1097,7 +1097,7 @@ class TestBlindingCosetKeys:
         for theta in range(1, params.k + 1):
             ip = ctx.answer_parts(grid, theta)
             answers = (ip[:, :, None] + blinding_table(ctx)[None, None]) % params.q
-            others = np.delete(grid["files"], theta - 1, axis=1).reshape(grid["count"], -1)
+            others = np.delete(grid["files"], theta - 1, axis=1).reshape(len(grid["files"]), -1)
             for u, c, s in np.ndindex(answers.shape[:3]):
                 reference.add(
                     (theta, tuple(answers[u, c, s].ravel().tolist()), tuple(u_rows[u].tolist())),
@@ -1199,6 +1199,39 @@ class TestContextSplit:
         assert report.all_passed and all(check.exact for check in report.checks)
         (leak,) = run_audit(p, g, ("db-privacy",), randomness_mode="zeroed", ceiling=2**300).checks
         assert leak.exact and not leak.independent and leak.witness is not None
+
+
+class TestEachContextDecidesOnce:
+    """A context decodes its basis, and row-reduces its blinding span,
+    once, however many checks and rank-gap batches read them."""
+
+    def test_the_basis_is_decoded_once_per_context(self, monkeypatch):
+        p = StorageParams(q=3, n=3, m=2, k=2)
+        g = generator_for_instance(p)
+        contexts, solved = [], []
+        spy(monkeypatch, _BatchContext, "__init__", contexts, lambda ctx, params, g, universe: universe)
+        spy(monkeypatch, protocol, "solve", solved, lambda params, g, answers: answers.shape)
+        assert run_audit(p, g).all_passed
+        (universe,) = contexts  # every default check audits the plain universe
+        blind = (universe.s_free, p.n, p.stripes, p.m)
+        basis = (universe.u_digits + 1, universe.db_digits, p.n, p.stripes, p.m)
+        assert solved == [blind] + [basis] * p.k
+
+    def test_the_blinding_span_is_reduced_once_per_context(self, monkeypatch):
+        # a wrong decoder under full randomness fails the certificate and
+        # no (mask, index) pair leaks, so the rank gap reads all 16 masks
+        p = StorageParams(q=2, n=3, m=2, k=2)
+        g = generator_for_instance(p)
+        inv = protocol.decode_matrix_inverse(p, g).copy()
+        inv[p.m * p.m, 0] = (inv[p.m * p.m, 0] + 1) % p.q  # first file-symbol row
+        monkeypatch.setattr(protocol, "decode_matrix_inverse", lambda params, gen: inv)
+        batches, reduced = [], []
+        spy(monkeypatch, audit_mod, "_rank_gaps", batches, lambda ctx, u_rows: len(u_rows))
+        spy(monkeypatch, fields, "rref", reduced, lambda arr, q: np.shape(arr))
+        (check,) = run_audit(p, g, ("db-privacy",)).checks
+        assert check.independent and check.exact
+        assert batches == [4, 8, 4]
+        assert reduced == [(Universe(p).s_digits, p.n * p.stripes * p.m)]
 
 
 class TestSumsStayInsideInt64:

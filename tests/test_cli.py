@@ -125,15 +125,16 @@ class TestRun:
         assert code == 2
         assert "missing required" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("count", ["99", "-1"])
-    def test_partial_count_out_of_range_is_config_error(self, count, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "count,refusal", [("99", "must be <= 4, got 99"), ("-1", "must be >= 0, got -1")], ids=["99", "-1"]
+    )
+    def test_partial_count_out_of_range_is_config_error(self, count, refusal, tmp_path, capsys):
         code = run_cli(
             "run", "--q", "5", "--n", "4", "--m", "2", "--k", "2",
             "--randomness", f"partial={count}", "--out", str(tmp_path / "t.json"),
         )
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "partial randomness count" in err
+        assert capsys.readouterr().err == f"error: partial randomness count {refusal}\n"
         assert not (tmp_path / "t.json").exists()
 
 
@@ -248,7 +249,18 @@ class TestAudit:
             "--randomness", "partial=99", "--checks", "db-privacy",
         )
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: partial mode needs a count")
+        assert capsys.readouterr().err == "error: partial randomness count must be <= 1, got 99\n"
+
+    def test_universe_above_a_huge_ceiling_is_one_short_error_line(self, capsys):
+        # 101**160 points against a 2**1000 ceiling: neither is printed in full
+        code = run_cli(
+            "audit", "--q", "101", "--n", "10", "--m", "4", "--k", "3", "--ceiling", str(2**1000),
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: universe has 101**160 points") and len(line) < 200
 
     def test_k1_is_config_error(self, capsys):
         code = run_cli("audit", "--q", "2", "--n", "2", "--m", "1", "--k", "1")

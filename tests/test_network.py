@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spir_mds import protocol
+from spir_mds.audit import run_audit
 from spir_mds.errors import DecodeFailure, InvalidParams
 from spir_mds.network import NodeHandler, SimNetwork, make_randomness
 from spir_mds.protocol import CommonRandomness
@@ -96,6 +97,40 @@ def test_make_randomness_modes():
     assert np.all(zeroed.values == 0)
     flat = part.values.ravel()
     assert np.all(flat[2:] == 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 101, 1_000_003])
+def test_full_randomness_is_the_shaped_draw(q):
+    # the flat draw of make_randomness gives the numbers a (stripes, m, m)
+    # draw from the same generator gives, so transcripts keep their bytes
+    p = StorageParams(q=q, n=5, m=2, k=2, stripes=3)
+    shaped = protocol.node_rng(7).integers(0, q, size=(p.stripes, p.m, p.m), dtype=np.int64)
+    assert np.array_equal(make_randomness(p, "full", node_seed=7).values, shaped)
+
+
+@pytest.mark.parametrize(
+    "mode,count,refusal",
+    [
+        ("partial", True, "partial randomness count must be an integer, got True"),
+        ("partial", 2.5, "partial randomness count must be an integer, got 2.5"),
+        ("partial", None, "partial randomness count must be an integer, got None"),
+        ("partial", -1, "partial randomness count must be >= 0, got -1"),
+        ("partial", 5, "partial randomness count must be <= 4, got 5"),
+        ("half", None, "unknown randomness mode 'half'"),
+    ],
+)
+def test_bad_randomness_is_refused_alike_by_run_and_audit(mode, count, refusal):
+    p = StorageParams(q=3, n=3, m=2, k=2)
+    g = build_generator(p)
+    for call in (
+        lambda: protocol.free_randomness(p, mode, count),
+        lambda: make_randomness(p, mode, 0, count),
+        lambda: run_audit(p, g, ("correctness",), randomness_mode=mode, partial_count=count),
+    ):
+        with pytest.raises(InvalidParams) as refused:
+            call()
+        assert str(refused.value) == refusal
+    assert protocol.free_randomness(p, "partial", 4) == 4
 
 
 def test_zeroed_randomness_still_decodes():
@@ -191,3 +226,27 @@ def test_batched_round_equals_stacked_single_rounds(p, batch, batched, masks, se
         for i, j in np.ndindex(masks, batch):
             single = columns[j].exchange(protocol.gen_queries(p, g, theta, u_override=grid_u[i, 0]))
             assert np.array_equal(answers[i, j], single.per_node)
+
+
+@pytest.mark.parametrize("p", BATCH_PARAMS, ids=str)
+def test_solve_of_a_batched_round_is_decode_at_each_point(p):
+    """``solve`` of one round served over a batch of databases and
+    randomness equals ``decode`` of each point's own round, and the file
+    stored there."""
+    g = build_generator(p)
+    rng = np.random.default_rng(5)
+    batch = 6
+    db = Database(p, rng.integers(0, p.q, size=(batch, p.k, p.file_rows, p.m)))
+    s = CommonRandomness(rng.integers(0, p.q, size=(batch, p.stripes, p.m, p.m)))
+    net = SimNetwork(p, db, g, randomness=s)
+    u = rng.integers(0, p.q, size=(batch, p.stripes, p.m, p.query_len))
+    for theta in range(1, p.k + 1):
+        qs = protocol.gen_queries(p, g, theta, u_override=u)
+        answers = net.exchange(qs).per_node
+        solved = protocol.solve(p, g, answers)
+        assert solved.shape == (batch, p.file_rows, p.m)
+        for b in range(batch):
+            point = protocol.QuerySet(theta, qs.u[b], qs.per_node[b])
+            decoded = protocol.decode(p, g, theta, point, protocol.AnswerSet(answers[b]))
+            assert np.array_equal(solved[b], decoded)
+            assert np.array_equal(solved[b], db.file(theta)[b])

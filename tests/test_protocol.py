@@ -13,14 +13,20 @@ from spir_mds.protocol import (
     decode,
     decode_system,
     find_decodable_generator,
+    free_randomness,
     gen_answer,
     gen_queries,
     QuerySet,
     _unit_index,
     make_query_plan,
 )
-from spir_mds.network import SimNetwork
+from spir_mds.network import SimNetwork, make_randomness
 from spir_mds.storage import Database, NodeData, StorageParams, build_generator, encode
+
+
+def full_randomness(params, rng):
+    """The shared S with every symbol drawn from ``rng``."""
+    return CommonRandomness.partial(params, free_randomness(params, "full"), rng)
 
 
 def check_plan_shape(params):
@@ -205,7 +211,7 @@ class TestBlindingAnswers:
     def test_zero(self):
         p = StorageParams(q=3, n=3, m=2, k=2)
         g = build_generator(p)
-        out = blinding_answers(p, g, CommonRandomness.zeros(p))
+        out = blinding_answers(p, g, make_randomness(p, "zeroed", 0))
         assert np.all(out == 0)
 
     def test_repetition_adds_same_symbol(self):
@@ -219,7 +225,7 @@ class TestBlindingAnswers:
         p = StorageParams(q=3, n=3, m=2, k=2)
         g = build_generator(p)
         rng = np.random.default_rng(0)
-        s = CommonRandomness.sample(p, rng)
+        s = full_randomness(p, rng)
         out = blinding_answers(p, g, s)
         parity = g.column(3)
         for t in range(p.m):
@@ -238,7 +244,7 @@ class TestGenAnswer:
         nodes = encode(db, g)
         zero_u = np.zeros((1, 2, p.query_len), dtype=np.int64)
         qs = gen_queries(p, g, 1, u_override=zero_u)
-        s0 = CommonRandomness.zeros(p)
+        s0 = make_randomness(p, "zeroed", 0)
         ans1 = gen_answer(1, qs.node_query(1), nodes[0], s0, g)
         # node 1 raises file-1 row 1 on vector 1; vector 2 is plain zero
         assert ans1[0, 0] == db.file(1)[0, 0]
@@ -251,7 +257,7 @@ class TestGenAnswer:
         nodes = encode(db, g)
         zero_u = np.zeros((1, 2, p.query_len), dtype=np.int64)
         qs = gen_queries(p, g, 1, u_override=zero_u)
-        s = CommonRandomness.sample(p, np.random.default_rng(8))
+        s = full_randomness(p, np.random.default_rng(8))
         for i in (1, 2):
             ans = gen_answer(i, qs.node_query(i), nodes[i - 1], s, g)
             # zero database: only the blinding S[i][t] remains
@@ -266,7 +272,7 @@ class TestGenAnswer:
         rng = np.random.default_rng(11)
         db = Database.random(p, rng)
         nodes = encode(db, g)
-        s = CommonRandomness.sample(p, rng)
+        s = full_randomness(p, rng)
         theta = 2
         qs = gen_queries(p, g, theta, user_seed=5)
         plan = make_query_plan(p)
@@ -292,7 +298,7 @@ class TestGenAnswer:
         rng = np.random.default_rng(21)
         db1, db2 = Database.random(p, rng), Database.random(p, rng)
         n1, n2 = encode(db1, g), encode(db2, g)
-        s1, s2 = CommonRandomness.sample(p, rng), CommonRandomness.sample(p, rng)
+        s1, s2 = full_randomness(p, rng), full_randomness(p, rng)
         s_sum = CommonRandomness((s1.values + s2.values) % p.q)
         qs = gen_queries(p, g, 1, user_seed=13)
         for node in range(1, p.n + 1):
@@ -304,7 +310,7 @@ class TestGenAnswer:
             ) % p.q
             assert np.array_equal(lhs, rhs)
             zero_share = type(n1[node - 1])(node, np.zeros_like(n1[node - 1].values))
-            zeros = gen_answer(node, qs.node_query(node), zero_share, CommonRandomness.zeros(p), g)
+            zeros = gen_answer(node, qs.node_query(node), zero_share, make_randomness(p, "zeroed", 0), g)
             assert np.all(zeros == 0)
 
 
@@ -314,7 +320,7 @@ class TestDecode:
         g = build_generator(p)
         db = Database.random(p, np.random.default_rng(6))
         zero_u = np.zeros((1, 2, p.query_len), dtype=np.int64)
-        net = SimNetwork(p, db, g, randomness=CommonRandomness.zeros(p))
+        net = SimNetwork(p, db, g, randomness=make_randomness(p, "zeroed", 0))
         tr = net.serve(gen_queries(p, g, 1, u_override=zero_u))
         assert np.array_equal(tr.decoded_file, db.file(1))
 
@@ -605,7 +611,7 @@ class TestRound:
         db = Database.random(p, np.random.default_rng(9))
         other = Database.random(p, np.random.default_rng(10))
         qs = gen_queries(p, g, 1, user_seed=0)
-        s = CommonRandomness.zeros(p)
+        s = make_randomness(p, "zeroed", 0)
         nodes = encode(db, g)
         wrong_nodes = encode(other, g)
         answers = np.stack(

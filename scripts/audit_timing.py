@@ -21,8 +21,9 @@ database axis alone has about 2**80 rows, at (3, 3, 2, 2) with 3 stripes
 and at (101, 10, 4, 3) it times the default `run_audit` and the
 zeroed-randomness control.  One warm-up call precedes each series.  Then
 it prints the best per-call time of the served calls a selfcheck makes
-over its 32 points: the network build (`_point_network`) once, and
-`gen_queries` and `SimNetwork.exchange` k times each.  The figures are
+over its 32 points: the network build (`_point_network`) once,
+`gen_queries` k times, and `SimNetwork.exchange` once, on the k indices'
+per-node queries stacked as the selfcheck stacks them.  The figures are
 informational, for comparing runs on one machine.
 
     python scripts/audit_timing.py
@@ -110,12 +111,13 @@ def main():
     # 32 universe points, drawn and served as the selfcheck draws and serves them
     points = audit._random_rows(np.random.default_rng(0), audit._SELFCHECK_POINTS, ctx.universe)
     net, u_val = audit._point_network(PARAMS, g, *points)
-    qs = protocol.gen_queries(PARAMS, g, 1, u_override=u_val)
+    thetas = range(1, PARAMS.k + 1)
+    queries = np.stack([protocol.gen_queries(PARAMS, g, theta, u_override=u_val).per_node for theta in thetas])
     batch = f"{audit._SELFCHECK_POINTS} points"
     calls = [
         (f"_point_network ({batch})", lambda: audit._point_network(PARAMS, g, *points), 500),
         (f"gen_queries(u_override=...) ({batch})", lambda: protocol.gen_queries(PARAMS, g, 1, u_override=u_val), 500),
-        (f"SimNetwork.exchange ({batch}, n = {PARAMS.n})", lambda: net.exchange(qs), 500),
+        (f"SimNetwork.exchange ({batch}, k = {PARAMS.k}, n = {PARAMS.n})", lambda: net.exchange(queries), 500),
     ]
     for name, fn, number in calls:
         print(f"{name}: {best_us(fn, number):.1f} us per call at {where}, best of {CALL_REPEATS}")

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Walk one retrieval round end to end and print every artifact.
+"""Walk one retrieval round end to end and print every artifact, then its
+rate report next to the same round's under zeroed shared randomness.
 
 Usage: python scripts/demo_round.py [--q 5 --n 4 --m 2 --k 3 --theta 2]
 """
@@ -9,7 +10,7 @@ import argparse
 import numpy as np
 
 from spir_mds import protocol, rates
-from spir_mds.network import SimNetwork
+from spir_mds.network import SimNetwork, make_randomness
 from spir_mds.storage import Database, StorageParams, build_generator, encode
 
 
@@ -46,12 +47,18 @@ def main():
     print(transcript.decoded_file)
     assert np.array_equal(transcript.decoded_file, db.file(args.theta))
 
-    report = rates.measure(transcript)
-    print(
-        f"\nrate {report.achieved_rate} (capacity {report.capacity}), "
-        f"secrecy {report.achieved_secrecy} (floor {report.secrecy_floor}), "
-        f"at capacity: {report.at_capacity}"
-    )
+    # the same round with no shared randomness drawn: it still decodes, but
+    # below the secrecy floor the converse leaves a capacity of 0
+    zeroed = SimNetwork(params, db, g, randomness=make_randomness(params, "zeroed", args.seed + 1))
+    print()
+    for name, tr in (("full", transcript), ("zeroed", zeroed.run(args.theta, args.seed))):
+        report = rates.measure(tr)
+        print(
+            f"{name} randomness, {tr.randomness_count} shared symbols drawn: "
+            f"rate {report.achieved_rate} (capacity {report.capacity}), "
+            f"secrecy {report.achieved_secrecy} (floor {report.secrecy_floor}), "
+            f"at capacity: {report.at_capacity}"
+        )
 
 
 if __name__ == "__main__":

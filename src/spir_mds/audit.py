@@ -58,12 +58,12 @@ files, not here.
 
 ``run_audit`` is the one entry point: it runs the named checks, and
 checks on one universe share one context.  The basis chunk is a served
-round: one ``network.SimNetwork`` over the unit databases, and per index
-one ``gen_queries`` and one exchange over the basis masks, with zero
-shared randomness.  The randomness side ``blind``, its images of the
-free unit S rows, is the one table not served.  So before any verdict,
-each audited universe serves 32 sampled points, their digits drawn
-uniform, with their randomness and every index, through one network
+round, with zero shared randomness: one ``network.SimNetwork`` over the
+unit databases, per index one ``gen_queries`` over the basis masks, and
+one exchange of every index's queries.  The randomness side ``blind``, its
+images of the free unit S rows, is the one table not served.  So before
+any verdict, each audited universe serves 32 sampled points, their digits
+drawn uniform, with their randomness and every index, through one network
 (``_BatchContext.selfcheck``), and ``_BatchContext.link`` raises unless
 the served queries are the basis query at mask 0 plus the mask and the
 basis chunk's bilinear expansion plus ``blind`` reproduces the served
@@ -85,7 +85,7 @@ import numpy as np
 from . import fields, network, protocol
 from .errors import DecodeFailure, InvalidParams, UniverseTooLarge
 from .protocol import CommonRandomness
-from .storage import Database, GeneratorMatrix, StorageParams
+from .storage import Database, GeneratorMatrix, StorageParams, require_int
 
 DEFAULT_UNIVERSE_CEILING = 1 << 24
 MC_SIGNIFICANCE = 1e-6
@@ -386,10 +386,10 @@ class _BatchContext:
         Each free digit of a point is drawn uniform and each fixed digit
         is zero (``_random_rows``).  One SimNetwork at the audited params
         holds the sampled points' databases and randomness on its leading
-        axis, and each index gets one gen_queries and one exchange over all
-        the points' masks.  Nothing is compared or decoded here: ``link``
-        compares the served queries and answers, and a wrong decoder
-        reaches the correctness verdict instead of raising.
+        axis; each index gets one gen_queries over all the points' masks,
+        and one exchange serves every index.  Nothing is compared or
+        decoded here: ``link`` compares the served queries and answers, and
+        a wrong decoder reaches the correctness verdict instead of raising.
         """
         rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
         points = _random_rows(rng, min(_SELFCHECK_POINTS, self.universe.size), self.universe)
@@ -446,11 +446,11 @@ def _point_network(params: StorageParams, g: GeneratorMatrix, db_rows, u_rows, s
 def _served_answers(params: StorageParams, g: GeneratorMatrix, db_rows, u_rows, s_rows):
     """The points' network (``_point_network``), the per-node queries
     (k, *mask lead, n, stripes, m, query_len) and the answers (k, *lead, n,
-    stripes, m) it served: per index, one gen_queries and one exchange."""
+    stripes, m) it served: per index one gen_queries, and one exchange."""
     net, u_val = _point_network(params, g, db_rows, u_rows, s_rows)
-    query_sets = (protocol.gen_queries(params, g, theta, u_override=u_val) for theta in range(1, params.k + 1))
-    rounds = [(qs.per_node, net.exchange(qs).per_node) for qs in query_sets]
-    return net, *map(np.stack, zip(*rounds))
+    thetas = range(1, params.k + 1)
+    queries = np.stack([protocol.gen_queries(params, g, theta, u_override=u_val).per_node for theta in thetas])
+    return net, queries, net.exchange(queries).per_node
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +675,7 @@ def _mc_user_privacy(g, universe, samples, seed, ceiling) -> tuple[IndependenceC
     thetas = rng.integers(1, params.k + 1, size=samples)
     for theta, (net, u_val) in zip(thetas.tolist(), networks):
         qs = protocol.gen_queries(params, g, theta, u_override=u_val)
-        answers = net.exchange(qs).per_node
+        answers = net.exchange(qs.per_node).per_node
         # byte views of int64 digit arrays: exact keys at any length
         s_key = net.nodes[0].randomness.values.tobytes()
         for node in range(1, params.n + 1):
@@ -692,16 +692,7 @@ def _mc_user_privacy(g, universe, samples, seed, ceiling) -> tuple[IndependenceC
     for node in range(1, params.n + 1):
         ok, p_value, culprit = _chi2_flag(tables[node - 1].items())
         witness = None if ok else {"projection": culprit, "p_value": p_value}
-        checks.append(
-            IndependenceCheck(
-                name=f"user_privacy_node_{node}",
-                independent=ok,
-                exact=False,
-                universe_size=samples,
-                witness=witness,
-                p_value=p_value,
-            )
-        )
+        checks.append(IndependenceCheck(f"user_privacy_node_{node}", ok, False, samples, witness, p_value=p_value))
     return tuple(checks)
 
 
@@ -724,7 +715,7 @@ def _mc_db_privacy(g, universe, samples, seed, ceiling) -> tuple[IndependenceChe
     rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed, 2])
     thetas = rng.integers(1, params.k + 1, size=samples)
     for theta, (net, u_val) in zip(thetas.tolist(), networks):
-        a_digits = net.exchange(protocol.gen_queries(params, g, theta, u_override=u_val)).per_node.ravel()
+        a_digits = net.exchange(protocol.gen_queries(params, g, theta, u_override=u_val).per_node).per_node.ravel()
         other = np.delete(net.db.files, theta - 1, axis=0).ravel()
         view.add((theta, a_digits.tobytes(), u_val.tobytes()), other.tobytes())
         answers.append(a_digits)
@@ -743,15 +734,7 @@ def _mc_db_privacy(g, universe, samples, seed, ceiling) -> tuple[IndependenceChe
 
     ok, p_value, culprit = _chi2_flag(tables())
     witness = None if ok else {"projection": culprit, "p_value": p_value}
-    check = IndependenceCheck(
-        name="db_privacy",
-        independent=ok,
-        exact=False,
-        universe_size=samples,
-        witness=witness,
-        p_value=p_value,
-    )
-    return (check,)
+    return (IndependenceCheck("db_privacy", ok, False, samples, witness, p_value=p_value),)
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +773,9 @@ def run_audit(
     Arguments and modes are refused before any work; within the ceiling
     no size is refused, as no exact check forms an id past int64.
     """
-    if samples is not None and samples < 1:  # an empty sample would pass vacuously
+    require_int("seed", seed, low=0)
+    require_int("ceiling", ceiling)
+    if samples is not None and require_int("samples", samples) < 1:  # an empty sample would pass vacuously
         raise InvalidParams(f"a Monte Carlo audit needs at least one sample, got {samples}")
     selected = list(checks)
     if not selected or not set(selected) <= set(CHECKS):  # so would an empty selection

@@ -15,6 +15,8 @@ large for memory), 3 protocol failure, 4 audit failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import os
 import sys
 from dataclasses import dataclass
@@ -57,8 +59,6 @@ class RunConfig:
         require_int("seed_user", self.user_seed, low=0)
         require_int("seed_node", self.node_seed, low=0)
         require_int("seed_db", self.db_seed, low=0)
-        if self.partial_count is not None:
-            require_int("partial_count", self.partial_count)
 
     @property
     def params(self) -> StorageParams:
@@ -86,14 +86,15 @@ class RunConfig:
         )
 
 
-def _parse_randomness(text: str) -> tuple[str, Optional[int]]:
-    if text in ("full", "zeroed"):
+def _parse_randomness(text: str) -> tuple[str, object]:
+    """(mode, count) of a --randomness flag, for ``protocol.free_randomness`` to
+    judge: J of 'partial=J' is read as a config's count is, as JSON, else kept."""
+    if not text.startswith("partial="):
         return text, None
-    if text.startswith("partial="):
-        return "partial", int(text.split("=", 1)[1])
-    raise argparse.ArgumentTypeError(
-        f"randomness must be full, zeroed, or partial=J, got {text!r}"
-    )
+    count = text[len("partial=") :]
+    with contextlib.suppress(ValueError, RecursionError):
+        count = json.loads(count)
+    return "partial", count
 
 
 def _parse_int_spec(text: str) -> list[int]:
@@ -139,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed-user", type=int, default=None)
     p_run.add_argument("--seed-node", type=int, default=None)
     p_run.add_argument("--seed-db", type=int, default=None)
-    p_run.add_argument("--randomness", type=_parse_randomness, default=None)
+    p_run.add_argument("--randomness", help="full, zeroed or partial=J")
     p_run.add_argument("--out", help="transcript JSON path (default: stdout)")
     p_run.add_argument("--rate-out", help="rate report JSON path (default: stdout)")
 
@@ -150,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(audit_mod.CHECKS),
         help=f"comma list from {audit_mod.CHECKS} (default: all)",
     )
-    p_audit.add_argument("--randomness", type=_parse_randomness, default=None)
+    p_audit.add_argument("--randomness", help="full, zeroed or partial=J")
     p_audit.add_argument(
         "--ceiling",
         type=int,
@@ -228,7 +229,6 @@ def _config_from_args(args) -> RunConfig:
     A config document that cannot be read or is not a JSON object, a
     wrongly typed field and a negative seed all raise a SpirError here.
     """
-    require_int("seed", getattr(args, "seed", 0), low=0)  # audit sampling
     base: dict = {}
     if getattr(args, "config", None):
         base = jsonio.read_document(args.config)
@@ -246,7 +246,7 @@ def _config_from_args(args) -> RunConfig:
     }
     randomness = getattr(args, "randomness", None)
     if randomness is not None:
-        overrides["randomness"], overrides["partial_count"] = randomness
+        overrides["randomness"], overrides["partial_count"] = _parse_randomness(randomness)
     base.update({key: val for key, val in overrides.items() if val is not None})
     missing = [key for key in ("q", "n", "m", "k") if base.get(key) is None]
     if missing:

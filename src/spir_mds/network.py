@@ -60,7 +60,7 @@ class SimNetwork:
 
     ``randomness`` is the nodes' shared S; ``None`` draws it uniformly
     from ``node_seed``.  ``exchange`` serves leading point axes of the
-    database and randomness at once; ``serve`` and ``run`` refuse them.
+    queries, database and randomness at once; ``serve`` and ``run`` refuse them.
     """
 
     def __init__(
@@ -84,10 +84,11 @@ class SimNetwork:
         ]
         self._randomness = randomness
 
-    def exchange(self, query_set: QuerySet) -> AnswerSet:
-        """Deliver each node its own query and collect the answers; each node
-        answers every point at once, stacked at axis -3 as (..., n, stripes, m)."""
-        answers = [h.answer(query_set.node_query(h.node_index)) for h in self.nodes]
+    def exchange(self, per_node: np.ndarray) -> AnswerSet:
+        """Deliver each node its own query of ``per_node`` (..., n, stripes, m,
+        query_len), never the index or masks, and stack the answers of every
+        point at axis -3 as (..., n, stripes, m)."""
+        answers = [h.answer(per_node[..., h.node_index - 1, :, :, :]) for h in self.nodes]
         return AnswerSet(np.stack(answers, axis=-3))
 
     def serve(self, query_set: QuerySet) -> Transcript:
@@ -96,7 +97,7 @@ class SimNetwork:
         if serving != list(range(1, self.params.n + 1)):
             raise DecodeFailure(f"answers missing; have nodes {serving}")
         theta = query_set.theta
-        answers = self.exchange(query_set)
+        answers = self.exchange(query_set.per_node)
         decoded = protocol.decode(self.params, self.generator, theta, query_set, answers)
         if not np.array_equal(decoded, self.db.file(theta)):
             raise DecodeFailure(f"decoded file {theta} differs from stored contents")
@@ -108,7 +109,7 @@ class SimNetwork:
             answer_set=answers,
             decoded_file=decoded,
             download_count=answers.per_node.size,
-            randomness_count=self._randomness.values.size,
+            randomness_count=self._randomness.drawn,
         )
 
     def run(self, theta: int, user_seed: int = 0) -> Transcript:

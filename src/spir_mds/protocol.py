@@ -22,7 +22,7 @@ the last ``beta`` parity nodes receive plain masks only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -48,15 +48,15 @@ RANDOMNESS_MODES = ("full", "zeroed", "partial")
 
 
 def user_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng([USER_SEED_DOMAIN, seed])
+    return np.random.default_rng([USER_SEED_DOMAIN, require_int("user seed", seed, low=0)])
 
 
 def node_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng([NODE_SEED_DOMAIN, seed])
+    return np.random.default_rng([NODE_SEED_DOMAIN, require_int("node seed", seed, low=0)])
 
 
 def db_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng([DB_SEED_DOMAIN, seed])
+    return np.random.default_rng([DB_SEED_DOMAIN, require_int("database seed", seed, low=0)])
 
 
 @dataclass(frozen=True)
@@ -167,14 +167,16 @@ class QuerySet:
 
 
 def free_randomness(params: StorageParams, mode: str, partial_count: Optional[int] = None) -> int:
-    """Free symbols of the nodes' shared randomness under ``mode``: all
-    stripes*m^2 of them ('full', the secrecy floor), none ('zeroed') or
-    the first ``partial_count`` ('partial').  The one place a mode is
-    read; a bad mode or count is refused here."""
+    """Free symbols J of the nodes' shared randomness under ``mode``: all
+    stripes*m^2 of them ('full', the secrecy floor), none ('zeroed') or the
+    first ``partial_count`` ('partial').  The one reader of a mode and a
+    count: a bad mode, or a count that is no integer under any mode, is refused."""
     total = params.stripes * params.m * params.m
     if mode not in RANDOMNESS_MODES:
         raise InvalidParams(f"unknown randomness mode {mode!r}")
     if mode != "partial":
+        if partial_count is not None:  # unread, but a count is an integer under every mode
+            require_int("partial randomness count", partial_count)
         return total if mode == "full" else 0
     count = require_int("partial randomness count", partial_count, low=0)
     if count > total:
@@ -187,11 +189,13 @@ class CommonRandomness:
     """Node-shared m x m uniform matrix per stripe, hidden from the user."""
 
     values: np.ndarray  # (..., stripes, m, m); values[..., s, i-1, t-1] blinds X[i][t]
+    drawn: int = field(init=False)  # symbols drawn per point: J by ``partial``, else all
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=np.int64)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "drawn", int(np.prod(arr.shape[-3:])))
 
     @classmethod
     def partial(cls, params: StorageParams, free_symbols: int, rng: np.random.Generator) -> "CommonRandomness":
@@ -199,12 +203,14 @@ class CommonRandomness:
         free_symbols = free_randomness(params, "partial", free_symbols)
         flat = np.zeros(params.stripes * params.m * params.m, dtype=np.int64)
         flat[:free_symbols] = rng.integers(0, params.q, size=free_symbols, dtype=np.int64)
-        return cls(flat.reshape(params.stripes, params.m, params.m))
+        shared = cls(flat.reshape(params.stripes, params.m, params.m))
+        object.__setattr__(shared, "drawn", free_symbols)
+        return shared
 
     def __eq__(self, other):
         if not isinstance(other, CommonRandomness):
             return NotImplemented
-        return np.array_equal(self.values, other.values)
+        return self.drawn == other.drawn and np.array_equal(self.values, other.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +252,7 @@ def gen_queries(
     ``u_override`` pins the masks to given values; its leading axes are
     points, and the queries of every point are built at once.
     """
-    if not 1 <= theta <= params.k:
+    if not 1 <= require_int("theta", theta) <= params.k:
         raise InvalidParams(f"theta={theta} not in [1, {params.k}]")
     if (g.m, g.n, g.q) != (params.m, params.n, params.q):
         raise DimensionMismatch("generator does not match params")
@@ -361,7 +367,7 @@ def decode(
     if u.shape != shape or per_node.shape != (params.n,) + shape:
         raise InvalidParams(f"query shapes {u.shape}, {per_node.shape} do not match {params}")
     answers = np.asarray(answer_set.per_node)
-    if answers.shape != (params.n, params.stripes, params.m) or not np.issubdtype(answers.dtype, np.integer):
+    if answers.shape != (params.n, params.stripes, params.m) or not np.can_cast(answers.dtype, np.int64):
         raise InvalidParams(f"answers of shape {answers.shape} and dtype {answers.dtype} do not match {params}")
     if u.min() < 0 or u.max() >= params.q:  # served masks are reduced already
         u = u % params.q

@@ -174,7 +174,7 @@ def pointwise_db_privacy_counter(params, g, universe):
             s_val = CommonRandomness(s_row.reshape(params.stripes, params.m, params.m))
             net = SimNetwork(params, db, g, randomness=s_val)
             for theta, u_row, qs in queries:
-                answers = net.exchange(qs).per_node.ravel()
+                answers = net.exchange(qs.per_node).per_node.ravel()
                 others = np.delete(db.files, theta - 1, axis=0).ravel()
                 counter.add(
                     (theta, tuple(answers.tolist()), tuple(u_row.tolist())),
@@ -525,23 +525,24 @@ def log_served_rounds(monkeypatch) -> list:
 def assert_one_batched_round(log, params, universe, seed=0):
     """One selfcheck's log: one network whose database batch is the sampled
     databases; then per index one gen_queries over the sampled masks, 32
-    rows, and each node's one answer call, given its own query for every
-    point."""
+    rows; then each node's one answer call, given its own query for every
+    index and point."""
     sampled, masks, _ = selfcheck_rows(universe, seed)
     assert len(sampled) == _SELFCHECK_POINTS
     (kind, db), *rounds = log
     assert kind == "network"
     assert np.array_equal(db.files, sampled.reshape(-1, params.k, params.file_rows, params.m))
-    assert len(rounds) == params.k * (1 + params.n)
-    for theta in range(1, params.k + 1):
-        (kind, qs), *answers = rounds[(theta - 1) * (1 + params.n) : theta * (1 + params.n)]
+    assert len(rounds) == params.k + params.n
+    query_sets, answers = rounds[: params.k], rounds[params.k :]
+    for theta, (kind, qs) in enumerate(query_sets, 1):
         assert kind == "queries" and qs.theta == theta
         assert qs.u.shape == (_SELFCHECK_POINTS, params.stripes, params.m, params.query_len)
         assert np.array_equal(qs.u.reshape(_SELFCHECK_POINTS, -1), masks)
-        assert [entry[:2] for entry in answers] == [("answer", node) for node in range(1, params.n + 1)]
-        for _, node, query in answers:
-            assert query.shape[0] == _SELFCHECK_POINTS
-            assert np.array_equal(query, qs.per_node[:, node - 1])
+    assert [entry[:2] for entry in answers] == [("answer", node) for node in range(1, params.n + 1)]
+    for _, node, query in answers:
+        assert query.shape[:2] == (params.k, _SELFCHECK_POINTS)
+        for theta, (_, qs) in enumerate(query_sets, 1):
+            assert np.array_equal(query[theta - 1], qs.per_node[:, node - 1])
 
 
 def spy(monkeypatch, owner, name, log, record):
@@ -671,8 +672,14 @@ class TestOneContextPerUniverse:
             (("correctness",), {"randomness_mode": "bogus"}, "unknown randomness mode"),
             (("correctness",), {"mask_mode": "bogus"}, "unknown mask mode"),
             (("correctness",), {"samples": 0}, "at least one sample"),
+            (("correctness",), {"samples": 2.5}, "samples must be an integer, got 2.5"),
+            (("correctness",), {"seed": -1}, "seed must be >= 0, got -1"),
+            (("correctness",), {"seed": 1.5}, "seed must be an integer, got 1.5"),
+            (("correctness",), {"seed": True}, "seed must be an integer, got True"),
+            (("correctness",), {"ceiling": 2.5}, "ceiling must be an integer, got 2.5"),
         ],
-        ids=["empty", "unknown", "randomness_mode", "mask_mode", "samples"],
+        ids=["empty", "unknown", "randomness_mode", "mask_mode", "samples", "fractional_samples",
+             "negative_seed", "fractional_seed", "bool_seed", "fractional_ceiling"],
     )
     def test_refused_before_any_work(self, monkeypatch, checks, options, match):
         g = generator_for_instance(self.PARAMS)

@@ -198,6 +198,87 @@ class TestInvalidInputs:
         assert not out.exists()
 
 
+# sha256 of the `run` transcript and rate report at (5, 4, 2, 2), theta 1,
+# seeds user 3, node 4 and db 5, under full randomness, fixed before the
+# rate report counted the drawn symbols; partial=4 draws the same S
+FULL_RUN_TRANSCRIPT_SHA256 = "fa2d018c6715e438f0b2938d8fa8e6d593ba0d15e16b5cfb97caf8c406bd8618"
+FULL_RUN_RATES_SHA256 = "9e3c75c82ef0841e6909732f8ddb0b7ca1179bd4f87a0413a9e4991887ab8cbd"
+
+
+class TestRandomnessBudget:
+    """The transcript counts the shared symbols the nodes drew, so the rate
+    report meets the converse: capacity 0 below the secrecy floor.  And a
+    bad budget, by flag or config, gets the one message that
+    ``protocol.free_randomness`` gives a library call (test_network.py)."""
+
+    INSTANCE = ("--q", "5", "--n", "4", "--m", "2", "--k", "2")
+
+    def run_instance(self, tmp_path, *argv):
+        out, rate = tmp_path / "t.json", tmp_path / "r.json"
+        code = run_cli(
+            "run", *self.INSTANCE, "--seed-user", "3", "--seed-node", "4", "--seed-db", "5", *argv,
+            "--out", str(out), "--rate-out", str(rate),
+        )
+        return code, out, rate
+
+    @pytest.mark.parametrize(
+        "randomness,count,secrecy,capacity,at_capacity",
+        [
+            ("zeroed", 0, (0, 1), (0, 1), False),
+            ("partial=3", 3, (3, 4), (0, 1), False),
+            ("partial=4", 4, (1, 1), (1, 2), True),
+            ("full", 4, (1, 1), (1, 2), True),
+        ],
+    )
+    def test_rate_report_reads_the_drawn_count(self, tmp_path, randomness, count, secrecy, capacity, at_capacity):
+        code, out, rate = self.run_instance(tmp_path, "--randomness", randomness)
+        assert code == 0
+        assert json.loads(out.read_text())["randomness_count"] == count
+        report = json.loads(rate.read_text())
+        assert (report["achieved_secrecy"]["num"], report["achieved_secrecy"]["den"]) == secrecy
+        assert (report["capacity"]["num"], report["capacity"]["den"]) == capacity
+        assert report["at_capacity"] is at_capacity
+        if at_capacity:
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == FULL_RUN_TRANSCRIPT_SHA256
+            assert hashlib.sha256(rate.read_bytes()).hexdigest() == FULL_RUN_RATES_SHA256
+
+    @pytest.mark.parametrize("command", ["run", "audit"])
+    @pytest.mark.parametrize(
+        "flag,refusal",
+        [
+            ("partial=2.5", "partial randomness count must be an integer, got 2.5"),
+            ("partial=x", "partial randomness count must be an integer, got 'x'"),
+            ("partial=", "partial randomness count must be an integer, got ''"),
+            ("none", "unknown randomness mode 'none'"),
+            ("full=3", "unknown randomness mode 'full=3'"),
+        ],
+    )
+    def test_bad_flag_gets_the_library_message(self, command, flag, refusal, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert run_cli(command, *self.INSTANCE, "--randomness", flag, "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", f"error: {refusal}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "audit"])
+    @pytest.mark.parametrize(
+        "fields,refusal",
+        [
+            ({"randomness": "partial", "partial_count": 2.5}, "partial randomness count must be an integer, got 2.5"),
+            ({"randomness": "full", "partial_count": 2.5}, "partial randomness count must be an integer, got 2.5"),
+            ({"partial_count": "1"}, "partial randomness count must be an integer, got '1'"),
+            ({"randomness": "partial", "partial_count": 5}, "partial randomness count must be <= 4, got 5"),
+            ({"randomness": "none"}, "unknown randomness mode 'none'"),
+        ],
+        ids=["partial_2.5", "full_2.5", "string", "too_many", "bad_mode"],
+    )
+    def test_bad_config_gets_the_library_message(self, command, fields, refusal, tmp_path, capsys):
+        config = _write_config(tmp_path, json.dumps({"q": 5, "n": 4, "m": 2, "k": 2, **fields}))
+        out = tmp_path / "out.json"
+        assert run_cli(command, "--config", config, "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", f"error: {refusal}\n")
+        assert not out.exists()
+
+
 class TestAudit:
     def test_all_checks_pass(self, tmp_path):
         out = tmp_path / "audit.json"

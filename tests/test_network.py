@@ -71,7 +71,7 @@ def test_decode_failure_on_tampered_node():
     net.nodes[2] = NodeHandler(3, corrupted, honest.randomness, g)
     qs = protocol.gen_queries(p, g, 1, user_seed=0)
     # exchange only collects: the tampered answers come back undecoded
-    answers = net.exchange(qs)
+    answers = net.exchange(qs.per_node)
     assert answers.per_node.shape == (p.n, p.stripes, p.m)
     with pytest.raises(DecodeFailure):
         net.serve(qs)
@@ -113,6 +113,7 @@ def test_full_randomness_is_the_shaped_draw(q):
     [
         ("partial", True, "partial randomness count must be an integer, got True"),
         ("partial", 2.5, "partial randomness count must be an integer, got 2.5"),
+        ("full", 2.5, "partial randomness count must be an integer, got 2.5"),
         ("partial", None, "partial randomness count must be an integer, got None"),
         ("partial", -1, "partial randomness count must be >= 0, got -1"),
         ("partial", 5, "partial randomness count must be <= 4, got 5"),
@@ -202,8 +203,8 @@ def test_batched_round_equals_stacked_single_rounds(p, batch, batched, masks, se
         single_qs = [protocol.gen_queries(p, g, theta, u_override=at("u", u, b)) for b in range(batch)]
         expected = np.stack([one.per_node for one in single_qs]) if "u" in batched else single_qs[0].per_node
         assert np.array_equal(qs.per_node, expected)
-        answers = net.exchange(qs).per_node
-        single_answers = [single.exchange(one).per_node for single, one in zip(singles, single_qs)]
+        answers = net.exchange(qs.per_node).per_node
+        single_answers = [single.exchange(one.per_node).per_node for single, one in zip(singles, single_qs)]
         assert np.array_equal(answers, np.stack(single_answers))
         # serve is one round: a batch of queries or answers is refused, not decoded
         if "u" in batched:
@@ -221,10 +222,10 @@ def test_batched_round_equals_stacked_single_rounds(p, batch, batched, masks, se
         for j in range(batch)
     ]
     for theta in range(1, p.k + 1):
-        answers = grid.exchange(protocol.gen_queries(p, g, theta, u_override=grid_u)).per_node
+        answers = grid.exchange(protocol.gen_queries(p, g, theta, u_override=grid_u).per_node).per_node
         assert answers.shape == (masks, batch, p.n, p.stripes, p.m)
         for i, j in np.ndindex(masks, batch):
-            single = columns[j].exchange(protocol.gen_queries(p, g, theta, u_override=grid_u[i, 0]))
+            single = columns[j].exchange(protocol.gen_queries(p, g, theta, u_override=grid_u[i, 0]).per_node)
             assert np.array_equal(answers[i, j], single.per_node)
 
 
@@ -242,7 +243,7 @@ def test_solve_of_a_batched_round_is_decode_at_each_point(p):
     u = rng.integers(0, p.q, size=(batch, p.stripes, p.m, p.query_len))
     for theta in range(1, p.k + 1):
         qs = protocol.gen_queries(p, g, theta, u_override=u)
-        answers = net.exchange(qs).per_node
+        answers = net.exchange(qs.per_node).per_node
         solved = protocol.solve(p, g, answers)
         assert solved.shape == (batch, p.file_rows, p.m)
         for b in range(batch):

@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_queries, reference_unit_mask
-from spir_mds import fields
+from spir_mds import fields, rates
 from spir_mds.cli import main
 from spir_mds.errors import InvalidParams, TooFewFiles
 from spir_mds.protocol import (
@@ -18,7 +20,10 @@ from spir_mds.protocol import (
     gen_queries,
     QuerySet,
     _unit_index,
+    db_rng,
     make_query_plan,
+    node_rng,
+    user_rng,
 )
 from spir_mds.network import SimNetwork, make_randomness
 from spir_mds.storage import Database, NodeData, StorageParams, build_generator, encode
@@ -169,6 +174,38 @@ class TestGenQueries:
         a = gen_queries(p, g, 1, user_seed=4)
         b = gen_queries(p, g, 1, user_seed=4)
         assert a == b
+
+    @pytest.mark.parametrize("theta", [True, 1.5, "2"], ids=repr)
+    def test_theta_that_is_no_integer_is_refused(self, theta):
+        p = StorageParams(q=5, n=4, m=2, k=2)
+        g = build_generator(p)
+        net = SimNetwork(p, Database.random(p, np.random.default_rng(0)), g)
+        for call in (lambda: gen_queries(p, g, theta), lambda: net.run(theta)):
+            with pytest.raises(InvalidParams, match=f"theta must be an integer, got {theta!r}"):
+                call()
+
+
+@pytest.mark.parametrize("make", [user_rng, node_rng, db_rng])
+@pytest.mark.parametrize(
+    "seed,refusal", [(-1, "must be >= 0, got -1"), (2.5, "must be an integer, got 2.5"), (True, "got True")]
+)
+def test_seed_domains_refuse_a_bad_seed(make, seed, refusal):
+    with pytest.raises(InvalidParams, match=refusal):
+        make(seed)
+
+
+class TestCommonRandomness:
+    def test_drawn_counts_the_symbols_drawn_per_point(self):
+        p = StorageParams(q=5, n=4, m=2, k=2, stripes=2)
+        total = p.stripes * p.m * p.m
+        assert CommonRandomness(np.zeros((3, p.stripes, p.m, p.m))).drawn == total
+        for count in (0, 3, total):
+            assert CommonRandomness.partial(p, count, np.random.default_rng(1)).drawn == count
+        with pytest.raises(TypeError):
+            CommonRandomness(np.zeros((p.stripes, p.m, p.m)), drawn=0)
+        # equal values drawn in different numbers give different rate reports
+        assert make_randomness(p, "zeroed", 0) != CommonRandomness(np.zeros((p.stripes, p.m, p.m)))
+        assert make_randomness(p, "partial", 0, total) == make_randomness(p, "full", 0)
 
 
 class TestUnitIndex:
@@ -456,6 +493,18 @@ class TestDecodeConsistencyCheck:
         with pytest.raises(InvalidParams):
             decode(p, g, tr.theta, tr.query_set, AnswerSet(malformed(tr.answer_set.per_node)))
 
+    def test_answers_that_do_not_cast_to_int64_are_refused(self):
+        # uint64 answers at q near 2**30 decoded to a float64 file, not the stored one
+        p = StorageParams(q=1_000_000_007, n=4, m=2, k=2)
+        g = build_generator(p)
+        db = Database.random(p, np.random.default_rng(4))
+        qs = gen_queries(p, g, 1, user_seed=2)
+        answers = SimNetwork(p, db, g).exchange(qs.per_node).per_node
+        for dtype in (np.int64, np.int32):
+            assert np.array_equal(decode(p, g, 1, qs, AnswerSet(answers.astype(dtype))), db.file(1))
+        with pytest.raises(InvalidParams, match="dtype uint64"):
+            decode(p, g, 1, qs, AnswerSet(answers.astype(np.uint64)))
+
     @pytest.mark.parametrize("p", DECODE_CHECK_PARAMS, ids=repr)
     def test_theta_mismatch(self, p):
         tr = _valid_round(p, theta=2)
@@ -590,6 +639,20 @@ class TestRound:
         assert tr.download_count == p.stripes * p.n * p.m
         assert tr.randomness_count == p.stripes * p.m * p.m
         assert tr.decoded_file.shape == (p.file_rows, p.m)
+
+    @pytest.mark.parametrize("mode,count", [("zeroed", None), ("partial", 3), ("partial", 8), ("full", None)])
+    def test_rate_report_reads_the_drawn_count(self, mode, count):
+        p = StorageParams(q=5, n=4, m=2, k=3, stripes=2)
+        db = Database.random(p, np.random.default_rng(5))
+        shared = make_randomness(p, mode, 1, count)
+        tr = SimNetwork(p, db, build_generator(p), randomness=shared).run(2, user_seed=1)
+        drawn = free_randomness(p, mode, count)
+        assert tr.randomness_count == drawn
+        report = rates.measure(tr)
+        assert report.achieved_secrecy == Fraction(drawn, p.file_len)
+        below = drawn < p.stripes * p.m * p.m  # the floor is stripes * m^2 symbols
+        assert report.capacity == (0 if below else Fraction(p.n - p.m, p.n))
+        assert report.at_capacity is not below
 
     def test_two_symbols_per_one_symbol_file(self):
         p = StorageParams(q=2, n=2, m=1, k=2)

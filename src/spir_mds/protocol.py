@@ -36,7 +36,7 @@ from .errors import (
     SingularSystem,
     TooFewFiles,
 )
-from .storage import GeneratorMatrix, NodeData, StorageParams, build_generator, is_mds, require_int
+from .storage import GeneratorMatrix, NodeData, StorageParams, build_generator, is_mds, require_fit, require_int
 
 # Disjoint seed domains so user, node, and database randomness never collide
 # even when callers reuse one literal seed value.
@@ -73,9 +73,6 @@ class QueryPlan:
     n: int
     m: int
     unit_rows: tuple[tuple[Optional[int], ...], ...]
-
-    def unit_row(self, node_index: int, t: int) -> Optional[int]:
-        return self.unit_rows[node_index - 1][t - 1]
 
     def units(self):
         """Iterate (node_index, t, row) over all placements."""
@@ -254,8 +251,7 @@ def gen_queries(
     """
     if not 1 <= require_int("theta", theta) <= params.k:
         raise InvalidParams(f"theta={theta} not in [1, {params.k}]")
-    if (g.m, g.n, g.q) != (params.m, params.n, params.q):
-        raise DimensionMismatch("generator does not match params")
+    require_fit(params, g)
     shape = (params.stripes, params.m, params.query_len)
     if u_override is not None:
         u = np.asarray(u_override, dtype=np.int64) % params.q
@@ -298,43 +294,27 @@ def gen_answer(
     return out
 
 
-def _x_col(i: int, t: int, m: int) -> int:
-    return (t - 1) * m + (i - 1)
-
-
-def _w_col(row: int, i: int, m: int) -> int:
-    return m * m + (row - 1) * m + (i - 1)
-
-
 @lru_cache(maxsize=None)
 def decode_system(params: StorageParams, g: GeneratorMatrix) -> np.ndarray:
-    """The n*m x n*m coefficient matrix tying answers to unknowns.
+    """The n*m x n*m coefficient matrix tying answers to unknowns, read off
+    the generator alike for every node: equation (node j, vector t) is
+    sum_i g[i, j] * (X[i][t] + W[r][i]), the W term only where the plan
+    raises file row r at (j, t).
 
     Equation order is node-major then vector index; unknown order is the
     m^2 masked products (column-major) followed by the (n-m)*m file
     symbols (row-major).  The matrix is theta-independent: changing
     theta only relabels which file block the unit offsets point into.
     """
-    plan = make_query_plan(params)
+    require_fit(params, g)
     n, m = params.n, params.m
-    size = n * m
-    a = np.zeros((size, size), dtype=np.int64)
-    for node in range(1, n + 1):
-        col = g.column(node)  # length m
-        for t in range(1, m + 1):
-            eq = (node - 1) * m + (t - 1)
-            row = plan.unit_row(node, t)
-            if node <= m:
-                a[eq, _x_col(node, t, m)] = 1
-                if row is not None:
-                    a[eq, _w_col(row, node, m)] = 1
-            else:
-                for i in range(1, m + 1):
-                    a[eq, _x_col(i, t, m)] = col[i - 1]
-                if row is not None:
-                    for i in range(1, m + 1):
-                        a[eq, _w_col(row, i, m)] = col[i - 1]
-    a %= params.q
+    # Unknowns as n blocks of m: block t-1 holds X[.][t], block m+r-1 holds W[r][.].
+    a = np.zeros((n, m, n, m), dtype=np.int64)
+    vec = np.arange(m)
+    a[:, vec, vec, :] = g.array.T[:, None, :]
+    for node, t, row in make_query_plan(params).units():
+        a[node - 1, t - 1, m + row - 1, :] = g.array[:, node - 1]
+    a = a.reshape(n * m, n * m)
     a.flags.writeable = False
     return a
 
@@ -388,10 +368,10 @@ def solve(params: StorageParams, g: GeneratorMatrix, answers: np.ndarray) -> np.
     (..., file_rows, m): per stripe, the file-symbol rows of the decode
     system's inverse applied to the n*m answers in equation order.
     Linear, so leading axes of points are solved at once."""
+    w_rows = decode_matrix_inverse(params, g)[params.m * params.m :]
     answers = np.asarray(answers)
     lead = answers.shape[:-3]
     b = np.swapaxes(answers, -3, -2).reshape(lead + (params.stripes, params.n * params.m))
-    w_rows = decode_matrix_inverse(params, g)[params.m * params.m :]
     return ((b @ w_rows.T) % params.q).reshape(lead + (params.file_rows, params.m))
 
 

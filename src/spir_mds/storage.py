@@ -1,11 +1,13 @@
-"""Systematic (n, m) MDS storage layer.
+"""(n, m) MDS storage layer.
 
 A database of k files is striped across n nodes so that any m node
-shares recover everything.  Layout conventions used throughout:
+shares recover everything.  Any full-row-rank generator is accepted;
+``build_generator`` and ``find_decodable_generator`` return systematic
+ones.  Layout conventions used throughout:
 
 * File ``k`` (1-based) is a matrix of shape ``(stripes*(n-m), m)``;
-  within a stripe, entry ``(j, i)`` is the j-th symbol of the piece of
-  the file held by systematic node ``i``.
+  within a stripe, entry ``(j, i)`` is the j-th symbol of the i-th
+  systematic piece, the one a systematic generator's node ``i`` holds.
 * Node vectors are laid out stripe-major, then file-major, then row:
   index ``(s*k_files + (k-1))*(n-m) + (j-1)`` holds the (stripe s,
   file k, row j) slot.
@@ -104,7 +106,8 @@ class StorageParams:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """Systematic m x n generator [ I | P ] of the storage code over F_q.
+    """m x n generator of the storage code over F_q, of full row rank; any
+    such generator is accepted, systematic [ I | P ] or not.
 
     ``array`` is stored as a write-protected int64 copy reduced mod q.
     """
@@ -143,6 +146,14 @@ class GeneratorMatrix:
 
     def __hash__(self):
         return hash((self.q, self.array.tobytes(), self.array.shape))
+
+
+def require_fit(params: StorageParams, g: GeneratorMatrix) -> None:
+    """DimensionMismatch unless ``g`` is an (m, n) generator over F_q of ``params``."""
+    if (g.m, g.n, g.q) != (params.m, params.n, params.q):
+        raise DimensionMismatch(
+            f"generator is ({g.m},{g.n}) over F_{g.q}, params want ({params.m},{params.n}) over F_{params.q}"
+        )
 
 
 def _cauchy_parity(q: int, m: int, n: int) -> np.ndarray:
@@ -259,24 +270,18 @@ def encode(db: Database, g: GeneratorMatrix) -> tuple[NodeData, ...]:
     """Encode the database into n node shares.
 
     Node n's slot value is the inner product of generator column n with
-    the m systematic symbols of that slot, so systematic nodes hold raw
-    file columns.  Shares keep the database's leading point axes.
+    the m systematic symbols of that slot (the raw symbol at node n <= m of
+    a systematic generator).  Shares keep the database's leading point axes.
     """
     p = db.params
-    if (g.m, g.n, g.q) != (p.m, p.n, p.q):
-        raise DimensionMismatch(
-            f"generator is ({g.m},{g.n}) over F_{g.q}, params want ({p.m},{p.n}) over F_{p.q}"
-        )
+    require_fit(p, g)
     shares = (g.array.T @ db.slot_matrix().swapaxes(-1, -2)) % p.q  # (..., n, slots)
     return tuple(NodeData(i + 1, shares[..., i, :]) for i in range(p.n))
 
 
 def reconstruct(params: StorageParams, shares: Sequence[NodeData], g: GeneratorMatrix) -> Database:
     """Rebuild the database from any m distinct node shares."""
-    if (g.m, g.n, g.q) != (params.m, params.n, params.q):
-        raise DimensionMismatch(
-            f"generator is ({g.m},{g.n}) over F_{g.q}, params want ({params.m},{params.n}) over F_{params.q}"
-        )
+    require_fit(params, g)
     if len(shares) != params.m:
         raise BadShareCount(f"need exactly m={params.m} shares, got {len(shares)}")
     idx = [s.node_index for s in shares]

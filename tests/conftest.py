@@ -31,7 +31,7 @@ def reference_unit_mask(params, theta, node):
     mask = np.zeros((params.m, params.query_len), dtype=np.int64)
     base = (theta - 1) * params.rows_per_stripe
     for t in range(1, params.m + 1):
-        row = plan.unit_row(node, t)
+        row = plan.unit_rows[node - 1][t - 1]
         if row is not None:
             mask[t - 1, base + row - 1] = 1
     return mask

@@ -433,6 +433,16 @@ class TestCeilingAndMonteCarlo:
         db = audit_db_privacy(params, g, samples=4, seed=3)
         assert not db.checks[0].exact
 
+    def test_monte_carlo_db_screen_budget_is_refused_before_any_sample(self, monkeypatch):
+        # 32 pairwise tables x 600,000 samples is past the default ceiling
+        params = StorageParams(q=5, n=4, m=2, k=2)
+        g = storage.build_generator(params)
+        drawn = []
+        monkeypatch.setattr(audit_mod, "_mc_networks", lambda *args: drawn.append(args))
+        with pytest.raises(UniverseTooLarge, match="32 pairwise tables x 600000 samples"):
+            run_audit(params, g, ("db-privacy",), samples=600_000)
+        assert drawn == []
+
     @pytest.mark.parametrize("samples", [0, -5])
     def test_no_samples_is_invalid(self, samples):
         # an empty sample would pass every screen vacuously
@@ -452,6 +462,22 @@ class TestCeilingAndMonteCarlo:
         assert len(report.checks) == params.n
         assert all(not c.exact for c in report.checks)
         assert report.all_passed
+
+
+class TestNonSystematicGenerator:
+    """[[1, 1], [0, 1]] @ G is another MDS generator of the same code, with
+    no node holding a raw file column: the audit decides it exactly."""
+
+    @pytest.mark.parametrize(
+        "params", [StorageParams(q=3, n=3, m=2, k=2), StorageParams(q=5, n=4, m=2, k=2)], ids=str
+    )
+    def test_every_check_passes_exactly(self, params):
+        g = GeneratorMatrix(params.q, np.array([[1, 1], [0, 1]]) @ storage.build_generator(params).array)
+        report = run_audit(params, g, ceiling=2**200)
+        nodes = [f"user_privacy_node_{j}" for j in range(1, params.n + 1)]
+        assert [c.name for c in report.checks] == ["correctness", *nodes, "db_privacy"]
+        assert report.all_passed
+        assert all(c.exact for c in report.checks)
 
 
 class TestSweepCannotGoVacuous:

@@ -198,6 +198,31 @@ class TestInvalidInputs:
         assert not out.exists()
 
 
+class TestRefusedAfterParsing:
+    """Inputs that parse but do not fit are refused with exit 2 and no output."""
+
+    @pytest.mark.parametrize("theta", ["0", "3"])
+    def test_theta_outside_the_files_is_config_error(self, theta, tmp_path, capsys):
+        out, rate = tmp_path / "t.json", tmp_path / "r.json"
+        code = run_cli(
+            "run", "--q", "5", "--n", "4", "--m", "2", "--k", "2", "--theta", theta,
+            "--out", str(out), "--rate-out", str(rate),
+        )
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: theta={theta} not in [1, 2]\n")
+        assert not out.exists() and not rate.exists()
+
+    @pytest.mark.parametrize("command", ["run", "audit"])
+    def test_unknown_generator_in_a_config_is_config_error(self, command, tmp_path, capsys):
+        # the --generator flag's choices refuse it in argparse; a document reaches generator_for
+        config = _write_config(tmp_path, json.dumps({**CONFIG_INSTANCE, "generator": "vandermonde"}))
+        out = tmp_path / "out.json"
+        code = run_cli(command, "--config", config, "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: unknown generator mode 'vandermonde'\n")
+        assert not out.exists()
+
+
 # sha256 of the `run` transcript and rate report at (5, 4, 2, 2), theta 1,
 # seeds user 3, node 4 and db 5, under full randomness, fixed before the
 # rate report counted the drawn symbols; partial=4 draws the same S

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spir_mds import fields
-from spir_mds.errors import SingularSystem
+from spir_mds.errors import DimensionMismatch, SingularSystem
 
 PRIMES = [2, 3, 5, 7]
 
@@ -52,6 +52,12 @@ class TestInvert:
     def test_singular(self):
         with pytest.raises(SingularSystem):
             fields.invert(np.array([[1, 1], [2, 2]]), 3)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 0)], ids=str)
+    def test_non_square_is_refused(self, shape):
+        with pytest.raises(DimensionMismatch) as refusal:
+            fields.invert(np.ones(shape, dtype=np.int64), 3)
+        assert str(refusal.value) == f"matrix is {shape}, not square"
 
     @pytest.mark.parametrize("q", PRIMES)
     def test_random_roundtrips(self, q):

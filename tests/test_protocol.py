@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_queries, reference_unit_mask
-from spir_mds import fields, rates
+from spir_mds import fields, protocol, rates
 from spir_mds.cli import main
-from spir_mds.errors import InvalidParams, TooFewFiles
+from spir_mds.errors import DimensionMismatch, InvalidParams, SingularSystem, TooFewFiles
 from spir_mds.protocol import (
     AnswerSet,
     CommonRandomness,
@@ -26,7 +26,16 @@ from spir_mds.protocol import (
     user_rng,
 )
 from spir_mds.network import SimNetwork, make_randomness
-from spir_mds.storage import Database, NodeData, StorageParams, build_generator, encode
+from spir_mds.storage import (
+    Database,
+    GeneratorMatrix,
+    NodeData,
+    StorageParams,
+    build_generator,
+    encode,
+    is_mds,
+    reconstruct,
+)
 
 
 def full_randomness(params, rng):
@@ -52,7 +61,7 @@ def check_plan_shape(params):
     assert cover == {row: m for row in range(1, parity_rows + 1)}
     # each vector index keeps exactly m plain equations for the masked column
     for t in range(1, m + 1):
-        plain = sum(1 for node in range(1, n + 1) if plan.unit_row(node, t) is None)
+        plain = sum(1 for node in range(1, n + 1) if plan.unit_rows[node - 1][t - 1] is None)
         assert plain == m
     return plan
 
@@ -68,7 +77,7 @@ class TestQueryPlan:
         assert plan.unit_rows[3] == (None, None)
         # each vector index carries units at exactly n-m systematic nodes
         for t in range(1, 3):
-            carriers = [node for node in (1, 2) if plan.unit_row(node, t) is not None]
+            carriers = [node for node in (1, 2) if plan.unit_rows[node - 1][t - 1] is not None]
             assert len(carriers) == 2
 
     def test_case1_3_2(self):
@@ -167,6 +176,12 @@ class TestGenQueries:
         g = build_generator(p)
         with pytest.raises(InvalidParams):
             gen_queries(p, g, theta=3)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 2, 4), (1, 3, 4), (1, 2, 5), (3, 1, 2, 3)], ids=str)
+    def test_masks_of_the_wrong_trailing_shape_are_refused(self, shape):
+        p = StorageParams(q=5, n=4, m=2, k=2)  # masks are (stripes, m, query_len) = (1, 2, 4)
+        with pytest.raises(DimensionMismatch, match=r"u_override shape .* != \(1, 2, 4\)"):
+            gen_queries(p, build_generator(p), 1, u_override=np.zeros(shape, dtype=np.int64))
 
     def test_seed_determinism(self):
         p = StorageParams(q=5, n=4, m=2, k=2)
@@ -273,6 +288,16 @@ class TestBlindingAnswers:
         assert np.array_equal(out[0, 1], s.values[0, 1])
 
 
+    @pytest.mark.parametrize("length", [0, 3, 5, 8])
+    def test_share_of_the_wrong_length_is_refused(self, length):
+        p = StorageParams(q=5, n=4, m=2, k=2)  # a share is stripes * query_len = 4 symbols
+        g = build_generator(p)
+        qs = gen_queries(p, g, 1)
+        share = NodeData(2, np.zeros(length, dtype=np.int64))
+        with pytest.raises(DimensionMismatch, match=f"node 2: share length {length} != stripes\\*query_len 4"):
+            gen_answer(2, qs.node_query(2), share, make_randomness(p, "full", 0), g)
+
+
 class TestGenAnswer:
     def test_zero_mask_zero_randomness_reads_raw_symbols(self):
         p = StorageParams(q=3, n=3, m=2, k=2)
@@ -322,7 +347,7 @@ class TestGenAnswer:
                     for i in range(1, p.m + 1)
                 ]
                 want = sum(col[i] * x_col[i] for i in range(p.m)) % p.q
-                row = plan.unit_row(node, t)
+                row = plan.unit_rows[node - 1][t - 1]
                 if row is not None:
                     coded_row = (db.file(theta)[row - 1] @ col) % p.q
                     want = (want + coded_row) % p.q
@@ -727,3 +752,136 @@ class TestSubThresholdGenerators:
     def test_search_is_deterministic(self):
         p = StorageParams(q=2, n=4, m=2, k=2)
         assert find_decodable_generator(p) == find_decodable_generator(p)
+
+
+def reference_decode_system(params, g):
+    """The decode system built entry by entry with nodes 1..m read as raw
+    file columns and the rest through their generator column: right for a
+    systematic generator only."""
+    plan = make_query_plan(params)
+    n, m = params.n, params.m
+    x_col = lambda i, t: (t - 1) * m + (i - 1)
+    w_col = lambda row, i: m * m + (row - 1) * m + (i - 1)
+    a = np.zeros((n * m, n * m), dtype=np.int64)
+    for node in range(1, n + 1):
+        col = g.column(node)
+        for t in range(1, m + 1):
+            eq = (node - 1) * m + (t - 1)
+            row = plan.unit_rows[node - 1][t - 1]
+            if node <= m:
+                a[eq, x_col(node, t)] = 1
+                if row is not None:
+                    a[eq, w_col(row, node)] = 1
+            else:
+                for i in range(1, m + 1):
+                    a[eq, x_col(i, t)] = col[i - 1]
+                    if row is not None:
+                        a[eq, w_col(row, i)] = col[i - 1]
+    return a % params.q
+
+
+# (params, generator) pairs over both plan cases, m = 1 and stripes 1 and 2
+SYSTEMATIC_GENERATORS = [
+    (StorageParams(q=2, n=2, m=1, k=2), build_generator),
+    (StorageParams(q=2, n=4, m=1, k=3, stripes=2), build_generator),
+    (StorageParams(q=3, n=3, m=2, k=2), build_generator),
+    (StorageParams(q=5, n=4, m=2, k=2, stripes=2), build_generator),
+    (StorageParams(q=5, n=5, m=2, k=2), build_generator),
+    (StorageParams(q=7, n=7, m=3, k=2, stripes=2), build_generator),
+    (StorageParams(q=11, n=9, m=4, k=2), build_generator),
+    (StorageParams(q=2, n=3, m=2, k=2), find_decodable_generator),
+    (StorageParams(q=2, n=4, m=2, k=2, stripes=2), find_decodable_generator),
+    (StorageParams(q=3, n=4, m=2, k=2), find_decodable_generator),
+    (StorageParams(q=2, n=5, m=2, k=2), find_decodable_generator),
+    (StorageParams(q=3, n=6, m=2, k=2, stripes=2), find_decodable_generator),
+]
+
+
+class TestDecodeSystemFromTheGenerator:
+    @pytest.mark.parametrize(
+        "p,build", SYSTEMATIC_GENERATORS, ids=[f"{p}-{b.__name__}" for p, b in SYSTEMATIC_GENERATORS]
+    )
+    def test_equals_the_entry_by_entry_system(self, p, build):
+        g = build(p)
+        a = decode_system(p, g)
+        assert not a.flags.writeable
+        assert np.array_equal(a, reference_decode_system(p, g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 7), q=st.sampled_from([2, 3, 5, 7]), stripes=st.integers(1, 2))
+    def test_equals_the_entry_by_entry_system_for_any_systematic_block(self, data, n, q, stripes):
+        m = data.draw(st.integers(1, n - 1))
+        p = StorageParams(q=q, n=n, m=m, k=2, stripes=stripes)
+        parity = data.draw(st.lists(st.integers(0, q - 1), min_size=m * (n - m), max_size=m * (n - m)))
+        g = GeneratorMatrix(q, np.concatenate([np.eye(m, dtype=np.int64), np.reshape(parity, (m, n - m))], axis=1))
+        assert np.array_equal(decode_system(p, g), reference_decode_system(p, g))
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize(
+        "p",
+        [
+            StorageParams(q=5, n=4, m=2, k=2),
+            StorageParams(q=3, n=3, m=2, k=2),
+            StorageParams(q=5, n=4, m=1, k=2),
+            StorageParams(q=7, n=6, m=2, k=3, stripes=2),
+            StorageParams(q=7, n=7, m=3, k=2),
+        ],
+        ids=str,
+    )
+    def test_every_mds_generator_of_the_code_decodes(self, p, data):
+        a = np.reshape(data.draw(st.lists(st.integers(0, p.q - 1), min_size=p.m**2, max_size=p.m**2)), (p.m, p.m))
+        assume(fields.rank_of(a, p.q) == p.m)
+        # another MDS generator of the same code, systematic only when a = I
+        g = GeneratorMatrix(p.q, a @ build_generator(p).array)
+        assert is_mds(g)
+        seed = data.draw(st.integers(0, 2**16))
+        db = Database.random(p, db_rng(seed))
+        net = SimNetwork(p, db, g, node_seed=seed)
+        for theta in range(1, p.k + 1):
+            tr = net.run(theta, user_seed=seed)
+            assert np.array_equal(tr.decoded_file, db.file(theta))
+            assert np.array_equal(protocol.solve(p, g, tr.answer_set.per_node), db.file(theta))
+
+    def test_singular_system_stays_a_typed_refusal(self):
+        # node 3 stores nothing, so its plain equations are all zero
+        p = StorageParams(q=5, n=4, m=2, k=2)
+        g = GeneratorMatrix(p.q, [[1, 0, 0, 1], [0, 1, 0, 1]])
+        with pytest.raises(SingularSystem):
+            protocol.decode_matrix_inverse(p, g)
+        with pytest.raises(SingularSystem):
+            SimNetwork(p, Database.zeros(p), g).run(1)
+
+
+# generators that do not fit (q, n, m) = (5, 4, 2): another field, and one
+# node too many or too few
+FIT_PARAMS = StorageParams(q=5, n=4, m=2, k=2)
+MISFITS = {
+    "q7": build_generator(StorageParams(q=7, n=4, m=2, k=2)),
+    "n5": build_generator(StorageParams(q=5, n=5, m=2, k=2)),
+    "n3": build_generator(StorageParams(q=5, n=3, m=2, k=2)),
+}
+FIT_DB = Database.random(FIT_PARAMS, db_rng(4))
+FIT_ROUND = SimNetwork(FIT_PARAMS, FIT_DB, build_generator(FIT_PARAMS), node_seed=4).run(1, user_seed=4)
+
+# entry point: call with a misfit generator
+FIT_ENTRY_POINTS = {
+    "gen_queries": lambda g: gen_queries(FIT_PARAMS, g, 1),
+    "encode": lambda g: encode(FIT_DB, g),
+    "reconstruct": lambda g: reconstruct(FIT_PARAMS, encode(FIT_DB, build_generator(FIT_PARAMS))[:2], g),
+    "solve": lambda g: protocol.solve(FIT_PARAMS, g, FIT_ROUND.answer_set.per_node),
+    "decode": lambda g: decode(FIT_PARAMS, g, 1, FIT_ROUND.query_set, FIT_ROUND.answer_set),
+    "decode_matrix_inverse": lambda g: protocol.decode_matrix_inverse(FIT_PARAMS, g),
+    "decode_system": lambda g: decode_system(FIT_PARAMS, g),
+}
+
+
+class TestGeneratorFit:
+    @pytest.mark.parametrize("misfit", sorted(MISFITS))
+    @pytest.mark.parametrize("entry", sorted(FIT_ENTRY_POINTS))
+    def test_every_entry_point_refuses_a_misfit_alike(self, entry, misfit):
+        g = MISFITS[misfit]
+        want = f"generator is (2,{g.n}) over F_{g.q}, params want (2,4) over F_5"
+        with pytest.raises(DimensionMismatch) as refusal:
+            FIT_ENTRY_POINTS[entry](g)
+        assert str(refusal.value) == want

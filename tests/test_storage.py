@@ -10,6 +10,7 @@ from spir_mds.errors import BadShareCount, DimensionMismatch, FieldTooSmall, Inv
 from spir_mds.storage import (
     Database,
     GeneratorMatrix,
+    NodeData,
     StorageParams,
     build_generator,
     encode,
@@ -145,6 +146,16 @@ class TestIsMds:
         assert not is_mds(g)
 
 
+class TestDatabase:
+    @pytest.mark.parametrize(
+        "shape", [(2, 2), (1, 2, 2), (3, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, 2, 3)], ids=str
+    )
+    def test_files_of_the_wrong_shape_are_refused(self, shape):
+        p = StorageParams(q=5, n=4, m=2, k=2)  # files are (k, file_rows, m) = (2, 2, 2)
+        with pytest.raises(DimensionMismatch, match=r"files shape .* != \(2, 2, 2\)"):
+            Database(p, np.zeros(shape, dtype=np.int64))
+
+
 class TestEncode:
     def test_zero_database(self):
         p = StorageParams(q=3, n=3, m=2, k=2)
@@ -217,3 +228,12 @@ class TestReconstruct:
             reconstruct(p, shares[:1], g)
         with pytest.raises(BadShareCount):
             reconstruct(p, [shares[0], shares[0]], g)
+
+    @pytest.mark.parametrize("index", [0, -1, 4])
+    def test_node_index_out_of_range_is_refused(self, index):
+        p = StorageParams(q=3, n=3, m=2, k=2)
+        g = build_generator(p)
+        shares = encode(Database.zeros(p), g)
+        stray = NodeData(index, shares[0].values)
+        with pytest.raises(BadShareCount, match=f"node indices out of range in \\[{index}, 2\\]"):
+            reconstruct(p, [stray, shares[1]], g)

@@ -7,71 +7,63 @@ each uniform and independent.  X and Y are independent over it iff
 exact verdict below decides that product rule with integers alone,
 without enumerating a point.
 
-Each check reads the scheme's linear structure.  An answer is
-``ip(u, c) + blind(s)``: the mask side ``ip`` is the served round's answer
-at zero shared randomness, affine in the masks u and linear in the
-database c, and the randomness side ``blind`` the node's coded share of S,
-linear in S.  So the basis chunk (the round served at the masks 0, e_1,
-..., e_U and the unit databases, with the queries it served) and the
-randomness side at the unit S rows fix every answer:
+Each check reads one answer model.  A node answers <own query, own
+share> plus its coded share of S, and every query is the mask plus a
+fixed pattern, Q(u) = Q(0) + u.  So at mask u, database c and randomness
+s an answer is ``ip(0, c) + <u, share of c> + blind(s)``: ``ip(0)`` is the
+basis chunk (the round served at mask 0 and the unit databases, with zero
+randomness), linear in c, and ``blind`` the nodes' coded share of S,
+linear in s.  The mask's term is the coded share of S[s, i, t] = <U_{s,t},
+D_{i,s}>, so it lies in the blinding span V (Sun and Jafar's blinding
+argument), and the model computes it from the files and the generator:
 
-* correctness: the user's decoder, ``protocol.solve``, cancels the
-  randomness side of every unit S row and returns the requested file on
-  the basis chunk, which holds iff it does at every universe point;
+* correctness: the user's decoder, ``protocol.solve``, kills V and returns
+  the requested file on the basis chunk; as every mask's term lies in V,
+  this holds iff decoding is right at every universe point;
 * user privacy, the index vs one node's view (query, answer, share, S):
   the answer depends only on the node's own query, its share and S, so
-  the index is hidden iff the node's query has the same law for every
-  index.  On the basis chunk the mask side must be the inner product of
-  the served query with the share, and with full masks each query must
-  be the mask plus a fixed pattern, Q(e_i) - Q(0) = e_i: a one-time pad,
-  uniform for every index.  A basis that is neither is off the model and
-  raises AssertionError.  With zeroed masks the query is the pattern P =
-  Q(0) itself, and a node is private iff every index has the same
-  pattern.  Otherwise the first view cell, in (index, view) order, that
-  breaks the product rule is index 1's, with query P_1 and zero answer,
-  share and S (the least coset key, share and S): it is seen at every
-  database whose share is zero, so joint = q^(db_digits - rank of the
-  node's share map), right = joint times the number of indices whose
-  pattern is P_1, left = the universe size and total = k * left;
+  the index is hidden iff the query has the same law for every index.
+  The basis's mask side must be the inner product of its query with the
+  share, and with full masks ``gen_queries`` at the unit masks must give
+  Q(e_i) - Q(0) = e_i: a one-time pad, uniform for every index; else
+  AssertionError.  With zeroed masks the query is the pattern P = Q(0)
+  itself, and a node is private iff every index has the same pattern.
+  Otherwise the first view cell, in (index, view) order, that breaks the
+  product rule is index 1's, with query P_1 and zero answer, share and S,
+  seen at every database whose share is zero: joint = q^(db_digits - rank
+  of the node's share map), right = joint times the number of indices
+  whose pattern is P_1, left = the universe size and total = k * left;
 * database privacy, the other files W̄ vs the user's view (all answers,
-  the query scheme, the requested index): every randomness digit is free,
-  the blinding span V has one dimension per digit and decoding is right,
-  so V and the requested file's columns fill the answer space, and every
-  answer is uniform whatever the other files are (the blinding argument
-  of the achievability proof).  Where that certificate fails, each (mask,
-  index) pair is read off the basis chunk: at mask u and index theta the
-  answers are M c + blind(s) (``_BatchContext.mask_matrices``), and
+  the query scheme, the requested index): with every randomness digit
+  free, V of one dimension per digit and decoding right, V and the
+  requested file's columns fill the answer space, and every answer is
+  uniform whatever W̄ is.  Where that certificate fails, at mask u and
+  index theta the answers are M c + blind(s) (``mask_matrices``), and
   blind(s) hits each point of V once, so for fixed W̄ they are uniform on
   a coset of the span of V and M_theta, the requested file's columns.
   The pair leaks iff r_own < r_full, the ranks modulo V of M_theta and of
-  M (Sun and Jafar's blinding argument); no leaking pair is an exact
-  pass.  Keyed by (least member of the coset ip + V, mask id, theta, W̄),
-  the zero key is least and every pair has it, so a leaking pair breaks
-  its cell (0, u, theta, 0) first, and the first leaking pair in (mask
-  id, index) order names the first broken cell, with counts joint =
-  q^(file_len - r_own), left = q^(db_digits - r_full), total = k *
-  universe size and right = total / q^((k - 1) * file_len).
+  M; under full randomness each mask's M is mask 0's modulo V, so mask 0
+  decides.  Keyed by (least member of the coset ip + V, mask id, theta,
+  W̄), the zero key is least and every pair has it, so the first leaking
+  pair in (mask id, index) order names the first broken cell, (0, u,
+  theta, 0), with joint = q^(file_len - r_own), left = q^(db_digits -
+  r_full), total = k * universe size and right = total / q^((k - 1) *
+  file_len).
 
-The references these verdicts are tested against, per-point oracles and
-counts over the whole (mask, database, randomness) grid, live in the test
-files, not here.
+The references these verdicts are tested against, per-point oracles,
+counts over the whole grid and the bilinear expansion of a basis served
+at every unit mask, live in the test files, not here.
 
-``run_audit`` is the one entry point: it runs the named checks, and
-checks on one universe share one context.  The basis chunk is a served
-round, with zero shared randomness: one ``network.SimNetwork`` over the
-unit databases, per index one ``gen_queries`` over the basis masks, and
-one exchange of every index's queries.  The randomness side ``blind``, its
-images of the free unit S rows, is the one table not served.  So before
-any verdict, each audited universe serves 32 sampled points, their digits
-drawn uniform, with their randomness and every index, through one network
-(``_BatchContext.selfcheck``), and ``_BatchContext.link`` raises unless
-the served queries are the basis query at mask 0 plus the mask and the
-basis chunk's bilinear expansion plus ``blind`` reproduces the served
-answers: that ties ``blind`` and the assumed affinity to the served
-round.  No exact check forms an id past int64 or a table that grows with
-an axis, so any universe within the ceiling is decided exactly; above it
-a check falls back to a seeded Monte Carlo mode reported as statistical
-(chi-square screen), never as exact.
+``run_audit`` is the one entry point: checks on one universe share one
+context.  Before any verdict each context serves 32 sampled points, their
+digits uniform, with their randomness and every index, through one
+network (``_BatchContext.selfcheck``), and ``_BatchContext.link`` raises
+unless the served queries are Q(0) plus the mask and the served answers
+the model's: that ties ``blind``, the mask's term and the model to the
+served round.  No exact check forms an id past int64 or a table that
+grows with an axis, so any universe within the ceiling is decided
+exactly; above it a check falls back to a seeded Monte Carlo mode
+reported as statistical (a chi-square screen, which can miss a leak).
 """
 
 from __future__ import annotations
@@ -206,7 +198,7 @@ class Universe:
             shown = ceiling if ceiling.bit_length() <= 64 else f"a {ceiling.bit_length()}-bit number"
             raise UniverseTooLarge(
                 f"universe has {self.params.q}**{self.exponent} points, ceiling is {shown}; "
-                "rerun with a Monte Carlo sample budget for a statistical check"
+                "a larger ceiling decides it exactly; a Monte Carlo sample budget only screens and can miss a leak"
             )
 
 
@@ -280,7 +272,7 @@ class AuditReport:
 
 
 # ---------------------------------------------------------------------------
-# Audit context: the basis chunk, the blinding table and the selfcheck
+# Audit context: the basis chunk, the answer model and the selfcheck
 # ---------------------------------------------------------------------------
 
 class _BatchContext:
@@ -289,13 +281,13 @@ class _BatchContext:
     Every answer digit splits into a mask side and a randomness side: at
     universe point (mask u, database c, randomness s) the answer of (node,
     stripe, vector t) is ``(ip[u, c] + blind[s]) % q``, where ``ip`` is the
-    served round's answer with zero shared randomness and ``blind[s]`` the
-    node's coded share of S, linear in s.  The checks read ``basis``, a
-    served chunk, and ``blind`` at the free unit S rows, which fix it at
-    every s; ``link`` ties both, and the basis's affinity in the mask, to
-    the selfcheck's served points.  ``blind``, ``basis``, the decoding
-    verdict ``decodes`` and the blinding span ``span`` are each built
-    once, on first read.
+    answer with zero shared randomness and ``blind[s]`` the node's coded
+    share of S, linear in s.  The checks read ``basis``, the chunk served
+    at mask 0, ``mask_matrices``, its extension to any mask by the answer
+    model, and ``blind`` at the free unit S rows, which fix it at every s;
+    ``link`` ties all three to the selfcheck's served points.  ``blind``,
+    ``basis``, ``coded``, the decoding verdict ``decodes`` and the
+    blinding span ``span`` are each built once, on first read.
     """
 
     def __init__(self, params: StorageParams, g: GeneratorMatrix, universe: Universe):
@@ -342,12 +334,18 @@ class _BatchContext:
 
     @cached_property
     def basis(self) -> dict:
-        """The chunk of the unit databases at the masks {0, e_1, ..., e_U}:
-        (U + 1) * db_digits rows that fix the mask side everywhere, as it is
-        affine in the mask and linear in the database."""
-        u = self.universe.u_digits
-        masks = np.eye(u + 1, u, -1, dtype=np.int64)
-        return self.chunk(np.eye(self.universe.db_digits, dtype=np.int64)[None], masks[:, None])
+        """The chunk of the unit databases at mask 0: db_digits rows that fix
+        the mask side at mask 0, as it is linear in the database."""
+        zero = np.zeros((1, 1, self.universe.u_digits), dtype=np.int64)
+        return self.chunk(np.eye(self.universe.db_digits, dtype=np.int64)[None], zero)
+
+    @cached_property
+    def coded(self) -> np.ndarray:
+        """coded[c, stripe, l, node0]: slot l of the stripe at unit database
+        c, coded by ``g`` from the basis's files, not read off the shares."""
+        p = self.params
+        slots = Database(p, self.basis["files"]).slot_matrix() @ self.g.array % self.q
+        return slots.reshape(-1, p.stripes, p.query_len, p.n)
 
     def answer_parts(self, chunk: dict, theta: int) -> np.ndarray:
         """Mask side ``ip`` (*lead, n, stripes, m) of every answer digit for
@@ -359,9 +357,9 @@ class _BatchContext:
         """``protocol.solve`` cancels the randomness side of the unit S rows
         and returns the requested file on the basis chunk, for every index.
 
-        Decoding is linear, the randomness side is linear in S, and the mask
-        side affine in the masks and linear in the database, so this holds
-        iff decoding returns the requested file at every universe point.
+        Decoding is linear and kills V, and every mask's term lies in V
+        (``mask_matrices``), so under full randomness this holds iff
+        decoding returns the requested file at every universe point.
         """
         p, basis = self.params, self.basis
         return not protocol.solve(p, self.g, self.blind).any() and all(
@@ -398,26 +396,24 @@ class _BatchContext:
     def mask_matrices(self, u_rows: np.ndarray) -> np.ndarray:
         """(k, masks, db_digits, answer digits): per index, the mask side of
         each mask row at the unit databases, the matrix that maps a
-        database to the mask side.  It is read off the basis chunk by
-        bilinear expansion: affine in the mask, each row is ip(0) plus
-        u_i * (ip(e_i) - ip(0)) summed over the mask digits i."""
-        q = self.q
-        ip = np.stack([self.answer_parts(self.basis, theta) for theta in range(1, self.params.k + 1)])
-        ip = ip.reshape(ip.shape[:3] + (-1,))  # (k, U + 1, db_digits, answer digits)
-        return (ip[:, 0, None] + _einsum_mod("pi,kidx->kpdx", u_rows, (ip[:, 1:] - ip[:, :1]) % q, q)) % q
+        database to the mask side.  It is the answer model: ip(0) plus the
+        mask's term, <u, the unit databases' slots coded by g>, the coded
+        share of S[s, i, t] = <U_{s,t}, D_{i,s}> and so a point of V."""
+        p, q = self.params, self.q
+        ip = np.stack([self.answer_parts(self.basis, theta)[0] for theta in range(1, p.k + 1)])
+        u = u_rows.reshape(-1, p.stripes, p.m, p.query_len)
+        term = _einsum_mod("pstl,cslj->pcjst", u, self.coded, q)  # (masks, db_digits, n, stripes, m)
+        return ((ip[:, None] + term) % q).reshape(p.k, len(u), len(self.coded), -1)
 
     def link(self):
         """Raise unless the selfcheck's served queries are, index by index,
         the basis query at mask 0 plus the point's mask, and its served
-        answers the mask side that the basis chunk predicts plus the
-        blinding that ``blind``, the unit randomness rows, predicts.
-
-        The checks read the basis chunk, served at zero randomness, add
-        ``blind`` and extend the basis by affinity in the mask (the
-        queries) and bilinear expansion (the answers).  This ties both to
-        the served round at the selfcheck's points.  ``run_audit`` calls it
-        once per context, before any verdict; a context whose selfcheck has
-        not run has no served points to compare.
+        answers, as served, the mask side that ``mask_matrices`` predicts
+        plus the blinding that ``blind``, the unit randomness rows, predicts:
+        this ties the basis chunk and the answer model, which every check
+        reads, to the served round.  ``run_audit`` calls it once per
+        context, before any verdict; a context whose selfcheck has not run
+        has nothing to compare.
         """
         if self._served is None:
             return
@@ -428,8 +424,8 @@ class _BatchContext:
             raise AssertionError("served queries are not the basis query at mask 0 plus the mask")
         mask_side = _einsum_mod("pd,kpdx->kpx", db_rows, self.mask_matrices(u_rows), q)
         blind = _einsum_mod("pi,ix->px", s_rows[:, :free], self.blind.reshape(free, self.a_digits_all), q)
-        served = served.reshape(served.shape[:2] + (-1,))  # (k, points, answer digits)
-        if not all(np.array_equal((answers - ip) % q, blind) for answers, ip in zip(served, mask_side)):
+        predicted = ((mask_side + blind) % q).reshape((p.k, len(db_rows), p.n, p.stripes, p.m))
+        if not np.array_equal(served, predicted):  # as served: no cast, no broadcast
             raise AssertionError("basis points disagree with gen_answer")
 
 
@@ -470,22 +466,24 @@ def _user_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck, ...]:
     """
     p, q, universe = ctx.params, ctx.q, ctx.universe
     basis, u = ctx.basis, universe.u_digits
-    queries = basis["queries"].reshape(p.k, u + 1, p.n, p.stripes, p.m, p.query_len)
-    inner = np.einsum("kbnstl,njsl->kbjnst", queries, basis["data"]) % q
-    if not all(np.array_equal(ctx.answer_parts(basis, theta), inner[theta - 1]) for theta in range(1, p.k + 1)):
+    queries = basis["queries"].reshape(p.k, p.n, p.stripes, p.m, p.query_len)  # at mask 0
+    inner = np.einsum("knstl,njsl->kjnst", queries, basis["data"]) % q
+    if not all(np.array_equal(ctx.answer_parts(basis, theta)[0], inner[theta - 1]) for theta in range(1, p.k + 1)):
         raise AssertionError("basis answers are not the queries' inner products with the shares")
-    queries = queries.reshape(p.k, u + 1, p.n, u)
+    queries = queries.reshape(p.k, p.n, u)
     if universe.mask_mode == "full":
-        steps = (queries[:, 1:] - queries[:, :1]) % q  # (k, U, n, U): Q(e_i) - Q(0)
-        if not (steps == np.eye(u, dtype=np.int64)[:, None]).all():
-            raise AssertionError("basis queries are not the mask plus a fixed pattern")
+        units = np.eye(u, dtype=np.int64)
+        for theta in range(1, p.k + 1):  # Q(e_i) - Q(0), served one index at a time
+            at_units = protocol.gen_queries(p, ctx.g, theta, u_override=units.reshape(u, p.stripes, p.m, p.query_len))
+            if not ((at_units.per_node.reshape(u, p.n, u) - queries[theta - 1]) % q == units[:, None]).all():
+                raise AssertionError("basis queries are not the mask plus a fixed pattern")
         return tuple(
             IndependenceCheck(f"user_privacy_node_{node}", True, True, universe.size, conditional_equal=True)
             for node in range(1, p.n + 1)
         )
     checks = []
     for node in range(1, p.n + 1):
-        patterns = queries[:, 0, node - 1]  # (k, U): the query at mask 0 per index
+        patterns = queries[:, node - 1]  # (k, U): the query at mask 0 per index
         same = int((patterns == patterns[0]).all(axis=-1).sum())
         witness = None
         if same != p.k:
@@ -518,15 +516,17 @@ def _db_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck]:
     masks determine the complete query scheme (every node receives some
     plain mask vector, so the map between them is a bijection) and stand
     in for it.  Decided by the certificate, or else by the rank gaps of
-    the (mask, index) pairs in mask id order, in growing batches; the
-    first pair that leaks names the witness (module docstring).
+    the (mask, index) pairs in mask id order, in growing batches, of mask
+    0 alone under full randomness; the first pair that leaks names the
+    witness (module docstring).
     """
     p, q, universe = ctx.params, ctx.q, ctx.universe
     if _db_privacy_certificate(ctx):
         return (IndependenceCheck("db_privacy", True, True, universe.size),)
+    masks = 1 if universe.s_free == universe.s_digits else ctx.n_u
     start, size = 0, _RANK_BATCH
-    while start < ctx.n_u:
-        u_rows = _free_rows(np.arange(start, min(ctx.n_u, start + size)), q, universe.u_free, universe.u_digits)
+    while start < masks:
+        u_rows = _free_rows(np.arange(start, min(masks, start + size)), q, universe.u_free, universe.u_digits)
         r_own, r_full = _rank_gaps(ctx, u_rows)
         leaks = np.flatnonzero(r_own < r_full)  # in (mask, index) order
         if leaks.size:

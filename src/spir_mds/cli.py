@@ -156,13 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--ceiling",
         type=int,
         default=audit_mod.DEFAULT_UNIVERSE_CEILING,
-        help="largest universe, in points, decided exactly; a larger one needs --monte-carlo (default: 2**24)",
+        help="largest universe, in points, decided exactly; raise it to decide a larger one exactly (default: 2**24)",
     )
     p_audit.add_argument(
         "--monte-carlo",
         type=int,
         metavar="SAMPLES",
-        help="statistical fallback sample count for oversized universes",
+        help="sample count of a statistical screen past the ceiling; it only screens and can miss a leak",
     )
     p_audit.add_argument("--seed", type=int, default=0, help="audit sampling seed")
     p_audit.add_argument("--out", help="audit report JSON path (default: stdout)")

@@ -73,6 +73,11 @@ def grid_chunk(ctx):
     return ctx.chunk(database_rows(ctx.universe)[None], mask_rows(ctx.universe)[:, None])
 
 
+def mixed_generator(params):
+    """[[1, 1], [0, 1]] @ G: the same code, no node holding a raw file column."""
+    return GeneratorMatrix(params.q, np.array([[1, 1], [0, 1]]) @ storage.build_generator(params).array)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("q,digits", [(2, 62), (3, 39), (5, 3)])
     def test_digit_rows_invert_pack(self, q, digits):
@@ -472,8 +477,7 @@ class TestNonSystematicGenerator:
         "params", [StorageParams(q=3, n=3, m=2, k=2), StorageParams(q=5, n=4, m=2, k=2)], ids=str
     )
     def test_every_check_passes_exactly(self, params):
-        g = GeneratorMatrix(params.q, np.array([[1, 1], [0, 1]]) @ storage.build_generator(params).array)
-        report = run_audit(params, g, ceiling=2**200)
+        report = run_audit(params, mixed_generator(params), ceiling=2**200)
         nodes = [f"user_privacy_node_{j}" for j in range(1, params.n + 1)]
         assert [c.name for c in report.checks] == ["correctness", *nodes, "db_privacy"]
         assert report.all_passed
@@ -605,7 +609,7 @@ class TestSelfcheckServesEveryPoint:
         def flipped(self, chunk, theta):
             ip = real(self, chunk, theta)
             ip = ip.copy()
-            if where == "last_point":  # the basis's last mask at its last unit database
+            if where == "last_point":  # the basis's one mask at its last unit database
                 ip[-1, -1, -1, -1, -1] += 1
             elif theta == p.k:
                 ip[..., -1] += 1
@@ -886,7 +890,7 @@ def full_view_witness(ctx, node):
 
 def leak_theta(monkeypatch, leak, selfcheck=False):
     """Make node 1's mask side depend on theta: shifted by theta, or, at
-    theta 2, read at another database or mask; the selfcheck is off unless
+    theta 2, read at another database; the selfcheck is off unless
     ``selfcheck``."""
     real = _BatchContext.answer_parts
 
@@ -896,7 +900,7 @@ def leak_theta(monkeypatch, leak, selfcheck=False):
         if leak == "shifted":
             out[:, :, 0, 0, 0] = (ip[:, :, 0, 0, 0] + theta) % self.q
         elif theta == 2:
-            out[:, :, 0] = np.flip(ip[:, :, 0], axis=1 if leak == "other_database" else 0)
+            out[:, :, 0] = np.flip(ip[:, :, 0], axis=1)
         return out
 
     if not selfcheck:
@@ -931,8 +935,15 @@ class TestGridCertificate:
             assert check.conditional_equal == check.independent == (witness is None)
         assert report.all_passed == (mask_mode == "full")
 
-    @pytest.mark.parametrize("leak", ["shifted", "other_database", "other_mask"])
-    @pytest.mark.parametrize("params", WITNESS_INSTANCES + [StorageParams(q=3, n=3, m=2, k=2)], ids=str)
+    # the basis has one mask, and at m = 1 the flip of the unit databases
+    # leaves node 1's mask side at theta 2 as it is: those reads leak
+    # nothing there, and TestServedMutantsFailTheLink takes their instances
+    @pytest.mark.parametrize(
+        "params,leak",
+        [(params, leak) for params in WITNESS_INSTANCES + [StorageParams(q=3, n=3, m=2, k=2)]
+         for leak in ("shifted", "other_database") if leak == "shifted" or params.m > 1],
+        ids=str,
+    )
     def test_theta_dependent_answer_is_off_the_model(self, monkeypatch, params, leak):
         leak_theta(monkeypatch, leak)
         with pytest.raises(AssertionError, match="basis answers are not the queries' inner products"):
@@ -1035,7 +1046,8 @@ def mask_side(ctx, ip):
     """The (masks, c, n, stripes, m) inner products of a chunk's masks alone
     with every node's share: its mask side ``ip`` with no index's units.
     The mask side is affine in the mask, and the first mask of the basis
-    and of the grid's masks is zero, so its row is the units' part."""
+    and of the grid's masks is zero, so its row is the units' part; on the
+    basis, whose one mask is zero, it is zero."""
     return (ip - ip[:1]) % ctx.q
 
 
@@ -1196,6 +1208,143 @@ class TestRankGap:
         assert w["counts"]["left"] == params.q ** (Universe(params).db_digits - r_full[u_idx, theta])
 
 
+def reference_mask_matrices(ctx, u_rows):
+    """The mask matrices read off served answers alone: the chunk of the
+    unit databases at the masks {0, e_1, ..., e_U}, extended by bilinear
+    expansion, ip(0) plus u_i * (ip(e_i) - ip(0)) summed over the mask
+    digits i, as the mask side is affine in the mask."""
+    q, u = ctx.q, ctx.universe.u_digits
+    masks = np.eye(u + 1, u, -1, dtype=np.int64)
+    ip = ctx.chunk(np.eye(ctx.universe.db_digits, dtype=np.int64)[None], masks[:, None])["ip"]
+    ip = ip.reshape(ip.shape[:3] + (-1,))  # (k, U + 1, db_digits, answer digits)
+    return (ip[:, 0, None] + _einsum_mod("pi,kidx->kpdx", u_rows, (ip[:, 1:] - ip[:, :1]) % q, q)) % q
+
+
+class TestAnswerModel:
+    """The answer model, ip(0) plus the mask's coded term, is the mask side
+    that a basis served at every unit mask predicts; under full randomness
+    the mask's term lies in the blinding span, so every mask has mask 0's
+    rank gaps."""
+
+    MODEL_CASES = [
+        (StorageParams(q=3, n=3, m=2, k=2), generator_for_instance, "full"),
+        (StorageParams(q=5, n=4, m=2, k=2), generator_for_instance, "zeroed"),
+        (StorageParams(q=7, n=4, m=2, k=3, stripes=2), generator_for_instance, "full"),
+        (StorageParams(q=2, n=4, m=2, k=2), protocol.find_decodable_generator, "full"),
+        (StorageParams(q=101, n=10, m=4, k=3), generator_for_instance, "full"),
+        (StorageParams(q=11, n=5, m=3, k=2, stripes=2), generator_for_instance, "full"),
+        (StorageParams(q=3, n=3, m=2, k=2), mixed_generator, "full"),
+        (StorageParams(q=5, n=4, m=2, k=2), mixed_generator, "full"),
+    ]
+
+    @pytest.mark.parametrize(
+        "params,generator,mask_mode", MODEL_CASES,
+        ids=[f"{p}-{gen.__name__}-{masks}" for p, gen, masks in MODEL_CASES],
+    )
+    def test_model_is_the_bilinear_expansion_of_served_unit_masks(self, params, generator, mask_mode):
+        ctx = _BatchContext(params, generator(params), Universe(params, mask_mode=mask_mode))
+        u_rows = np.random.default_rng(params.q).integers(0, params.q, size=(12, ctx.universe.u_digits))
+        u_rows[0] = 0
+        assert np.array_equal(ctx.mask_matrices(u_rows), reference_mask_matrices(ctx, u_rows))
+
+    GAP_INSTANCES = [
+        StorageParams(q=2, n=3, m=2, k=2),
+        StorageParams(q=3, n=3, m=2, k=2),
+        StorageParams(q=5, n=4, m=2, k=2),
+        StorageParams(q=2, n=4, m=2, k=2),
+        StorageParams(q=7, n=4, m=2, k=3, stripes=2),
+    ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(params=st.sampled_from(GAP_INSTANCES), data=st.data())
+    def test_full_randomness_gaps_are_mask_0s(self, params, data):
+        ctx = _BatchContext(params, generator_for_instance(params), Universe(params))
+        digits = st.lists(st.integers(0, params.q - 1), min_size=ctx.universe.u_digits, max_size=ctx.universe.u_digits)
+        u_rows = np.array([[0] * ctx.universe.u_digits] + data.draw(st.lists(digits, min_size=1, max_size=6)))
+        r_own, r_full = _rank_gaps(ctx, u_rows)
+        assert (r_own == r_own[0]).all() and (r_full == r_full[0]).all()
+
+    def test_zeroed_randomness_gaps_vary_with_the_mask(self):
+        # without the blinding span the mask's term counts, so the property
+        # above is no tautology of the rank gap
+        params = StorageParams(q=3, n=3, m=2, k=2)
+        ctx = _BatchContext(params, generator_for_instance(params), Universe(params, randomness_mode="zeroed"))
+        r_own, r_full = _rank_gaps(ctx, mask_rows(ctx.universe))
+        assert (r_own != r_own[0]).any() or (r_full != r_full[0]).any()
+
+    @pytest.mark.parametrize("q", [101, 1000003])
+    def test_wrong_decoder_is_decided_at_mask_0(self, monkeypatch, q):
+        # the certificate fails on the decoder, and mask 0 alone decides
+        # where a scan would read 101**4 or 1000003**4 masks; at q =
+        # 1000003 the universe has 1000003**12 points, past 2**200
+        p = StorageParams(q=q, n=3, m=2, k=2)
+        g = generator_for_instance(p)
+        inv = protocol.decode_matrix_inverse(p, g).copy()
+        inv[p.m * p.m, 0] = (inv[p.m * p.m, 0] + 1) % q  # first file-symbol row
+        monkeypatch.setattr(protocol, "decode_matrix_inverse", lambda params, gen: inv)
+        real = audit_mod._rank_gaps
+
+        def mask_0_only(ctx, u_rows):
+            if u_rows.any():
+                raise AssertionError(f"the rank gap read masks {u_rows.tolist()}")
+            return real(ctx, u_rows)
+
+        monkeypatch.setattr(audit_mod, "_rank_gaps", mask_0_only)
+        correctness, db = run_audit(p, g, ("correctness", "db-privacy"), ceiling=2**300).checks
+        assert not correctness.independent
+        assert db.independent and db.exact
+
+    @pytest.mark.parametrize("randomness", ["full", "zeroed"])
+    def test_large_instance_is_decided_in_seconds(self, randomness):
+        # the default audit and the zeroed control at (101, 10, 4, 6, 2):
+        # one served point per unit database, not one per unit mask too
+        p = StorageParams(q=101, n=10, m=4, k=6, stripes=2)
+        checks = CHECKS if randomness == "full" else ("db-privacy",)
+        start = time.perf_counter()
+        report = run_audit(p, generator_for_instance(p), checks, randomness_mode=randomness, ceiling=2**100000)
+        assert time.perf_counter() - start < 5
+        assert report.all_passed == (randomness == "full")
+        assert all(check.exact for check in report.checks)
+
+
+def serve_mutant(monkeypatch, mutant):
+    """Serve node 1's answers off the answer model, still affine in the mask
+    and linear in the database: its inner product doubled with the blinding
+    untouched, or its query or its share read reversed."""
+    real = protocol.gen_answer
+
+    def mutated(node_index, query, d, s, g):
+        if node_index != 1:
+            return real(node_index, query, d, s, g)
+        if mutant == "scaled":
+            unblinded = real(node_index, query, d, CommonRandomness(np.zeros_like(s.values)), g)
+            return (real(node_index, query, d, s, g) + unblinded) % g.q
+        if mutant == "reversed_query":
+            return real(node_index, query[..., ::-1], d, s, g)
+        return real(node_index, query, storage.NodeData(d.node_index, d.values[..., ::-1]), s, g)
+
+    monkeypatch.setattr(protocol, "gen_answer", mutated)
+
+
+class TestServedMutantsFailTheLink:
+    """The answer model is computed from the files and the generator, not
+    read off served answers, so a node that serves off the model is refused
+    by the link before any check decides, whichever check it is."""
+
+    @pytest.mark.parametrize("check", CHECKS)
+    @pytest.mark.parametrize("mutant", ["scaled", "reversed_query", "reversed_share"])
+    @pytest.mark.parametrize(
+        "params",
+        [StorageParams(q=3, n=3, m=2, k=2), StorageParams(q=2, n=3, m=1, k=3),
+         StorageParams(q=3, n=2, m=1, k=3), StorageParams(q=5, n=4, m=2, k=2)],
+        ids=str,
+    )
+    def test_refused_by_the_link(self, monkeypatch, params, mutant, check):
+        serve_mutant(monkeypatch, mutant)
+        with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
+            run_audit(params, generator_for_instance(params), (check,), ceiling=2**200)
+
+
 class TestContextSplit:
     """``blind`` and the basis chunk are built on first read, ``blind`` holds
     only the free unit randomness rows, and the selfcheck only serves its
@@ -1210,7 +1359,7 @@ class TestContextSplit:
         ctx = _BatchContext(p, generator_for_instance(p), Universe(p))
         ctx.selfcheck()
         assert chunks == []
-        assert not {"blind", "basis"} & set(vars(ctx))
+        assert not {"blind", "basis", "coded"} & set(vars(ctx))
 
     @pytest.mark.parametrize(
         "mode", [{}, {"randomness_mode": "partial", "partial_count": 5}, {"randomness_mode": "zeroed"}],
@@ -1247,12 +1396,13 @@ class TestEachContextDecidesOnce:
         assert run_audit(p, g).all_passed
         (universe,) = contexts  # every default check audits the plain universe
         blind = (universe.s_free, p.n, p.stripes, p.m)
-        basis = (universe.u_digits + 1, universe.db_digits, p.n, p.stripes, p.m)
+        basis = (1, universe.db_digits, p.n, p.stripes, p.m)  # mask 0 alone
         assert solved == [blind] + [basis] * p.k
 
     def test_the_blinding_span_is_reduced_once_per_context(self, monkeypatch):
         # a wrong decoder under full randomness fails the certificate and
-        # no (mask, index) pair leaks, so the rank gap reads all 16 masks
+        # no (mask, index) pair leaks; each mask is mask 0 modulo the
+        # blinding span, so the rank gap reads mask 0 alone
         p = StorageParams(q=2, n=3, m=2, k=2)
         g = generator_for_instance(p)
         inv = protocol.decode_matrix_inverse(p, g).copy()
@@ -1263,7 +1413,7 @@ class TestEachContextDecidesOnce:
         spy(monkeypatch, fields, "rref", reduced, lambda arr, q: np.shape(arr))
         (check,) = run_audit(p, g, ("db-privacy",)).checks
         assert check.independent and check.exact
-        assert batches == [4, 8, 4]
+        assert batches == [1]
         assert reduced == [(Universe(p).s_digits, p.n * p.stripes * p.m)]
 
 
@@ -1301,8 +1451,9 @@ class TestSumsStayInsideInt64:
 
 
 class TestNoCheckEnumeratesMasks:
-    """Every check reads the basis chunk: no served round has more masks
-    than the basis, U + 1, or the selfcheck's 32 points."""
+    """Every check reads the basis chunk at mask 0 and the answer model: no
+    served round has more masks than the query law's U unit masks or the
+    selfcheck's 32 points."""
 
     PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 
@@ -1319,7 +1470,7 @@ class TestNoCheckEnumeratesMasks:
         monkeypatch.setattr(protocol, "gen_queries", counted)
         report = run_audit(p, generator_for_instance(p), mask_mode=mask_mode)
         assert report.all_passed == (mask_mode == "full")
-        assert served and max(served) <= max(Universe(p).u_digits + 1, _SELFCHECK_POINTS)
+        assert served and max(served) <= max(Universe(p).u_digits, _SELFCHECK_POINTS)
 
 
 class TestReportsAgreeWithTheReferences:

@@ -368,6 +368,18 @@ class TestAudit:
         (line,) = err.splitlines()
         assert line.startswith("error: universe has 101**160 points") and len(line) < 200
 
+    def test_refusal_steers_to_a_larger_ceiling_not_the_screen(self, capsys):
+        # with --monte-carlo 5 the screen passes this leaky control, and with
+        # --ceiling 2**200 it fails exactly (TestRankGapDecidesAtOnce)
+        code = run_cli(
+            "audit", "--q", "1000003", "--n", "3", "--m", "2", "--k", "2", "--randomness", "zeroed",
+            "--checks", "db-privacy",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "a larger ceiling decides it exactly" in err
+        assert "a Monte Carlo sample budget only screens and can miss a leak" in err
+
     def test_k1_is_config_error(self, capsys):
         code = run_cli("audit", "--q", "2", "--n", "2", "--m", "1", "--k", "1")
         assert code == 2

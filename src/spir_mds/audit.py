@@ -42,17 +42,17 @@ argument), and the model computes it from the files and the generator:
   blind(s) hits each point of V once, so for fixed W̄ they are uniform on
   a coset of the span of V and M_theta, the requested file's columns.
   The pair leaks iff r_own < r_full, the ranks modulo V of M_theta and of
-  M; under full randomness each mask's M is mask 0's modulo V, so mask 0
-  decides.  Keyed by (least member of the coset ip + V, mask id, theta,
-  W̄), the zero key is least and every pair has it, so the first leaking
-  pair in (mask id, index) order names the first broken cell, (0, u,
-  theta, 0), with joint = q^(file_len - r_own), left = q^(db_digits -
-  r_full), total = k * universe size and right = total / q^((k - 1) *
-  file_len).
+  M (one elimination, V's generators first); under full randomness each
+  mask's M is mask 0's modulo V, so mask 0 decides.  Were cells keyed by
+  (least member of the coset ip + V, mask id, theta, W̄), the zero key
+  would be least and every pair would have it, so the first leaking pair
+  in (mask id, index) order names the first broken cell, (0, u, theta,
+  0), with joint = q^(file_len - r_own), left = q^(db_digits - r_full),
+  total = k * universe size and right = total / q^((k - 1) * file_len).
 
-The references these verdicts are tested against, per-point oracles,
-counts over the whole grid and the bilinear expansion of a basis served
-at every unit mask, live in the test files, not here.
+The references these verdicts are tested against (per-point oracles,
+full-grid counts, the bilinear expansion of a basis served at every unit
+mask, the least-member rank gaps) live in the test files, not here.
 
 ``run_audit`` is the one entry point: checks on one universe share one
 context.  Before any verdict each context serves 32 sampled points, their
@@ -84,7 +84,7 @@ MC_SIGNIFICANCE = 1e-6
 AUDIT_SEED_DOMAIN = 4
 
 _SELFCHECK_POINTS = 32  # per audited universe: cross-validation against the served round
-_RANK_BATCH, _RANK_BATCH_MAX = 4, 1 << 10  # first and largest mask batch of the rank gap
+_RANK_BATCH, _RANK_BATCH_BYTES = 4, 64 << 20  # rank-gap batches: the first's masks, any's bytes (one mask may pass)
 
 CHECKS = ("correctness", "user-privacy", "db-privacy")
 
@@ -132,6 +132,14 @@ def _einsum_mod(spec: str, a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
             part += out
         out = part % q
     return out
+
+
+def _mask_term(params: StorageParams, u_rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """(masks, c, n, stripes, m): the mask's term <u, slots> of the answer
+    model, for ``slots`` (masks or 1, c, stripes, query_len, n) coded by g:
+    the coded share of S[s, i, t] = <U_{s,t}, D_{i,s}>, a point of V."""
+    u = u_rows.reshape(-1, params.stripes, params.m, params.query_len)
+    return _einsum_mod("pstl,pcslj->pcjst", u, slots, params.q)
 
 
 @dataclass(frozen=True)
@@ -284,10 +292,9 @@ class _BatchContext:
     answer with zero shared randomness and ``blind[s]`` the node's coded
     share of S, linear in s.  The checks read ``basis``, the chunk served
     at mask 0, ``mask_matrices``, its extension to any mask by the answer
-    model, and ``blind`` at the free unit S rows, which fix it at every s;
-    ``link`` ties all three to the selfcheck's served points.  ``blind``,
-    ``basis``, ``coded``, the decoding verdict ``decodes`` and the
-    blinding span ``span`` are each built once, on first read.
+    model, and ``blind`` at the free unit S rows; ``link`` applies the same
+    model at the selfcheck's served points.  ``blind``, ``basis``, ``coded``
+    and the decoding verdict ``decodes`` are each built once, on first read.
     """
 
     def __init__(self, params: StorageParams, g: GeneratorMatrix, universe: Universe):
@@ -304,7 +311,7 @@ class _BatchContext:
     def blind(self) -> np.ndarray:
         """blind[i, node0, stripe, t0]: the randomness side at the free unit
         S rows e_1, ..., e_{s_free}.  It is linear in S, so these rows fix
-        it at every S."""
+        it at every S and span V, the randomness sides of all answers."""
         p, free = self.params, self.universe.s_free
         s_mats = np.eye(free, self.universe.s_digits, dtype=np.int64).reshape(free, p.stripes, p.m, p.m)
         return np.einsum("xsit,in->xnst", s_mats, self.g.array) % self.q
@@ -367,17 +374,6 @@ class _BatchContext:
             for theta in range(1, p.k + 1)
         )
 
-    @cached_property
-    def span(self) -> tuple[np.ndarray, list[int]]:
-        """Row-reduced basis of the blinding span V and its pivot columns.
-
-        V holds the randomness sides of all nodes' answers.  The randomness
-        rows are a coordinate subspace and the randomness side is linear in
-        S, so V is spanned by ``blind``, the images of the free unit rows.
-        """
-        basis, pivots = fields.rref(self.blind.reshape(self.universe.s_free, self.a_digits_all), self.q)
-        return basis[: len(pivots)], pivots
-
     def selfcheck(self, seed: int = 0):
         """Serve sampled universe points, with their randomness, for ``link``.
 
@@ -393,27 +389,27 @@ class _BatchContext:
         points = _random_rows(rng, min(_SELFCHECK_POINTS, self.universe.size), self.universe)
         self._served = (*points, *_served_answers(self.params, self.g, *points)[1:])
 
+    def ip_at_0(self) -> np.ndarray:
+        """(k, db_digits, n, stripes, m): ip(0), the basis's mask side."""
+        return np.stack([self.answer_parts(self.basis, theta)[0] for theta in range(1, self.params.k + 1)])
+
     def mask_matrices(self, u_rows: np.ndarray) -> np.ndarray:
         """(k, masks, db_digits, answer digits): per index, the mask side of
         each mask row at the unit databases, the matrix that maps a
         database to the mask side.  It is the answer model: ip(0) plus the
-        mask's term, <u, the unit databases' slots coded by g>, the coded
-        share of S[s, i, t] = <U_{s,t}, D_{i,s}> and so a point of V."""
-        p, q = self.params, self.q
-        ip = np.stack([self.answer_parts(self.basis, theta)[0] for theta in range(1, p.k + 1)])
-        u = u_rows.reshape(-1, p.stripes, p.m, p.query_len)
-        term = _einsum_mod("pstl,cslj->pcjst", u, self.coded, q)  # (masks, db_digits, n, stripes, m)
-        return ((ip[:, None] + term) % q).reshape(p.k, len(u), len(self.coded), -1)
+        mask's term (``_mask_term``) on the unit databases' coded slots."""
+        p = self.params
+        term = _mask_term(p, u_rows, self.coded[None])  # (masks, db_digits, n, stripes, m)
+        return ((self.ip_at_0()[:, None] + term) % self.q).reshape(p.k, len(u_rows), len(self.coded), -1)
 
     def link(self):
         """Raise unless the selfcheck's served queries are, index by index,
         the basis query at mask 0 plus the point's mask, and its served
-        answers, as served, the mask side that ``mask_matrices`` predicts
-        plus the blinding that ``blind``, the unit randomness rows, predicts:
-        this ties the basis chunk and the answer model, which every check
-        reads, to the served round.  ``run_audit`` calls it once per
-        context, before any verdict; a context whose selfcheck has not run
-        has nothing to compare.
+        answers, as served, the model at each point: ip(0) on its database,
+        plus ``_mask_term`` on its coded slots, plus ``blind`` on its
+        randomness.  This ties the basis chunk and the answer model, which
+        every check reads, to the served round.  ``run_audit`` calls it once
+        per context, before any verdict; without a selfcheck it does nothing.
         """
         if self._served is None:
             return
@@ -422,9 +418,10 @@ class _BatchContext:
         at_zero = self.basis["queries"][:, 0]  # (k, 1, n, stripes, m, query_len)
         if not np.array_equal(queries, (at_zero + u_rows.reshape(-1, 1, p.stripes, p.m, p.query_len)) % q):
             raise AssertionError("served queries are not the basis query at mask 0 plus the mask")
-        mask_side = _einsum_mod("pd,kpdx->kpx", db_rows, self.mask_matrices(u_rows), q)
-        blind = _einsum_mod("pi,ix->px", s_rows[:, :free], self.blind.reshape(free, self.a_digits_all), q)
-        predicted = ((mask_side + blind) % q).reshape((p.k, len(db_rows), p.n, p.stripes, p.m))
+        ip = _einsum_mod("pd,kd...->kp...", db_rows, self.ip_at_0(), q)  # (k, points, n, stripes, m)
+        term = _mask_term(p, u_rows, _einsum_mod("pd,d...->p...", db_rows, self.coded, q)[:, None])[:, 0]
+        blind = _einsum_mod("pi,i...->p...", s_rows[:, :free], self.blind, q)
+        predicted = (ip + term + blind) % q
         if not np.array_equal(served, predicted):  # as served: no cast, no broadcast
             raise AssertionError("basis points disagree with gen_answer")
 
@@ -468,7 +465,7 @@ def _user_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck, ...]:
     basis, u = ctx.basis, universe.u_digits
     queries = basis["queries"].reshape(p.k, p.n, p.stripes, p.m, p.query_len)  # at mask 0
     inner = np.einsum("knstl,njsl->kjnst", queries, basis["data"]) % q
-    if not all(np.array_equal(ctx.answer_parts(basis, theta)[0], inner[theta - 1]) for theta in range(1, p.k + 1)):
+    if not np.array_equal(ctx.ip_at_0(), inner):
         raise AssertionError("basis answers are not the queries' inner products with the shares")
     queries = queries.reshape(p.k, p.n, u)
     if universe.mask_mode == "full":
@@ -516,15 +513,17 @@ def _db_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck]:
     masks determine the complete query scheme (every node receives some
     plain mask vector, so the map between them is a bijection) and stand
     in for it.  Decided by the certificate, or else by the rank gaps of
-    the (mask, index) pairs in mask id order, in growing batches, of mask
-    0 alone under full randomness; the first pair that leaks names the
-    witness (module docstring).
+    the (mask, index) pairs in mask id order, in batches that double from
+    ``_RANK_BATCH`` masks within ``_RANK_BATCH_BYTES``, of mask 0 alone
+    under full randomness; the first pair that leaks names the witness
+    (module docstring), whatever the batch sizes.
     """
     p, q, universe = ctx.params, ctx.q, ctx.universe
     if _db_privacy_certificate(ctx):
         return (IndependenceCheck("db_privacy", True, True, universe.size),)
     masks = 1 if universe.s_free == universe.s_digits else ctx.n_u
-    start, size = 0, _RANK_BATCH
+    fit = max(1, _RANK_BATCH_BYTES // (8 * p.k * ctx.a_digits_all * (universe.s_free + universe.db_digits)))
+    start, size = 0, min(_RANK_BATCH, fit)
     while start < masks:
         u_rows = _free_rows(np.arange(start, min(masks, start + size)), q, universe.u_free, universe.u_digits)
         r_own, r_full = _rank_gaps(ctx, u_rows)
@@ -546,53 +545,38 @@ def _db_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck]:
                 },
             }
             return (IndependenceCheck("db_privacy", False, True, universe.size, witness=witness),)
-        start, size = start + size, min(2 * size, _RANK_BATCH_MAX)
+        start, size = start + size, min(2 * size, fit)
     return (IndependenceCheck("db_privacy", True, True, universe.size),)
 
 
 def _rank_gaps(ctx: _BatchContext, u_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ranks (masks, k), modulo the blinding span V, of the requested
     file's columns of ``mask_matrices`` and of all its columns, at each
-    mask row and index: the pair leaks exactly where they differ.  Each
-    column is reduced to its coset's least member; one elimination of
-    them, the requested file's first, counts both ranks by its pivots.
-    """
-    p = ctx.params
-    matrices = _least_members(ctx.mask_matrices(u_rows), *ctx.span, ctx.q)  # (k, masks, db_digits, answers)
-    # the database digits file by file, from the requested one on
-    cols = np.stack([np.roll(m, -theta * p.file_len, axis=1) for theta, m in enumerate(matrices)], axis=1)
-    _, found = fields.row_reduce(cols.swapaxes(-1, -2), ctx.q)
-    return found[..., : p.file_len].sum(axis=-1), found.sum(axis=-1)
+    mask row and index: the pair leaks exactly where they differ.  One
+    elimination reads V's generators (``blind``) first, then the database
+    digits file by file from the requested one: pivots past V count both."""
+    p, free, matrices = ctx.params, ctx.universe.s_free, ctx.mask_matrices(u_rows)  # (k, masks, db_digits, answers)
+    span = np.broadcast_to(ctx.blind.reshape(free, ctx.a_digits_all), (len(u_rows), free, ctx.a_digits_all))
+    cols = [np.concatenate([span, np.roll(m, -theta * p.file_len, axis=1)], axis=1) for theta, m in enumerate(matrices)]
+    _, found = fields.row_reduce(np.stack(cols, axis=1).swapaxes(-1, -2), ctx.q)
+    return found[..., free : free + p.file_len].sum(axis=-1), found[..., free:].sum(axis=-1)
 
 
 def _db_privacy_certificate(ctx: _BatchContext) -> bool:
     """Certificate: under full randomness the blinding span V and the
     requested file's columns fill the whole answer space.
 
-    Every randomness digit is free and V has dimension s_digits, one per
+    V, spanned by ``blind``, must have rank s_digits, one per randomness
     digit.  Where decoding is right (``_BatchContext.decodes``) it returns
-    the requested file and vanishes on V, so the file's columns are
-    independent modulo V and add file_len dimensions: s_digits + file_len
-    = stripes * n * m, every answer digit.  So at each mask and index the
-    answers are uniform whatever the other files are, and the product
-    rule holds.
+    the requested file and vanishes on V, so the file's columns add
+    file_len dimensions modulo V: s_digits + file_len = stripes * n * m,
+    every answer digit.  So at each mask and index the answers are uniform
+    whatever the other files are, and the product rule holds.
     """
     universe = ctx.universe
     if universe.s_free != universe.s_digits:
         return False
-    span, _ = ctx.span
-    return len(span) == universe.s_digits and ctx.decodes
-
-
-def _least_members(rows: np.ndarray, basis: np.ndarray, pivots: list[int], q: int) -> np.ndarray:
-    """Lexicographically least member of each coset ``row + V``.
-
-    ``rows`` is (..., J) and ``basis`` V's reduced row-echelon basis, so
-    ``row - row[pivots] @ basis`` is zero at the pivots: any other member
-    of the coset is larger at its first nonzero coefficient's pivot and
-    equal before it.  An empty span leaves each row as it is.
-    """
-    return (rows - _einsum_mod("...p,pj->...j", rows[..., pivots], basis, q)) % q
+    return fields.rank_of(ctx.blind.reshape(universe.s_digits, -1), ctx.q) == universe.s_digits and ctx.decodes
 
 
 def _correctness(ctx: _BatchContext) -> tuple[IndependenceCheck]:

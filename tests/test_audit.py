@@ -22,7 +22,6 @@ from spir_mds.audit import (
     _digit_rows,
     _einsum_mod,
     _free_rows,
-    _least_members,
     _rank_gaps,
     audit_correctness,
     audit_db_privacy,
@@ -1051,10 +1050,37 @@ def mask_side(ctx, ip):
     return (ip - ip[:1]) % ctx.q
 
 
+def blinding_span(ctx):
+    """The blinding span V's reduced row-echelon basis and its pivots."""
+    basis, pivots = fields.rref(ctx.blind.reshape(ctx.universe.s_free, ctx.a_digits_all), ctx.q)
+    return basis[: len(pivots)], pivots
+
+
+def least_members(rows, basis, pivots, q):
+    """Lexicographically least member of each coset ``row + V``, for V's
+    reduced row-echelon ``basis``: ``row - row[pivots] @ basis`` is zero at
+    the pivots, and any other member of the coset is larger at its first
+    nonzero coefficient's pivot and equal before it."""
+    return (rows - _einsum_mod("...p,pj->...j", rows[..., pivots], basis, q)) % q
+
+
+def reference_rank_gaps(ctx, u_rows):
+    """The rank gaps by a second route: each column of ``mask_matrices``
+    reduced to its coset's least member, the requested file's first, and
+    one elimination of them, V left out."""
+    p = ctx.params
+    matrices = least_members(ctx.mask_matrices(u_rows), *blinding_span(ctx), ctx.q)
+    cols = np.stack([np.roll(m, -theta * p.file_len, axis=1) for theta, m in enumerate(matrices)], axis=1)
+    _, found = fields.row_reduce(cols.swapaxes(-1, -2), ctx.q)
+    return found[..., : p.file_len].sum(axis=-1), found.sum(axis=-1)
+
+
 class TestBlindingCosetKeys:
     """Database privacy is counted once per coset ip + V of the blinding
     span V: the key of a mask side is the packed least member of its
-    coset, shared by every answer the randomness can turn it into."""
+    coset, shared by every answer the randomness can turn it into.  The
+    audit computes no key; the keys order the view cells of its witness
+    proof, and ``reference_rank_gaps`` reads them."""
 
     PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 
@@ -1069,15 +1095,15 @@ class TestBlindingCosetKeys:
         else:
             universe = Universe(params, randomness_mode="partial", partial_count=partial_count)
         ctx = _BatchContext(params, generator_for_instance(params), universe)
-        basis, pivots = ctx.span
+        basis, pivots = blinding_span(ctx)
         ip = ctx.answer_parts(grid_chunk(ctx), 1).reshape(-1, ctx.a_digits_all)[:limit]
         blind = blinding_table(ctx).reshape(-1, ctx.a_digits_all)
-        keys = pack_digits(_least_members(ip, basis, pivots, params.q), params.q)
+        keys = pack_digits(least_members(ip, basis, pivots, params.q), params.q)
         coset = pack_digits((ip[:, None] + blind[None]) % params.q, params.q)  # (rows, randomness rows)
         assert np.array_equal(keys, coset.min(axis=1))
         for s_idx in range(len(blind)):
             shifted = (ip + blind[s_idx]) % params.q
-            assert np.array_equal(pack_digits(_least_members(shifted, basis, pivots, params.q), params.q), keys)
+            assert np.array_equal(pack_digits(least_members(shifted, basis, pivots, params.q), params.q), keys)
 
     # W̄'s first symbol w0 added to the answers at (stripe 0, t 0), times a
     # codeword row of G (inside V) or at node 1 alone (no codeword of the
@@ -1306,6 +1332,106 @@ class TestAnswerModel:
         assert report.all_passed == (randomness == "full")
         assert all(check.exact for check in report.checks)
 
+    @pytest.mark.parametrize(
+        "mode", [{}, {"randomness_mode": "partial", "partial_count": 2}, {"randomness_mode": "zeroed"}],
+        ids=["full", "partial2", "zeroed"],
+    )
+    def test_link_applies_the_model_without_mask_matrices(self, monkeypatch, mode):
+        # the link predicts its points term by term, so it never builds the
+        # dense (k, points, db_digits, answers) matrices
+        def refused(ctx, u_rows):
+            raise AssertionError("the link built mask_matrices")
+
+        monkeypatch.setattr(_BatchContext, "mask_matrices", refused)
+        for p in (StorageParams(q=3, n=3, m=2, k=2), StorageParams(q=7, n=4, m=2, k=3, stripes=2)):
+            ctx = _BatchContext(p, generator_for_instance(p), Universe(p, **mode))
+            ctx.selfcheck()
+            ctx.link()
+
+
+class TestRankRoute:
+    """The rank gap eliminates modulo V in one pass, V's generators first;
+    its ranks are those of the least coset members, the route that reduced
+    V apart and projected every column onto its least member first."""
+
+    # (params, generator, randomness mode, partial count)
+    CASES = [
+        (StorageParams(q=3, n=3, m=2, k=2), generator_for_instance, "full", None),
+        (StorageParams(q=3, n=3, m=2, k=2), generator_for_instance, "partial", 2),
+        (StorageParams(q=3, n=3, m=2, k=2), generator_for_instance, "zeroed", None),
+        (StorageParams(q=5, n=4, m=2, k=2), generator_for_instance, "partial", 1),
+        (StorageParams(q=2, n=4, m=2, k=2), protocol.find_decodable_generator, "partial", 3),
+        (StorageParams(q=3, n=3, m=2, k=2), mixed_generator, "partial", 1),
+        (StorageParams(q=5, n=4, m=2, k=2), mixed_generator, "full", None),
+    ]
+
+    @pytest.mark.parametrize(
+        "params,generator,mode,j", CASES, ids=[f"{p}-{gen.__name__}-{mode}{j or ''}" for p, gen, mode, j in CASES]
+    )
+    def test_ranks_are_the_least_member_ranks(self, params, generator, mode, j):
+        ctx = _BatchContext(params, generator(params), Universe(params, mode, j))
+        if ctx.n_u <= 4096:
+            u_rows = mask_rows(ctx.universe)
+        else:
+            u_rows = np.random.default_rng(params.q).integers(0, params.q, size=(64, ctx.universe.u_digits))
+        r_own, r_full = _rank_gaps(ctx, u_rows)
+        expected = reference_rank_gaps(ctx, u_rows)
+        assert np.array_equal(r_own, expected[0]) and np.array_equal(r_full, expected[1])
+        assert r_own.dtype.kind == r_full.dtype.kind == "i"
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=st.sampled_from(TestAnswerModel.GAP_INSTANCES), data=st.data())
+    def test_random_masks_and_budgets(self, params, data):
+        s_digits = Universe(params).s_digits
+        j = data.draw(st.integers(0, s_digits), label="randomness budget J")
+        ctx = _BatchContext(params, generator_for_instance(params), Universe(params, "partial", j))
+        digits = st.lists(st.integers(0, params.q - 1), min_size=ctx.universe.u_digits, max_size=ctx.universe.u_digits)
+        u_rows = np.array(data.draw(st.lists(digits, min_size=1, max_size=6)), dtype=np.int64)
+        r_own, r_full = _rank_gaps(ctx, u_rows)
+        expected = reference_rank_gaps(ctx, u_rows)
+        assert np.array_equal(r_own, expected[0]) and np.array_equal(r_full, expected[1])
+
+
+class TestRankBatchBytes:
+    """A rank-gap batch stays within ``_RANK_BATCH_BYTES`` of stacked (k,
+    masks, answers, s_free + db_digits) int64 matrices, or holds one mask,
+    and its size changes no verdict or witness: the scan is in mask order."""
+
+    PARAMS = StorageParams(q=3, n=3, m=2, k=2)
+    LATE = 40  # the first mask id whose term counts
+
+    def late_leak_report(self, monkeypatch, cap):
+        # with the mask's term zero below mask id LATE every earlier mask is
+        # mask 0 and leaks nothing, so the scan reads several batches
+        p, universe = self.PARAMS, Universe(self.PARAMS, "partial", 2)
+        real = audit_mod._mask_term
+
+        def late(params, u_rows, slots):
+            ids = pack_digits(u_rows[:, : universe.u_free], params.q)
+            return real(params, u_rows * (ids >= self.LATE)[:, None], slots)
+
+        batches = []
+        with monkeypatch.context() as patched:
+            patched.setattr(audit_mod, "_mask_term", late)
+            patched.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
+            patched.setattr(audit_mod, "_RANK_BATCH_BYTES", cap)
+            spy(patched, audit_mod, "_rank_gaps", batches, lambda ctx, u_rows: len(u_rows))
+            report = run_audit(p, generator_for_instance(p), ("db-privacy",), randomness_mode="partial",
+                               partial_count=universe.partial_count)
+        per_mask = 8 * p.k * p.n * p.stripes * p.m * (universe.s_free + universe.db_digits)
+        return jsonio.canonical_dumps(jsonio.audit_report_to_json(report)), batches, per_mask
+
+    @pytest.mark.parametrize("masks", [0, 1, 3], ids=["below_one_mask", "one_mask", "three_masks"])
+    def test_batches_fit_and_the_report_is_unchanged(self, monkeypatch, masks):
+        reference, default_batches, per_mask = self.late_leak_report(monkeypatch, audit_mod._RANK_BATCH_BYTES)
+        cap = max(masks * per_mask, 1)
+        report, batches, _ = self.late_leak_report(monkeypatch, cap)
+        assert default_batches[:4] == [4, 8, 16, 32]
+        assert len(batches) > len(default_batches)
+        assert all(size == 1 or size * per_mask <= cap for size in batches) and min(batches) >= 1
+        assert sum(batches) > self.LATE and sum(batches[:-1]) <= self.LATE  # the scan stops at the leak
+        assert report == reference and '"all_passed": false' in report
+
 
 def serve_mutant(monkeypatch, mutant):
     """Serve node 1's answers off the answer model, still affine in the mask
@@ -1384,8 +1510,9 @@ class TestContextSplit:
 
 
 class TestEachContextDecidesOnce:
-    """A context decodes its basis, and row-reduces its blinding span,
-    once, however many checks and rank-gap batches read them."""
+    """A context decodes its basis once, however many checks read it, and
+    row-reduces its blinding span apart only for the certificate's rank;
+    the rank gap eliminates V inside its own elimination."""
 
     def test_the_basis_is_decoded_once_per_context(self, monkeypatch):
         p = StorageParams(q=3, n=3, m=2, k=2)

@@ -76,11 +76,11 @@ def main():
     where = at(PARAMS)
 
     audits = {
-        "correctness audit, by certificate": lambda seed: audit.audit_correctness(PARAMS, g),
-        "user privacy audit, by certificate": lambda seed: audit.audit_user_privacy(PARAMS, g, seed=seed),
-        "database privacy audit, by certificate": lambda seed: audit.audit_db_privacy(PARAMS, g, seed=seed),
-        "zeroed-randomness control audit, by rank gap": lambda seed: audit.leak_experiment(
-            PARAMS, g, "zeroed", seed=seed
+        "correctness audit, by certificate": lambda seed: audit.run_audit(PARAMS, g, ("correctness",)),
+        "user privacy audit, by certificate": lambda seed: audit.run_audit(PARAMS, g, ("user-privacy",), seed=seed),
+        "database privacy audit, by certificate": lambda seed: audit.run_audit(PARAMS, g, ("db-privacy",), seed=seed),
+        "zeroed-randomness control audit, by rank gap": lambda seed: audit.run_audit(
+            PARAMS, g, ("db-privacy",), randomness_mode="zeroed", seed=seed
         ),
     }
     print(f"selfcheck: {median_ms(ctx.selfcheck):.1f} ms at {where}, median of {REPS}")

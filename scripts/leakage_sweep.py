@@ -9,7 +9,7 @@ simply reported.  Decoding works at every j; only privacy is at stake.
 
 import time
 
-from spir_mds.audit import audit_db_privacy, leak_experiment
+from spir_mds.audit import run_audit
 from spir_mds.protocol import find_decodable_generator
 from spir_mds.storage import StorageParams
 
@@ -28,10 +28,10 @@ def main():
         verdicts = []
         t0 = time.perf_counter()
         for j in range(budget + 1):
-            report = leak_experiment(params, g, "partial", partial_count=j)
+            report = run_audit(params, g, ("db-privacy",), randomness_mode="partial", partial_count=j)
             verdicts.append("private" if report.all_passed else "LEAKS")
         dt = time.perf_counter() - t0
-        full = audit_db_privacy(params, g).all_passed
+        full = run_audit(params, g, ("db-privacy",)).all_passed
         print(f"q={params.q} (n={params.n}, m={params.m}), m^2={budget} shared symbols ({dt:.1f}s):")
         for j, verdict in enumerate(verdicts):
             print(f"  j={j}: {verdict}")

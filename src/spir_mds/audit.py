@@ -757,6 +757,7 @@ def run_audit(
     Arguments and modes are refused before any work; within the ceiling
     no size is refused, as no exact check forms an id past int64.
     """
+    protocol.make_query_plan(params)  # refuses k < 2
     require_int("seed", seed, low=0)
     require_int("ceiling", ceiling)
     if samples is not None and require_int("samples", samples) < 1:  # an empty sample would pass vacuously

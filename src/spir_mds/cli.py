@@ -8,6 +8,13 @@ Subcommands::
     encode       encode a database into node shares
     reconstruct  rebuild a database from m node shares
 
+A command parses its flags and calls the library, whose functions refuse
+the values they read; the harness checks only how its own inputs fit
+together (range specs, required fields, documents against flags, output
+paths).  ``main`` is the one error boundary: it turns a DecodeFailure
+into exit 3, and any other SpirError or a MemoryError into exit 2, each
+with one line on stderr.
+
 Exit codes: 0 success, 2 invalid configuration (or an instance too
 large for memory), 3 protocol failure, 4 audit failure.
 """
@@ -19,7 +26,6 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import audit as audit_mod
@@ -36,54 +42,12 @@ EXIT_AUDIT = 4
 MAX_SPEC_VALUES = 100_000  # a longer range spec or rates table is refused unbuilt
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs of one harness invocation."""
-
-    q: int
-    n: int
-    m: int
-    k: int
-    stripes: int = 1
-    theta: int = 1
-    user_seed: int = 0
-    node_seed: int = 0
-    db_seed: int = 0
-    randomness_mode: str = "full"
-    partial_count: Optional[int] = None
-    generator_mode: str = "cauchy"
-
-    def __post_init__(self):
-        for name in ("q", "n", "m", "k", "stripes", "theta"):
-            require_int(name, getattr(self, name))
-        require_int("seed_user", self.user_seed, low=0)
-        require_int("seed_node", self.node_seed, low=0)
-        require_int("seed_db", self.db_seed, low=0)
-
-    @property
-    def params(self) -> StorageParams:
-        return StorageParams(q=self.q, n=self.n, m=self.m, k=self.k, stripes=self.stripes)
-
-    def validate_for_run(self):
-        if not 1 <= self.theta <= self.k:
-            raise SpirError(f"theta={self.theta} not in [1, {self.k}]")
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RunConfig":
-        return cls(
-            q=obj["q"],
-            n=obj["n"],
-            m=obj["m"],
-            k=obj["k"],
-            stripes=obj.get("stripes", 1),
-            theta=obj.get("theta", 1),
-            user_seed=obj.get("seed_user", 0),
-            node_seed=obj.get("seed_node", 0),
-            db_seed=obj.get("seed_db", 0),
-            randomness_mode=obj.get("randomness", "full"),
-            partial_count=obj.get("partial_count"),
-            generator_mode=obj.get("generator", "cauchy"),
-        )
+INSTANCE = ("q", "n", "m", "k")  # the run_config fields with no default
+# the other run_config fields, with their defaults; each but partial_count is the dest of its flag
+DEFAULTS = {
+    "stripes": 1, "theta": 1, "seed_user": 0, "seed_node": 0, "seed_db": 0,
+    "randomness": "full", "partial_count": None, "generator": "cauchy",
+}
 
 
 def _parse_randomness(text: str) -> tuple[str, object]:
@@ -99,12 +63,15 @@ def _parse_randomness(text: str) -> tuple[str, object]:
 
 def _parse_int_spec(text: str) -> list[int]:
     """Accept '4', '2,3,4', or '1:30' (inclusive range)."""
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return [int(part) for part in text.split(",") if part]
         lo, hi = (int(end) for end in text.split(":", 1))
-        if hi - lo >= MAX_SPEC_VALUES:
-            raise SpirError(f"range {text} lists more than {MAX_SPEC_VALUES} values")
-        return list(range(lo, hi + 1))
-    return [int(part) for part in text.split(",") if part]
+    except ValueError as exc:
+        raise SpirError(str(exc)) from None
+    if hi - lo >= MAX_SPEC_VALUES:
+        raise SpirError(f"range {text} lists more than {MAX_SPEC_VALUES} values")
+    return list(range(lo, hi + 1))
 
 
 def _add_instance_args(sub: argparse.ArgumentParser, allow_config: bool = False):
@@ -223,57 +190,43 @@ def _emit(doc: dict, path: Optional[str]):
     _write(jsonio.canonical_dumps(doc), path)
 
 
-def _config_from_args(args) -> RunConfig:
-    """Build the run config from a document (if given) plus flag overrides.
+def _config_from_args(args) -> dict:
+    """The run_config: the defaults, then the --config document (if
+    given), then the flags given.
 
-    A config document that cannot be read or is not a JSON object, a
-    wrongly typed field and a negative seed all raise a SpirError here.
+    An unreadable document, a missing instance field, a theta that is no
+    integer and a seed that its rng refuses all raise a SpirError here, a
+    seed even where the command never reads it.
     """
-    base: dict = {}
+    config = dict(DEFAULTS)
     if getattr(args, "config", None):
-        base = jsonio.read_document(args.config)
-    overrides = {
-        "q": args.q,
-        "n": args.n,
-        "m": args.m,
-        "k": args.k,
-        "stripes": args.stripes,
-        "theta": getattr(args, "theta", None),
-        "seed_user": getattr(args, "seed_user", None),
-        "seed_node": getattr(args, "seed_node", None),
-        "seed_db": getattr(args, "seed_db", None),
-        "generator": args.generator,
-    }
-    randomness = getattr(args, "randomness", None)
-    if randomness is not None:
-        overrides["randomness"], overrides["partial_count"] = _parse_randomness(randomness)
-    base.update({key: val for key, val in overrides.items() if val is not None})
-    missing = [key for key in ("q", "n", "m", "k") if base.get(key) is None]
+        config.update(jsonio.read_document(args.config))
+    flags = dict(vars(args))
+    if flags.get("randomness") is not None:
+        flags["randomness"], flags["partial_count"] = _parse_randomness(flags["randomness"])
+    config.update({key: flags[key] for key in (*INSTANCE, *DEFAULTS) if flags.get(key) is not None})
+    missing = [key for key in INSTANCE if config.get(key) is None]
     if missing:
         raise SpirError(f"missing required parameters {missing}; pass flags or --config")
-    return RunConfig.from_json(base)
+    require_int("theta", config["theta"])
+    protocol.user_rng(config["seed_user"])
+    protocol.node_rng(config["seed_node"])
+    protocol.db_rng(config["seed_db"])
+    return config
+
+
+def _params(config: dict) -> StorageParams:
+    return StorageParams(*(config[key] for key in (*INSTANCE, "stripes")))
 
 
 def cmd_run(args) -> int:
-    try:
-        config = _config_from_args(args)
-        params = config.params
-        config.validate_for_run()
-        protocol.make_query_plan(params)  # rejects k < 2 before any work
-        g = protocol.generator_for(params, config.generator_mode)
-        randomness = make_randomness(
-            params, config.randomness_mode, config.node_seed, config.partial_count
-        )
-    except SpirError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    db = Database.random(params, protocol.db_rng(config.db_seed))
+    config = _config_from_args(args)
+    params = _params(config)
+    g = protocol.generator_for(params, config["generator"])
+    randomness = make_randomness(params, config["randomness"], config["seed_node"], config["partial_count"])
+    db = Database.random(params, protocol.db_rng(config["seed_db"]))
     network = SimNetwork(params, db, g, randomness=randomness)
-    try:
-        transcript = network.run(config.theta, config.user_seed)
-    except DecodeFailure as exc:
-        print(f"protocol failure: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
+    transcript = network.run(config["theta"], config["seed_user"])  # refuses a theta outside [1, k], and k < 2
     report = rates.measure(transcript)
     _emit(jsonio.transcript_to_json(transcript), args.out)
     _emit(jsonio.rate_report_to_json(report), args.rate_out)
@@ -281,19 +234,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    try:
-        config = _config_from_args(args)
-        params = config.params
-        protocol.make_query_plan(params)  # rejects k < 2 before any work
-        g = protocol.generator_for(params, config.generator_mode)
-        checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-        report = audit_mod.run_audit(
-            params, g, checks, randomness_mode=config.randomness_mode, partial_count=config.partial_count,
-            ceiling=args.ceiling, samples=args.monte_carlo, seed=args.seed,
-        )
-    except SpirError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = _config_from_args(args)
+    params = _params(config)
+    g = protocol.generator_for(params, config["generator"])
+    checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    report = audit_mod.run_audit(
+        params, g, checks, randomness_mode=config["randomness"], partial_count=config["partial_count"],
+        ceiling=args.ceiling, samples=args.monte_carlo, seed=args.seed,
+    )
     _emit(jsonio.audit_report_to_json(report), args.out)
     if not report.all_passed:
         for failed in report.failed_checks():
@@ -337,14 +285,10 @@ def _rates_rows(n_list, m_list, k_list, convergence: bool):
 
 
 def cmd_rates(args) -> int:
-    try:
-        n_list = _parse_int_spec(args.n)
-        m_list = _parse_int_spec(args.m)
-        k_list = _parse_int_spec(args.k)
-        rows = _rates_rows(n_list, m_list, k_list, args.convergence)
-    except (SpirError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    n_list = _parse_int_spec(args.n)
+    m_list = _parse_int_spec(args.m)
+    k_list = _parse_int_spec(args.k)
+    rows = _rates_rows(n_list, m_list, k_list, args.convergence)
     if args.csv:
         text = "\n".join(",".join(row) for row in rows) + "\n"
     else:
@@ -360,37 +304,29 @@ def cmd_rates(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    try:
-        config = _config_from_args(args)
-        params = config.params
-        g = protocol.generator_for(params, config.generator_mode)
-        if args.db:
-            db = jsonio.database_from_json(jsonio.read_document(args.db))
-            if db.params != params:
-                raise SpirError("database document params disagree with flags")
-        else:
-            db = Database.random(params, protocol.db_rng(config.db_seed))
-    except (SpirError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = _config_from_args(args)
+    params = _params(config)
+    g = protocol.generator_for(params, config["generator"])
+    if args.db:
+        db = jsonio.database_from_json(jsonio.read_document(args.db))
+        if db.params != params:
+            raise SpirError("database document params disagree with flags")
+    else:
+        db = Database.random(params, protocol.db_rng(config["seed_db"]))
     shares = storage.encode(db, g)
     _emit(jsonio.shares_to_json(params, shares, g), args.out)
     return EXIT_OK
 
 
 def cmd_reconstruct(args) -> int:
-    try:
-        params, shares, g = jsonio.shares_from_json(jsonio.read_document(args.shares))
-        wanted = _parse_int_spec(args.nodes)
-        by_index = {s.node_index: s for s in shares}
-        missing = [i for i in wanted if i not in by_index]
-        if missing:
-            raise SpirError(f"shares document lacks nodes {missing}")
-        chosen = [by_index[i] for i in wanted]
-        db = storage.reconstruct(params, chosen, g)
-    except (SpirError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    params, shares, g = jsonio.shares_from_json(jsonio.read_document(args.shares))
+    wanted = _parse_int_spec(args.nodes)
+    by_index = {s.node_index: s for s in shares}
+    missing = [i for i in wanted if i not in by_index]
+    if missing:
+        raise SpirError(f"shares document lacks nodes {missing}")
+    chosen = [by_index[i] for i in wanted]
+    db = storage.reconstruct(params, chosen, g)
     _emit(jsonio.database_to_json(db), args.out)
     return EXIT_OK
 
@@ -404,13 +340,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "encode": cmd_encode,
         "reconstruct": cmd_reconstruct,
     }
-    for path in (getattr(args, "out", None), getattr(args, "rate_out", None)):
-        problem = _unwritable(path)
-        if problem:  # refused before any work, so no output is half written
-            print(f"error: {problem}", file=sys.stderr)
-            return EXIT_CONFIG
+    outputs = [path for path in (getattr(args, "out", None), getattr(args, "rate_out", None)) if path]
+    problems = [_unwritable(path) for path in outputs]
+    if len({os.path.realpath(path) for path in outputs}) < len(outputs):
+        problems.append(f"--out and --rate-out name the same file {outputs[0]}")
+    problem = next(filter(None, problems), None)
+    if problem:  # refused before any work, so no output is half written
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return handlers[args.command](args)
+    except DecodeFailure as exc:
+        print(f"protocol failure: {exc}", file=sys.stderr)
+        return EXIT_PROTOCOL
+    except SpirError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except MemoryError as exc:
         # an accepted shape whose arrays this machine cannot hold
         print(f"error: out of memory for this instance: {exc}", file=sys.stderr)

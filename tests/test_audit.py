@@ -30,7 +30,7 @@ from spir_mds.audit import (
     mc_correctness,
     run_audit,
 )
-from spir_mds.errors import InvalidParams, UniverseTooLarge
+from spir_mds.errors import InvalidParams, TooFewFiles, UniverseTooLarge
 from spir_mds.network import NodeHandler, SimNetwork, make_randomness
 from spir_mds.protocol import CommonRandomness
 from spir_mds.storage import Database, GeneratorMatrix, StorageParams
@@ -375,6 +375,19 @@ class TestCeilingAndMonteCarlo:
             audit_user_privacy(params, g)
         with pytest.raises(UniverseTooLarge):
             audit_correctness(params, g)
+
+    @pytest.mark.parametrize(
+        "ceiling,samples", [(audit_mod.DEFAULT_UNIVERSE_CEILING, None), (0, None), (0, 10)],
+        ids=["within", "above", "above-monte-carlo"],
+    )
+    def test_one_file_is_refused_before_any_network(self, ceiling, samples, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(SimNetwork, "__init__", build)
+        params = StorageParams(q=2, n=2, m=1, k=1)
+        with pytest.raises(TooFewFiles, match="k >= 2"):
+            run_audit(params, storage.build_generator(params), ceiling=ceiling, samples=samples)
 
     def test_tight_ceiling_rejects_small_instance(self):
         params = StorageParams(q=2, n=2, m=1, k=2)

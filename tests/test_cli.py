@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import spir_mds
 from spir_mds import jsonio, protocol
 from spir_mds.cli import main
-from spir_mds.errors import DecodeFailure
+from spir_mds.errors import DecodeFailure, InvalidParams
 from spir_mds.storage import Database, StorageParams
 
 
@@ -88,6 +89,24 @@ class TestRun:
             "--out", str(tmp_path / "t.json"),
         )
         assert code == 3
+
+    def test_library_refusal_in_the_round_exits_2(self, monkeypatch, tmp_path, capsys):
+        # main is the one error boundary: a SpirError raised inside the round
+        # is one error line, not a traceback
+        from spir_mds import cli as cli_mod
+
+        def refuse(self, theta, user_seed=0):
+            raise InvalidParams("synthetic refusal")
+
+        monkeypatch.setattr(cli_mod.SimNetwork, "run", refuse)
+        out, rate = tmp_path / "t.json", tmp_path / "r.json"
+        code = run_cli(
+            "run", "--q", "5", "--n", "4", "--m", "2", "--k", "2",
+            "--out", str(out), "--rate-out", str(rate),
+        )
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: synthetic refusal\n")
+        assert not out.exists() and not rate.exists()
 
     def test_config_document_drives_run(self, tmp_path):
         cfg_path = tmp_path / "config.json"
@@ -579,6 +598,17 @@ class TestOutputPaths:
         assert captured.out == ""
         assert os.listdir(tmp_path) == ["shares.json"]
 
+    @pytest.mark.parametrize("spelling", ["./same.json", "<tmp>/same.json", "link.json"])
+    def test_out_and_rate_out_naming_one_file_are_refused(self, spelling, tmp_path, monkeypatch, capsys):
+        # else the rate report would silently replace the transcript
+        monkeypatch.chdir(tmp_path)
+        os.symlink("same.json", "link.json")
+        rate_out = spelling.replace("<tmp>", str(tmp_path))
+        code = run_cli("run", *self.INSTANCE, "--out", "same.json", "--rate-out", rate_out)
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: --out and --rate-out name the same file same.json\n")
+        assert os.listdir(tmp_path) == ["link.json"]
+
     def test_directory_as_output_is_refused(self, tmp_path, capsys):
         assert run_cli("rates", "--n", "4", "--m", "2", "--k", "2", "--out", str(tmp_path)) == 2
         assert capsys.readouterr().err == f"error: output path {tmp_path} is a directory\n"
@@ -819,6 +849,28 @@ def run_module(*argv, timeout=None):
         env=dict(os.environ, PYTHONPATH=path),
         timeout=timeout,
     )
+
+
+def _readme_cli_examples():
+    """(argv, exit code) of each ``spir-mds`` line in the fenced block under
+    the README's ``## CLI``: 4 under a comment saying it must fail with exit
+    4, else 0."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    examples, code = [], 0
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("#"):
+            code = 4 if "must FAIL (exit 4" in line else 0
+        elif line.startswith("spir-mds "):
+            examples.append((shlex.split(line)[1:], code))
+    return examples
+
+
+def test_readme_cli_examples_run_as_written(tmp_path, monkeypatch, capsys):
+    examples = _readme_cli_examples()
+    assert len(examples) == 7
+    monkeypatch.chdir(tmp_path)  # the examples write and read files in the working directory
+    assert [(argv, main(argv)) for argv, _ in examples] == examples
 
 
 def test_console_script_entry_point():

@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""Time one exact-audit selfcheck, each check of one four-audit op, the
+"""Time one exact-audit link, each check of one four-audit op, the
 database-privacy rank gap, user privacy far above the default ceiling, and
-the calls a selfcheck makes.
+the calls a link makes.
 
 At (q, n, m, k) = (3, 3, 2, 2), the instance of the benchmark's exact-audit
-workload, it prints the median wall time of one `_BatchContext.selfcheck`
-(32 sampled points served, every index, through one SimNetwork over them), of
-each audit of one op: correctness, user privacy and database privacy, each
+workload, it prints the median wall time of one `_BatchContext.link` (32
+sampled points served, every index, through one SimNetwork over them, and
+compared with the answer model, which the warm-up call built), of each
+audit of one op: correctness, user privacy and database privacy, each
 decided by its certificate, and the zeroed-randomness control, decided by
-the rank gap, each a separate audit with its own selfcheck, and of one
+the rank gap, each a separate audit with its own link, and of one
 default `run_audit`, the `spir-mds audit` op, whose three checks share one
-universe and so one selfcheck; the default `run_audit` is also timed at
+context and so one link; the default `run_audit` is also timed at
 (2, 4, 2, 2) and (3, 4, 1, 2), with the search generator, as the field is
 too small for the Cauchy one.  No check enumerates the universe, and
 under a ceiling of 2**100000 every check is exact: at (5, 4, 2, 2) and
@@ -20,11 +21,11 @@ with zeroed masks; at q = 1,000,003 with (n, m, k) = (3, 2, 2), whose
 database axis alone has about 2**80 rows, at (3, 3, 2, 2) with 3 stripes
 and at (101, 10, 4, 3) it times the default `run_audit` and the
 zeroed-randomness control.  One warm-up call precedes each series.  Then
-it prints the best per-call time of the served calls a selfcheck makes
-over its 32 points: the network build (`_point_network`) once,
-`gen_queries` k times, and `SimNetwork.exchange` once, on the k indices'
-per-node queries stacked as the selfcheck stacks them.  The figures are
-informational, for comparing runs on one machine.
+it prints the best per-call time of the served calls a link makes over
+its 32 points: the network build (`_point_network`) once, `gen_queries` k
+times, and `SimNetwork.exchange` once, on the k indices' per-node queries
+stacked as the link stacks them.  The figures are informational, for
+comparing runs on one machine.
 
     python scripts/audit_timing.py
 """
@@ -72,7 +73,6 @@ def at(params: StorageParams) -> str:
 
 def main():
     g = protocol.generator_for(PARAMS)
-    ctx = audit._BatchContext(PARAMS, g, audit.Universe(PARAMS))
     where = at(PARAMS)
 
     audits = {
@@ -83,7 +83,8 @@ def main():
             PARAMS, g, ("db-privacy",), randomness_mode="zeroed", seed=seed
         ),
     }
-    print(f"selfcheck: {median_ms(ctx.selfcheck):.1f} ms at {where}, median of {REPS}")
+    ctx = audit._BatchContext(PARAMS, g)
+    print(f"link: {median_ms(ctx.link):.1f} ms at {where}, median of {REPS}")
     for name, fn in audits.items():
         print(f"{name}: {median_ms(fn):.1f} ms at {where}, median of {REPS}")
     for params in LARGE_PARAMS:
@@ -108,12 +109,12 @@ def main():
         ms = median_ms(lambda seed: audit.run_audit(params, search_g, seed=seed))
         print(f"default run_audit, search generator: {ms:.1f} ms at {at(params)}, median of {REPS}")
 
-    # 32 universe points, drawn and served as the selfcheck draws and serves them
-    points = audit._random_rows(np.random.default_rng(0), audit._SELFCHECK_POINTS, ctx.universe)
+    # 32 universe points, drawn and served as the link draws and serves them
+    points = audit._random_rows(np.random.default_rng(0), audit._LINK_POINTS, audit.Universe(PARAMS))
     net, u_val = audit._point_network(PARAMS, g, *points)
     thetas = range(1, PARAMS.k + 1)
     queries = np.stack([protocol.gen_queries(PARAMS, g, theta, u_override=u_val).per_node for theta in thetas])
-    batch = f"{audit._SELFCHECK_POINTS} points"
+    batch = f"{audit._LINK_POINTS} points"
     calls = [
         (f"_point_network ({batch})", lambda: audit._point_network(PARAMS, g, *points), 500),
         (f"gen_queries(u_override=...) ({batch})", lambda: protocol.gen_queries(PARAMS, g, 1, u_override=u_val), 500),

@@ -54,12 +54,12 @@ The references these verdicts are tested against (per-point oracles,
 full-grid counts, the bilinear expansion of a basis served at every unit
 mask, the least-member rank gaps) live in the test files, not here.
 
-``run_audit`` is the one entry point: checks on one universe share one
-context.  Before any verdict each context serves 32 sampled points, their
-digits uniform, with their randomness and every index, through one
-network (``_BatchContext.selfcheck``), and ``_BatchContext.link`` raises
-unless the served queries are Q(0) plus the mask and the served answers
-the model's: that ties ``blind``, the mask's term and the model to the
+``run_audit`` is the one entry point.  Its exact checks share one
+context, the code's answer model, and each brings the universe it audits.
+Before any verdict the context serves 32 sampled points, every digit
+uniform, through one network, and ``_BatchContext.link`` raises unless
+the served queries are Q(0) plus the mask and the served answers the
+model's: that ties ``blind``, the mask's term and the model to the
 served round.  No exact check forms an id past int64 or a table that
 grows with an axis, so any universe within the ceiling is decided
 exactly; above it a check falls back to a seeded Monte Carlo mode
@@ -83,7 +83,7 @@ DEFAULT_UNIVERSE_CEILING = 1 << 24
 MC_SIGNIFICANCE = 1e-6
 AUDIT_SEED_DOMAIN = 4
 
-_SELFCHECK_POINTS = 32  # per audited universe: cross-validation against the served round
+_LINK_POINTS = 32  # the link's sampled points, drawn once per audit call
 _RANK_BATCH, _RANK_BATCH_BYTES = 4, 64 << 20  # rank-gap batches: the first's masks, any's bytes (one mask may pass)
 
 CHECKS = ("correctness", "user-privacy", "db-privacy")
@@ -280,40 +280,37 @@ class AuditReport:
 
 
 # ---------------------------------------------------------------------------
-# Audit context: the basis chunk, the answer model and the selfcheck
+# Audit context: the code's answer model, its basis chunk and its link
 # ---------------------------------------------------------------------------
 
 class _BatchContext:
-    """What one audited universe's checks read.
+    """The answer model of one code (params, g): every exact check of a
+    ``run_audit`` call reads it, each in the universe it audits.
 
-    Every answer digit splits into a mask side and a randomness side: at
-    universe point (mask u, database c, randomness s) the answer of (node,
-    stripe, vector t) is ``(ip[u, c] + blind[s]) % q``, where ``ip`` is the
-    answer with zero shared randomness and ``blind[s]`` the node's coded
-    share of S, linear in s.  The checks read ``basis``, the chunk served
-    at mask 0, ``mask_matrices``, its extension to any mask by the answer
-    model, and ``blind`` at the free unit S rows; ``link`` applies the same
-    model at the selfcheck's served points.  ``blind``, ``basis``, ``coded``
-    and the decoding verdict ``decodes`` are each built once, on first read.
+    At point (mask u, database c, randomness s) the answer of (node,
+    stripe, vector t) is ``(ip[u, c] + blind[s]) % q``: ``ip``, the mask
+    side, is the answer with zero shared randomness, and ``blind[s]`` the
+    node's coded share of S, linear in s.  The checks read ``basis``, the
+    chunk served at mask 0, ``mask_matrices``, its extension to any mask,
+    and ``blind``; ``link`` applies the model at served points.  Each part
+    is built once, on first read, and none depends on a universe.
     """
 
-    def __init__(self, params: StorageParams, g: GeneratorMatrix, universe: Universe):
+    def __init__(self, params: StorageParams, g: GeneratorMatrix):
         self.params = params
         self.g = g
-        self.universe = universe
         self.q = params.q
-        self.n_u = universe.n_u
         self.a_digits_node = params.stripes * params.m
         self.a_digits_all = params.n * self.a_digits_node
-        self._served = None  # the selfcheck's points and served queries and answers
 
     @cached_property
     def blind(self) -> np.ndarray:
-        """blind[i, node0, stripe, t0]: the randomness side at the free unit
-        S rows e_1, ..., e_{s_free}.  It is linear in S, so these rows fix
-        it at every S and span V, the randomness sides of all answers."""
-        p, free = self.params, self.universe.s_free
-        s_mats = np.eye(free, self.universe.s_digits, dtype=np.int64).reshape(free, p.stripes, p.m, p.m)
+        """blind[i, node0, stripe, t0]: the randomness side at the unit S
+        rows.  It is linear in S, so these rows fix it at every S and span
+        V; a universe's free digits are the first ``s_free``, whose rows
+        span its randomness sides."""
+        p = self.params
+        s_mats = np.eye(Universe(p).s_digits, dtype=np.int64).reshape(-1, p.stripes, p.m, p.m)
         return np.einsum("xsit,in->xnst", s_mats, self.g.array) % self.q
 
     def chunk(self, rows: np.ndarray, u_rows: np.ndarray) -> dict:
@@ -330,8 +327,8 @@ class _BatchContext:
         their leading axes flattened.
         """
         p = self.params
-        zero = np.zeros(self.universe.s_digits, dtype=np.int64)
-        net, queries, ip = _served_answers(p, self.g, rows, u_rows, zero)
+        zero = np.zeros(Universe(p).s_digits, dtype=np.int64)
+        net, queries, ip = _serve_round(p, self.g, rows, u_rows, zero)
         return {
             "files": net.db.files.reshape((-1,) + net.db.files.shape[-3:]),
             "data": np.stack([h.data.values for h in net.nodes]).reshape(p.n, -1, p.stripes, p.query_len),
@@ -343,8 +340,9 @@ class _BatchContext:
     def basis(self) -> dict:
         """The chunk of the unit databases at mask 0: db_digits rows that fix
         the mask side at mask 0, as it is linear in the database."""
-        zero = np.zeros((1, 1, self.universe.u_digits), dtype=np.int64)
-        return self.chunk(np.eye(self.universe.db_digits, dtype=np.int64)[None], zero)
+        full = Universe(self.params)
+        zero = np.zeros((1, 1, full.u_digits), dtype=np.int64)
+        return self.chunk(np.eye(full.db_digits, dtype=np.int64)[None], zero)
 
     @cached_property
     def coded(self) -> np.ndarray:
@@ -360,38 +358,24 @@ class _BatchContext:
         return chunk["ip"][theta - 1]
 
     @cached_property
+    def ip_at_0(self) -> np.ndarray:
+        """(k, db_digits, n, stripes, m): ip(0), the basis's mask side."""
+        return np.stack([self.answer_parts(self.basis, theta)[0] for theta in range(1, self.params.k + 1)])
+
+    @cached_property
     def decodes(self) -> bool:
         """``protocol.solve`` cancels the randomness side of the unit S rows
         and returns the requested file on the basis chunk, for every index.
 
         Decoding is linear and kills V, and every mask's term lies in V
-        (``mask_matrices``), so under full randomness this holds iff
-        decoding returns the requested file at every universe point.
+        (``mask_matrices``), so this holds iff decoding returns the
+        requested file at every point of the plain universe.
         """
         p, basis = self.params, self.basis
         return not protocol.solve(p, self.g, self.blind).any() and all(
             (protocol.solve(p, self.g, self.answer_parts(basis, theta)) == basis["files"][:, theta - 1]).all()
             for theta in range(1, p.k + 1)
         )
-
-    def selfcheck(self, seed: int = 0):
-        """Serve sampled universe points, with their randomness, for ``link``.
-
-        Each free digit of a point is drawn uniform and each fixed digit
-        is zero (``_random_rows``).  One SimNetwork at the audited params
-        holds the sampled points' databases and randomness on its leading
-        axis; each index gets one gen_queries over all the points' masks,
-        and one exchange serves every index.  Nothing is compared or
-        decoded here: ``link`` compares the served queries and answers, and
-        a wrong decoder reaches the correctness verdict instead of raising.
-        """
-        rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
-        points = _random_rows(rng, min(_SELFCHECK_POINTS, self.universe.size), self.universe)
-        self._served = (*points, *_served_answers(self.params, self.g, *points)[1:])
-
-    def ip_at_0(self) -> np.ndarray:
-        """(k, db_digits, n, stripes, m): ip(0), the basis's mask side."""
-        return np.stack([self.answer_parts(self.basis, theta)[0] for theta in range(1, self.params.k + 1)])
 
     def mask_matrices(self, u_rows: np.ndarray) -> np.ndarray:
         """(k, masks, db_digits, answer digits): per index, the mask side of
@@ -400,27 +384,30 @@ class _BatchContext:
         mask's term (``_mask_term``) on the unit databases' coded slots."""
         p = self.params
         term = _mask_term(p, u_rows, self.coded[None])  # (masks, db_digits, n, stripes, m)
-        return ((self.ip_at_0()[:, None] + term) % self.q).reshape(p.k, len(u_rows), len(self.coded), -1)
+        return ((self.ip_at_0[:, None] + term) % self.q).reshape(p.k, len(u_rows), len(self.coded), -1)
 
-    def link(self):
-        """Raise unless the selfcheck's served queries are, index by index,
-        the basis query at mask 0 plus the point's mask, and its served
-        answers, as served, the model at each point: ip(0) on its database,
-        plus ``_mask_term`` on its coded slots, plus ``blind`` on its
-        randomness.  This ties the basis chunk and the answer model, which
-        every check reads, to the served round.  ``run_audit`` calls it once
-        per context, before any verdict; without a selfcheck it does nothing.
+    def link(self, seed: int = 0):
+        """Raise unless 32 sampled points, served, are the model's.
+
+        Each digit of a point (database, mask, randomness) is uniform, in
+        every universe.  One SimNetwork serves the points, one gen_queries
+        per index and one exchange; its queries must be, index by index,
+        the basis query at mask 0 plus the point's mask, and its answers,
+        as served, ip(0) on the point's database plus ``_mask_term`` on its
+        coded slots plus ``blind`` on its randomness.  That ties the basis
+        chunk and the model, which every check reads, to the served round.
+        Nothing is decoded: a wrong decoder reaches the correctness verdict.
         """
-        if self._served is None:
-            return
-        db_rows, u_rows, s_rows, queries, served = self._served
-        p, q, free = self.params, self.q, self.universe.s_free
+        p, q = self.params, self.q
+        rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
+        db_rows, u_rows, s_rows = _random_rows(rng, _LINK_POINTS, Universe(p))
+        _, queries, served = _serve_round(p, self.g, db_rows, u_rows, s_rows)
         at_zero = self.basis["queries"][:, 0]  # (k, 1, n, stripes, m, query_len)
         if not np.array_equal(queries, (at_zero + u_rows.reshape(-1, 1, p.stripes, p.m, p.query_len)) % q):
             raise AssertionError("served queries are not the basis query at mask 0 plus the mask")
-        ip = _einsum_mod("pd,kd...->kp...", db_rows, self.ip_at_0(), q)  # (k, points, n, stripes, m)
+        ip = _einsum_mod("pd,kd...->kp...", db_rows, self.ip_at_0, q)  # (k, points, n, stripes, m)
         term = _mask_term(p, u_rows, _einsum_mod("pd,d...->p...", db_rows, self.coded, q)[:, None])[:, 0]
-        blind = _einsum_mod("pi,i...->p...", s_rows[:, :free], self.blind, q)
+        blind = _einsum_mod("pi,i...->p...", s_rows, self.blind, q)
         predicted = (ip + term + blind) % q
         if not np.array_equal(served, predicted):  # as served: no cast, no broadcast
             raise AssertionError("basis points disagree with gen_answer")
@@ -436,7 +423,7 @@ def _point_network(params: StorageParams, g: GeneratorMatrix, db_rows, u_rows, s
     return net, u_rows.reshape(u_rows.shape[:-1] + (params.stripes, params.m, params.query_len))
 
 
-def _served_answers(params: StorageParams, g: GeneratorMatrix, db_rows, u_rows, s_rows):
+def _serve_round(params: StorageParams, g: GeneratorMatrix, db_rows, u_rows, s_rows):
     """The points' network (``_point_network``), the per-node queries
     (k, *mask lead, n, stripes, m, query_len) and the answers (k, *lead, n,
     stripes, m) it served: per index one gen_queries, and one exchange."""
@@ -447,10 +434,10 @@ def _served_answers(params: StorageParams, g: GeneratorMatrix, db_rows, u_rows, 
 
 
 # ---------------------------------------------------------------------------
-# Exact cores: each reads its context's basis and returns its verdicts
+# Exact cores: each reads the context's model in the universe it audits
 # ---------------------------------------------------------------------------
 
-def _user_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck, ...]:
+def _user_privacy(ctx: _BatchContext, universe: Universe) -> tuple[IndependenceCheck, ...]:
     """Per node: is the index independent of (query, answer, share, S)?
 
     The index is modeled uniform.  The node's answer is the inner product
@@ -461,11 +448,10 @@ def _user_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck, ...]:
     verdict and the per-index conditional-table comparison, which agree:
     the index is uniform.  A basis chunk off that model raises.
     """
-    p, q, universe = ctx.params, ctx.q, ctx.universe
-    basis, u = ctx.basis, universe.u_digits
+    p, q, basis, u = ctx.params, ctx.q, ctx.basis, universe.u_digits
     queries = basis["queries"].reshape(p.k, p.n, p.stripes, p.m, p.query_len)  # at mask 0
     inner = np.einsum("knstl,njsl->kjnst", queries, basis["data"]) % q
-    if not np.array_equal(ctx.ip_at_0(), inner):
+    if not np.array_equal(ctx.ip_at_0, inner):
         raise AssertionError("basis answers are not the queries' inner products with the shares")
     queries = queries.reshape(p.k, p.n, u)
     if universe.mask_mode == "full":
@@ -506,7 +492,7 @@ def _user_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck, ...]:
     return tuple(checks)
 
 
-def _db_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck]:
+def _db_privacy(ctx: _BatchContext, universe: Universe) -> tuple[IndependenceCheck]:
     """Are the non-requested files independent of the user's whole view?
 
     The view is (all answers, the query scheme, the requested index); the
@@ -518,15 +504,15 @@ def _db_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck]:
     under full randomness; the first pair that leaks names the witness
     (module docstring), whatever the batch sizes.
     """
-    p, q, universe = ctx.params, ctx.q, ctx.universe
-    if _db_privacy_certificate(ctx):
+    p, q = ctx.params, ctx.q
+    if _db_privacy_certificate(ctx, universe):
         return (IndependenceCheck("db_privacy", True, True, universe.size),)
-    masks = 1 if universe.s_free == universe.s_digits else ctx.n_u
+    masks = 1 if universe.s_free == universe.s_digits else universe.n_u
     fit = max(1, _RANK_BATCH_BYTES // (8 * p.k * ctx.a_digits_all * (universe.s_free + universe.db_digits)))
     start, size = 0, min(_RANK_BATCH, fit)
     while start < masks:
         u_rows = _free_rows(np.arange(start, min(masks, start + size)), q, universe.u_free, universe.u_digits)
-        r_own, r_full = _rank_gaps(ctx, u_rows)
+        r_own, r_full = _rank_gaps(ctx, universe.s_free, u_rows)
         leaks = np.flatnonzero(r_own < r_full)  # in (mask, index) order
         if leaks.size:
             u_idx, theta = np.unravel_index(leaks[0], r_own.shape)
@@ -549,20 +535,21 @@ def _db_privacy(ctx: _BatchContext) -> tuple[IndependenceCheck]:
     return (IndependenceCheck("db_privacy", True, True, universe.size),)
 
 
-def _rank_gaps(ctx: _BatchContext, u_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks (masks, k), modulo the blinding span V, of the requested
-    file's columns of ``mask_matrices`` and of all its columns, at each
-    mask row and index: the pair leaks exactly where they differ.  One
-    elimination reads V's generators (``blind``) first, then the database
-    digits file by file from the requested one: pivots past V count both."""
-    p, free, matrices = ctx.params, ctx.universe.s_free, ctx.mask_matrices(u_rows)  # (k, masks, db_digits, answers)
-    span = np.broadcast_to(ctx.blind.reshape(free, ctx.a_digits_all), (len(u_rows), free, ctx.a_digits_all))
+def _rank_gaps(ctx: _BatchContext, free: int, u_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks (masks, k), modulo the blinding span V of the first ``free``
+    randomness digits, of the requested file's columns of ``mask_matrices``
+    and of all its columns, at each mask row and index: the pair leaks
+    exactly where they differ.  One elimination reads V's generators
+    (``blind[:free]``) first, then the database digits file by file from
+    the requested one: pivots past V count both."""
+    p, matrices = ctx.params, ctx.mask_matrices(u_rows)  # (k, masks, db_digits, answers)
+    span = np.broadcast_to(ctx.blind[:free].reshape(free, ctx.a_digits_all), (len(u_rows), free, ctx.a_digits_all))
     cols = [np.concatenate([span, np.roll(m, -theta * p.file_len, axis=1)], axis=1) for theta, m in enumerate(matrices)]
     _, found = fields.row_reduce(np.stack(cols, axis=1).swapaxes(-1, -2), ctx.q)
     return found[..., free : free + p.file_len].sum(axis=-1), found[..., free:].sum(axis=-1)
 
 
-def _db_privacy_certificate(ctx: _BatchContext) -> bool:
+def _db_privacy_certificate(ctx: _BatchContext, universe: Universe) -> bool:
     """Certificate: under full randomness the blinding span V and the
     requested file's columns fill the whole answer space.
 
@@ -573,14 +560,13 @@ def _db_privacy_certificate(ctx: _BatchContext) -> bool:
     every answer digit.  So at each mask and index the answers are uniform
     whatever the other files are, and the product rule holds.
     """
-    universe = ctx.universe
     if universe.s_free != universe.s_digits:
         return False
     return fields.rank_of(ctx.blind.reshape(universe.s_digits, -1), ctx.q) == universe.s_digits and ctx.decodes
 
 
-def _correctness(ctx: _BatchContext) -> tuple[IndependenceCheck]:
-    return (IndependenceCheck("correctness", ctx.decodes, True, ctx.universe.size),)
+def _correctness(ctx: _BatchContext, universe: Universe) -> tuple[IndependenceCheck]:
+    return (IndependenceCheck("correctness", ctx.decodes, True, universe.size),)
 
 
 # ---------------------------------------------------------------------------
@@ -725,8 +711,8 @@ def _mc_db_privacy(g, universe, samples, seed, ceiling) -> tuple[IndependenceChe
 # Entry point
 # ---------------------------------------------------------------------------
 
-# check name: (exact core on a context, Monte Carlo core on g, universe,
-# samples, seed and ceiling); only the database screen reads the ceiling
+# check name: (exact core on the context and the check's universe, Monte
+# Carlo core on g, universe, samples, seed, ceiling); only the database screen reads it
 _CORES = {
     "correctness": (_correctness, _mc_correctness),
     "user-privacy": (_user_privacy, _mc_user_privacy),
@@ -751,8 +737,9 @@ def run_audit(
     Correctness audits the plain universe, user privacy the one with
     ``mask_mode`` and database privacy the one with ``randomness_mode``
     (and ``partial_count``).  A check whose universe is within the ceiling
-    is exact, and checks on one universe share its context and its one
-    selfcheck.  Above the ceiling a check is a seeded Monte Carlo screen
+    is exact, and the exact checks share one context, the code's answer
+    model, built and linked on the first of them and read by each in its
+    own universe.  Above the ceiling a check is a seeded Monte Carlo screen
     when ``samples`` is given, and refused with UniverseTooLarge otherwise.
     Arguments and modes are refused before any work; within the ceiling
     no size is refused, as no exact check forms an id past int64.
@@ -770,18 +757,16 @@ def run_audit(
         "user-privacy": Universe(params, mask_mode=mask_mode),
         "db-privacy": Universe(params, randomness_mode, partial_count),
     }
-    order = [c for c in CHECKS if c in selected]
-    contexts: dict[Universe, _BatchContext] = {}
+    ctx: Optional[_BatchContext] = None
     found: list[IndependenceCheck] = []
-    for name in order:
+    for name in [c for c in CHECKS if c in selected]:
         universe = universes[name]
         exact, sampled = _CORES[name]
         if not universe.exceeds(ceiling):
-            if universe not in contexts:
-                contexts[universe] = ctx = _BatchContext(params, g, universe)
-                ctx.selfcheck(seed)
-                ctx.link()
-            found += exact(contexts[universe])
+            if ctx is None:
+                ctx = _BatchContext(params, g)
+                ctx.link(seed)
+            found += exact(ctx, universe)
         elif samples is None:
             universe.require_within(ceiling)
         else:

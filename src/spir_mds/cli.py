@@ -10,10 +10,11 @@ Subcommands::
 
 A command parses its flags and calls the library, whose functions refuse
 the values they read; the harness checks only how its own inputs fit
-together (range specs, required fields, documents against flags, output
-paths).  ``main`` is the one error boundary: it turns a DecodeFailure
-into exit 3, and any other SpirError or a MemoryError into exit 2, each
-with one line on stderr.
+together (range specs, required and unknown fields, documents against
+flags, output paths against each other and the input documents).
+``main`` is the one error boundary: it turns a DecodeFailure into exit
+3, and any other SpirError or a MemoryError into exit 2, each with one
+line on stderr.
 
 Exit codes: 0 success, 2 invalid configuration (or an instance too
 large for memory), 3 protocol failure, 4 audit failure.
@@ -25,6 +26,7 @@ import argparse
 import contextlib
 import json
 import os
+import reprlib
 import sys
 from typing import Optional, Sequence
 
@@ -48,6 +50,7 @@ DEFAULTS = {
     "stripes": 1, "theta": 1, "seed_user": 0, "seed_node": 0, "seed_db": 0,
     "randomness": "full", "partial_count": None, "generator": "cauchy",
 }
+KNOWN_KEYS = {*INSTANCE, *DEFAULTS, "schema_version", "kind"}  # of a run_config document
 
 
 def _parse_randomness(text: str) -> tuple[str, object]:
@@ -194,13 +197,17 @@ def _config_from_args(args) -> dict:
     """The run_config: the defaults, then the --config document (if
     given), then the flags given.
 
-    An unreadable document, a missing instance field, a theta that is no
-    integer and a seed that its rng refuses all raise a SpirError here, a
-    seed even where the command never reads it.
+    An unreadable document, a key it does not know, a missing instance
+    field, a theta that is no integer and a seed that its rng refuses all
+    raise a SpirError here, a seed even where the command never reads it.
     """
     config = dict(DEFAULTS)
     if getattr(args, "config", None):
-        config.update(jsonio.read_document(args.config))
+        document = jsonio.read_document(args.config)
+        unknown = [key for key in document if key not in KNOWN_KEYS]
+        if unknown:  # a misspelled field would otherwise run with its default
+            raise SpirError(f"run_config has {len(unknown)} unknown key(s); the first is {reprlib.repr(unknown[0])}")
+        config.update(document)
     flags = dict(vars(args))
     if flags.get("randomness") is not None:
         flags["randomness"], flags["partial_count"] = _parse_randomness(flags["randomness"])
@@ -341,9 +348,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "reconstruct": cmd_reconstruct,
     }
     outputs = [path for path in (getattr(args, "out", None), getattr(args, "rate_out", None)) if path]
+    documents = [getattr(args, name, None) for name in ("config", "db", "shares")]  # the input documents
+    inputs = {os.path.realpath(path): path for path in documents if path}
     problems = [_unwritable(path) for path in outputs]
     if len({os.path.realpath(path) for path in outputs}) < len(outputs):
         problems.append(f"--out and --rate-out name the same file {outputs[0]}")
+    problems += [f"output path {path} is the input document {inputs[real]}"
+                 for path in outputs if (real := os.path.realpath(path)) in inputs]
     problem = next(filter(None, problems), None)
     if problem:  # refused before any work, so no output is half written
         print(f"error: {problem}", file=sys.stderr)

@@ -300,11 +300,3 @@ def reconstruct(params: StorageParams, shares: Sequence[NodeData], g: GeneratorM
     slots = (stacked @ inv) % params.q  # node-vector order, as slot_matrix lays it out
     files = slots.reshape(params.stripes, params.k, params.rows_per_stripe, params.m).swapaxes(0, 1)
     return Database(params, files.reshape(params.k, params.file_rows, params.m))
-
-
-def smallest_admissible_prime(n: int, m: int) -> int:
-    """Smallest prime q for which build_generator(q, n, m, ...) succeeds."""
-    q = 2 if m == 1 else n
-    while not fields.is_prime(q):
-        q += 1
-    return q

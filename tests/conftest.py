@@ -16,6 +16,10 @@ EXHAUSTIVE_INSTANCES = [
 # (n, m) grid whose smallest admissible prime supports the Cauchy build.
 CAPACITY_GRID = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (5, 3)]
 
+# the smallest prime q whose Cauchy build succeeds at each (n, m) of the grid:
+# q >= 2 when m = 1, else q >= n
+SMALLEST_PRIME = {(2, 1): 2, (3, 1): 2, (3, 2): 3, (4, 1): 2, (4, 2): 5, (4, 3): 5, (5, 2): 5, (5, 3): 5}
+
 
 def generator_for_instance(params: StorageParams):
     """Standard construction when the field allows it, search otherwise."""

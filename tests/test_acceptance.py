@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import CAPACITY_GRID, EXHAUSTIVE_INSTANCES, generator_for_instance
+from conftest import CAPACITY_GRID, EXHAUSTIVE_INSTANCES, SMALLEST_PRIME, generator_for_instance
 from spir_mds import protocol, rates
 from spir_mds.audit import (
     audit_correctness,
@@ -28,13 +28,12 @@ from spir_mds.storage import (
     encode,
     is_mds,
     reconstruct,
-    smallest_admissible_prime,
 )
 
 
 def capacity_grid_params():
     for (n, m), k in itertools.product(CAPACITY_GRID, (2, 3)):
-        yield StorageParams(q=smallest_admissible_prime(n, m), n=n, m=m, k=k)
+        yield StorageParams(q=SMALLEST_PRIME[n, m], n=n, m=m, k=k)
 
 
 def test_criterion_1_capacity_achievement():
@@ -111,7 +110,7 @@ def test_criterion_5_randomness_is_necessary():
 
 def test_criterion_6_mds_property_and_reconstruction():
     for (n, m) in CAPACITY_GRID:
-        params = StorageParams(q=smallest_admissible_prime(n, m), n=n, m=m, k=2)
+        params = StorageParams(q=SMALLEST_PRIME[n, m], n=n, m=m, k=2)
         g = build_generator(params)
         assert is_mds(g)  # exhausts all C(n, m) column subsets
         db = Database.random(params, protocol.db_rng(n * m))

@@ -17,7 +17,7 @@ from spir_mds.audit import (
     DistributionCounter,
     IndependenceCheck,
     Universe,
-    _SELFCHECK_POINTS,
+    _LINK_POINTS,
     _BatchContext,
     _digit_rows,
     _einsum_mod,
@@ -57,19 +57,19 @@ def randomness_rows(universe):
     return _free_rows(np.arange(q ** universe.s_free), q, universe.s_free, universe.s_digits)
 
 
-def blinding_table(ctx):
+def blinding_table(ctx, universe):
     """(randomness rows, n, stripes, m): the randomness side at every row of
     ``randomness_rows``, extended linearly from ``ctx.blind``, its images of
-    the free unit rows."""
-    free = ctx.universe.s_free
-    rows = randomness_rows(ctx.universe)[:, :free]
-    table = rows @ ctx.blind.reshape(free, ctx.a_digits_all) % ctx.q
+    the unit rows, of which the universe's free ones are the first."""
+    free = universe.s_free
+    rows = randomness_rows(universe)[:, :free]
+    table = rows @ ctx.blind[:free].reshape(free, ctx.a_digits_all) % ctx.q
     return table.reshape((len(rows),) + ctx.blind.shape[1:])
 
 
-def grid_chunk(ctx):
-    """One served chunk over the context's whole (mask, database) grid."""
-    return ctx.chunk(database_rows(ctx.universe)[None], mask_rows(ctx.universe)[:, None])
+def grid_chunk(ctx, universe):
+    """One served chunk over the universe's whole (mask, database) grid."""
+    return ctx.chunk(database_rows(universe)[None], mask_rows(universe)[:, None])
 
 
 def mixed_generator(params):
@@ -534,18 +534,14 @@ class TestSweepCannotGoVacuous:
         assert mc_correctness(self.PARAMS, g, 20, seed=1) is False
 
 
-def selfcheck_rows(universe, seed=0):
-    """The (database, mask, randomness) digit rows the selfcheck samples
-    from ``universe``, drawn as it draws them: in that order from one
-    generator, each free digit uniform and each fixed digit zero."""
+def link_rows(params, seed=0):
+    """The (database, mask, randomness) digit rows the link samples, drawn
+    as it draws them: in that order from one generator, every digit of
+    the plain universe uniform, whatever universe a check audits."""
     rng = np.random.default_rng([AUDIT_SEED_DOMAIN, seed])
-    n_pts = min(_SELFCHECK_POINTS, universe.size)
-    rows = []
-    for free, digits in [(universe.db_digits,) * 2, (universe.u_free, universe.u_digits),
-                         (universe.s_free, universe.s_digits)]:
-        drawn = rng.integers(0, universe.params.q, size=(n_pts, free))
-        rows.append(np.pad(drawn, ((0, 0), (0, digits - free))))
-    return rows
+    universe = Universe(params)
+    return [rng.integers(0, params.q, size=(_LINK_POINTS, digits))
+            for digits in (universe.db_digits, universe.u_digits, universe.s_digits)]
 
 
 def log_served_rounds(monkeypatch) -> list:
@@ -564,27 +560,27 @@ def log_served_rounds(monkeypatch) -> list:
     return log
 
 
-def assert_one_batched_round(log, params, universe, seed=0):
-    """One selfcheck's log: one network whose database batch is the sampled
-    databases; then per index one gen_queries over the sampled masks, 32
-    rows; then each node's one answer call, given its own query for every
-    index and point."""
-    sampled, masks, _ = selfcheck_rows(universe, seed)
-    assert len(sampled) == _SELFCHECK_POINTS
-    (kind, db), *rounds = log
-    assert kind == "network"
-    assert np.array_equal(db.files, sampled.reshape(-1, params.k, params.file_rows, params.m))
-    assert len(rounds) == params.k + params.n
-    query_sets, answers = rounds[: params.k], rounds[params.k :]
-    for theta, (kind, qs) in enumerate(query_sets, 1):
-        assert kind == "queries" and qs.theta == theta
-        assert qs.u.shape == (_SELFCHECK_POINTS, params.stripes, params.m, params.query_len)
-        assert np.array_equal(qs.u.reshape(_SELFCHECK_POINTS, -1), masks)
-    assert [entry[:2] for entry in answers] == [("answer", node) for node in range(1, params.n + 1)]
-    for _, node, query in answers:
-        assert query.shape[:2] == (params.k, _SELFCHECK_POINTS)
-        for theta, (_, qs) in enumerate(query_sets, 1):
-            assert np.array_equal(query[theta - 1], qs.per_node[:, node - 1])
+def assert_linked_rounds(log, params, seed=0):
+    """One link's log: the round at the sampled points, then the basis
+    round.  Each is one network whose database batch is its databases (the
+    sampled ones, then the unit ones); then per index one gen_queries over
+    its masks (the 32 sampled ones, then mask 0); then each node's one
+    answer call, given its own query for every index and point."""
+    sampled, masks, _ = link_rows(params, seed)
+    units, zero = np.eye(sampled.shape[1], dtype=np.int64), np.zeros((1, masks.shape[1]), dtype=np.int64)
+    per_round = 1 + params.k + params.n
+    assert len(log) == 2 * per_round
+    for rows, u_rows, ((kind, db), *rounds) in [(sampled, masks, log[:per_round]), (units, zero, log[per_round:])]:
+        assert kind == "network"
+        assert np.array_equal(db.files.reshape(len(rows), -1), rows)
+        query_sets, answers = rounds[: params.k], rounds[params.k :]
+        for theta, (kind, qs) in enumerate(query_sets, 1):
+            assert kind == "queries" and qs.theta == theta
+            assert np.array_equal(qs.u.reshape(len(u_rows), -1), u_rows)
+        assert [entry[:2] for entry in answers] == [("answer", node) for node in range(1, params.n + 1)]
+        for _, node, query in answers:
+            for theta, (_, qs) in enumerate(query_sets, 1):
+                assert np.array_equal(query[theta - 1], qs.per_node[..., node - 1, :, :, :])
 
 
 def spy(monkeypatch, owner, name, log, record):
@@ -599,19 +595,18 @@ def spy(monkeypatch, owner, name, log, record):
 
 
 class TestSelfcheckServesEveryPoint:
-    """The selfcheck runs the served round at every sampled point and
-    index, and ``link`` compares every one of them with the basis chunk
-    and the blinding table."""
+    """The link runs the served round at every sampled point and index, and
+    compares every one of them with the basis chunk and the blinding
+    table."""
 
     PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 
     def test_one_network_over_every_point_and_one_round_per_index(self, monkeypatch):
         p = self.PARAMS
-        ctx = _BatchContext(p, generator_for_instance(p), Universe(p))
+        ctx = _BatchContext(p, generator_for_instance(p))
         log = log_served_rounds(monkeypatch)
-        ctx.selfcheck()
-        assert_one_batched_round(log, p, Universe(p))
         ctx.link()
+        assert_linked_rounds(log, p)
 
     @pytest.mark.parametrize("where", ["last_point", "last_theta"])
     def test_one_wrong_batched_answer_fails(self, monkeypatch, where):
@@ -647,47 +642,45 @@ class TestSelfcheckServesEveryPoint:
             audit_user_privacy(self.PARAMS, generator_for_instance(self.PARAMS))
 
 
-class TestOneContextPerUniverse:
-    """run_audit builds one context, and runs one selfcheck over 32 served
-    points, per distinct universe that its requested checks audit."""
+class TestOneContextPerCall:
+    """run_audit builds at most one context, the code's answer model, and
+    links it once, whatever universes its checks audit: one network over
+    32 sampled points and one for the basis, in every call."""
 
     PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 
     def served_rounds(self, monkeypatch, audit):
-        """The universes of the contexts built while ``audit`` runs, and
-        each selfcheck's universe with its log of served rounds."""
-        contexts, served = [], []
-        spy(monkeypatch, _BatchContext, "__init__", contexts, lambda ctx, params, g, universe: universe)
+        """The params of each context built while ``audit`` runs, each
+        link's log of served rounds, and every network built."""
+        contexts, linked = [], []
+        spy(monkeypatch, _BatchContext, "__init__", contexts, lambda ctx, params, g: params)
         log = log_served_rounds(monkeypatch)
-        real = _BatchContext.selfcheck
+        real = _BatchContext.link
 
         def logged(ctx, seed=0):
             before = len(log)
             real(ctx, seed)
-            served.append((ctx.universe, log[before:]))
+            linked.append(log[before:])
 
-        monkeypatch.setattr(_BatchContext, "selfcheck", logged)
+        monkeypatch.setattr(_BatchContext, "link", logged)
         audit()
-        return contexts, served
+        return contexts, linked, [entry for entry in log if entry[0] == "network"]
 
-    def assert_batched_selfchecks(self, contexts, served):
-        assert [universe for universe, _ in served] == contexts
-        for universe, log in served:
-            assert_one_batched_round(log, self.PARAMS, universe)
+    def assert_one_linked_context(self, contexts, linked, networks):
+        assert contexts == [self.PARAMS] and len(linked) == 1 and len(networks) == 2
+        assert_linked_rounds(linked[0], self.PARAMS)
 
     @pytest.mark.parametrize(
-        "argv,universes",
-        [((), 1), (("--checks", "db-privacy"), 1), (("--randomness", "zeroed"), 2)],
-        ids=["default", "db-privacy", "zeroed"],
+        "argv",
+        [(), ("--checks", "db-privacy"), ("--randomness", "zeroed"), ("--randomness", "partial=2")],
+        ids=["default", "db-privacy", "zeroed", "partial2"],
     )
-    def test_cli_audit(self, monkeypatch, tmp_path, argv, universes):
+    def test_cli_audit(self, monkeypatch, tmp_path, argv):
         p = self.PARAMS
         argv = ["audit", "--q", str(p.q), "--n", str(p.n), "--m", str(p.m), "--k", str(p.k), *argv]
-        contexts, served = self.served_rounds(
-            monkeypatch, lambda: cli.main([*argv, "--out", str(tmp_path / "audit.json")])
+        self.assert_one_linked_context(
+            *self.served_rounds(monkeypatch, lambda: cli.main([*argv, "--out", str(tmp_path / "audit.json")]))
         )
-        assert len(contexts) == len(set(contexts)) == universes
-        self.assert_batched_selfchecks(contexts, served)
 
     @pytest.mark.parametrize(
         "audit",
@@ -697,14 +690,37 @@ class TestOneContextPerUniverse:
             lambda params, g: audit_user_privacy(params, g, mask_mode="zeroed"),
             audit_db_privacy,
             lambda params, g: leak_experiment(params, g, "zeroed"),
+            lambda params, g: run_audit(params, g, mask_mode="zeroed", randomness_mode="partial", partial_count=1),
         ],
-        ids=["correctness", "user_privacy", "user_privacy_zeroed_masks", "db_privacy", "leak_zeroed"],
+        ids=["correctness", "user_privacy", "user_privacy_zeroed_masks", "db_privacy", "leak_zeroed",
+             "three_universes"],
     )
     def test_each_wrapper(self, monkeypatch, audit):
         g = generator_for_instance(self.PARAMS)
-        contexts, served = self.served_rounds(monkeypatch, lambda: audit(self.PARAMS, g))
-        assert len(contexts) == 1
-        self.assert_batched_selfchecks(contexts, served)
+        self.assert_one_linked_context(*self.served_rounds(monkeypatch, lambda: audit(self.PARAMS, g)))
+
+    @pytest.mark.parametrize(
+        "checks,options",
+        [(("db-privacy",), {"randomness_mode": "zeroed"}), (("user-privacy",), {"mask_mode": "zeroed"})],
+        ids=["zeroed_randomness", "zeroed_masks"],
+    )
+    def test_link_samples_nonzero_randomness_and_masks(self, monkeypatch, checks, options):
+        # a check's universe fixes digits at zero, but the link's points
+        # draw every digit; only the basis is served at mask 0 with zero S
+        built, real = [], SimNetwork.__init__
+
+        def init(net, *args, **kwargs):
+            real(net, *args, **kwargs)
+            built.append(net)
+
+        monkeypatch.setattr(SimNetwork, "__init__", init)
+        log = log_served_rounds(monkeypatch)
+        run_audit(self.PARAMS, generator_for_instance(self.PARAMS), checks, **options)
+        randomness = [net.nodes[0].randomness.values.any() for net in built]
+        masks = [entry[1].u.any() for entry in log if entry[0] == "queries"]
+        assert randomness == [True, False]  # the sampled points, then the basis
+        assert masks[: self.PARAMS.k] == [True] * self.PARAMS.k
+        assert masks[self.PARAMS.k : 2 * self.PARAMS.k] == [False] * self.PARAMS.k
 
     @pytest.mark.parametrize(
         "checks,options,match",
@@ -730,21 +746,21 @@ class TestOneContextPerUniverse:
             with pytest.raises(InvalidParams, match=match):
                 run_audit(self.PARAMS, g, checks, **options)
 
-        assert self.served_rounds(monkeypatch, refused) == ([], [])
+        assert self.served_rounds(monkeypatch, refused) == ([], [], [])
 
 
 def full_grid_correctness(params, g):
     """Reference correctness: decode the mask and randomness sides apart and
     compare the decoded symbol with the file at every (u, c, s) point."""
-    ctx = _BatchContext(params, g, Universe(params))
+    ctx, universe = _BatchContext(params, g), Universe(params)
     q, eqs, w_pos_count = params.q, params.n * params.m, params.rows_per_stripe * params.m
     w_rows = protocol.decode_matrix_inverse(params, g)[params.m * params.m :]
     blind_w = decoded_blinding(params, g)
-    grid = grid_chunk(ctx)
+    grid = grid_chunk(ctx, universe)
     c = len(grid["files"])
     for theta in range(1, params.k + 1):
         ip = ctx.answer_parts(grid, theta)
-        ip = ip.transpose(0, 1, 3, 2, 4).reshape(ctx.n_u, c, params.stripes, eqs)
+        ip = ip.transpose(0, 1, 3, 2, 4).reshape(universe.n_u, c, params.stripes, eqs)
         ip_w = (ip @ w_rows.T) % q
         expected = grid["files"][:, theta - 1].reshape(c, params.stripes, w_pos_count)
         for blind_s in blind_w:  # one randomness row at a time
@@ -756,9 +772,9 @@ def full_grid_correctness(params, g):
 def decoded_blinding(params, g):
     """(randomness rows, stripes, w_pos): the file symbols decoded from the
     randomness side at every randomness row."""
-    ctx = _BatchContext(params, g, Universe(params))
+    ctx = _BatchContext(params, g)
     w_rows = protocol.decode_matrix_inverse(params, g)[params.m * params.m :]
-    table = blinding_table(ctx)
+    table = blinding_table(ctx, Universe(params))
     blind = table.transpose(0, 2, 1, 3).reshape(len(table), params.stripes, params.n * params.m)
     return (blind @ w_rows.T) % params.q
 
@@ -788,7 +804,7 @@ class TestCorrectnessOnTheGrid:
             ip[:, :, 0, 0, 0] = (ip[:, :, 0, 0, 0] + 1) % self.q
             return ip
 
-        monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
+        monkeypatch.setattr(_BatchContext, "link", lambda self, seed=0: None)
         monkeypatch.setattr(_BatchContext, "answer_parts", flipped)
         g = generator_for_instance(self.PARAMS)
         assert self.blinding_cancels(g)
@@ -799,7 +815,7 @@ class TestCorrectnessOnTheGrid:
         p = self.PARAMS
         inv = protocol.decode_matrix_inverse(p, g).copy()
         inv[p.m * p.m, 0] = (inv[p.m * p.m, 0] + 1) % p.q  # first file-symbol row
-        monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
+        monkeypatch.setattr(_BatchContext, "link", lambda self, seed=0: None)
         monkeypatch.setattr(protocol, "decode_matrix_inverse", lambda params, gen: inv)
         assert not self.blinding_cancels(g)
         assert audit_correctness(p, g) is full_grid_correctness(p, g) is False
@@ -815,7 +831,7 @@ class TestCorrectnessOnTheGrid:
             self.blind = self.blind.copy()
             self.blind[:, 0, 0, 0] = (self.blind[:, 0, 0, 0] + 1) % self.q
 
-        monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
+        monkeypatch.setattr(_BatchContext, "link", lambda self, seed=0: None)
         monkeypatch.setattr(_BatchContext, "__init__", flipped)
         g = generator_for_instance(self.PARAMS)
         assert not self.blinding_cancels(g)
@@ -851,22 +867,22 @@ class TestCorrectnessOnTheGrid:
             audit_correctness(params, g)
 
 
-def full_view_witness(ctx, node):
+def full_view_witness(ctx, universe, node):
     """Reference user-privacy witness: one node's view (query, answer,
-    share, S) counted at every (u, c, s) point of the served grid, and the
+    share, S) counted at every (u, c, s) point of the universe's grid, the
     first cell, in (theta, view) order, that breaks the product rule; None
     when no cell does.  A view is counted by its key, (query, answer, share)
     packed and then the randomness row's id, which orders as the tuple."""
     p, q = ctx.params, ctx.q
-    grid = grid_chunk(ctx)
-    s_rows, blind = randomness_rows(ctx.universe), blinding_table(ctx)
-    n_s = len(s_rows)
-    u_mats = mask_rows(ctx.universe).reshape(ctx.n_u, p.stripes, p.m, p.query_len)
+    grid = grid_chunk(ctx, universe)
+    s_rows, blind = randomness_rows(universe), blinding_table(ctx, universe)
+    n_s, n_u = len(s_rows), universe.n_u
+    u_mats = mask_rows(universe).reshape(n_u, p.stripes, p.m, p.query_len)
     share = pack_digits(grid["data"][node - 1].reshape(len(grid["files"]), -1), q)
     a_radix, d_radix = q ** ctx.a_digits_node, q ** p.node_len
     keys = []
     for theta in range(1, p.k + 1):
-        query = pack_digits(((u_mats + reference_unit_mask(p, theta, node)) % q).reshape(ctx.n_u, -1), q)
+        query = pack_digits(((u_mats + reference_unit_mask(p, theta, node)) % q).reshape(n_u, -1), q)
         answers = (ctx.answer_parts(grid, theta)[:, :, node - 1][:, :, None] + blind[:, node - 1]) % q
         answer = pack_digits(answers.reshape(answers.shape[:3] + (-1,)), q)  # (u, c, s)
         cell = (query[:, None, None] * a_radix + answer) * d_radix + share[:, None]
@@ -886,7 +902,7 @@ def full_view_witness(ctx, node):
             return {
                 "theta": theta,
                 "node": node,
-                "query": _digit_rows(query, q, ctx.universe.u_digits).tolist(),
+                "query": _digit_rows(query, q, universe.u_digits).tolist(),
                 "answers": _digit_rows(answer, q, ctx.a_digits_node).tolist(),
                 "node_data": _digit_rows(node_data, q, p.node_len).tolist(),
                 "shared_randomness": s_rows[s].tolist(),
@@ -900,10 +916,9 @@ def full_view_witness(ctx, node):
     return None
 
 
-def leak_theta(monkeypatch, leak, selfcheck=False):
+def leak_theta(monkeypatch, leak, link=False):
     """Make node 1's mask side depend on theta: shifted by theta, or, at
-    theta 2, read at another database; the selfcheck is off unless
-    ``selfcheck``."""
+    theta 2, read at another database; the link is off unless ``link``."""
     real = _BatchContext.answer_parts
 
     def leaky(self, chunk, theta):
@@ -915,8 +930,8 @@ def leak_theta(monkeypatch, leak, selfcheck=False):
             out[:, :, 0] = np.flip(ip[:, :, 0], axis=1)
         return out
 
-    if not selfcheck:
-        monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
+    if not link:
+        monkeypatch.setattr(_BatchContext, "link", lambda self, seed=0: None)
     monkeypatch.setattr(_BatchContext, "answer_parts", leaky)
 
 
@@ -940,8 +955,8 @@ class TestGridCertificate:
     def test_grid_equality_is_view_equality(self, params, mask_mode):
         g = generator_for_instance(params)
         report = audit_user_privacy(params, g, mask_mode=mask_mode)
-        ctx = _BatchContext(params, g, Universe(params, mask_mode=mask_mode))
-        witnesses = [full_view_witness(ctx, node) for node in range(1, params.n + 1)]
+        ctx, universe = _BatchContext(params, g), Universe(params, mask_mode=mask_mode)
+        witnesses = [full_view_witness(ctx, universe, node) for node in range(1, params.n + 1)]
         assert [check.witness for check in report.checks] == witnesses
         for check, witness in zip(report.checks, witnesses):
             assert check.conditional_equal == check.independent == (witness is None)
@@ -979,23 +994,23 @@ class TestGridCertificate:
 
     def test_link_refuses_a_theta_dependent_answer_first(self, monkeypatch):
         params = StorageParams(q=3, n=3, m=2, k=2)
-        leak_theta(monkeypatch, "shifted", selfcheck=True)
+        leak_theta(monkeypatch, "shifted", link=True)
         with pytest.raises(AssertionError, match="basis points disagree with gen_answer"):
             audit_user_privacy(params, generator_for_instance(params))
 
 
-def double_the_mask(monkeypatch, selfcheck=False):
+def double_the_mask(monkeypatch, link=False):
     """Serve every node the query P + 2u in place of P + u: still an inner
     product with the share, but no longer a one-time pad on the mask (at
-    q = 2 it is the constant P); the selfcheck is off unless ``selfcheck``."""
+    q = 2 it is the constant P); the link is off unless ``link``."""
     real = protocol.gen_queries
 
     def doubled(*args, **kwargs):
         qs = real(*args, **kwargs)
         return protocol.QuerySet(qs.theta, qs.u, (qs.per_node + qs.u[..., None, :, :, :]) % args[0].q)
 
-    if not selfcheck:
-        monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
+    if not link:
+        monkeypatch.setattr(_BatchContext, "link", lambda self, seed=0: None)
     monkeypatch.setattr(protocol, "gen_queries", doubled)
 
 
@@ -1019,7 +1034,7 @@ class TestQueryLaw:
 
     def test_link_refuses_an_off_translation_query_first(self, monkeypatch):
         params = StorageParams(q=3, n=3, m=2, k=2)
-        double_the_mask(monkeypatch, selfcheck=True)
+        double_the_mask(monkeypatch, link=True)
         with pytest.raises(AssertionError, match="served queries are not the basis query at mask 0 plus the mask"):
             audit_user_privacy(params, generator_for_instance(params))
 
@@ -1063,9 +1078,10 @@ def mask_side(ctx, ip):
     return (ip - ip[:1]) % ctx.q
 
 
-def blinding_span(ctx):
-    """The blinding span V's reduced row-echelon basis and its pivots."""
-    basis, pivots = fields.rref(ctx.blind.reshape(ctx.universe.s_free, ctx.a_digits_all), ctx.q)
+def blinding_span(ctx, free):
+    """The reduced row-echelon basis and the pivots of the blinding span V
+    of the first ``free`` randomness digits."""
+    basis, pivots = fields.rref(ctx.blind[:free].reshape(free, ctx.a_digits_all), ctx.q)
     return basis[: len(pivots)], pivots
 
 
@@ -1077,12 +1093,12 @@ def least_members(rows, basis, pivots, q):
     return (rows - _einsum_mod("...p,pj->...j", rows[..., pivots], basis, q)) % q
 
 
-def reference_rank_gaps(ctx, u_rows):
+def reference_rank_gaps(ctx, free, u_rows):
     """The rank gaps by a second route: each column of ``mask_matrices``
     reduced to its coset's least member, the requested file's first, and
     one elimination of them, V left out."""
     p = ctx.params
-    matrices = least_members(ctx.mask_matrices(u_rows), *blinding_span(ctx), ctx.q)
+    matrices = least_members(ctx.mask_matrices(u_rows), *blinding_span(ctx, free), ctx.q)
     cols = np.stack([np.roll(m, -theta * p.file_len, axis=1) for theta, m in enumerate(matrices)], axis=1)
     _, found = fields.row_reduce(cols.swapaxes(-1, -2), ctx.q)
     return found[..., : p.file_len].sum(axis=-1), found.sum(axis=-1)
@@ -1107,10 +1123,10 @@ class TestBlindingCosetKeys:
             universe = Universe(params)
         else:
             universe = Universe(params, randomness_mode="partial", partial_count=partial_count)
-        ctx = _BatchContext(params, generator_for_instance(params), universe)
-        basis, pivots = blinding_span(ctx)
-        ip = ctx.answer_parts(grid_chunk(ctx), 1).reshape(-1, ctx.a_digits_all)[:limit]
-        blind = blinding_table(ctx).reshape(-1, ctx.a_digits_all)
+        ctx = _BatchContext(params, generator_for_instance(params))
+        basis, pivots = blinding_span(ctx, universe.s_free)
+        ip = ctx.answer_parts(grid_chunk(ctx, universe), 1).reshape(-1, ctx.a_digits_all)[:limit]
+        blind = blinding_table(ctx, universe).reshape(-1, ctx.a_digits_all)
         keys = pack_digits(least_members(ip, basis, pivots, params.q), params.q)
         coset = pack_digits((ip[:, None] + blind[None]) % params.q, params.q)  # (rows, randomness rows)
         assert np.array_equal(keys, coset.min(axis=1))
@@ -1146,7 +1162,7 @@ class TestBlindingCosetKeys:
             out[:, :, :, 0, 0] = (out[:, :, :, 0, 0] + w0[:, None] * shift) % self.q
             return out
 
-        monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
+        monkeypatch.setattr(_BatchContext, "link", lambda self, seed=0: None)
         monkeypatch.setattr(_BatchContext, "answer_parts", shifted)
         check = audit_db_privacy(params, g).checks[0]
         # a shift inside V leaves decoding right, so the certificate
@@ -1171,16 +1187,16 @@ class TestBlindingCosetKeys:
             out[:, :, 0, 0, 0] = (out[:, :, 0, 0, 0] + w0) % self.q
             return out
 
-        monkeypatch.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
+        monkeypatch.setattr(_BatchContext, "link", lambda self, seed=0: None)
         monkeypatch.setattr(_BatchContext, "answer_parts", shifted)
         check = audit_db_privacy(params, g).checks[0]
-        ctx = _BatchContext(params, g, Universe(params))
+        ctx, universe = _BatchContext(params, g), Universe(params)
         # the full (u, c, s) grid of the same batched answers
         reference = DistributionCounter()
-        grid, u_rows = grid_chunk(ctx), mask_rows(ctx.universe)
+        grid, u_rows = grid_chunk(ctx, universe), mask_rows(universe)
         for theta in range(1, params.k + 1):
             ip = ctx.answer_parts(grid, theta)
-            answers = (ip[:, :, None] + blinding_table(ctx)[None, None]) % params.q
+            answers = (ip[:, :, None] + blinding_table(ctx, universe)[None, None]) % params.q
             others = np.delete(grid["files"], theta - 1, axis=1).reshape(len(grid["files"]), -1)
             for u, c, s in np.ndindex(answers.shape[:3]):
                 reference.add(
@@ -1217,17 +1233,34 @@ class TestRankGap:
         (2, 2, 1, 2): ["1/2", "0"],
     }
 
+    def mean_gaps(self, params, context):
+        """The mean gap at each budget J, on the context ``context(J)``."""
+        means = []
+        for j in range(Universe(params).s_digits + 1):
+            universe = Universe(params, randomness_mode="partial", partial_count=j)
+            r_own, r_full = _rank_gaps(context(j), universe.s_free, mask_rows(universe))
+            assert r_own.shape == (universe.n_u, params.k) and (r_own <= r_full).all()
+            means.append(Fraction(int((r_full - r_own).sum()), r_own.size))
+        return means
+
     @pytest.mark.parametrize("instance", LEAK_TABLE, ids=str)
     def test_mean_gap_is_the_leak_table(self, instance):
         params = StorageParams(*instance)
         g = generator_for_instance(params)
-        means = []
-        for j in range(Universe(params).s_digits + 1):
-            ctx = _BatchContext(params, g, Universe(params, randomness_mode="partial", partial_count=j))
-            r_own, r_full = _rank_gaps(ctx, mask_rows(ctx.universe))
-            assert r_own.shape == (ctx.n_u, params.k) and (r_own <= r_full).all()
-            means.append(Fraction(int((r_full - r_own).sum()), r_own.size))
+        means = self.mean_gaps(params, lambda j: _BatchContext(params, g))
         assert means == [Fraction(value) for value in self.LEAK_TABLE[instance]]
+
+    @pytest.mark.parametrize("instance", LEAK_TABLE, ids=str)
+    def test_one_context_reads_every_budget(self, monkeypatch, instance):
+        # one answer model, one basis chunk: each budget J reads the first
+        # J rows of the same blinding generators
+        params = StorageParams(*instance)
+        ctx = _BatchContext(params, generator_for_instance(params))
+        chunks = []
+        spy(monkeypatch, _BatchContext, "chunk", chunks, lambda ctx, rows, u_rows: rows.shape)
+        means = self.mean_gaps(params, lambda j: ctx)
+        assert means == [Fraction(value) for value in self.LEAK_TABLE[instance]]
+        assert chunks == [(1, Universe(params).db_digits, Universe(params).db_digits)]
 
     def test_the_first_leak_in_mask_order(self):
         # the zeroed control leaks first at mask id 1; the witness is the
@@ -1236,9 +1269,9 @@ class TestRankGap:
         g = generator_for_instance(params)
         check = run_audit(params, g, ("db-privacy",), randomness_mode="zeroed").checks[0]
         assert not check.independent
-        ctx = _BatchContext(params, g, Universe(params, randomness_mode="zeroed"))
-        u_rows = mask_rows(ctx.universe)
-        r_own, r_full = _rank_gaps(ctx, u_rows)
+        ctx, universe = _BatchContext(params, g), Universe(params, randomness_mode="zeroed")
+        u_rows = mask_rows(universe)
+        r_own, r_full = _rank_gaps(ctx, universe.s_free, u_rows)
         u_idx, theta = np.argwhere(r_own < r_full)[0]
         w = check.witness
         assert (w["theta"], w["masks"]) == (theta + 1, u_rows[u_idx].tolist())
@@ -1252,9 +1285,9 @@ def reference_mask_matrices(ctx, u_rows):
     unit databases at the masks {0, e_1, ..., e_U}, extended by bilinear
     expansion, ip(0) plus u_i * (ip(e_i) - ip(0)) summed over the mask
     digits i, as the mask side is affine in the mask."""
-    q, u = ctx.q, ctx.universe.u_digits
-    masks = np.eye(u + 1, u, -1, dtype=np.int64)
-    ip = ctx.chunk(np.eye(ctx.universe.db_digits, dtype=np.int64)[None], masks[:, None])["ip"]
+    q, full = ctx.q, Universe(ctx.params)
+    masks = np.eye(full.u_digits + 1, full.u_digits, -1, dtype=np.int64)
+    ip = ctx.chunk(np.eye(full.db_digits, dtype=np.int64)[None], masks[:, None])["ip"]
     ip = ip.reshape(ip.shape[:3] + (-1,))  # (k, U + 1, db_digits, answer digits)
     return (ip[:, 0, None] + _einsum_mod("pi,kidx->kpdx", u_rows, (ip[:, 1:] - ip[:, :1]) % q, q)) % q
 
@@ -1281,8 +1314,8 @@ class TestAnswerModel:
         ids=[f"{p}-{gen.__name__}-{masks}" for p, gen, masks in MODEL_CASES],
     )
     def test_model_is_the_bilinear_expansion_of_served_unit_masks(self, params, generator, mask_mode):
-        ctx = _BatchContext(params, generator(params), Universe(params, mask_mode=mask_mode))
-        u_rows = np.random.default_rng(params.q).integers(0, params.q, size=(12, ctx.universe.u_digits))
+        ctx, universe = _BatchContext(params, generator(params)), Universe(params, mask_mode=mask_mode)
+        u_rows = np.random.default_rng(params.q).integers(0, params.q, size=(12, universe.u_digits))
         u_rows[0] = 0
         assert np.array_equal(ctx.mask_matrices(u_rows), reference_mask_matrices(ctx, u_rows))
 
@@ -1297,18 +1330,18 @@ class TestAnswerModel:
     @settings(max_examples=30, deadline=None)
     @given(params=st.sampled_from(GAP_INSTANCES), data=st.data())
     def test_full_randomness_gaps_are_mask_0s(self, params, data):
-        ctx = _BatchContext(params, generator_for_instance(params), Universe(params))
-        digits = st.lists(st.integers(0, params.q - 1), min_size=ctx.universe.u_digits, max_size=ctx.universe.u_digits)
-        u_rows = np.array([[0] * ctx.universe.u_digits] + data.draw(st.lists(digits, min_size=1, max_size=6)))
-        r_own, r_full = _rank_gaps(ctx, u_rows)
+        ctx, universe = _BatchContext(params, generator_for_instance(params)), Universe(params)
+        digits = st.lists(st.integers(0, params.q - 1), min_size=universe.u_digits, max_size=universe.u_digits)
+        u_rows = np.array([[0] * universe.u_digits] + data.draw(st.lists(digits, min_size=1, max_size=6)))
+        r_own, r_full = _rank_gaps(ctx, universe.s_free, u_rows)
         assert (r_own == r_own[0]).all() and (r_full == r_full[0]).all()
 
     def test_zeroed_randomness_gaps_vary_with_the_mask(self):
         # without the blinding span the mask's term counts, so the property
         # above is no tautology of the rank gap
         params = StorageParams(q=3, n=3, m=2, k=2)
-        ctx = _BatchContext(params, generator_for_instance(params), Universe(params, randomness_mode="zeroed"))
-        r_own, r_full = _rank_gaps(ctx, mask_rows(ctx.universe))
+        ctx, universe = _BatchContext(params, generator_for_instance(params)), Universe(params, randomness_mode="zeroed")
+        r_own, r_full = _rank_gaps(ctx, universe.s_free, mask_rows(universe))
         assert (r_own != r_own[0]).any() or (r_full != r_full[0]).any()
 
     @pytest.mark.parametrize("q", [101, 1000003])
@@ -1323,10 +1356,10 @@ class TestAnswerModel:
         monkeypatch.setattr(protocol, "decode_matrix_inverse", lambda params, gen: inv)
         real = audit_mod._rank_gaps
 
-        def mask_0_only(ctx, u_rows):
+        def mask_0_only(ctx, free, u_rows):
             if u_rows.any():
                 raise AssertionError(f"the rank gap read masks {u_rows.tolist()}")
-            return real(ctx, u_rows)
+            return real(ctx, free, u_rows)
 
         monkeypatch.setattr(audit_mod, "_rank_gaps", mask_0_only)
         correctness, db = run_audit(p, g, ("correctness", "db-privacy"), ceiling=2**300).checks
@@ -1346,20 +1379,16 @@ class TestAnswerModel:
         assert all(check.exact for check in report.checks)
 
     @pytest.mark.parametrize(
-        "mode", [{}, {"randomness_mode": "partial", "partial_count": 2}, {"randomness_mode": "zeroed"}],
-        ids=["full", "partial2", "zeroed"],
+        "p", [StorageParams(q=3, n=3, m=2, k=2), StorageParams(q=7, n=4, m=2, k=3, stripes=2)], ids=str
     )
-    def test_link_applies_the_model_without_mask_matrices(self, monkeypatch, mode):
+    def test_link_applies_the_model_without_mask_matrices(self, monkeypatch, p):
         # the link predicts its points term by term, so it never builds the
         # dense (k, points, db_digits, answers) matrices
         def refused(ctx, u_rows):
             raise AssertionError("the link built mask_matrices")
 
         monkeypatch.setattr(_BatchContext, "mask_matrices", refused)
-        for p in (StorageParams(q=3, n=3, m=2, k=2), StorageParams(q=7, n=4, m=2, k=3, stripes=2)):
-            ctx = _BatchContext(p, generator_for_instance(p), Universe(p, **mode))
-            ctx.selfcheck()
-            ctx.link()
+        _BatchContext(p, generator_for_instance(p)).link()
 
 
 class TestRankRoute:
@@ -1382,26 +1411,26 @@ class TestRankRoute:
         "params,generator,mode,j", CASES, ids=[f"{p}-{gen.__name__}-{mode}{j or ''}" for p, gen, mode, j in CASES]
     )
     def test_ranks_are_the_least_member_ranks(self, params, generator, mode, j):
-        ctx = _BatchContext(params, generator(params), Universe(params, mode, j))
-        if ctx.n_u <= 4096:
-            u_rows = mask_rows(ctx.universe)
+        ctx, universe = _BatchContext(params, generator(params)), Universe(params, mode, j)
+        if universe.n_u <= 4096:
+            u_rows = mask_rows(universe)
         else:
-            u_rows = np.random.default_rng(params.q).integers(0, params.q, size=(64, ctx.universe.u_digits))
-        r_own, r_full = _rank_gaps(ctx, u_rows)
-        expected = reference_rank_gaps(ctx, u_rows)
+            u_rows = np.random.default_rng(params.q).integers(0, params.q, size=(64, universe.u_digits))
+        r_own, r_full = _rank_gaps(ctx, universe.s_free, u_rows)
+        expected = reference_rank_gaps(ctx, universe.s_free, u_rows)
         assert np.array_equal(r_own, expected[0]) and np.array_equal(r_full, expected[1])
         assert r_own.dtype.kind == r_full.dtype.kind == "i"
 
     @settings(max_examples=40, deadline=None)
     @given(params=st.sampled_from(TestAnswerModel.GAP_INSTANCES), data=st.data())
     def test_random_masks_and_budgets(self, params, data):
-        s_digits = Universe(params).s_digits
-        j = data.draw(st.integers(0, s_digits), label="randomness budget J")
-        ctx = _BatchContext(params, generator_for_instance(params), Universe(params, "partial", j))
-        digits = st.lists(st.integers(0, params.q - 1), min_size=ctx.universe.u_digits, max_size=ctx.universe.u_digits)
+        universe = Universe(params)
+        j = data.draw(st.integers(0, universe.s_digits), label="randomness budget J")
+        ctx = _BatchContext(params, generator_for_instance(params))
+        digits = st.lists(st.integers(0, params.q - 1), min_size=universe.u_digits, max_size=universe.u_digits)
         u_rows = np.array(data.draw(st.lists(digits, min_size=1, max_size=6)), dtype=np.int64)
-        r_own, r_full = _rank_gaps(ctx, u_rows)
-        expected = reference_rank_gaps(ctx, u_rows)
+        r_own, r_full = _rank_gaps(ctx, j, u_rows)
+        expected = reference_rank_gaps(ctx, j, u_rows)
         assert np.array_equal(r_own, expected[0]) and np.array_equal(r_full, expected[1])
 
 
@@ -1426,9 +1455,9 @@ class TestRankBatchBytes:
         batches = []
         with monkeypatch.context() as patched:
             patched.setattr(audit_mod, "_mask_term", late)
-            patched.setattr(_BatchContext, "selfcheck", lambda self, seed=0: None)
+            patched.setattr(_BatchContext, "link", lambda self, seed=0: None)
             patched.setattr(audit_mod, "_RANK_BATCH_BYTES", cap)
-            spy(patched, audit_mod, "_rank_gaps", batches, lambda ctx, u_rows: len(u_rows))
+            spy(patched, audit_mod, "_rank_gaps", batches, lambda ctx, free, u_rows: len(u_rows))
             report = run_audit(p, generator_for_instance(p), ("db-privacy",), randomness_mode="partial",
                                partial_count=universe.partial_count)
         per_mask = 8 * p.k * p.n * p.stripes * p.m * (universe.s_free + universe.db_digits)
@@ -1485,20 +1514,26 @@ class TestServedMutantsFailTheLink:
 
 
 class TestContextSplit:
-    """``blind`` and the basis chunk are built on first read, ``blind`` holds
-    only the free unit randomness rows, and the selfcheck only serves its
-    own sampled points."""
+    """The parts of the answer model are built on first read, the context
+    holds no universe, ``blind`` holds every unit randomness row, of which
+    a universe's free ones are the first, and the link serves no chunk but
+    the basis."""
 
     PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 
-    def test_selfcheck_builds_no_chunk_and_no_table(self, monkeypatch):
+    def test_the_link_serves_the_basis_as_its_one_chunk(self, monkeypatch):
         p = self.PARAMS
         chunks = []
         spy(monkeypatch, _BatchContext, "chunk", chunks, lambda ctx, rows, u_rows: (rows, u_rows))
-        ctx = _BatchContext(p, generator_for_instance(p), Universe(p))
-        ctx.selfcheck()
-        assert chunks == []
-        assert not {"blind", "basis", "coded"} & set(vars(ctx))
+        ctx = _BatchContext(p, generator_for_instance(p))
+        assert not {"blind", "basis", "coded", "ip_at_0", "decodes"} & set(vars(ctx))
+        for stale in ("universe", "n_u"):  # a universe is the check's, never the context's
+            with pytest.raises(AttributeError):
+                getattr(ctx, stale)
+        ctx.link()
+        ((rows, u_rows),) = chunks
+        assert np.array_equal(rows, np.eye(Universe(p).db_digits)[None]) and not u_rows.any()
+        assert "decodes" not in vars(ctx)
 
     @pytest.mark.parametrize(
         "mode", [{}, {"randomness_mode": "partial", "partial_count": 5}, {"randomness_mode": "zeroed"}],
@@ -1506,9 +1541,12 @@ class TestContextSplit:
     )
     def test_blind_holds_the_free_unit_rows(self, mode):
         p = StorageParams(q=3, n=3, m=2, k=2, stripes=3)
-        universe = Universe(p, **mode)
-        ctx = _BatchContext(p, generator_for_instance(p), universe)
-        assert ctx.blind.shape == (universe.s_free, p.n, p.stripes, p.m)
+        universe, g = Universe(p, **mode), generator_for_instance(p)
+        ctx = _BatchContext(p, g)
+        assert ctx.blind.shape == (universe.s_digits, p.n, p.stripes, p.m)
+        # the universe's free unit rows, np.eye(free, s_digits), are the first rows of np.eye(s_digits)
+        s_mats = np.eye(universe.s_free, universe.s_digits, dtype=np.int64).reshape(-1, p.stripes, p.m, p.m)
+        assert np.array_equal(ctx.blind[: universe.s_free], np.einsum("xsit,in->xnst", s_mats, g.array) % p.q)
 
     def test_axis_past_int64_is_audited_exactly(self):
         # 3**164 points fit under the ceiling, and the database axis has
@@ -1531,11 +1569,12 @@ class TestEachContextDecidesOnce:
         p = StorageParams(q=3, n=3, m=2, k=2)
         g = generator_for_instance(p)
         contexts, solved = [], []
-        spy(monkeypatch, _BatchContext, "__init__", contexts, lambda ctx, params, g, universe: universe)
+        spy(monkeypatch, _BatchContext, "__init__", contexts, lambda ctx, params, g: params)
         spy(monkeypatch, protocol, "solve", solved, lambda params, g, answers: answers.shape)
         assert run_audit(p, g).all_passed
-        (universe,) = contexts  # every default check audits the plain universe
-        blind = (universe.s_free, p.n, p.stripes, p.m)
+        assert contexts == [p]
+        universe = Universe(p)
+        blind = (universe.s_digits, p.n, p.stripes, p.m)
         basis = (1, universe.db_digits, p.n, p.stripes, p.m)  # mask 0 alone
         assert solved == [blind] + [basis] * p.k
 
@@ -1549,7 +1588,7 @@ class TestEachContextDecidesOnce:
         inv[p.m * p.m, 0] = (inv[p.m * p.m, 0] + 1) % p.q  # first file-symbol row
         monkeypatch.setattr(protocol, "decode_matrix_inverse", lambda params, gen: inv)
         batches, reduced = [], []
-        spy(monkeypatch, audit_mod, "_rank_gaps", batches, lambda ctx, u_rows: len(u_rows))
+        spy(monkeypatch, audit_mod, "_rank_gaps", batches, lambda ctx, free, u_rows: len(u_rows))
         spy(monkeypatch, fields, "rref", reduced, lambda arr, q: np.shape(arr))
         (check,) = run_audit(p, g, ("db-privacy",)).checks
         assert check.independent and check.exact
@@ -1593,7 +1632,7 @@ class TestSumsStayInsideInt64:
 class TestNoCheckEnumeratesMasks:
     """Every check reads the basis chunk at mask 0 and the answer model: no
     served round has more masks than the query law's U unit masks or the
-    selfcheck's 32 points."""
+    link's 32 points."""
 
     PARAMS = StorageParams(q=3, n=3, m=2, k=2)
 
@@ -1610,7 +1649,7 @@ class TestNoCheckEnumeratesMasks:
         monkeypatch.setattr(protocol, "gen_queries", counted)
         report = run_audit(p, generator_for_instance(p), mask_mode=mask_mode)
         assert report.all_passed == (mask_mode == "full")
-        assert served and max(served) <= max(Universe(p).u_digits, _SELFCHECK_POINTS)
+        assert served and max(served) <= max(Universe(p).u_digits, _LINK_POINTS)
 
 
 class TestReportsAgreeWithTheReferences:
@@ -1627,8 +1666,8 @@ class TestReportsAgreeWithTheReferences:
     def test_same_verdicts_as_the_references(self, params, masks):
         g = generator_for_instance(params)
         correct = full_grid_correctness(params, g)
-        ctx = _BatchContext(params, g, Universe(params, mask_mode=masks))
-        witnesses = [full_view_witness(ctx, node) for node in range(1, params.n + 1)]
+        ctx, universe = _BatchContext(params, g), Universe(params, mask_mode=masks)
+        witnesses = [full_view_witness(ctx, universe, node) for node in range(1, params.n + 1)]
         s_digits = Universe(params).s_digits
         for mode, j in [("full", None), ("zeroed", None)] + [("partial", j) for j in range(s_digits + 1)]:
             report = run_audit(params, g, randomness_mode=mode, partial_count=j, mask_mode=masks, seed=3)
@@ -1662,7 +1701,7 @@ def drop_blinding(monkeypatch):
 
 
 class TestServedRoundTiesTheCertificates:
-    """The selfcheck's served queries and answers tie the basis chunk and
+    """The link's served queries and answers tie the basis chunk and
     the blinding table, and so every verdict, to the served round."""
 
     PARAMS = StorageParams(q=3, n=3, m=2, k=2)
@@ -1716,7 +1755,7 @@ class TestServedRoundTiesTheCertificates:
         # queries pass the translation check; wrong at one sampled mask
         p = self.PARAMS
         g = generator_for_instance(p)
-        wrong = selfcheck_rows(Universe(p))[1][0]
+        wrong = link_rows(p)[1][0]
         assert np.count_nonzero(wrong) > 1 or wrong.max() > 1  # neither 0 nor a unit mask
         real = protocol.gen_queries
 

@@ -217,6 +217,30 @@ class TestInvalidInputs:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["run", "audit"])
+    @pytest.mark.parametrize(
+        "extra,refusal",
+        [
+            ({"thetta": 3}, "1 unknown key(s); the first is 'thetta'"),
+            ({f"{'x' * 100}{i}": i for i in range(5000)}, "5000 unknown key(s); the first is 'xxxxxxxxxxxx...xxxxxxxxxxxx0'"),
+        ],
+        ids=["misspelled", "thousands"],
+    )
+    def test_unknown_config_key_is_refused_before_any_work(
+        self, command, extra, refusal, tmp_path, monkeypatch, capsys
+    ):
+        # a misspelled field would otherwise run with its default
+        def refused(*args, **kwargs):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(protocol, "generator_for", refused)
+        config = _write_config(tmp_path, json.dumps({"q": 5, "n": 4, "m": 2, "k": 3, **extra}))
+        out = tmp_path / "out.json"
+        assert run_cli(command, "--config", config, "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", f"error: run_config has {refusal}\n")
+        assert not out.exists()
+
+
 class TestRefusedAfterParsing:
     """Inputs that parse but do not fit are refused with exit 2 and no output."""
 
@@ -608,6 +632,35 @@ class TestOutputPaths:
         assert code == 2
         assert capsys.readouterr() == ("", "error: --out and --rate-out name the same file same.json\n")
         assert os.listdir(tmp_path) == ["link.json"]
+
+    @pytest.mark.parametrize("spelling", ["<tmp>/doc.json", "./doc.json", "link.json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("reconstruct", "--shares", "doc.json", "--nodes", "1,2", "--out"),
+            ("encode", *INSTANCE, "--db", "doc.json", "--out"),
+            ("run", "--config", "doc.json", "--out"),
+            ("run", "--config", "doc.json", "--out", "t.json", "--rate-out"),
+            ("audit", "--config", "doc.json", "--out"),
+        ],
+        ids=["reconstruct", "encode-db", "run-config", "run-config-rate-out", "audit-config"],
+    )
+    def test_output_naming_an_input_document_is_refused(self, argv, spelling, tmp_path, monkeypatch, capsys):
+        # else the output would silently replace the document it was made from
+        monkeypatch.chdir(tmp_path)
+        os.symlink("doc.json", "link.json")
+        if argv[0] == "reconstruct":
+            assert run_cli("encode", *self.INSTANCE, "--out", "doc.json") == 0
+        elif argv[0] == "encode":
+            assert run_cli("encode", *self.INSTANCE, "--out", "shares.json") == 0
+            assert run_cli("reconstruct", "--shares", "shares.json", "--nodes", "1,2", "--out", "doc.json") == 0
+        else:
+            Path("doc.json").write_text(json.dumps({"q": 5, "n": 3, "m": 2, "k": 2}))
+        before = set(os.listdir(tmp_path)), Path("doc.json").read_bytes()
+        out = spelling.replace("<tmp>", str(tmp_path))
+        assert run_cli(*argv, out) == 2
+        assert capsys.readouterr() == ("", f"error: output path {out} is the input document doc.json\n")
+        assert (set(os.listdir(tmp_path)), Path("doc.json").read_bytes()) == before
 
     def test_directory_as_output_is_refused(self, tmp_path, capsys):
         assert run_cli("rates", "--n", "4", "--m", "2", "--k", "2", "--out", str(tmp_path)) == 2

@@ -714,13 +714,11 @@ class TestRound:
 
 
 class TestSolvability:
-    GRID = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2), (5, 3)]
+    # (q, n, m): the smallest prime whose Cauchy build succeeds
+    GRID = [(2, 2, 1), (2, 3, 1), (3, 3, 2), (2, 4, 1), (5, 4, 2), (5, 4, 3), (5, 5, 2), (5, 5, 3)]
 
-    @pytest.mark.parametrize("n,m", GRID)
-    def test_decode_system_full_rank(self, n, m):
-        from spir_mds.storage import smallest_admissible_prime
-
-        q = smallest_admissible_prime(n, m)
+    @pytest.mark.parametrize("q,n,m", GRID)
+    def test_decode_system_full_rank(self, q, n, m):
         p = StorageParams(q=q, n=n, m=m, k=2)
         g = build_generator(p)
         a = decode_system(p, g)

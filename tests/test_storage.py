@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SMALLEST_PRIME
 from spir_mds import fields
 from spir_mds.errors import BadShareCount, DimensionMismatch, FieldTooSmall, InvalidParams
 from spir_mds.storage import (
@@ -16,7 +17,6 @@ from spir_mds.storage import (
     encode,
     is_mds,
     reconstruct,
-    smallest_admissible_prime,
 )
 
 ROUNDTRIP_GRID = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 2)]
@@ -49,13 +49,6 @@ class TestParams:
         assert p.node_len == 3 * 4 * 3
         assert p.query_len == 3 * 4
 
-    def test_smallest_admissible_prime(self):
-        assert smallest_admissible_prime(2, 1) == 2
-        assert smallest_admissible_prime(4, 1) == 2
-        assert smallest_admissible_prime(3, 2) == 3
-        assert smallest_admissible_prime(4, 2) == 5
-        assert smallest_admissible_prime(5, 3) == 5
-
 
 class TestGenerator:
     def test_repetition_for_m1(self):
@@ -79,7 +72,7 @@ class TestGenerator:
 
     @pytest.mark.parametrize("n,m", ROUNDTRIP_GRID)
     def test_grid_is_mds(self, n, m):
-        q = smallest_admissible_prime(n, m)
+        q = SMALLEST_PRIME[n, m]
         g = build_generator(StorageParams(q=q, n=n, m=m, k=2))
         assert is_mds(g)
 
@@ -174,7 +167,7 @@ class TestEncode:
 
     @pytest.mark.parametrize("n,m", [(3, 2), (5, 3)])
     def test_systematic_nodes_hold_raw_columns(self, n, m):
-        q = smallest_admissible_prime(n, m)
+        q = SMALLEST_PRIME[n, m]
         p = StorageParams(q=q, n=n, m=m, k=2, stripes=2)
         rng = np.random.default_rng(1)
         db = Database.random(p, rng)
@@ -210,7 +203,7 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("n,m", ROUNDTRIP_GRID)
     def test_every_subset_roundtrips(self, n, m):
-        q = smallest_admissible_prime(n, m)
+        q = SMALLEST_PRIME[n, m]
         p = StorageParams(q=q, n=n, m=m, k=2)
         g = build_generator(p)
         rng = np.random.default_rng(n * 10 + m)
